@@ -24,7 +24,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .errors import DimensionOracleMismatch, UnsupportedDimension
-from .linalg import LinearConstraintSystem, exact_nullity, null_space
+from .linalg import LinearConstraintSystem, exact_nullity, null_space, numeric_nullity
 from .manifold import KINDS, StructureKind
 
 MAX_HALF_DIM = 3
@@ -192,11 +192,11 @@ def subspace_dimension(
 ) -> int:
     """Dimension of the requested subspace, numerically and exactly.
 
-    The SVD dimension and the exact rational elimination must agree; a
-    mismatch raises ``DimensionOracleMismatch``.
+    The SVD dimension (singular values only) and the exact rational
+    elimination must agree; a mismatch raises ``DimensionOracleMismatch``.
     """
     system = build_constraints(fiber, query)
-    numeric_dim, _ = null_space(system, tol)
+    numeric_dim = numeric_nullity(system, tol)
     exact_dim = exact_nullity(system)
     if numeric_dim != exact_dim:
         raise DimensionOracleMismatch(

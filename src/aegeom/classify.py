@@ -31,9 +31,10 @@ import numpy as np
 
 from .algebra import MAX_HALF_DIM, ModelFiber, SubspaceQuery, subspace_dimension
 from .catalog import catalog, standard_names
-from .connection import _Frame, _derived_arrays
+from .connection import _Frame, _derived_arrays, worst_over_sample
 from .errors import KindMismatch, TheoremViolation
 from .manifold import KINDS, ChartedManifold, SamplePlan, StructureKind
+from .tensors import inf_norm
 
 VERDICT_TOL = 1e-8
 IMPLICATION_SLACK = 10.0
@@ -50,10 +51,6 @@ CONDITIONS = (
 
 PLUS_SIGN_CONDITION = "(nabla_x J) y + (nabla_y J) x = 0"
 MINUS_SIGN_CONDITION = "(nabla_x J) y - (nabla_y J) x = 0"
-
-
-def _inf(arr) -> float:
-    return float(np.max(np.abs(arr)))
 
 
 @dataclass(frozen=True)
@@ -147,28 +144,23 @@ def sample_residuals(
     """Worst pointwise residual of each condition over the plan's sample."""
     if plan is None:
         plan = SamplePlan()
-    alpha = m.kind.alpha
-    worst = {key: 0.0 for key in CONDITIONS}
-    for point in plan.points(m.domain):
-        arrs = _derived_arrays(_Frame(m, point))
-        nj = arrs["nabla_j"]
-        t = arrs["torsion"]
-        g = arrs["g"]
-        jm = arrs["j"]
-        lowered = np.einsum("ai,ijk->ajk", g, t)
-        shift = np.einsum("aj,bk,iab->ijk", jm, jm, t) + alpha * t
-        here = {
-            "kahler_type": _inf(nj),
-            "integrable": _inf(arrs["nijenhuis"]),
-            "nearly": _inf(nj + np.einsum("jik->kij", nj)),
-            "codazzi": _inf(nj - np.einsum("jik->kij", nj)),
-            "canonical_torsion": _inf(t),
-            "torsion_shift": _inf(shift),
-            "torsion_pairing_skew": _inf(lowered + lowered.transpose(2, 1, 0)),
-        }
-        for key in CONDITIONS:
-            worst[key] = max(worst[key], here[key])
-    return worst
+    return worst_over_sample(plan.points(m.domain), lambda block: _conditions(m, block))
+
+
+def _conditions(m: ChartedManifold, points) -> Dict[str, float]:
+    arrs = _derived_arrays(_Frame(m, points))
+    nj = arrs["nabla_j"]
+    t = arrs["torsion"]
+    lowered = np.einsum("nai,nijk->najk", arrs["g"], t)
+    return {
+        "kahler_type": inf_norm(nj),
+        "integrable": inf_norm(arrs["nijenhuis"]),
+        "nearly": inf_norm(nj + np.einsum("njik->nkij", nj)),
+        "codazzi": inf_norm(nj - np.einsum("njik->nkij", nj)),
+        "canonical_torsion": inf_norm(t),
+        "torsion_shift": inf_norm(arrs["torsion_shift"]),
+        "torsion_pairing_skew": inf_norm(lowered + lowered.transpose(0, 3, 2, 1)),
+    }
 
 
 def _implication(

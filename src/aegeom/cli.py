@@ -245,12 +245,7 @@ def _cmd_algebra_table(args, parser) -> int:
 def _cmd_identities(args, parser) -> int:
     plan = _check_sample_args(parser, args)
     m = _resolve_manifold(args.manifold)
-    triples = plan.vector_triples(m.dim)
-    worst: Dict[str, float] = {}
-    for point in plan.points(m.domain):
-        here = identity_residuals(m, point, triples)
-        for key, value in here.items():
-            worst[key] = max(worst.get(key, 0.0), value)
+    worst = identity_residuals(m, plan.points(m.domain), plan.vector_triples(m.dim))
     max_residual = max(worst.values())
     passed = max_residual < args.tol
     if args.format == "json":

@@ -1,6 +1,8 @@
-"""Connections and derived tensors at a point.
+"""Connections and derived tensors over a stack of sample points.
 
-Index conventions, with d the manifold dimension and all arrays d x d x d:
+Every array carries the sample points on its leading axis; the public
+single-point functions return the N=1 slice of the same pass.  Index
+conventions after the point axis, with d the manifold dimension:
 
 * ``gamma[k, i, j]``   coefficient of the covariant derivative in direction
   i of the j-th coordinate field, output slot k (symmetric in i, j for the
@@ -13,14 +15,15 @@ Index conventions, with d the manifold dimension and all arrays d x d x d:
 The canonical connection adds the correction ((-alpha)/2) (nabla_i J) J to
 the metric connection; it makes both the metric and the structure parallel,
 which is verified at runtime together with the equality of the alternative
-torsion and Nijenhuis formulas.  Any disagreement raises, since it can only
-come from an implementation bug.
+torsion and Nijenhuis formulas.  Any disagreement raises, naming the first
+sample point where it occurs, since it can only come from an implementation
+bug.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,11 +35,15 @@ from .errors import (
 )
 from .linalg import DET_FLOOR
 from .manifold import ChartedManifold, eval_with_derivatives
-from .tensors import LOWER, UPPER, TensorValue
+from .tensors import LOWER, UPPER, TensorValue, inf_norm
 
 PARALLEL_TOL = 1e-8
 TORSION_AGREEMENT_TOL = 1e-9
 NIJENHUIS_AGREEMENT_TOL = 1e-8
+
+# Points per batched pass of a sweep: memory grows with the points in a
+# pass, about 27 KB per point in dimension six.
+SWEEP_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -58,119 +65,184 @@ class DerivedTensors:
 
 
 class _Frame:
-    """All pointwise raw arrays needed downstream, computed in one pass."""
+    """Raw arrays of a stack of sample points, computed in one pass."""
 
-    __slots__ = (
-        "point",
-        "alpha",
-        "epsilon",
-        "g",
-        "dg",
-        "j",
-        "dj",
-        "gamma",
-        "nabla_j",
-    )
+    __slots__ = ("points", "alpha", "epsilon", "g", "dg", "j", "dj", "gamma", "nabla_j")
 
-    def __init__(self, m: ChartedManifold, point: Sequence[float]) -> None:
-        g_t, dg_t, j_t, dj_t = eval_with_derivatives(m, point)
-        self.point = tuple(float(x) for x in point)
+    def __init__(self, m: ChartedManifold, points) -> None:
+        self.points = np.asarray(points, dtype=float)
         self.alpha = m.kind.alpha
         self.epsilon = m.kind.epsilon
-        g = np.asarray(g_t.data)
-        dg = np.asarray(dg_t.data)
-        self.g = g
-        self.dg = dg
-        self.j = np.asarray(j_t.data)
-        self.dj = np.asarray(dj_t.data)
-        det = float(np.linalg.det(g))
-        if abs(det) <= DET_FLOOR:
+        self.g, self.dg, self.j, self.dj = eval_with_derivatives(m, self.points)
+        det = np.abs(np.linalg.det(self.g))
+        if (det <= DET_FLOOR).any():
+            n = np.argmax(det <= DET_FLOOR)
             raise NearSingularMetric(
-                f"|det g| = {abs(det):.3e} at {self.point}", point=point
+                f"|det g| = {det[n]:.3e} at {self.point(n)}", point=self.points[n]
             )
-        d = g.shape[0]
-        rhs = (
-            np.einsum("ilj->lij", dg)
-            + np.einsum("jil->lij", dg)
-            - dg
-        )
-        self.gamma = 0.5 * np.linalg.solve(g, rhs.reshape(d, d * d)).reshape(
-            d, d, d
-        )
+        n, d = self.g.shape[:2]
+        dg = self.dg
+        rhs = np.einsum("nilj->nlij", dg) + np.einsum("njil->nlij", dg) - dg
+        self.gamma = 0.5 * np.linalg.solve(
+            self.g, rhs.reshape(n, d, d * d)
+        ).reshape(n, d, d, d)
         self.nabla_j = _covariant_structure(self.dj, self.gamma, self.j)
+
+    def point(self, n: int) -> Tuple[float, ...]:
+        return tuple(float(x) for x in self.points[n])
 
 
 def _covariant_structure(dj, gamma, j):
-    """nabla[k, i, j] for any connection coefficients gamma."""
+    """nabla[n, k, i, j] for any connection coefficients gamma."""
     return (
         dj
-        + np.einsum("ika,aj->kij", gamma, j)
-        - np.einsum("akj,ia->kij", gamma, j)
+        + np.einsum("nika,naj->nkij", gamma, j)
+        - np.einsum("nakj,nia->nkij", gamma, j)
     )
 
 
 def _covariant_metric(dg, gamma, g):
-    """(nabla_k g)_ij for any connection coefficients gamma."""
+    """(nabla_k g)_ij at each point, for any gamma and any 2-form g."""
     return (
         dg
-        - np.einsum("aki,aj->kij", gamma, g)
-        - np.einsum("akj,ia->kij", gamma, g)
+        - np.einsum("naki,naj->nkij", gamma, g)
+        - np.einsum("nakj,nia->nkij", gamma, g)
     )
 
 
-def _inf(arr) -> float:
-    return float(np.max(np.abs(arr)))
-
-
-def _anticommutation_residual(nj, j) -> float:
-    return _inf(
-        np.einsum("kia,aj->kij", nj, j) + np.einsum("ia,kaj->kij", j, nj)
-    )
+def _anticommutator(nj, j):
+    return np.einsum("nkia,naj->nkij", nj, j) + np.einsum("nia,nkaj->nkij", j, nj)
 
 
 def _canonical_gamma(frame: _Frame):
     correction = (-frame.alpha / 2.0) * np.einsum(
-        "ika,aj->kij", frame.nabla_j, frame.j
+        "nika,naj->nkij", frame.nabla_j, frame.j
     )
     return frame.gamma + correction
 
 
-def _torsion_three_ways(frame: _Frame):
+# Each runtime cross-check is (error type, tolerance, message, residual
+# stacks); the message is formatted with every stack's residual at the
+# failing point, and with ``point``.
+_Check = Tuple[type, float, str, Tuple[np.ndarray, ...]]
+
+
+def _anticommutation_check(frame: _Frame) -> _Check:
+    residual = _anticommutator(frame.nabla_j, frame.j)
+    message = "(nabla J) J + J (nabla J) residual {0:.3e} at {point}"
+    return FormulaMismatch, PARALLEL_TOL, message, (residual,)
+
+
+def _parallel_check(frame: _Frame, gamma0) -> _Check:
+    residuals = (
+        _covariant_structure(frame.dj, gamma0, frame.j),
+        _covariant_metric(frame.dg, gamma0, frame.g),
+    )
+    message = (
+        "canonical connection not parallel at {point}: "
+        "structure {0:.3e}, metric {1:.3e}"
+    )
+    return FormulaMismatch, PARALLEL_TOL, message, residuals
+
+
+def _torsion_three_ways(frame: _Frame, gamma0) -> Tuple[np.ndarray, _Check]:
+    """Canonical torsion from the coefficients, and its agreement check."""
     nj, j, alpha = frame.nabla_j, frame.j, frame.alpha
-    gamma0 = _canonical_gamma(frame)
-    t_conn = gamma0 - np.einsum("ikj->ijk", gamma0)
+    t_conn = gamma0 - np.einsum("nikj->nijk", gamma0)
     t_shifted = (-alpha / 2.0) * (
-        np.einsum("jia,ak->ijk", nj, j) - np.einsum("kia,aj->ijk", nj, j)
+        np.einsum("njia,nak->nijk", nj, j) - np.einsum("nkia,naj->nijk", nj, j)
     )
     t_rotated = (alpha / 2.0) * (
-        np.einsum("ia,jak->ijk", j, nj) - np.einsum("ia,kaj->ijk", j, nj)
+        np.einsum("nia,njak->nijk", j, nj) - np.einsum("nia,nkaj->nijk", j, nj)
     )
-    return gamma0, t_conn, t_shifted, t_rotated
+    spread = np.stack([t_conn - t_shifted, t_conn - t_rotated], axis=1)
+    message = "torsion formulas disagree by {0:.3e} at {point}"
+    return t_conn, (TorsionFormulaMismatch, TORSION_AGREEMENT_TOL, message, (spread,))
 
 
-def _nijenhuis_two_ways(frame: _Frame):
+def _nijenhuis_two_ways(frame: _Frame, torsion):
+    """Nijenhuis tensor, torsion shift, and checks of routes and relation."""
     nj, j, dj = frame.nabla_j, frame.j, frame.dj
     n_deriv = (
-        np.einsum("jia,ak->ijk", nj, j)
-        + np.einsum("aj,aik->ijk", j, nj)
-        - np.einsum("kia,aj->ijk", nj, j)
-        - np.einsum("ak,aij->ijk", j, nj)
+        np.einsum("njia,nak->nijk", nj, j)
+        + np.einsum("naj,naik->nijk", j, nj)
+        - np.einsum("nkia,naj->nijk", nj, j)
+        - np.einsum("nak,naij->nijk", j, nj)
     )
     n_bracket = (
-        np.einsum("aj,aik->ijk", j, dj)
-        - np.einsum("ak,aij->ijk", j, dj)
-        + np.einsum("ib,kbj->ijk", j, dj)
-        - np.einsum("ib,jbk->ijk", j, dj)
+        np.einsum("naj,naik->nijk", j, dj)
+        - np.einsum("nak,naij->nijk", j, dj)
+        + np.einsum("nib,nkbj->nijk", j, dj)
+        - np.einsum("nib,njbk->nijk", j, dj)
     )
-    return n_deriv, n_bracket
+    shift = np.einsum("naj,nbk,niab->nijk", j, j, torsion) + frame.alpha * torsion
+    error, tol = NijenhuisFormulaMismatch, NIJENHUIS_AGREEMENT_TOL
+    routes = "Nijenhuis routes disagree by {0:.3e} at {point}"
+    relation = "torsion relation residual {0:.3e} at {point}"
+    checks = [
+        (error, tol, routes, (n_deriv - n_bracket,)),
+        (error, tol, relation, (shift + 0.5 * n_deriv,)),
+    ]
+    return n_deriv, shift, checks
+
+
+def _require(frame: _Frame, checks: List[_Check]) -> None:
+    """Raise for the first sample point that fails any of the checks.
+
+    At that point the first failing check in list order is reported, as if
+    every check had run point by point in sample order.
+    """
+    per_point = [
+        np.stack([np.abs(r).reshape(len(r), -1).max(axis=1) for r in stacks])
+        for _, _, _, stacks in checks
+    ]
+    failing = np.stack(
+        [(p >= tol).any(axis=0) for p, (_, tol, _, _) in zip(per_point, checks)],
+        axis=1,
+    )
+    if failing.any():
+        n, c = np.argwhere(failing)[0]
+        error, _, message, _ = checks[c]
+        raise error(message.format(*per_point[c][:, n], point=frame.point(n)))
+
+
+def _derived_arrays(frame: _Frame) -> Dict[str, np.ndarray]:
+    """Every derived stack, after every runtime cross-check has passed."""
+    gamma0 = _canonical_gamma(frame)
+    torsion, torsion_check = _torsion_three_ways(frame, gamma0)
+    nijenhuis_stack, shift, nijenhuis_checks = _nijenhuis_two_ways(frame, torsion)
+    checks = [_anticommutation_check(frame), torsion_check]
+    _require(frame, checks + [_parallel_check(frame, gamma0)] + nijenhuis_checks)
+    return {
+        "g": frame.g,
+        "j": frame.j,
+        "nabla_j": frame.nabla_j,
+        "torsion": torsion,
+        "torsion_shift": shift,
+        "nijenhuis": nijenhuis_stack,
+    }
+
+
+def worst_over_sample(points, block_residuals) -> Dict[str, float]:
+    """Worst of each residual over a point stack, taken block by block.
+
+    Blocks run in sample order, so a failing check still names the first
+    failing sample point.
+    """
+    points = np.atleast_2d(points)
+    blocks = [
+        block_residuals(points[start : start + SWEEP_BLOCK])
+        for start in range(0, len(points), SWEEP_BLOCK)
+    ]
+    return {key: max(block[key] for block in blocks) for key in blocks[0]}
 
 
 def christoffel(m: ChartedManifold, point: Sequence[float]) -> ConnectionCoefficients:
     """Coefficients of the metric (torsion-free) connection at a point."""
-    frame = _Frame(m, point)
+    frame = _Frame(m, [point])
     return ConnectionCoefficients(
-        point=frame.point,
-        gamma=TensorValue(frame.gamma, (UPPER, LOWER, LOWER)),
+        point=frame.point(0),
+        gamma=TensorValue(frame.gamma[0], (UPPER, LOWER, LOWER)),
     )
 
 
@@ -180,13 +252,9 @@ def nabla_j(m: ChartedManifold, point: Sequence[float]) -> TensorValue:
     Checks the anticommutation of the result with J before returning;
     failure indicates inconsistent inputs or a bug and raises.
     """
-    frame = _Frame(m, point)
-    residual = _anticommutation_residual(frame.nabla_j, frame.j)
-    if residual >= PARALLEL_TOL:
-        raise FormulaMismatch(
-            f"(nabla J) J + J (nabla J) residual {residual:.3e} at {frame.point}"
-        )
-    return TensorValue(frame.nabla_j, (LOWER, UPPER, LOWER))
+    frame = _Frame(m, [point])
+    _require(frame, [_anticommutation_check(frame)])
+    return TensorValue(frame.nabla_j[0], (LOWER, UPPER, LOWER))
 
 
 def canonical_connection(
@@ -197,17 +265,11 @@ def canonical_connection(
     Verifies that both the structure tensor and the metric are parallel for
     the returned coefficients.
     """
-    frame = _Frame(m, point)
+    frame = _Frame(m, [point])
     gamma0 = _canonical_gamma(frame)
-    res_j = _inf(_covariant_structure(frame.dj, gamma0, frame.j))
-    res_g = _inf(_covariant_metric(frame.dg, gamma0, frame.g))
-    if res_j >= PARALLEL_TOL or res_g >= PARALLEL_TOL:
-        raise FormulaMismatch(
-            f"canonical connection not parallel at {frame.point}: "
-            f"structure {res_j:.3e}, metric {res_g:.3e}"
-        )
+    _require(frame, [_parallel_check(frame, gamma0)])
     return ConnectionCoefficients(
-        point=frame.point, gamma=TensorValue(gamma0, (UPPER, LOWER, LOWER))
+        point=frame.point(0), gamma=TensorValue(gamma0[0], (UPPER, LOWER, LOWER))
     )
 
 
@@ -218,14 +280,10 @@ def canonical_torsion(m: ChartedManifold, point: Sequence[float]) -> TensorValue
     terms of (nabla J) J and J (nabla J); disagreement raises
     ``TorsionFormulaMismatch``.
     """
-    frame = _Frame(m, point)
-    _, t_conn, t_shifted, t_rotated = _torsion_three_ways(frame)
-    spread = max(_inf(t_conn - t_shifted), _inf(t_conn - t_rotated))
-    if spread >= TORSION_AGREEMENT_TOL:
-        raise TorsionFormulaMismatch(
-            f"torsion formulas disagree by {spread:.3e} at {frame.point}"
-        )
-    return TensorValue(t_conn, (UPPER, LOWER, LOWER))
+    frame = _Frame(m, [point])
+    torsion, check = _torsion_three_ways(frame, _canonical_gamma(frame))
+    _require(frame, [check])
+    return TensorValue(torsion[0], (UPPER, LOWER, LOWER))
 
 
 def nijenhuis(m: ChartedManifold, point: Sequence[float]) -> TensorValue:
@@ -235,79 +293,23 @@ def nijenhuis(m: ChartedManifold, point: Sequence[float]) -> TensorValue:
     structure-rotated arguments plus alpha times the plain torsion; any
     disagreement raises ``NijenhuisFormulaMismatch``.
     """
-    frame = _Frame(m, point)
-    n_deriv, n_bracket = _nijenhuis_two_ways(frame)
-    if _inf(n_deriv - n_bracket) >= NIJENHUIS_AGREEMENT_TOL:
-        raise NijenhuisFormulaMismatch(
-            f"Nijenhuis routes disagree by {_inf(n_deriv - n_bracket):.3e} "
-            f"at {frame.point}"
-        )
-    _, t_conn, _, _ = _torsion_three_ways(frame)
-    relation = (
-        np.einsum("aj,bk,iab->ijk", frame.j, frame.j, t_conn)
-        + frame.alpha * t_conn
-        + 0.5 * n_deriv
-    )
-    if _inf(relation) >= NIJENHUIS_AGREEMENT_TOL:
-        raise NijenhuisFormulaMismatch(
-            f"torsion relation residual {_inf(relation):.3e} at {frame.point}"
-        )
-    return TensorValue(n_deriv, (UPPER, LOWER, LOWER))
+    frame = _Frame(m, [point])
+    torsion, _ = _torsion_three_ways(frame, _canonical_gamma(frame))
+    n_deriv, _, checks = _nijenhuis_two_ways(frame, torsion)
+    _require(frame, checks)
+    return TensorValue(n_deriv[0], (UPPER, LOWER, LOWER))
 
 
 def derived_tensors(m: ChartedManifold, point: Sequence[float]) -> DerivedTensors:
     """Structure derivative, torsion, and Nijenhuis in one checked pass."""
-    frame = _Frame(m, point)
+    frame = _Frame(m, [point])
     arrays = _derived_arrays(frame)
     return DerivedTensors(
-        point=frame.point,
-        nabla_j=TensorValue(arrays["nabla_j"], (LOWER, UPPER, LOWER)),
-        torsion=TensorValue(arrays["torsion"], (UPPER, LOWER, LOWER)),
-        nijenhuis=TensorValue(arrays["nijenhuis"], (UPPER, LOWER, LOWER)),
+        point=frame.point(0),
+        nabla_j=TensorValue(arrays["nabla_j"][0], (LOWER, UPPER, LOWER)),
+        torsion=TensorValue(arrays["torsion"][0], (UPPER, LOWER, LOWER)),
+        nijenhuis=TensorValue(arrays["nijenhuis"][0], (UPPER, LOWER, LOWER)),
     )
-
-
-def _derived_arrays(frame: _Frame) -> Dict[str, np.ndarray]:
-    residual = _anticommutation_residual(frame.nabla_j, frame.j)
-    if residual >= PARALLEL_TOL:
-        raise FormulaMismatch(
-            f"(nabla J) J + J (nabla J) residual {residual:.3e} at {frame.point}"
-        )
-    gamma0, t_conn, t_shifted, t_rotated = _torsion_three_ways(frame)
-    spread = max(_inf(t_conn - t_shifted), _inf(t_conn - t_rotated))
-    if spread >= TORSION_AGREEMENT_TOL:
-        raise TorsionFormulaMismatch(
-            f"torsion formulas disagree by {spread:.3e} at {frame.point}"
-        )
-    res_j = _inf(_covariant_structure(frame.dj, gamma0, frame.j))
-    res_g = _inf(_covariant_metric(frame.dg, gamma0, frame.g))
-    if res_j >= PARALLEL_TOL or res_g >= PARALLEL_TOL:
-        raise FormulaMismatch(
-            f"canonical connection not parallel at {frame.point}: "
-            f"structure {res_j:.3e}, metric {res_g:.3e}"
-        )
-    n_deriv, n_bracket = _nijenhuis_two_ways(frame)
-    if _inf(n_deriv - n_bracket) >= NIJENHUIS_AGREEMENT_TOL:
-        raise NijenhuisFormulaMismatch(
-            f"Nijenhuis routes disagree by {_inf(n_deriv - n_bracket):.3e} "
-            f"at {frame.point}"
-        )
-    relation = (
-        np.einsum("aj,bk,iab->ijk", frame.j, frame.j, t_conn)
-        + frame.alpha * t_conn
-        + 0.5 * n_deriv
-    )
-    if _inf(relation) >= NIJENHUIS_AGREEMENT_TOL:
-        raise NijenhuisFormulaMismatch(
-            f"torsion relation residual {_inf(relation):.3e} at {frame.point}"
-        )
-    return {
-        "g": frame.g,
-        "j": frame.j,
-        "nabla_j": frame.nabla_j,
-        "torsion": t_conn,
-        "nijenhuis": n_deriv,
-    }
 
 
 def codazzi_coupled_residuals(
@@ -320,19 +322,21 @@ def codazzi_coupled_residuals(
     metric part vanishes identically for the metric connection and serves as
     a sharp internal check.
     """
-    frame = _Frame(m, point)
-    r_j = _inf(frame.nabla_j - np.einsum("jik->kij", frame.nabla_j))
+    frame = _Frame(m, [point])
+    r_j = inf_norm(frame.nabla_j - np.einsum("njik->nkij", frame.nabla_j))
     nabla_g = _covariant_metric(frame.dg, frame.gamma, frame.g)
-    r_g = _inf(nabla_g - np.einsum("ikj->kij", nabla_g))
+    r_g = inf_norm(nabla_g - np.einsum("nikj->nkij", nabla_g))
     return r_j, r_g
 
 
 def identity_residuals(
     m: ChartedManifold,
-    point: Sequence[float],
+    points,
     triples: Optional[np.ndarray] = None,
 ) -> Dict[str, float]:
-    """Pointwise residuals of the built-in identity suite.
+    """Residuals of the built-in identity suite, worst over the points.
+
+    ``points`` is one point of shape (d,) or a stack of shape (N, d).
 
     Component-norm keys:
 
@@ -354,67 +358,61 @@ def identity_residuals(
     contracted with every sampled (X, Y, Z) and the maxima are reported
     under the same keys with suffix ``_on_vectors``.
     """
-    frame = _Frame(m, point)
+    return worst_over_sample(points, lambda block: _identities(m, block, triples))
+
+
+def _identities(m: ChartedManifold, points, triples) -> Dict[str, float]:
+    frame = _Frame(m, points)
     g, dg, j, dj = frame.g, frame.dg, frame.j, frame.dj
     nj, gamma = frame.nabla_j, frame.gamma
     ae = frame.alpha * frame.epsilon
 
-    out: Dict[str, float] = {}
     tensors: Dict[str, np.ndarray] = {}
 
-    pairing_swap = np.einsum("ai,aj->ij", j, g) - ae * np.einsum(
-        "ib,bj->ij", g, j
-    )
-    tensors["pairing_swap"] = pairing_swap
+    twin = np.einsum("nai,naj->nij", j, g)
+    tensors["pairing_swap"] = twin - ae * np.einsum("nib,nbj->nij", g, j)
 
-    tensors["anticommute"] = np.einsum("kia,aj->kij", nj, j) + np.einsum(
-        "ia,kaj->kij", j, nj
-    )
+    tensors["anticommute"] = _anticommutator(nj, j)
 
-    paired = np.einsum("aj,kai->kij", g, nj)
-    tensors["pairing_symmetry"] = paired - ae * np.einsum("kij->kji", paired)
+    paired = np.einsum("naj,nkai->nkij", g, nj)
+    tensors["pairing_symmetry"] = paired - ae * np.einsum("nkij->nkji", paired)
 
-    shift = np.einsum("aj,kab,bi->kij", g, nj, j) + ae * np.einsum(
-        "ab,bj,kai->kij", g, j, nj
-    )
-    tensors["pairing_j_shift"] = shift
+    tensors["pairing_j_shift"] = np.einsum(
+        "naj,nkab,nbi->nkij", g, nj, j
+    ) + ae * np.einsum("nab,nbj,nkai->nkij", g, j, nj)
 
-    twin = np.einsum("ai,aj->ij", j, g)
-    dtwin = np.einsum("kai,aj->kij", dj, g) + np.einsum("ai,kaj->kij", j, dg)
-    cov_twin = (
-        dtwin
-        - np.einsum("aki,aj->kij", gamma, twin)
-        - np.einsum("akj,ia->kij", gamma, twin)
+    dtwin = np.einsum("nkai,naj->nkij", dj, g) + np.einsum(
+        "nai,nkaj->nkij", j, dg
     )
-    twin_defect = cov_twin - np.einsum("ikj->kij", cov_twin)
-    codazzi_j = nj - np.einsum("jik->kij", nj)
-    paired_defect = np.einsum("aj,kai->kij", g, codazzi_j)
+    cov_twin = _covariant_metric(dtwin, gamma, twin)
+    twin_defect = cov_twin - np.einsum("nikj->nkij", cov_twin)
+    codazzi_j = nj - np.einsum("njik->nkij", nj)
+    paired_defect = np.einsum("naj,nkai->nkij", g, codazzi_j)
     tensors["twin_codazzi_match"] = twin_defect - paired_defect
 
     nabla_g = _covariant_metric(dg, gamma, g)
     tensors["nabla_g"] = nabla_g
-    tensors["codazzi_nabla_g"] = nabla_g - np.einsum("ikj->kij", nabla_g)
+    tensors["codazzi_nabla_g"] = nabla_g - np.einsum("nikj->nkij", nabla_g)
 
     if ae == -1:
-        tensors["fundamental_form_antisymmetry"] = twin + twin.T
-        nearly_form = cov_twin + np.einsum("ikj->kij", cov_twin)
-        nearly_j = nj + np.einsum("jik->kij", nj)
+        tensors["fundamental_form_antisymmetry"] = twin + twin.transpose(0, 2, 1)
+        nearly_form = cov_twin + np.einsum("nikj->nkij", cov_twin)
+        nearly_j = nj + np.einsum("njik->nkij", nj)
         tensors["fundamental_form_nearly_match"] = nearly_form - np.einsum(
-            "aj,kai->kij", g, nearly_j
+            "naj,nkai->nkij", g, nearly_j
         )
 
-    for key, arr in tensors.items():
-        out[key] = _inf(arr)
-
+    out = {key: inf_norm(arr) for key, arr in tensors.items()}
     if triples is not None:
+        # all triples at once: rows x (x) y and x (x) y (x) z, one per triple
+        x, y, z = triples[:, 0], triples[:, 1], triples[:, 2]
+        yz = np.einsum("ti,tj->tij", y, z)
+        probes = {
+            3: np.einsum("ti,tj->tij", x, y).reshape(len(triples), -1),
+            4: np.einsum("tk,tij->tkij", x, yz).reshape(len(triples), -1),
+        }
         for key, arr in tensors.items():
-            worst = 0.0
-            for triple in triples:
-                x, y, z = triple[0], triple[1], triple[2]
-                if arr.ndim == 2:
-                    val = abs(float(np.einsum("ij,i,j->", arr, x, y)))
-                else:
-                    val = abs(float(np.einsum("kij,k,i,j->", arr, x, y, z)))
-                worst = max(worst, val)
-            out[key + "_on_vectors"] = worst
+            flat = arr.reshape(len(arr), -1)
+            on_vectors = np.einsum("nc,tc->nt", flat, probes[arr.ndim])
+            out[key + "_on_vectors"] = inf_norm(on_vectors)
     return out

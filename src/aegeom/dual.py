@@ -1,10 +1,12 @@
-"""First-order forward-mode differentiation scalars.
+"""First-order forward-mode differentiation numbers.
 
 A ``Dual`` carries a value together with the gradient of that value with
 respect to a fixed tuple of active coordinates.  Arithmetic propagates the
 gradient exactly (up to rounding), so derivatives of polynomial and rational
 chart data carry no truncation error.  Finite differences are used only as an
-independent oracle in the test suite.
+independent oracle in the test suite.  A dual may carry a whole batch of
+points; arithmetic is elementwise, so each point gets exactly the numbers
+it would get on its own.
 """
 
 from __future__ import annotations
@@ -19,12 +21,20 @@ Scalar = Union["Dual", int, float]
 
 
 class Dual:
-    """Number of the form a + sum_i b_i eps_i with eps_i eps_j = 0."""
+    """Number of the form a + sum_i b_i eps_i with eps_i eps_j = 0.
+
+    ``value`` has a batch shape S (``np.float64`` for S = (), one point) and
+    ``grad`` has shape S + (d,).  Plain and numpy numbers act as constants.
+    """
 
     __slots__ = ("value", "grad")
 
+    # numpy defers to the reflected operator, so that np.float64 * Dual
+    # reaches Dual.__rmul__ instead of becoming an object array.
+    __array_ufunc__ = None
+
     def __init__(self, value, grad) -> None:
-        self.value = float(value)
+        self.value = value if isinstance(value, np.ndarray) else np.float64(value)
         self.grad = np.asarray(grad, dtype=float)
 
     @staticmethod
@@ -32,10 +42,15 @@ class Dual:
         return Dual(value, np.zeros(width))
 
     @staticmethod
-    def seed(point: Sequence[float]) -> list["Dual"]:
-        """Lift coordinates so that coordinate i carries unit derivative e_i."""
-        eye = np.eye(len(point))
-        return [Dual(float(x), eye[i]) for i, x in enumerate(point)]
+    def seed(points) -> list["Dual"]:
+        """Lift coordinates so that coordinate i carries unit derivative e_i.
+
+        ``points`` has shape S + (d,): one point, or a batch of batch shape S.
+        """
+        coords = np.asarray(points, dtype=float)
+        eye = np.eye(coords.shape[-1])
+        columns = np.moveaxis(coords, -1, 0).copy()
+        return [Dual(c, np.broadcast_to(e, coords.shape)) for c, e in zip(columns, eye)]
 
     def __repr__(self) -> str:
         return f"Dual({self.value!r}, {self.grad.tolist()!r})"
@@ -65,7 +80,8 @@ class Dual:
         if isinstance(other, Dual):
             return Dual(
                 self.value * other.value,
-                self.value * other.grad + other.value * self.grad,
+                self.value[..., None] * other.grad
+                + other.value[..., None] * self.grad,
             )
         if isinstance(other, Number):
             c = float(other)
@@ -77,7 +93,8 @@ class Dual:
     def __truediv__(self, other):
         if isinstance(other, Dual):
             q = self.value / other.value
-            return Dual(q, (self.grad - q * other.grad) / other.value)
+            grad = (self.grad - q[..., None] * other.grad) / other.value[..., None]
+            return Dual(q, grad)
         if isinstance(other, Number):
             c = float(other)
             return Dual(self.value / c, self.grad / c)
@@ -87,7 +104,7 @@ class Dual:
         if isinstance(other, Number):
             c = float(other)
             v = c / self.value
-            return Dual(v, (-v / self.value) * self.grad)
+            return Dual(v, (-v / self.value)[..., None] * self.grad)
         return NotImplemented
 
     def __neg__(self):
@@ -102,7 +119,7 @@ class Dual:
         n = int(exponent)
         if n < 0:
             return 1.0 / (self ** (-n))
-        result = Dual.constant(1.0, self.grad.shape[0])
+        result = Dual.constant(1.0, self.grad.shape[-1])
         base = self
         while n:
             if n & 1:
@@ -112,15 +129,15 @@ class Dual:
         return result
 
 
-def value_of(x: Scalar) -> float:
-    """Plain float value of a scalar that may or may not be a Dual."""
+def value_of(x: Scalar):
+    """Value of a number that may or may not be a Dual (an array for a batch)."""
     if isinstance(x, Dual):
         return x.value
     return float(x)
 
 
 def grad_of(x: Scalar, width: int) -> np.ndarray:
-    """Gradient of a scalar; constants contribute a zero vector."""
+    """Gradient of a number; constants contribute a zero vector."""
     if isinstance(x, Dual):
         return x.grad
     return np.zeros(width)
@@ -128,27 +145,27 @@ def grad_of(x: Scalar, width: int) -> np.ndarray:
 
 def sqrt(x: Scalar) -> Scalar:
     if isinstance(x, Dual):
-        r = math.sqrt(x.value)
-        return Dual(r, x.grad / (2.0 * r))
+        r = np.sqrt(x.value)
+        return Dual(r, x.grad / (2.0 * r)[..., None])
     return math.sqrt(x)
 
 
 def exp(x: Scalar) -> Scalar:
     if isinstance(x, Dual):
-        e = math.exp(x.value)
-        return Dual(e, e * x.grad)
+        e = np.exp(x.value)
+        return Dual(e, e[..., None] * x.grad)
     return math.exp(x)
 
 
 def sin(x: Scalar) -> Scalar:
     if isinstance(x, Dual):
-        return Dual(math.sin(x.value), math.cos(x.value) * x.grad)
+        return Dual(np.sin(x.value), np.cos(x.value)[..., None] * x.grad)
     return math.sin(x)
 
 
 def cos(x: Scalar) -> Scalar:
     if isinstance(x, Dual):
-        return Dual(math.cos(x.value), -math.sin(x.value) * x.grad)
+        return Dual(np.cos(x.value), -np.sin(x.value)[..., None] * x.grad)
     return math.cos(x)
 
 

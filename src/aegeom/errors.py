@@ -23,6 +23,10 @@ class NearSingularMetric(GeometryError):
         self.point = None if point is None else tuple(float(x) for x in point)
 
 
+class NonFiniteField(GeometryError):
+    """A metric or structure component is infinite or undefined at a point."""
+
+
 class DomainEmpty(GeometryError):
     """Chart domain box has no interior."""
 

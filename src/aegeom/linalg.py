@@ -60,22 +60,34 @@ def null_space(
     ``tol`` is relative to the largest singular value; singular values at or
     below the cutoff count as zero.
     """
+    n = system.n_unknowns
+    _, sigma, vt = np.linalg.svd(_checked_dense(system, tol), full_matrices=True)
+    rank = _numeric_rank(sigma, tol)
+    return n - rank, [vt[i] for i in range(rank, n)]
+
+
+def numeric_nullity(
+    system: LinearConstraintSystem, tol: float = NULL_SPACE_TOL
+) -> int:
+    """Null space dimension by the ``null_space`` cutoff, without a basis."""
+    sigma = np.linalg.svd(_checked_dense(system, tol), compute_uv=False)
+    return system.n_unknowns - _numeric_rank(sigma, tol)
+
+
+def _checked_dense(system: LinearConstraintSystem, tol: float) -> np.ndarray:
     if system.n_unknowns == 0:
         raise DegenerateSystem("system has no unknowns")
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    n = system.n_unknowns
-    if not system.rows:
-        return n, [np.eye(n)[i] for i in range(n)]
-    dense = system.to_dense()
-    _, sigma, vt = np.linalg.svd(dense, full_matrices=True)
+    return system.to_dense()
+
+
+def _numeric_rank(sigma: np.ndarray, tol: float) -> int:
+    """Number of singular values above ``tol`` times the largest one."""
     largest = sigma[0] if sigma.size else 0.0
     if largest == 0.0:
-        rank = 0
-    else:
-        rank = int(np.sum(sigma > tol * largest))
-    basis = [vt[i] for i in range(rank, n)]
-    return n - rank, basis
+        return 0
+    return int(np.sum(sigma > tol * largest))
 
 
 def exact_nullity(system: LinearConstraintSystem) -> int:

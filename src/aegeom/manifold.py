@@ -8,8 +8,8 @@ almost para-Hermitian (+1, -1).  The last two force a split-signature
 metric.
 
 Metric and structure components are arbitrary callables of the chart
-coordinates; they must accept ``Dual`` scalars so that first derivatives
-come out of forward-mode evaluation, exactly.
+coordinates; they must accept ``Dual`` numbers carrying a whole stack of
+sample points, so that first derivatives come out of one forward-mode pass.
 """
 
 from __future__ import annotations
@@ -27,12 +27,13 @@ from .errors import (
     DomainEmpty,
     ExpressionError,
     NearSingularMetric,
+    NonFiniteField,
     PointOutsideDomain,
     SlotMismatch,
 )
 from .expressions import parse_expression
 from .linalg import DET_FLOOR
-from .tensors import LOWER, UPPER, TensorValue
+from .tensors import LOWER, UPPER, TensorValue, inf_norm
 
 VALIDATION_TOL = 1e-8
 
@@ -161,45 +162,79 @@ class SamplePlan:
 
 
 def evaluate_fields(m: ChartedManifold, point: Sequence[float]):
-    """Metric and structure matrices at a point, as float arrays."""
+    """Metric and structure matrices at a point, as finite float arrays."""
     if not m.domain.contains(point):
         raise PointOutsideDomain(f"point {tuple(point)} not inside {m.name} domain")
     coords = [float(x) for x in point]
-    g = _as_matrix(m.metric(coords), m.dim, "metric")
-    j = _as_matrix(m.structure(coords), m.dim, "structure")
+    try:
+        g_entries, j_entries = m.metric(coords), m.structure(coords)
+    except (ZeroDivisionError, OverflowError):
+        # numpy floats give inf or nan where Python floats raise, and the
+        # finiteness check below then names the cell
+        coords = list(np.asarray(coords))
+        with np.errstate(all="ignore"):
+            g_entries = _call_field(m, "metric", coords, point)
+            j_entries = _call_field(m, "structure", coords, point)
+    g = _as_matrix(g_entries, m.dim, "metric")
+    j = _as_matrix(j_entries, m.dim, "structure")
+    _require_finite(m, [point], np.isfinite(g)[None], np.isfinite(j)[None], "value")
     return g, j
 
 
-def eval_with_derivatives(m: ChartedManifold, point: Sequence[float]):
-    """Values and first derivatives of the metric and structure at a point.
+def eval_with_derivatives(m: ChartedManifold, points):
+    """Values and first derivatives of the metric and structure.
 
-    Returns TensorValues (g, dg, J, dJ) where dg[k, i, j] = d_k g_ij and
-    dJ[k, i, j] = d_k J^i_j; the derivative index always comes first.
+    ``points`` is a stack (N, d), evaluated by one call of each field on
+    duals.  Returns float arrays g, dg, J, dJ with dg[n, k, i, j] = d_k g_ij
+    and dJ[n, k, i, j] = d_k J^i_j at point n; for one point (d,), the N=1
+    slice as TensorValues.  A value or derivative that is not finite raises
+    ``NonFiniteField`` naming the cell and the first such point.
     """
-    if not m.domain.contains(point):
-        raise PointOutsideDomain(f"point {tuple(point)} not inside {m.name} domain")
-    d = m.dim
-    coords = Dual.seed([float(x) for x in point])
-    g_entries = m.metric(coords)
-    j_entries = m.structure(coords)
-    g = np.empty((d, d))
-    dg = np.empty((d, d, d))
-    jj = np.empty((d, d))
-    dj = np.empty((d, d, d))
-    for i in range(d):
-        for j in range(d):
-            ge = g_entries[i][j]
-            je = j_entries[i][j]
-            g[i, j] = value_of(ge)
-            dg[:, i, j] = grad_of(ge, d)
-            jj[i, j] = value_of(je)
-            dj[:, i, j] = grad_of(je, d)
-    return (
-        TensorValue(g, (LOWER, LOWER)),
-        TensorValue(dg, (LOWER, LOWER, LOWER)),
-        TensorValue(jj, (UPPER, LOWER)),
-        TensorValue(dj, (LOWER, UPPER, LOWER)),
+    stack = np.atleast_2d(np.asarray(points, dtype=float))
+    for point in stack:
+        if not m.domain.contains(point):
+            raise PointOutsideDomain(
+                f"point {_as_tuple(point)} not inside {m.name} domain"
+            )
+    with np.errstate(all="ignore"):
+        coords = Dual.seed(stack)
+        g_entries = _call_field(m, "metric", coords, stack[0])
+        j_entries = _call_field(m, "structure", coords, stack[0])
+    g, dg = _as_stack(g_entries, len(stack), m.dim, "metric")
+    jj, dj = _as_stack(j_entries, len(stack), m.dim, "structure")
+    finite_g = np.isfinite(g) & np.isfinite(dg).all(axis=1)
+    finite_j = np.isfinite(jj) & np.isfinite(dj).all(axis=1)
+    _require_finite(m, stack, finite_g, finite_j, "value or derivative")
+    if np.ndim(points) == 2:
+        return g, dg, jj, dj
+    variances = ((LOWER, LOWER), (LOWER,) * 3, (UPPER, LOWER), (LOWER, UPPER, LOWER))
+    return tuple(
+        TensorValue(a[0], v) for a, v in zip((g, dg, jj, dj), variances)
     )
+
+
+def _as_tuple(point) -> Tuple[float, ...]:
+    return tuple(float(x) for x in point)
+
+
+def _call_field(m: ChartedManifold, what: str, coords, point):
+    try:
+        return getattr(m, what)(coords)
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise NonFiniteField(
+            f"{what} of {m.name} is undefined at point {_as_tuple(point)}: {exc}"
+        ) from exc
+
+
+def _require_finite(m: ChartedManifold, points, finite_g, finite_j, what: str):
+    """Raise for the first point, then the first cell, that is not finite."""
+    bad = ~np.stack([finite_g, finite_j], axis=1)
+    if bad.any():
+        n, field, i, j = np.argwhere(bad)[0]
+        raise NonFiniteField(
+            f"{('metric', 'structure')[field]}[{i}][{j}] of {m.name} has a "
+            f"non-finite {what} at point {_as_tuple(points[n])}"
+        )
 
 
 @dataclass
@@ -293,23 +328,15 @@ def validate_structure(
                 f"|det g| = {det:.3e} at sampled point of {m.name}", point=point
             )
         min_abs_det = min(min_abs_det, det)
-        residuals["structure_squared"] = max(
-            residuals["structure_squared"], _inf(j @ j - alpha * eye)
-        )
-        residuals["metric_symmetry"] = max(
-            residuals["metric_symmetry"], _inf(g - g.T)
-        )
-        residuals["metric_isometry"] = max(
-            residuals["metric_isometry"], _inf(j.T @ g @ j - epsilon * g)
-        )
-        residuals["pairing_swap"] = max(
-            residuals["pairing_swap"],
-            _inf(g @ j - alpha * epsilon * (g @ j).T),
-        )
-        if "structure_trace" in residuals:
-            residuals["structure_trace"] = max(
-                residuals["structure_trace"], abs(float(np.trace(j)))
-            )
+        here = {
+            "structure_squared": j @ j - alpha * eye,
+            "metric_symmetry": g - g.T,
+            "metric_isometry": j.T @ g @ j - epsilon * g,
+            "pairing_swap": g @ j - alpha * epsilon * (g @ j).T,
+            "structure_trace": np.trace(j),
+        }
+        for key in keys:
+            residuals[key] = max(residuals[key], inf_norm(here[key]))
     failures = [key for key in keys if residuals[key] >= tol]
     return ValidationReport(
         manifold=m.name,
@@ -324,10 +351,6 @@ def validate_structure(
     )
 
 
-def _inf(arr: np.ndarray) -> float:
-    return float(np.max(np.abs(arr)))
-
-
 def _as_matrix(entries, dim: int, what: str) -> np.ndarray:
     out = np.empty((dim, dim))
     try:
@@ -337,6 +360,21 @@ def _as_matrix(entries, dim: int, what: str) -> np.ndarray:
     except (IndexError, TypeError) as exc:
         raise SlotMismatch(f"{what} must produce a {dim}x{dim} matrix") from exc
     return out
+
+
+def _as_stack(entries, n: int, dim: int, what: str):
+    """Value (n, dim, dim) and gradient (n, dim, dim, dim) stacks of a field."""
+    values = np.empty((n, dim, dim))
+    grads = np.empty((n, dim, dim, dim))
+    try:
+        for i in range(dim):
+            for j in range(dim):
+                cell = entries[i][j]
+                values[:, i, j] = value_of(cell)
+                grads[:, :, i, j] = grad_of(cell, dim)
+    except (IndexError, TypeError) as exc:
+        raise SlotMismatch(f"{what} must produce a {dim}x{dim} matrix") from exc
+    return values, grads
 
 
 def load_manifold_config(path) -> ChartedManifold:

@@ -51,9 +51,7 @@ class TensorValue:
         return self.data.shape
 
     def inf_norm(self) -> float:
-        if self.data.size == 0:
-            return 0.0
-        return float(np.max(np.abs(self.data)))
+        return inf_norm(self.data)
 
     def contract(self, upper_slot: int, lower_slot: int) -> "TensorValue":
         return contract(self, upper_slot, lower_slot)
@@ -71,6 +69,12 @@ class TensorValue:
         return self.variance == other.variance and np.array_equal(
             self.data, other.data
         )
+
+
+def inf_norm(arr) -> float:
+    """Largest absolute component (over every point of a stack); 0 if empty."""
+    arr = np.asarray(arr)
+    return float(np.max(np.abs(arr))) if arr.size else 0.0
 
 
 def contract(t: TensorValue, upper_slot: int, lower_slot: int) -> TensorValue:

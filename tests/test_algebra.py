@@ -12,7 +12,8 @@ from aegeom.algebra import (
     dimension_table,
     subspace_dimension,
 )
-from aegeom.errors import UnsupportedDimension
+from aegeom import linalg
+from aegeom.errors import DimensionOracleMismatch, UnsupportedDimension
 from aegeom.linalg import null_space
 from aegeom.manifold import (
     HERMITIAN,
@@ -219,3 +220,14 @@ def test_both_renderings_of_the_alternating_condition_agree():
         for n in range(1, MAX_HALF_DIM + 1):
             fiber = ModelFiber.standard(kind, n)
             assert alternating_definitions_coincide(fiber), (kind.label, n)
+
+
+def test_wrong_numeric_rank_trips_the_dimension_oracle(monkeypatch):
+    fiber = ModelFiber.standard(PARA_HERMITIAN, 2)
+    subspace_dimension(fiber, SubspaceQuery.ALTERNATING)
+    true_rank = linalg._numeric_rank
+    monkeypatch.setattr(
+        linalg, "_numeric_rank", lambda sigma, tol: true_rank(sigma, tol) - 1
+    )
+    with pytest.raises(DimensionOracleMismatch):
+        subspace_dimension(fiber, SubspaceQuery.ALTERNATING)

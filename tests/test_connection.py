@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from aegeom.catalog import catalog, standard_names
+from aegeom.classify import sample_residuals
 from aegeom.connection import (
     canonical_connection,
     canonical_torsion,
@@ -329,10 +330,10 @@ def test_identity_suite_without_vectors_has_no_vector_keys():
     assert all(not k.endswith("_on_vectors") for k in res)
 
 
-def test_structure_that_fails_its_own_square_is_rejected():
+def crooked():
     # declared structure squares to diag(1, 4), so the Leibniz identity for
     # J^2 breaks once the connection coefficients are nonzero
-    crooked = ChartedManifold(
+    return ChartedManifold(
         name="crooked",
         kind=HERMITIAN,
         dim=2,
@@ -340,5 +341,17 @@ def test_structure_that_fails_its_own_square_is_rejected():
         metric=lambda c: [[1.0 + c[1] * c[1], 0.0], [0.0, 1.0]],
         structure=lambda c: [[1.0, 0.0], [0.0, 2.0]],
     )
+
+
+def test_structure_that_fails_its_own_square_is_rejected():
     with pytest.raises(FormulaMismatch):
-        nabla_j(crooked, (0.3, 0.4))
+        nabla_j(crooked(), (0.3, 0.4))
+
+
+def test_crooked_sweep_names_the_first_sampled_point():
+    m = crooked()
+    plan = SamplePlan(n_points=5)
+    first = tuple(float(x) for x in plan.points(m.domain)[0])
+    with pytest.raises(FormulaMismatch) as caught:
+        sample_residuals(m, plan)
+    assert str(first) in str(caught.value)

@@ -146,3 +146,27 @@ def test_product_rule_against_finite_differences(x0):
     dual_val = f([x])
     fd = central_difference(lambda v: (v[0] ** 2 + 1.0) * (v[0] - 3.0), [x0], 0)
     assert dual_val.grad[0] == pytest.approx(fd, rel=1e-5, abs=1e-6)
+
+
+def test_numpy_scalars_act_as_constants():
+    (x,) = Dual.seed([2.0])
+    for y in (np.float64(3.0) * x, x * np.float64(3.0)):
+        assert isinstance(y, Dual)
+        assert y.value == 6.0 and y.grad[0] == 3.0
+    z = np.float64(1.0) - x
+    assert isinstance(z, Dual) and z.value == -1.0 and z.grad[0] == -1.0
+
+
+def test_batched_duals_match_single_points_exactly():
+    points = np.array([[2.0, 3.0], [0.5, -1.0], [4.0, 0.25]])
+
+    def f(v):
+        x, y = v
+        return x * x * y + y / x - 2.0 / x**2 + sin(x) * exp(sqrt(y * y))
+
+    batch = f(Dual.seed(points))
+    assert batch.value.shape == (3,) and batch.grad.shape == (3, 2)
+    for n, point in enumerate(points):
+        single = f(Dual.seed(point))
+        assert batch.value[n] == single.value
+        assert np.array_equal(batch.grad[n], single.grad)

@@ -8,6 +8,7 @@ from aegeom.linalg import (
     LinearConstraintSystem,
     exact_nullity,
     null_space,
+    numeric_nullity,
     solve_metric,
 )
 from aegeom.tensors import LOWER, UPPER, TensorValue
@@ -163,6 +164,23 @@ def test_zero_unknowns_is_degenerate():
 def test_null_space_rejects_bad_tolerance():
     with pytest.raises(ValueError):
         null_space(system_from_dense(np.eye(2)), tol=0.0)
+
+
+def test_numeric_nullity_counts_like_null_space():
+    rng = np.random.default_rng(11)
+    core = rng.standard_normal((3, 7))
+    systems = [
+        system_from_dense(np.eye(3)),
+        system_from_dense(np.zeros((2, 4))),
+        LinearConstraintSystem.from_rows(3, []),
+        system_from_dense(np.vstack([core, rng.standard_normal((2, 3)) @ core])),
+    ]
+    for sys in systems:
+        assert numeric_nullity(sys) == null_space(sys)[0]
+    with pytest.raises(DegenerateSystem):
+        numeric_nullity(LinearConstraintSystem.from_rows(0, []))
+    with pytest.raises(ValueError):
+        numeric_nullity(systems[0], tol=0.0)
 
 
 def test_solve_metric_identity_returns_rhs():
