@@ -23,10 +23,6 @@ from .classify import (
     condition_table,
     sample_residuals,
     theorem_suite,
-    verify_codazzi_implies_kahler,
-    verify_nearly_implies_kahler,
-    verify_nearly_torsion_characterization,
-    verify_torsion_characterizations,
 )
 from .connection import (
     ConnectionCoefficients,
@@ -50,7 +46,7 @@ from .errors import (
     ExpressionError,
     GeometryError,
     InternalConsistencyError,
-    KindMismatch,
+    InvalidStructure,
     NearSingularMetric,
     PointOutsideDomain,
     SlotMismatch,
@@ -62,7 +58,6 @@ from .linalg import (
     LinearConstraintSystem,
     exact_nullity,
     null_space,
-    solve_metric,
 )
 from .manifold import (
     HERMITIAN,
@@ -101,8 +96,8 @@ __all__ = [
     "GeometryError",
     "HERMITIAN",
     "InternalConsistencyError",
+    "InvalidStructure",
     "KINDS",
-    "KindMismatch",
     "LOWER",
     "LinearConstraintSystem",
     "ModelFiber",
@@ -143,13 +138,8 @@ __all__ = [
     "nijenhuis",
     "null_space",
     "sample_residuals",
-    "solve_metric",
     "standard_names",
     "subspace_dimension",
     "theorem_suite",
     "validate_structure",
-    "verify_codazzi_implies_kahler",
-    "verify_nearly_implies_kahler",
-    "verify_nearly_torsion_characterization",
-    "verify_torsion_characterizations",
 ]

@@ -15,10 +15,10 @@ picture because the main results tie them to those conditions:
   g(T(x, y), x).
 * The Codazzi condition forces Kahler type for every kind.
 
-Each verifier either passes, reports that its hypothesis was not exercised
-by the sample, or raises ``TheoremViolation``.  Implications are tested
-with a slack factor so that a genuinely tiny hypothesis residual is never
-declared a counterexample because of roundoff in the conclusion.
+Each theorem check either passes, reports that its hypothesis was not
+exercised by the sample, or raises ``TheoremViolation``.  Implications are
+tested with a slack factor so that a genuinely tiny hypothesis residual is
+never declared a counterexample because of roundoff in the conclusion.
 """
 
 from __future__ import annotations
@@ -31,9 +31,15 @@ import numpy as np
 
 from .algebra import MAX_HALF_DIM, ModelFiber, SubspaceQuery, subspace_dimension
 from .catalog import catalog, standard_names
-from .connection import _Frame, _derived_arrays, worst_over_sample
-from .errors import KindMismatch, TheoremViolation
-from .manifold import KINDS, ChartedManifold, SamplePlan, StructureKind
+from .connection import _Frame, _derived_arrays
+from .errors import TheoremViolation
+from .manifold import (
+    KINDS,
+    ChartedManifold,
+    SamplePlan,
+    StructureKind,
+    worst_over_sample,
+)
 from .tensors import inf_norm
 
 VERDICT_TOL = 1e-8
@@ -198,29 +204,6 @@ def _biconditional(
     return CheckResult(name=name, status="hypothesis not met", details=details)
 
 
-def _torsion_checks_from(
-    residuals: Dict[str, float], tol: float
-) -> List[CheckResult]:
-    return [
-        _biconditional(
-            "kahler_type_iff_torsion_free",
-            "structure derivative residual",
-            residuals["kahler_type"],
-            "canonical torsion residual",
-            residuals["canonical_torsion"],
-            tol,
-        ),
-        _biconditional(
-            "integrable_iff_torsion_shift_vanishes",
-            "Nijenhuis residual",
-            residuals["integrable"],
-            "torsion shift residual",
-            residuals["torsion_shift"],
-            tol,
-        ),
-    ]
-
-
 def _with_subspace_note(
     check: CheckResult, kind: StructureKind, dim: int, query: SubspaceQuery
 ) -> CheckResult:
@@ -239,49 +222,54 @@ def _with_subspace_note(
     )
 
 
-def _nearly_plus_from(
+def _suite_from_residuals(
     residuals: Dict[str, float], kind: StructureKind, dim: int, tol: float
-) -> CheckResult:
-    if kind.product != 1:
-        raise KindMismatch(
-            "the nearly condition forces a parallel structure only when the "
-            f"structure and metric signs agree; kind {kind.label} has "
-            f"product {kind.product:+d}"
+) -> List[CheckResult]:
+    """Every theorem check that applies to the kind, from sweep residuals.
+
+    Both torsion checks, the nearly check that fits the sign product, and
+    the Codazzi check, in that order.
+    """
+    checks = [
+        _biconditional(
+            "kahler_type_iff_torsion_free",
+            "structure derivative residual",
+            residuals["kahler_type"],
+            "canonical torsion residual",
+            residuals["canonical_torsion"],
+            tol,
+        ),
+        _biconditional(
+            "integrable_iff_torsion_shift_vanishes",
+            "Nijenhuis residual",
+            residuals["integrable"],
+            "torsion shift residual",
+            residuals["torsion_shift"],
+            tol,
+        ),
+    ]
+    if kind.product == 1:
+        nearly = _implication(
+            "nearly_forces_kahler_type",
+            "nearly residual",
+            residuals["nearly"],
+            "structure derivative residual",
+            residuals["kahler_type"],
+            tol,
         )
-    check = _implication(
-        "nearly_forces_kahler_type",
-        "nearly residual",
-        residuals["nearly"],
-        "structure derivative residual",
-        residuals["kahler_type"],
-        tol,
-    )
-    return _with_subspace_note(check, kind, dim, SubspaceQuery.ALTERNATING)
-
-
-def _nearly_minus_from(
-    residuals: Dict[str, float], kind: StructureKind, tol: float
-) -> CheckResult:
-    if kind.product != -1:
-        raise KindMismatch(
-            "the nearly condition matches the torsion pairing skewness only "
-            f"when the structure and metric signs differ; kind {kind.label} "
-            f"has product {kind.product:+d}"
+        checks.append(_with_subspace_note(nearly, kind, dim, SubspaceQuery.ALTERNATING))
+    else:
+        checks.append(
+            _biconditional(
+                "nearly_iff_torsion_pairing_skew",
+                "nearly residual",
+                residuals["nearly"],
+                "torsion pairing symmetric part",
+                residuals["torsion_pairing_skew"],
+                tol,
+            )
         )
-    return _biconditional(
-        "nearly_iff_torsion_pairing_skew",
-        "nearly residual",
-        residuals["nearly"],
-        "torsion pairing symmetric part",
-        residuals["torsion_pairing_skew"],
-        tol,
-    )
-
-
-def _codazzi_from(
-    residuals: Dict[str, float], kind: StructureKind, dim: int, tol: float
-) -> CheckResult:
-    check = _implication(
+    codazzi = _implication(
         "codazzi_forces_kahler_type",
         "codazzi residual",
         residuals["codazzi"],
@@ -289,18 +277,7 @@ def _codazzi_from(
         residuals["kahler_type"],
         tol,
     )
-    return _with_subspace_note(check, kind, dim, SubspaceQuery.SYMMETRIC)
-
-
-def _suite_from_residuals(
-    residuals: Dict[str, float], kind: StructureKind, dim: int, tol: float
-) -> List[CheckResult]:
-    checks = _torsion_checks_from(residuals, tol)
-    if kind.product == 1:
-        checks.append(_nearly_plus_from(residuals, kind, dim, tol))
-    else:
-        checks.append(_nearly_minus_from(residuals, kind, tol))
-    checks.append(_codazzi_from(residuals, kind, dim, tol))
+    checks.append(_with_subspace_note(codazzi, kind, dim, SubspaceQuery.SYMMETRIC))
     return checks
 
 
@@ -325,42 +302,6 @@ def classify(
         verdicts=verdicts,
         theorem_checks=checks,
     )
-
-
-def verify_torsion_characterizations(
-    m: ChartedManifold,
-    plan: Optional[SamplePlan] = None,
-    tol: float = VERDICT_TOL,
-) -> List[CheckResult]:
-    """Both torsion equivalences: Kahler type and integrability."""
-    return _torsion_checks_from(sample_residuals(m, plan), tol)
-
-
-def verify_nearly_implies_kahler(
-    m: ChartedManifold,
-    plan: Optional[SamplePlan] = None,
-    tol: float = VERDICT_TOL,
-) -> CheckResult:
-    """For matching signs: the nearly condition collapses to Kahler type."""
-    return _nearly_plus_from(sample_residuals(m, plan), m.kind, m.dim, tol)
-
-
-def verify_nearly_torsion_characterization(
-    m: ChartedManifold,
-    plan: Optional[SamplePlan] = None,
-    tol: float = VERDICT_TOL,
-) -> CheckResult:
-    """For opposite signs: nearly is equivalent to a skew torsion pairing."""
-    return _nearly_minus_from(sample_residuals(m, plan), m.kind, tol)
-
-
-def verify_codazzi_implies_kahler(
-    m: ChartedManifold,
-    plan: Optional[SamplePlan] = None,
-    tol: float = VERDICT_TOL,
-) -> CheckResult:
-    """For every kind: the Codazzi condition forces a parallel structure."""
-    return _codazzi_from(sample_residuals(m, plan), m.kind, m.dim, tol)
 
 
 def theorem_suite(
@@ -404,6 +345,7 @@ def condition_table(
                     f"{kind.label}, n={n}"
                 )
             plus_class = "Kahler type"
+            plus_check = "nearly_forces_kahler_type"
         else:
             if alt == 0:
                 raise TheoremViolation(
@@ -411,6 +353,7 @@ def condition_table(
                     "expected a class strictly larger than Kahler type"
                 )
             plus_class = "nearly Kahler type"
+            plus_check = "nearly_iff_torsion_pairing_skew"
         if sym != 0:
             raise TheoremViolation(
                 f"symmetric subspace dimension {sym} != 0 for {kind.label}, n={n}"
@@ -418,15 +361,9 @@ def condition_table(
         plus_entries: Dict[str, str] = {}
         minus_entries: Dict[str, str] = {}
         for m in by_kind.get(kind.label, []):
-            residuals = sample_residuals(m, plan)
-            if kind.product == 1:
-                plus_check = _nearly_plus_from(residuals, kind, m.dim, tol)
-            else:
-                plus_check = _nearly_minus_from(residuals, kind, tol)
-            plus_entries[m.name] = plus_check.status
-            minus_entries[m.name] = _codazzi_from(
-                residuals, kind, m.dim, tol
-            ).status
+            statuses = {c.name: c.status for c in theorem_suite(m, plan, tol)}
+            plus_entries[m.name] = statuses[plus_check]
+            minus_entries[m.name] = statuses["codazzi_forces_kahler_type"]
         cells[kind.label] = {
             "plus_sign": {
                 "subspace_dimension": alt,

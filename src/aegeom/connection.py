@@ -15,9 +15,11 @@ conventions after the point axis, with d the manifold dimension:
 The canonical connection adds the correction ((-alpha)/2) (nabla_i J) J to
 the metric connection; it makes both the metric and the structure parallel,
 which is verified at runtime together with the equality of the alternative
-torsion and Nijenhuis formulas.  Any disagreement raises, naming the first
-sample point where it occurs, since it can only come from an implementation
-bug.
+torsion and Nijenhuis formulas.  These identities assume the structure
+axioms, so every checked pass first checks the axioms and raises
+``InvalidStructure`` where they fail; past that, any disagreement can only
+come from an implementation bug.  Either names the manifold and the first
+failing sample point.
 """
 
 from __future__ import annotations
@@ -29,21 +31,23 @@ import numpy as np
 
 from .errors import (
     FormulaMismatch,
-    NearSingularMetric,
+    InvalidStructure,
     NijenhuisFormulaMismatch,
     TorsionFormulaMismatch,
 )
-from .linalg import DET_FLOOR
-from .manifold import ChartedManifold, eval_with_derivatives
+from .manifold import (
+    VALIDATION_TOL,
+    ChartedManifold,
+    axiom_residuals,
+    eval_with_derivatives,
+    metric_abs_det,
+    worst_over_sample,
+)
 from .tensors import LOWER, UPPER, TensorValue, inf_norm
 
 PARALLEL_TOL = 1e-8
 TORSION_AGREEMENT_TOL = 1e-9
 NIJENHUIS_AGREEMENT_TOL = 1e-8
-
-# Points per batched pass of a sweep: memory grows with the points in a
-# pass, about 27 KB per point in dimension six.
-SWEEP_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -67,19 +71,14 @@ class DerivedTensors:
 class _Frame:
     """Raw arrays of a stack of sample points, computed in one pass."""
 
-    __slots__ = ("points", "alpha", "epsilon", "g", "dg", "j", "dj", "gamma", "nabla_j")
+    __slots__ = ("name", "kind", "points", "g", "dg", "j", "dj", "gamma", "nabla_j")
 
     def __init__(self, m: ChartedManifold, points) -> None:
+        self.name = m.name
+        self.kind = m.kind
         self.points = np.asarray(points, dtype=float)
-        self.alpha = m.kind.alpha
-        self.epsilon = m.kind.epsilon
         self.g, self.dg, self.j, self.dj = eval_with_derivatives(m, self.points)
-        det = np.abs(np.linalg.det(self.g))
-        if (det <= DET_FLOOR).any():
-            n = np.argmax(det <= DET_FLOOR)
-            raise NearSingularMetric(
-                f"|det g| = {det[n]:.3e} at {self.point(n)}", point=self.points[n]
-            )
+        metric_abs_det(m, self.points, self.g)
         n, d = self.g.shape[:2]
         dg = self.dg
         rhs = np.einsum("nilj->nlij", dg) + np.einsum("njil->nlij", dg) - dg
@@ -115,7 +114,7 @@ def _anticommutator(nj, j):
 
 
 def _canonical_gamma(frame: _Frame):
-    correction = (-frame.alpha / 2.0) * np.einsum(
+    correction = (-frame.kind.alpha / 2.0) * np.einsum(
         "nika,naj->nkij", frame.nabla_j, frame.j
     )
     return frame.gamma + correction
@@ -147,7 +146,7 @@ def _parallel_check(frame: _Frame, gamma0) -> _Check:
 
 def _torsion_three_ways(frame: _Frame, gamma0) -> Tuple[np.ndarray, _Check]:
     """Canonical torsion from the coefficients, and its agreement check."""
-    nj, j, alpha = frame.nabla_j, frame.j, frame.alpha
+    nj, j, alpha = frame.nabla_j, frame.j, frame.kind.alpha
     t_conn = gamma0 - np.einsum("nikj->nijk", gamma0)
     t_shifted = (-alpha / 2.0) * (
         np.einsum("njia,nak->nijk", nj, j) - np.einsum("nkia,naj->nijk", nj, j)
@@ -175,7 +174,7 @@ def _nijenhuis_two_ways(frame: _Frame, torsion):
         + np.einsum("nib,nkbj->nijk", j, dj)
         - np.einsum("nib,njbk->nijk", j, dj)
     )
-    shift = np.einsum("naj,nbk,niab->nijk", j, j, torsion) + frame.alpha * torsion
+    shift = np.einsum("naj,nbk,niab->nijk", j, j, torsion) + frame.kind.alpha * torsion
     error, tol = NijenhuisFormulaMismatch, NIJENHUIS_AGREEMENT_TOL
     routes = "Nijenhuis routes disagree by {0:.3e} at {point}"
     relation = "torsion relation residual {0:.3e} at {point}"
@@ -187,11 +186,18 @@ def _nijenhuis_two_ways(frame: _Frame, torsion):
 
 
 def _require(frame: _Frame, checks: List[_Check]) -> None:
-    """Raise for the first sample point that fails any of the checks.
+    """Raise for the first sample point that fails an axiom or a check.
 
-    At that point the first failing check in list order is reported, as if
-    every check had run point by point in sample order.
+    At that point the first failing structure axiom is reported, or else
+    the first failing check in list order, as if every check had run point
+    by point in sample order.
     """
+    axioms = axiom_residuals(frame.kind, frame.g, frame.j)
+    message = "{} axiom fails by {{0:.3e}} at {{point}}"
+    checks = [
+        (InvalidStructure, VALIDATION_TOL, message.format(key), (r,))
+        for key, r in axioms.items()
+    ] + checks
     per_point = [
         np.stack([np.abs(r).reshape(len(r), -1).max(axis=1) for r in stacks])
         for _, _, _, stacks in checks
@@ -203,7 +209,8 @@ def _require(frame: _Frame, checks: List[_Check]) -> None:
     if failing.any():
         n, c = np.argwhere(failing)[0]
         error, _, message, _ = checks[c]
-        raise error(message.format(*per_point[c][:, n], point=frame.point(n)))
+        detail = message.format(*per_point[c][:, n], point=frame.point(n))
+        raise error(f"{frame.name}: {detail}")
 
 
 def _derived_arrays(frame: _Frame) -> Dict[str, np.ndarray]:
@@ -221,20 +228,6 @@ def _derived_arrays(frame: _Frame) -> Dict[str, np.ndarray]:
         "torsion_shift": shift,
         "nijenhuis": nijenhuis_stack,
     }
-
-
-def worst_over_sample(points, block_residuals) -> Dict[str, float]:
-    """Worst of each residual over a point stack, taken block by block.
-
-    Blocks run in sample order, so a failing check still names the first
-    failing sample point.
-    """
-    points = np.atleast_2d(points)
-    blocks = [
-        block_residuals(points[start : start + SWEEP_BLOCK])
-        for start in range(0, len(points), SWEEP_BLOCK)
-    ]
-    return {key: max(block[key] for block in blocks) for key in blocks[0]}
 
 
 def christoffel(m: ChartedManifold, point: Sequence[float]) -> ConnectionCoefficients:
@@ -365,7 +358,7 @@ def _identities(m: ChartedManifold, points, triples) -> Dict[str, float]:
     frame = _Frame(m, points)
     g, dg, j, dj = frame.g, frame.dg, frame.j, frame.dj
     nj, gamma = frame.nabla_j, frame.gamma
-    ae = frame.alpha * frame.epsilon
+    ae = frame.kind.product
 
     tensors: Dict[str, np.ndarray] = {}
 

@@ -27,6 +27,10 @@ class NonFiniteField(GeometryError):
     """A metric or structure component is infinite or undefined at a point."""
 
 
+class InvalidStructure(GeometryError):
+    """The metric and structure fail a structure axiom at a sample point."""
+
+
 class DomainEmpty(GeometryError):
     """Chart domain box has no interior."""
 
@@ -45,10 +49,6 @@ class DegenerateConstruction(GeometryError):
 
 class UnsupportedDimension(GeometryError):
     """Dimension outside the supported range."""
-
-
-class KindMismatch(GeometryError):
-    """Operation restricted to a different structure kind."""
 
 
 class ExpressionError(GeometryError):

@@ -2,7 +2,8 @@
 
 Metric and structure components in configuration files are written as
 strings in the coordinates ``x1 .. x<dim>`` using ``+ - * / ^`` and
-parentheses, for example ``"1 + 0.5*x1^2 - x1*x2"``.  Exponents must be
+parentheses, for example ``"1 + 0.5*x1^2 - x1*x2"``.  Number literals may
+carry a decimal exponent (``1e6``, ``2.5e-3``); exponents of ``^`` must be
 integer literals.  Parsing is recursive descent; errors carry the line and
 column where they occurred.  Compiled expressions evaluate on plain floats
 or on ``Dual`` scalars alike.
@@ -54,9 +55,17 @@ def _tokenize(text: str) -> List[Token]:
                         )
                     seen_dot = True
                 j += 1
-            lit = text[i:j]
-            if lit == ".":
+            if text[i:j] == ".":
                 raise ExpressionError("malformed number", start_line, start_col)
+            if j < n and text[j] in "eE":
+                j += 2 if text[j + 1 : j + 2] in ("+", "-") else 1
+                if j >= n or not text[j].isdigit():
+                    raise ExpressionError(
+                        "malformed exponent", start_line, start_col
+                    )
+                while j < n and text[j].isdigit():
+                    j += 1
+            lit = text[i:j]
             tokens.append(Token("number", lit, start_line, start_col))
             col += j - i
             i = j
@@ -214,7 +223,7 @@ class _Parser:
             if tok.text == "-":
                 sign = -1
             tok = self.peek()
-        if tok.kind != "number" or "." in tok.text:
+        if tok.kind != "number" or not tok.text.isdigit():
             raise ExpressionError(
                 "exponent must be an integer literal", tok.line, tok.column
             )

@@ -1,4 +1,4 @@
-"""Sparse linear constraint systems, null spaces, and metric solves.
+"""Sparse linear constraint systems and their null spaces.
 
 Null spaces are computed by singular value decomposition with a cutoff
 relative to the largest singular value, and cross-checked elsewhere by exact
@@ -13,12 +13,9 @@ from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DegenerateSystem, NearSingularMetric, SlotMismatch
-from .tensors import LOWER, TensorValue
+from .errors import DegenerateSystem, SlotMismatch
 
-DET_FLOOR = 1e-10
 NULL_SPACE_TOL = 1e-9
-SOLVE_RESIDUAL_TOL = 1e-10
 
 Row = Tuple[Tuple[int, float], ...]
 
@@ -140,37 +137,3 @@ def exact_nullity(system: LinearConstraintSystem) -> int:
                         qrow.pop(c, None)
         pivots[pcol] = prow
     return system.n_unknowns - len(pivots)
-
-
-def _metric_matrix(g) -> np.ndarray:
-    if isinstance(g, TensorValue):
-        if g.variance != (LOWER, LOWER):
-            raise SlotMismatch("metric must have two lower slots")
-        return np.asarray(g.data, dtype=float)
-    return np.asarray(g, dtype=float)
-
-
-def solve_metric(g, rhs: np.ndarray) -> np.ndarray:
-    """Solve g x = rhs for a symmetric, possibly indefinite, metric g.
-
-    Uses a pivoted dense factorization; raises ``NearSingularMetric`` when
-    the determinant is at or below the floor or the residual check fails.
-    """
-    mat = _metric_matrix(g)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise SlotMismatch(f"metric matrix must be square, got {mat.shape}")
-    if not np.allclose(mat, mat.T, rtol=0.0, atol=1e-12):
-        raise SlotMismatch("metric matrix must be symmetric")
-    det = float(np.linalg.det(mat))
-    if abs(det) <= DET_FLOOR:
-        raise NearSingularMetric(f"|det g| = {abs(det):.3e} at or below floor")
-    b = np.asarray(rhs, dtype=float)
-    x = np.linalg.solve(mat, b)
-    scale = float(np.max(np.abs(b))) if b.size else 0.0
-    if scale > 0.0:
-        residual = float(np.max(np.abs(mat @ x - b)))
-        if residual >= SOLVE_RESIDUAL_TOL * scale:
-            raise NearSingularMetric(
-                f"solve residual {residual:.3e} exceeds {SOLVE_RESIDUAL_TOL:.0e} x rhs"
-            )
-    return x

@@ -32,10 +32,15 @@ from .errors import (
     SlotMismatch,
 )
 from .expressions import parse_expression
-from .linalg import DET_FLOOR
 from .tensors import LOWER, UPPER, TensorValue, inf_norm
 
 VALIDATION_TOL = 1e-8
+# |det g| at or below the floor is too close to singular for a solve
+DET_FLOOR = 1e-10
+
+# Points per batched pass of a sweep: memory grows with the points in a
+# pass, about 27 KB per point in dimension six.
+SWEEP_BLOCK = 256
 
 FieldFn = Callable[[Sequence], Sequence[Sequence]]
 
@@ -162,7 +167,10 @@ class SamplePlan:
 
 
 def evaluate_fields(m: ChartedManifold, point: Sequence[float]):
-    """Metric and structure matrices at a point, as finite float arrays."""
+    """Metric and structure matrices at a point, as finite float arrays.
+
+    The plain-float reference for ``eval_with_derivatives``; no sweep uses it.
+    """
     if not m.domain.contains(point):
         raise PointOutsideDomain(f"point {tuple(point)} not inside {m.name} domain")
     coords = [float(x) for x in point]
@@ -301,47 +309,84 @@ class ValidationReport:
         return "\n".join(lines) + "\n"
 
 
+def sample_blocks(points) -> List[np.ndarray]:
+    """A point stack cut into blocks of ``SWEEP_BLOCK`` points, in sample order."""
+    points = np.atleast_2d(points)
+    return [
+        points[start : start + SWEEP_BLOCK]
+        for start in range(0, len(points), SWEEP_BLOCK)
+    ]
+
+
+def worst_over_sample(points, block_residuals) -> Dict[str, float]:
+    """Worst of each residual over a point stack, taken block by block.
+
+    Blocks run in sample order, so a failing check still names the first
+    failing sample point.
+    """
+    blocks = [block_residuals(block) for block in sample_blocks(points)]
+    return {key: max(block[key] for block in blocks) for key in blocks[0]}
+
+
+def axiom_residuals(kind: StructureKind, g, j) -> Dict[str, np.ndarray]:
+    """Residual stacks of the structure axioms for (N, d, d) stacks g, J.
+
+    Keys: ``structure_squared`` for J^2 - alpha*Id, ``metric_symmetry`` for
+    g - g^T, ``metric_isometry`` for g(J., J.) - epsilon*g, ``pairing_swap``
+    for g(J., .) - alpha*epsilon*g(., J.), and for the product-Riemannian
+    kind ``structure_trace``.  A structure is valid where every residual is
+    below ``VALIDATION_TOL``.
+    """
+    gj = g @ j
+    residuals = {
+        "structure_squared": j @ j - kind.alpha * np.eye(j.shape[-1]),
+        "metric_symmetry": g - np.swapaxes(g, 1, 2),
+        "metric_isometry": np.swapaxes(j, 1, 2) @ g @ j - kind.epsilon * g,
+        "pairing_swap": gj - kind.product * np.swapaxes(gj, 1, 2),
+    }
+    if kind == PRODUCT_RIEMANNIAN:
+        residuals["structure_trace"] = np.trace(j, axis1=1, axis2=2)
+    return residuals
+
+
+def metric_abs_det(m: ChartedManifold, points, g) -> np.ndarray:
+    """|det g| at each point of a stack.
+
+    Raises ``NearSingularMetric`` at the first point where it falls to
+    ``DET_FLOOR``.
+    """
+    det = np.abs(np.linalg.det(g))
+    low = det <= DET_FLOOR
+    if low.any():
+        n = int(np.argmax(low))
+        raise NearSingularMetric(
+            f"|det g| = {det[n]:.3e} at point {_as_tuple(points[n])} of {m.name}",
+            point=points[n],
+        )
+    return det
+
+
 def validate_structure(
     m: ChartedManifold, plan: SamplePlan, tol: float = VALIDATION_TOL
 ) -> ValidationReport:
-    """Check the structure axioms pointwise over the plan's sample.
+    """Worst residual of each structure axiom over the plan's sample.
 
-    Residual keys: ``structure_squared`` for J^2 - alpha*Id,
-    ``metric_symmetry`` for g - g^T, ``metric_isometry`` for
-    g(J., J.) - epsilon*g, ``pairing_swap`` for g(J., .) - alpha*epsilon*
-    g(., J.), and for the product-Riemannian kind ``structure_trace``.
-    Raises ``NearSingularMetric`` at the first sampled point where
-    |det g| falls to the floor.
+    Residual keys are those of ``axiom_residuals``.  Raises
+    ``NearSingularMetric`` at the first sampled point where |det g| falls
+    to the floor.
     """
-    alpha, epsilon = m.kind.alpha, m.kind.epsilon
-    keys = ["structure_squared", "metric_symmetry", "metric_isometry", "pairing_swap"]
-    if m.kind == PRODUCT_RIEMANNIAN:
-        keys.append("structure_trace")
-    residuals = {key: 0.0 for key in keys}
+    residuals: Dict[str, float] = {}
     min_abs_det = np.inf
-    eye = np.eye(m.dim)
-    for point in plan.points(m.domain):
-        g, j = evaluate_fields(m, point)
-        det = abs(float(np.linalg.det(g)))
-        if det <= DET_FLOOR:
-            raise NearSingularMetric(
-                f"|det g| = {det:.3e} at sampled point of {m.name}", point=point
-            )
-        min_abs_det = min(min_abs_det, det)
-        here = {
-            "structure_squared": j @ j - alpha * eye,
-            "metric_symmetry": g - g.T,
-            "metric_isometry": j.T @ g @ j - epsilon * g,
-            "pairing_swap": g @ j - alpha * epsilon * (g @ j).T,
-            "structure_trace": np.trace(j),
-        }
-        for key in keys:
-            residuals[key] = max(residuals[key], inf_norm(here[key]))
-    failures = [key for key in keys if residuals[key] >= tol]
+    for block in sample_blocks(plan.points(m.domain)):
+        g, _, j, _ = eval_with_derivatives(m, block)
+        min_abs_det = min(min_abs_det, metric_abs_det(m, block, g).min())
+        for key, stack in axiom_residuals(m.kind, g, j).items():
+            residuals[key] = max(residuals.get(key, 0.0), inf_norm(stack))
+    failures = [key for key, value in residuals.items() if value >= tol]
     return ValidationReport(
         manifold=m.name,
-        alpha=alpha,
-        epsilon=epsilon,
+        alpha=m.kind.alpha,
+        epsilon=m.kind.epsilon,
         seed=plan.seed,
         n_points=plan.n_points,
         residuals=residuals,

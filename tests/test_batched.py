@@ -12,11 +12,11 @@ from typing import Tuple
 import numpy as np
 import pytest
 
-from aegeom import connection
+from aegeom import manifold
 from aegeom.catalog import catalog, standard_names
 from aegeom.classify import CONDITIONS, sample_residuals
 from aegeom.connection import derived_tensors, identity_residuals
-from aegeom.errors import InternalConsistencyError
+from aegeom.errors import GeometryError, InvalidStructure
 from aegeom.manifold import (
     HERMITIAN,
     Box,
@@ -108,38 +108,37 @@ def test_sweeps_in_blocks_match_one_pass(monkeypatch):
         return sample_residuals(m, plan), identity_residuals(m, points, triples)
 
     whole = sweep()
-    monkeypatch.setattr(connection, "SWEEP_BLOCK", 3)
+    monkeypatch.setattr(manifold, "SWEEP_BLOCK", 3)
     assert sweep() == whole
 
 
 def slightly_crooked():
-    # the structure squares to diag(1, 4), not -Id; the metric bends it so
-    # weakly that only some sample points break the torsion check
+    # a rotation bent by 1e-7 * x1^8 in one cell: the axioms fail only
+    # where |x1| is large enough, so only some sample points break them
     return ChartedManifold(
         name="slightly-crooked",
         kind=HERMITIAN,
         dim=2,
         domain=Box((-1.0, -1.0), (1.0, 1.0)),
-        metric=lambda c: [[1.0 + 1e-9 * c[1] * c[1], 0.0], [0.0, 1.0]],
-        structure=lambda c: [[1.0, 0.0], [0.0, 2.0]],
+        metric=lambda c: [[1.0, 0.0], [0.0, 1.0]],
+        structure=lambda c: [[0.0, -1.0 + 1e-7 * c[0] ** 8], [1.0, 0.0]],
     )
 
 
-@pytest.mark.parametrize("block", [connection.SWEEP_BLOCK, 2])
+@pytest.mark.parametrize("block", [manifold.SWEEP_BLOCK, 2])
 def test_sweep_reports_the_first_failing_point_in_sample_order(monkeypatch, block):
-    monkeypatch.setattr(connection, "SWEEP_BLOCK", block)
+    monkeypatch.setattr(manifold, "SWEEP_BLOCK", block)
     m = slightly_crooked()
     plan = SamplePlan(n_points=10)
     expected = None
     for index, point in enumerate(plan.points(m.domain)):
         try:
             derived_tensors(m, point)
-        except InternalConsistencyError as exc:
+        except GeometryError as exc:
             expected = (index, type(exc), str(exc))
             break
     assert expected is not None and expected[0] > 0
-    with pytest.raises(InternalConsistencyError) as caught:
+    assert expected[1] is InvalidStructure
+    with pytest.raises(InvalidStructure) as caught:
         sample_residuals(m, plan)
-    assert type(caught.value) is expected[1]
     assert str(caught.value) == expected[2]
-

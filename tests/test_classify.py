@@ -14,12 +14,8 @@ from aegeom.classify import (
     render_condition_table,
     sample_residuals,
     theorem_suite,
-    verify_codazzi_implies_kahler,
-    verify_nearly_implies_kahler,
-    verify_nearly_torsion_characterization,
-    verify_torsion_characterizations,
 )
-from aegeom.errors import KindMismatch, TheoremViolation
+from aegeom.errors import TheoremViolation
 from aegeom.manifold import SamplePlan
 
 PLAN = SamplePlan(seed=0, n_points=8)
@@ -119,40 +115,43 @@ def test_codazzi_check_carries_the_subspace_note():
     assert "symmetric_first_two subspace dimension 0 (n=1)" in codazzi.details
 
 
+def statuses(name):
+    return {c.name: c for c in theorem_suite(catalog(name), PLAN)}
+
+
 def test_nearly_verifier_requires_matching_signs():
-    with pytest.raises(KindMismatch):
-        verify_nearly_implies_kahler(catalog("flat-kahler"), PLAN)
-    with pytest.raises(KindMismatch):
-        verify_nearly_torsion_characterization(catalog("flat-anti-kahler"), PLAN)
+    # the nearly check that collapses to Kahler type runs only when the
+    # signs agree, the torsion pairing one only when they differ
+    for name in ("flat-kahler", "flat-anti-kahler"):
+        kind = catalog(name).kind
+        checks = statuses(name)
+        assert ("nearly_forces_kahler_type" in checks) == (kind.product == 1)
+        assert ("nearly_iff_torsion_pairing_skew" in checks) == (kind.product == -1)
 
 
 def test_nearly_verifier_statuses():
-    passed = verify_nearly_torsion_characterization(
-        catalog("s6-nearly-kahler"), PLAN
-    )
+    passed = statuses("s6-nearly-kahler")["nearly_iff_torsion_pairing_skew"]
     assert passed.status == "passed"
-    vacuous = verify_nearly_implies_kahler(
-        catalog("random-product-riemannian-7"), PLAN
-    )
+    vacuous = statuses("random-product-riemannian-7")["nearly_forces_kahler_type"]
     assert vacuous.status == "hypothesis not met"
     assert "alternating_first_two subspace dimension 0" in vacuous.details
 
 
 def test_codazzi_verifier_statuses():
-    assert (
-        verify_codazzi_implies_kahler(catalog("flat-para-kahler"), PLAN).status
-        == "passed"
-    )
-    assert (
-        verify_codazzi_implies_kahler(catalog("s6-nearly-kahler"), PLAN).status
-        == "hypothesis not met"
-    )
+    codazzi = "codazzi_forces_kahler_type"
+    assert statuses("flat-para-kahler")[codazzi].status == "passed"
+    assert statuses("s6-nearly-kahler")[codazzi].status == "hypothesis not met"
 
 
 def test_torsion_verifier_passes_on_flat_and_random_entries():
+    torsion_checks = (
+        "kahler_type_iff_torsion_free",
+        "integrable_iff_torsion_shift_vanishes",
+    )
     for name in ("flat-anti-kahler", "random-norden-42"):
-        for check in verify_torsion_characterizations(catalog(name), PLAN):
-            assert check.status in ("passed", "hypothesis not met"), name
+        checks = statuses(name)
+        for check in torsion_checks:
+            assert checks[check].status in ("passed", "hypothesis not met"), name
 
 
 def test_implication_helper_zones():

@@ -1,16 +1,19 @@
 """Command line behavior: exit codes, formats, determinism, file output."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import aegeom
 from aegeom.classify import ClassificationReport, classify
 from aegeom.catalog import catalog
 from aegeom.cli import EXIT_FAIL, EXIT_INTERNAL, EXIT_PASS, EXIT_USAGE, run
 from aegeom.errors import TheoremViolation
-from aegeom.manifold import SamplePlan, ValidationReport
+from aegeom.manifold import SamplePlan, ValidationReport, load_manifold_config
 
 FAST = ["--points", "5", "--vectors", "3"]
 
@@ -72,6 +75,66 @@ def test_validate_fails_on_incompatible_config(tmp_path, capsys):
     )
     assert code == EXIT_FAIL
     assert "metric_isometry" in out
+
+
+# structures that fail an axiom at every point: a structure squaring to
+# diag(1, 4) under a curved metric, and the three invalid flat structures
+# of test_manifold, each with the first axiom it fails
+INVALID_STRUCTURES = {
+    "curved-wrong-square": (
+        (-1, 1),
+        [["1 + x2^2", "0"], ["0", "1"]],
+        [["1", "0"], ["0", "2"]],
+        "structure_squared",
+    ),
+    "wrong-square": (
+        (1, -1),
+        [["0", "1"], ["1", "0"]],
+        [["0", "-1"], ["1", "0"]],
+        "structure_squared",
+    ),
+    "identity-trace": (
+        (1, 1),
+        [["1", "0"], ["0", "1"]],
+        [["1", "0"], ["0", "1"]],
+        "structure_trace",
+    ),
+    "incompatible-metric": (
+        (-1, 1),
+        [["1", "0"], ["0", "2"]],
+        [["0", "-1"], ["1", "0"]],
+        "metric_isometry",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INVALID_STRUCTURES))
+def test_structure_failing_its_axioms_exits_one(tmp_path, capsys, name):
+    (alpha, epsilon), metric, structure, axiom = INVALID_STRUCTURES[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(
+        json.dumps(
+            {
+                "kind": {"alpha": alpha, "epsilon": epsilon},
+                "dim": 2,
+                "domain": {"lo": [-1.0, -1.0], "hi": [1.0, 1.0]},
+                "metric": metric,
+                "structure": structure,
+            }
+        )
+    )
+    m = load_manifold_config(path)
+    first = tuple(float(x) for x in SamplePlan().points(m.domain)[0])
+    for verb in ("classify", "verify"):
+        code, out, err = run_capture(capsys, [verb, "--manifold", str(path)])
+        assert code == EXIT_FAIL, verb
+        assert out == ""
+        assert "internal consistency failure" not in err
+        assert err.startswith(f"error: {name}: {axiom} axiom fails by ")
+        assert f"at {first}" in err
+    code, out, _ = run_capture(capsys, ["validate", "--manifold", str(path)])
+    assert code == EXIT_FAIL
+    assert f"failed checks: {axiom}" in out and "verdict: invalid" in out
 
 
 def test_classify_reports_verdicts(capsys):
@@ -255,14 +318,22 @@ def test_repeated_runs_are_byte_identical(tmp_path, capsys):
 
 
 def test_module_entry_point_runs_in_a_subprocess():
+    # the child finds the package where this process imported it from,
+    # installed or not
+    env = dict(os.environ)
+    package_root = str(Path(aegeom.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [package_root, env.get("PYTHONPATH")])
+    )
     proc = subprocess.run(
         [sys.executable, "-m", "aegeom.cli", "catalog"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "flat-kahler" in proc.stdout
     bad = subprocess.run(
-        [sys.executable, "-m", "aegeom.cli"], capture_output=True, text=True
+        [sys.executable, "-m", "aegeom.cli"], capture_output=True, text=True, env=env
     )
     assert bad.returncode == 2

@@ -8,6 +8,7 @@ inverse-metric formula, sharing no code with the dual-number route.
 import numpy as np
 import pytest
 
+from aegeom import connection
 from aegeom.catalog import catalog, standard_names
 from aegeom.classify import sample_residuals
 from aegeom.connection import (
@@ -20,7 +21,7 @@ from aegeom.connection import (
     nabla_j,
     nijenhuis,
 )
-from aegeom.errors import FormulaMismatch
+from aegeom.errors import FormulaMismatch, InvalidStructure
 from aegeom.manifold import (
     HERMITIAN,
     Box,
@@ -331,8 +332,7 @@ def test_identity_suite_without_vectors_has_no_vector_keys():
 
 
 def crooked():
-    # declared structure squares to diag(1, 4), so the Leibniz identity for
-    # J^2 breaks once the connection coefficients are nonzero
+    # declared structure squares to diag(1, 4), not -Id, at every point
     return ChartedManifold(
         name="crooked",
         kind=HERMITIAN,
@@ -344,7 +344,7 @@ def crooked():
 
 
 def test_structure_that_fails_its_own_square_is_rejected():
-    with pytest.raises(FormulaMismatch):
+    with pytest.raises(InvalidStructure, match="structure_squared axiom"):
         nabla_j(crooked(), (0.3, 0.4))
 
 
@@ -352,6 +352,20 @@ def test_crooked_sweep_names_the_first_sampled_point():
     m = crooked()
     plan = SamplePlan(n_points=5)
     first = tuple(float(x) for x in plan.points(m.domain)[0])
-    with pytest.raises(FormulaMismatch) as caught:
+    with pytest.raises(InvalidStructure) as caught:
         sample_residuals(m, plan)
+    assert str(caught.value).startswith("crooked: structure_squared axiom")
     assert str(first) in str(caught.value)
+
+
+def test_unchecked_passes_accept_a_structure_that_fails_its_axioms():
+    m = crooked()
+    assert christoffel(m, (0.3, 0.4)).gamma.inf_norm() > 0.0
+    assert codazzi_coupled_residuals(m, (0.3, 0.4))[1] < 1e-12
+    assert "anticommute" in identity_residuals(m, (0.3, 0.4))
+
+
+def test_cross_check_failures_name_the_manifold(monkeypatch):
+    monkeypatch.setattr(connection, "PARALLEL_TOL", 0.0)
+    with pytest.raises(FormulaMismatch, match=r"^s6-nearly-kahler: \(nabla J\)"):
+        nabla_j(catalog("s6-nearly-kahler"), (0.1, 0.2, 0.3, 0.1, 0.2, 0.3))

@@ -1,10 +1,19 @@
 """Component expression parser: grammar, errors with positions, dual evaluation."""
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from aegeom.dual import Dual
 from aegeom.errors import ExpressionError
-from aegeom.expressions import parse_expression
+from aegeom.expressions import Neg, Num, Pow, Var, parse_expression
+from aegeom.manifold import (
+    HERMITIAN,
+    Box,
+    ChartedManifold,
+    eval_with_derivatives,
+    evaluate_fields,
+)
 
 
 def ev(text, coords, n_vars=None):
@@ -37,6 +46,31 @@ def test_negative_and_zero_exponents():
 
 def test_whitespace_and_newlines_are_ignored():
     assert ev("x1 +\n  2 * x2", [1.0, 3.0]) == 7.0
+
+
+def test_scientific_literals():
+    assert ev("1e0 + x1^2", [2.0]) == 5.0
+    assert ev("1e6", [0.0]) == 1e6
+    assert ev("2.5e-3", [0.0]) == 2.5e-3
+    assert ev("1E+2", [0.0]) == 100.0
+    assert ev(".5e1*x1", [3.0]) == 15.0
+    assert ev("x1^2*1e-1", [3.0]) == pytest.approx(0.9, rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "text, column",
+    [("1e", 1), ("1e+", 1), ("x1 + 2.5E-", 6), ("x1*\n  3e+x1", 3)],
+)
+def test_malformed_exponent_is_rejected_with_position(text, column):
+    with pytest.raises(ExpressionError, match="malformed exponent") as exc:
+        parse_expression(text, 1)
+    assert exc.value.column == column
+
+
+def test_scientific_literal_is_not_an_exponent_of_a_power():
+    with pytest.raises(ExpressionError, match="integer") as exc:
+        parse_expression("x1^1e1", 1)
+    assert exc.value.column == 4
 
 
 def test_fractional_exponent_is_rejected_with_position():
@@ -106,3 +140,54 @@ def test_parse_is_pure_and_reusable():
     assert expr.evaluate([2.0]) == 6.0
     assert expr.evaluate([0.0]) == 0.0
     assert expr.evaluate([-2.0]) == -6.0
+
+
+def magnitude(expr, coords):
+    """The expression with every sign made positive: bounds its rounding."""
+    if isinstance(expr, Num):
+        return abs(expr.value)
+    if isinstance(expr, Var):
+        return abs(coords[expr.index])
+    if isinstance(expr, Neg):
+        return magnitude(expr.operand, coords)
+    if isinstance(expr, Pow):
+        return magnitude(expr.base, coords) ** expr.exponent
+    left, right = magnitude(expr.left, coords), magnitude(expr.right, coords)
+    return left * right if expr.op == "*" else left + right
+
+
+leaves = st.one_of(
+    st.integers(1, 4).map(lambda k: f"x{k}"),
+    st.floats(-4.0, 4.0, allow_nan=False).map(repr),
+)
+trees = st.recursive(
+    leaves,
+    lambda sub: st.one_of(
+        st.tuples(sub, st.sampled_from("+-*"), sub).map(
+            lambda t: f"({t[0]} {t[1]} {t[2]})"
+        ),
+        st.tuples(sub, st.integers(0, 6)).map(lambda t: f"({t[0]})^{t[1]}"),
+    ),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(trees, st.lists(st.floats(-0.95, 0.95), min_size=4, max_size=4))
+def test_float_and_dual_evaluation_agree(text, point):
+    expr = parse_expression(text, 4)
+    assume(magnitude(expr, [1.0] * 4) < 1e100)
+    eye = np.eye(4).tolist()
+    m = ChartedManifold(
+        name="tree",
+        kind=HERMITIAN,
+        dim=4,
+        domain=Box((-1.0,) * 4, (1.0,) * 4),
+        metric=lambda c: [[expr.evaluate(c)] + eye[0][1:]] + eye[1:],
+        structure=lambda c: eye,
+    )
+    on_floats = evaluate_fields(m, point)[0][0, 0]
+    on_duals = eval_with_derivatives(m, point)[0].data[0, 0]
+    # Python ** calls pow while Dual squares repeatedly, so the two may
+    # round differently, but only at the level of the magnitude
+    assert abs(on_floats - on_duals) <= 1e-12 * magnitude(expr, point)

@@ -1,17 +1,15 @@
-"""Null spaces and metric solves against hand-rolled elimination oracles."""
+"""Null spaces against hand-rolled elimination oracles."""
 
 import numpy as np
 import pytest
 
-from aegeom.errors import DegenerateSystem, NearSingularMetric, SlotMismatch
+from aegeom.errors import DegenerateSystem, SlotMismatch
 from aegeom.linalg import (
     LinearConstraintSystem,
     exact_nullity,
     null_space,
     numeric_nullity,
-    solve_metric,
 )
-from aegeom.tensors import LOWER, UPPER, TensorValue
 
 
 def elimination_rank(a, tol=1e-9):
@@ -35,25 +33,6 @@ def elimination_rank(a, tol=1e-9):
         if rank == rows:
             break
     return rank
-
-
-def elimination_solve(a, b):
-    """Gaussian elimination with partial pivoting on an augmented matrix."""
-    n = len(b)
-    m = [list(map(float, row)) + [float(b[i])] for i, row in enumerate(a)]
-    for col in range(n):
-        pivot = max(range(col, n), key=lambda r: abs(m[r][col]))
-        m[col], m[pivot] = m[pivot], m[col]
-        pv = m[col][col]
-        for r in range(col + 1, n):
-            f = m[r][col] / pv
-            for c in range(col, n + 1):
-                m[r][c] -= f * m[col][c]
-    x = [0.0] * n
-    for i in range(n - 1, -1, -1):
-        s = m[i][n] - sum(m[i][j] * x[j] for j in range(i + 1, n))
-        x[i] = s / m[i][i]
-    return np.array(x)
 
 
 def system_from_dense(a):
@@ -181,50 +160,3 @@ def test_numeric_nullity_counts_like_null_space():
         numeric_nullity(LinearConstraintSystem.from_rows(0, []))
     with pytest.raises(ValueError):
         numeric_nullity(systems[0], tol=0.0)
-
-
-def test_solve_metric_identity_returns_rhs():
-    assert np.allclose(solve_metric(np.eye(3), np.array([1.0, -2.0, 0.5])), [1.0, -2.0, 0.5])
-
-
-def test_solve_metric_indefinite_diagonal():
-    g = np.diag([1.0, -1.0])
-    x = solve_metric(g, np.array([3.0, 4.0]))
-    assert np.allclose(x, [3.0, -4.0])
-
-
-def test_solve_metric_matches_elimination_oracle():
-    rng = np.random.default_rng(7)
-    for trial in range(10):
-        a = rng.standard_normal((6, 6))
-        g = a + a.T + 8.0 * np.diag(rng.choice([-1.0, 1.0], 6))
-        rhs = rng.standard_normal(6)
-        x = solve_metric(g, rhs)
-        oracle = elimination_solve(g, rhs)
-        assert np.max(np.abs(x - oracle)) < 1e-10 * max(1.0, np.max(np.abs(oracle)))
-        assert np.max(np.abs(g @ x - rhs)) < 1e-10
-
-
-def test_solve_metric_accepts_tensor_values_and_checks_variance():
-    g = TensorValue(np.diag([2.0, 5.0]), (LOWER, LOWER))
-    x = solve_metric(g, np.array([4.0, 10.0]))
-    assert np.allclose(x, [2.0, 2.0])
-    up = TensorValue(np.eye(2), (UPPER, LOWER))
-    with pytest.raises(SlotMismatch):
-        solve_metric(up, np.array([1.0, 1.0]))
-
-
-def test_solve_metric_rejects_asymmetric_and_singular():
-    with pytest.raises(SlotMismatch):
-        solve_metric(np.array([[1.0, 2.0], [0.0, 1.0]]), np.array([1.0, 1.0]))
-    with pytest.raises(NearSingularMetric):
-        solve_metric(np.diag([1e-6, 1e-6]), np.array([1.0, 1.0]))
-    with pytest.raises(SlotMismatch):
-        solve_metric(np.ones((2, 3)), np.array([1.0, 1.0]))
-
-
-def test_solve_metric_matrix_can_be_rectangular_rhs():
-    g = np.diag([1.0, 2.0])
-    rhs = np.array([[1.0, 0.0], [0.0, 4.0]])
-    x = solve_metric(g, rhs)
-    assert np.allclose(x, [[1.0, 0.0], [0.0, 2.0]])

@@ -60,8 +60,7 @@ def first_failing_point(evaluate, m):
 def test_non_finite_config_exits_1_naming_cell_and_point(tmp_path, capsys, verb, cell):
     path = write_config(tmp_path, cell)
     m = load_manifold_config(path)
-    evaluate = evaluate_fields if verb == "validate" else eval_with_derivatives
-    expected = first_failing_point(evaluate, m)
+    expected = first_failing_point(eval_with_derivatives, m)
     if cell == DIVISION_CELL:
         assert expected == tuple(float(x) for x in PLAN.points(m.domain)[0])
 
