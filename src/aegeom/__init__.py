@@ -36,7 +36,7 @@ from .connection import (
     nabla_j,
     nijenhuis,
 )
-from .dual import Dual, gradient
+from .dual import Dual
 from .errors import (
     ConfigError,
     DegenerateConstruction,
@@ -75,7 +75,7 @@ from .manifold import (
     load_manifold_config,
     validate_structure,
 )
-from .tensors import LOWER, UPPER, TensorValue, contract
+from .tensors import LOWER, UPPER, TensorValue
 
 __version__ = "0.1.0"
 
@@ -125,13 +125,11 @@ __all__ = [
     "classify",
     "codazzi_coupled_residuals",
     "condition_table",
-    "contract",
     "derived_tensors",
     "dimension_table",
     "eval_with_derivatives",
     "evaluate_fields",
     "exact_nullity",
-    "gradient",
     "identity_residuals",
     "load_manifold_config",
     "nabla_j",

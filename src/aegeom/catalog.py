@@ -445,15 +445,17 @@ def _random(label: str, seed: int) -> ChartedManifold:
 
 
 def _random_candidate_ok(coeffs, j0, h, eps, grid) -> bool:
-    for x in grid:
-        a = np.array(_poly_matrix(coeffs, x))
-        if abs(np.linalg.det(a)) < 0.25:
-            return False
-        j = np.array(_random_structure(coeffs, j0, x))
-        g = h + eps * (j.T @ h @ j)
-        if abs(np.linalg.det(g)) < 1e-4:
-            return False
-    return True
+    """Whether A and g stay away from singular at every grid point.
+
+    The grid points are evaluated at once, each entry as an array over them.
+    """
+    x = np.asarray(grid, dtype=float).T
+    with np.errstate(all="ignore"):
+        a = np.moveaxis(np.array(_poly_matrix(coeffs, x)), -1, 0)
+        j = np.moveaxis(np.array(_random_structure(coeffs, j0, x)), -1, 0)
+        g = h + eps * (np.swapaxes(j, 1, 2) @ h @ j)
+        det_a, det_g = np.linalg.det(a), np.linalg.det(g)
+    return not (np.abs(det_a) < 0.25).any() and not (np.abs(det_g) < 1e-4).any()
 
 
 def _kind_tag(kind: StructureKind) -> int:

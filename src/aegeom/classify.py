@@ -204,18 +204,30 @@ def _biconditional(
     return CheckResult(name=name, status="hypothesis not met", details=details)
 
 
+def _sign_dimension(fiber: ModelFiber, query: SubspaceQuery) -> int:
+    """Dimension of a sign-condition subspace, checked against the theorems.
+
+    The symmetric (Codazzi) subspace is zero for every kind; the alternating
+    (nearly) subspace is zero exactly when alpha*epsilon = +1.
+    """
+    value = subspace_dimension(fiber, query)
+    kind = fiber.kind
+    zero = query is SubspaceQuery.SYMMETRIC or kind.product == 1
+    if (value == 0) != zero:
+        raise TheoremViolation(
+            f"{query.value} subspace has dimension {value} for {kind.label}, "
+            f"n={fiber.n}; expected {'zero' if zero else 'nonzero'}"
+        )
+    return value
+
+
 def _with_subspace_note(
     check: CheckResult, kind: StructureKind, dim: int, query: SubspaceQuery
 ) -> CheckResult:
     n = dim // 2
     if n > MAX_HALF_DIM:
         return check
-    value = subspace_dimension(ModelFiber.standard(kind, n), query)
-    if value != 0:
-        raise TheoremViolation(
-            f"{check.name}: {query.value} subspace has dimension {value} "
-            f"for {kind.label}, n={n}"
-        )
+    value = _sign_dimension(ModelFiber.standard(kind, n), query)
     note = f", {query.value} subspace dimension {value} (n={n})"
     return CheckResult(
         name=check.name, status=check.status, details=check.details + note
@@ -336,28 +348,14 @@ def condition_table(
     cells: Dict[str, object] = {}
     for kind in KINDS:
         fiber = ModelFiber.standard(kind, n)
-        alt = subspace_dimension(fiber, SubspaceQuery.ALTERNATING)
-        sym = subspace_dimension(fiber, SubspaceQuery.SYMMETRIC)
+        alt = _sign_dimension(fiber, SubspaceQuery.ALTERNATING)
+        sym = _sign_dimension(fiber, SubspaceQuery.SYMMETRIC)
         if kind.product == 1:
-            if alt != 0:
-                raise TheoremViolation(
-                    f"alternating subspace dimension {alt} != 0 for "
-                    f"{kind.label}, n={n}"
-                )
             plus_class = "Kahler type"
             plus_check = "nearly_forces_kahler_type"
         else:
-            if alt == 0:
-                raise TheoremViolation(
-                    f"alternating subspace collapsed for {kind.label}, n={n}; "
-                    "expected a class strictly larger than Kahler type"
-                )
             plus_class = "nearly Kahler type"
             plus_check = "nearly_iff_torsion_pairing_skew"
-        if sym != 0:
-            raise TheoremViolation(
-                f"symmetric subspace dimension {sym} != 0 for {kind.label}, n={n}"
-            )
         plus_entries: Dict[str, str] = {}
         minus_entries: Dict[str, str] = {}
         for m in by_kind.get(kind.label, []):

@@ -113,76 +113,10 @@ def _anticommutator(nj, j):
     return np.einsum("nkia,naj->nkij", nj, j) + np.einsum("nia,nkaj->nkij", j, nj)
 
 
-def _canonical_gamma(frame: _Frame):
-    correction = (-frame.kind.alpha / 2.0) * np.einsum(
-        "nika,naj->nkij", frame.nabla_j, frame.j
-    )
-    return frame.gamma + correction
-
-
 # Each runtime cross-check is (error type, tolerance, message, residual
 # stacks); the message is formatted with every stack's residual at the
 # failing point, and with ``point``.
 _Check = Tuple[type, float, str, Tuple[np.ndarray, ...]]
-
-
-def _anticommutation_check(frame: _Frame) -> _Check:
-    residual = _anticommutator(frame.nabla_j, frame.j)
-    message = "(nabla J) J + J (nabla J) residual {0:.3e} at {point}"
-    return FormulaMismatch, PARALLEL_TOL, message, (residual,)
-
-
-def _parallel_check(frame: _Frame, gamma0) -> _Check:
-    residuals = (
-        _covariant_structure(frame.dj, gamma0, frame.j),
-        _covariant_metric(frame.dg, gamma0, frame.g),
-    )
-    message = (
-        "canonical connection not parallel at {point}: "
-        "structure {0:.3e}, metric {1:.3e}"
-    )
-    return FormulaMismatch, PARALLEL_TOL, message, residuals
-
-
-def _torsion_three_ways(frame: _Frame, gamma0) -> Tuple[np.ndarray, _Check]:
-    """Canonical torsion from the coefficients, and its agreement check."""
-    nj, j, alpha = frame.nabla_j, frame.j, frame.kind.alpha
-    t_conn = gamma0 - np.einsum("nikj->nijk", gamma0)
-    t_shifted = (-alpha / 2.0) * (
-        np.einsum("njia,nak->nijk", nj, j) - np.einsum("nkia,naj->nijk", nj, j)
-    )
-    t_rotated = (alpha / 2.0) * (
-        np.einsum("nia,njak->nijk", j, nj) - np.einsum("nia,nkaj->nijk", j, nj)
-    )
-    spread = np.stack([t_conn - t_shifted, t_conn - t_rotated], axis=1)
-    message = "torsion formulas disagree by {0:.3e} at {point}"
-    return t_conn, (TorsionFormulaMismatch, TORSION_AGREEMENT_TOL, message, (spread,))
-
-
-def _nijenhuis_two_ways(frame: _Frame, torsion):
-    """Nijenhuis tensor, torsion shift, and checks of routes and relation."""
-    nj, j, dj = frame.nabla_j, frame.j, frame.dj
-    n_deriv = (
-        np.einsum("njia,nak->nijk", nj, j)
-        + np.einsum("naj,naik->nijk", j, nj)
-        - np.einsum("nkia,naj->nijk", nj, j)
-        - np.einsum("nak,naij->nijk", j, nj)
-    )
-    n_bracket = (
-        np.einsum("naj,naik->nijk", j, dj)
-        - np.einsum("nak,naij->nijk", j, dj)
-        + np.einsum("nib,nkbj->nijk", j, dj)
-        - np.einsum("nib,njbk->nijk", j, dj)
-    )
-    shift = np.einsum("naj,nbk,niab->nijk", j, j, torsion) + frame.kind.alpha * torsion
-    error, tol = NijenhuisFormulaMismatch, NIJENHUIS_AGREEMENT_TOL
-    routes = "Nijenhuis routes disagree by {0:.3e} at {point}"
-    relation = "torsion relation residual {0:.3e} at {point}"
-    checks = [
-        (error, tol, routes, (n_deriv - n_bracket,)),
-        (error, tol, relation, (shift + 0.5 * n_deriv,)),
-    ]
-    return n_deriv, shift, checks
 
 
 def _require(frame: _Frame, checks: List[_Check]) -> None:
@@ -214,20 +148,89 @@ def _require(frame: _Frame, checks: List[_Check]) -> None:
 
 
 def _derived_arrays(frame: _Frame) -> Dict[str, np.ndarray]:
-    """Every derived stack, after every runtime cross-check has passed."""
-    gamma0 = _canonical_gamma(frame)
-    torsion, torsion_check = _torsion_three_ways(frame, gamma0)
-    nijenhuis_stack, shift, nijenhuis_checks = _nijenhuis_two_ways(frame, torsion)
-    checks = [_anticommutation_check(frame), torsion_check]
-    _require(frame, checks + [_parallel_check(frame, gamma0)] + nijenhuis_checks)
+    """Every derived stack, after every runtime cross-check has passed.
+
+    ``gamma0`` holds the canonical coefficients; the torsion is computed
+    from them and in two closed forms, the Nijenhuis tensor from covariant
+    derivatives and from brackets.
+    """
+    g, dg, j, dj, nj = frame.g, frame.dg, frame.j, frame.dj, frame.nabla_j
+    alpha = frame.kind.alpha
+    gamma0 = frame.gamma + (-alpha / 2.0) * np.einsum("nika,naj->nkij", nj, j)
+    torsion = gamma0 - np.einsum("nikj->nijk", gamma0)
+    t_shifted = (-alpha / 2.0) * (
+        np.einsum("njia,nak->nijk", nj, j) - np.einsum("nkia,naj->nijk", nj, j)
+    )
+    t_rotated = (alpha / 2.0) * (
+        np.einsum("nia,njak->nijk", j, nj) - np.einsum("nia,nkaj->nijk", j, nj)
+    )
+    n_deriv = (
+        np.einsum("njia,nak->nijk", nj, j)
+        + np.einsum("naj,naik->nijk", j, nj)
+        - np.einsum("nkia,naj->nijk", nj, j)
+        - np.einsum("nak,naij->nijk", j, nj)
+    )
+    n_bracket = (
+        np.einsum("naj,naik->nijk", j, dj)
+        - np.einsum("nak,naij->nijk", j, dj)
+        + np.einsum("nib,nkbj->nijk", j, dj)
+        - np.einsum("nib,njbk->nijk", j, dj)
+    )
+    shift = np.einsum("naj,nbk,niab->nijk", j, j, torsion) + alpha * torsion
+    spread = np.stack([torsion - t_shifted, torsion - t_rotated], axis=1)
+    parallel = (_covariant_structure(dj, gamma0, j), _covariant_metric(dg, gamma0, g))
+    nijenhuis_error, tol = NijenhuisFormulaMismatch, NIJENHUIS_AGREEMENT_TOL
+    checks = [
+        (
+            FormulaMismatch,
+            PARALLEL_TOL,
+            "(nabla J) J + J (nabla J) residual {0:.3e} at {point}",
+            (_anticommutator(nj, j),),
+        ),
+        (
+            TorsionFormulaMismatch,
+            TORSION_AGREEMENT_TOL,
+            "torsion formulas disagree by {0:.3e} at {point}",
+            (spread,),
+        ),
+        (
+            FormulaMismatch,
+            PARALLEL_TOL,
+            "canonical connection not parallel at {point}: "
+            "structure {0:.3e}, metric {1:.3e}",
+            parallel,
+        ),
+        (
+            nijenhuis_error,
+            tol,
+            "Nijenhuis routes disagree by {0:.3e} at {point}",
+            (n_deriv - n_bracket,),
+        ),
+        (
+            nijenhuis_error,
+            tol,
+            "torsion relation residual {0:.3e} at {point}",
+            (shift + 0.5 * n_deriv,),
+        ),
+    ]
+    _require(frame, checks)
     return {
-        "g": frame.g,
-        "j": frame.j,
-        "nabla_j": frame.nabla_j,
+        "g": g,
+        "gamma0": gamma0,
+        "nabla_j": nj,
         "torsion": torsion,
         "torsion_shift": shift,
-        "nijenhuis": nijenhuis_stack,
+        "nijenhuis": n_deriv,
     }
+
+
+def _checked_point(
+    m: ChartedManifold, point: Sequence[float]
+) -> Tuple[Tuple[float, ...], Dict[str, np.ndarray]]:
+    """The point and the N=1 slice of every stack of the checked pass."""
+    frame = _Frame(m, [point])
+    arrays = _derived_arrays(frame)
+    return frame.point(0), {key: arr[0] for key, arr in arrays.items()}
 
 
 def christoffel(m: ChartedManifold, point: Sequence[float]) -> ConnectionCoefficients:
@@ -242,27 +245,20 @@ def christoffel(m: ChartedManifold, point: Sequence[float]) -> ConnectionCoeffic
 def nabla_j(m: ChartedManifold, point: Sequence[float]) -> TensorValue:
     """Covariant derivative of the structure tensor, metric connection.
 
-    Checks the anticommutation of the result with J before returning;
-    failure indicates inconsistent inputs or a bug and raises.
+    Like every checked single-point function, runs the whole checked pass
+    (axioms and every runtime cross-check) and raises where it fails.
     """
-    frame = _Frame(m, [point])
-    _require(frame, [_anticommutation_check(frame)])
-    return TensorValue(frame.nabla_j[0], (LOWER, UPPER, LOWER))
+    _, arrays = _checked_point(m, point)
+    return TensorValue(arrays["nabla_j"], (LOWER, UPPER, LOWER))
 
 
 def canonical_connection(
     m: ChartedManifold, point: Sequence[float]
 ) -> ConnectionCoefficients:
-    """Canonical structure-preserving connection at a point.
-
-    Verifies that both the structure tensor and the metric are parallel for
-    the returned coefficients.
-    """
-    frame = _Frame(m, [point])
-    gamma0 = _canonical_gamma(frame)
-    _require(frame, [_parallel_check(frame, gamma0)])
+    """Canonical connection at a point, checked to make J and g parallel."""
+    point, arrays = _checked_point(m, point)
     return ConnectionCoefficients(
-        point=frame.point(0), gamma=TensorValue(gamma0[0], (UPPER, LOWER, LOWER))
+        point=point, gamma=TensorValue(arrays["gamma0"], (UPPER, LOWER, LOWER))
     )
 
 
@@ -273,10 +269,8 @@ def canonical_torsion(m: ChartedManifold, point: Sequence[float]) -> TensorValue
     terms of (nabla J) J and J (nabla J); disagreement raises
     ``TorsionFormulaMismatch``.
     """
-    frame = _Frame(m, [point])
-    torsion, check = _torsion_three_ways(frame, _canonical_gamma(frame))
-    _require(frame, [check])
-    return TensorValue(torsion[0], (UPPER, LOWER, LOWER))
+    _, arrays = _checked_point(m, point)
+    return TensorValue(arrays["torsion"], (UPPER, LOWER, LOWER))
 
 
 def nijenhuis(m: ChartedManifold, point: Sequence[float]) -> TensorValue:
@@ -286,22 +280,18 @@ def nijenhuis(m: ChartedManifold, point: Sequence[float]) -> TensorValue:
     structure-rotated arguments plus alpha times the plain torsion; any
     disagreement raises ``NijenhuisFormulaMismatch``.
     """
-    frame = _Frame(m, [point])
-    torsion, _ = _torsion_three_ways(frame, _canonical_gamma(frame))
-    n_deriv, _, checks = _nijenhuis_two_ways(frame, torsion)
-    _require(frame, checks)
-    return TensorValue(n_deriv[0], (UPPER, LOWER, LOWER))
+    _, arrays = _checked_point(m, point)
+    return TensorValue(arrays["nijenhuis"], (UPPER, LOWER, LOWER))
 
 
 def derived_tensors(m: ChartedManifold, point: Sequence[float]) -> DerivedTensors:
     """Structure derivative, torsion, and Nijenhuis in one checked pass."""
-    frame = _Frame(m, [point])
-    arrays = _derived_arrays(frame)
+    point, arrays = _checked_point(m, point)
     return DerivedTensors(
-        point=frame.point(0),
-        nabla_j=TensorValue(arrays["nabla_j"][0], (LOWER, UPPER, LOWER)),
-        torsion=TensorValue(arrays["torsion"][0], (UPPER, LOWER, LOWER)),
-        nijenhuis=TensorValue(arrays["nijenhuis"][0], (UPPER, LOWER, LOWER)),
+        point=point,
+        nabla_j=TensorValue(arrays["nabla_j"], (LOWER, UPPER, LOWER)),
+        torsion=TensorValue(arrays["torsion"], (UPPER, LOWER, LOWER)),
+        nijenhuis=TensorValue(arrays["nijenhuis"], (UPPER, LOWER, LOWER)),
     )
 
 

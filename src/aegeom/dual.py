@@ -11,8 +11,7 @@ it would get on its own.
 
 from __future__ import annotations
 
-import math
-from typing import Callable, Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -141,35 +140,3 @@ def grad_of(x: Scalar, width: int) -> np.ndarray:
     if isinstance(x, Dual):
         return x.grad
     return np.zeros(width)
-
-
-def sqrt(x: Scalar) -> Scalar:
-    if isinstance(x, Dual):
-        r = np.sqrt(x.value)
-        return Dual(r, x.grad / (2.0 * r)[..., None])
-    return math.sqrt(x)
-
-
-def exp(x: Scalar) -> Scalar:
-    if isinstance(x, Dual):
-        e = np.exp(x.value)
-        return Dual(e, e[..., None] * x.grad)
-    return math.exp(x)
-
-
-def sin(x: Scalar) -> Scalar:
-    if isinstance(x, Dual):
-        return Dual(np.sin(x.value), np.cos(x.value)[..., None] * x.grad)
-    return math.sin(x)
-
-
-def cos(x: Scalar) -> Scalar:
-    if isinstance(x, Dual):
-        return Dual(np.cos(x.value), -np.sin(x.value)[..., None] * x.grad)
-    return math.cos(x)
-
-
-def gradient(f: Callable[[list], Scalar], point: Sequence[float]) -> np.ndarray:
-    """Gradient of a scalar function of several variables at ``point``."""
-    out = f(Dual.seed(point))
-    return grad_of(out, len(point))

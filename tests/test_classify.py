@@ -1,5 +1,7 @@
 """Condition residuals, verdicts, theorem checks, and the summary table."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,21 @@ def test_theorem_suite_runs_clean_on_every_entry():
         for check in checks:
             assert check.status in ("passed", "hypothesis not met")
             assert check.details
+
+
+def test_wrong_subspace_dimension_is_a_theorem_violation(monkeypatch):
+    # the package re-exports the function classify under the module's name
+    classify_module = importlib.import_module("aegeom.classify")
+    # the symmetric subspace must be zero for every kind
+    monkeypatch.setattr(classify_module, "subspace_dimension", lambda f, q: 1)
+    with pytest.raises(TheoremViolation, match="symmetric"):
+        theorem_suite(catalog("flat-kahler"), PLAN)
+    with pytest.raises(TheoremViolation, match="expected"):
+        condition_table(PLAN)
+    # the alternating one is zero exactly when alpha*epsilon = +1
+    monkeypatch.setattr(classify_module, "subspace_dimension", lambda f, q: 0)
+    with pytest.raises(TheoremViolation, match="alternating.*expected nonzero"):
+        condition_table(PLAN)
 
 
 def test_codazzi_check_carries_the_subspace_note():

@@ -21,7 +21,7 @@ from aegeom.connection import (
     nabla_j,
     nijenhuis,
 )
-from aegeom.errors import FormulaMismatch, InvalidStructure
+from aegeom.errors import FormulaMismatch, InvalidStructure, TorsionFormulaMismatch
 from aegeom.manifold import (
     HERMITIAN,
     Box,
@@ -279,13 +279,41 @@ def test_rotated_codazzi_defect_reproduces_torsion():
 
 
 def test_derived_tensors_bundle_is_consistent():
-    m = catalog("random-norden-42")
+    # every checked single-point function is the N=1 slice of the checked pass
+    for name in standard_names():
+        m = catalog(name)
+        point = SMALL.points(m.domain)[0]
+        arrays = connection._derived_arrays(connection._Frame(m, [point]))
+        bundle = derived_tensors(m, point)
+        assert bundle.nabla_j == nabla_j(m, point)
+        assert bundle.torsion == canonical_torsion(m, point)
+        assert bundle.nijenhuis == nijenhuis(m, point)
+        adapted = canonical_connection(m, point)
+        assert bundle.point == adapted.point == tuple(float(x) for x in point)
+        for key, value in (
+            ("nabla_j", bundle.nabla_j),
+            ("torsion", bundle.torsion),
+            ("nijenhuis", bundle.nijenhuis),
+            ("gamma0", adapted.gamma),
+        ):
+            assert np.array_equal(value.data, arrays[key][0]), (name, key)
+
+
+def test_every_checked_point_function_runs_every_cross_check(monkeypatch):
+    # a zero tolerance fails the torsion check (the second cross-check) at
+    # every point, even for a residual of exactly zero
+    monkeypatch.setattr(connection, "TORSION_AGREEMENT_TOL", 0.0)
+    m = catalog("s6-nearly-kahler")
     point = SMALL.points(m.domain)[0]
-    bundle = derived_tensors(m, point)
-    assert bundle.nabla_j == nabla_j(m, point)
-    assert bundle.torsion == canonical_torsion(m, point)
-    assert bundle.nijenhuis == nijenhuis(m, point)
-    assert bundle.point == tuple(float(x) for x in point)
+    for checked in (
+        nabla_j,
+        canonical_connection,
+        canonical_torsion,
+        nijenhuis,
+        derived_tensors,
+    ):
+        with pytest.raises(TorsionFormulaMismatch, match="^s6-nearly-kahler: "):
+            checked(m, point)
 
 
 def test_codazzi_coupled_residuals_split():

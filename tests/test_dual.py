@@ -1,12 +1,10 @@
 """Forward-mode dual numbers against analytic and finite-difference oracles."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from aegeom.dual import Dual, cos, exp, gradient, grad_of, sin, sqrt, value_of
+from aegeom.dual import Dual, grad_of, value_of
 
 
 def central_difference(f, point, i, h=1e-6):
@@ -77,34 +75,6 @@ def test_unary_plus_and_minus():
     assert (-x).grad[0] == -1.0
 
 
-def test_transcendental_gradients_match_analytic():
-    x, y = Dual.seed([1.2, 0.7])
-    f = sin(x) * cos(y) + exp(sqrt(x))
-    ex = math.exp(math.sqrt(1.2))
-    assert f.value == pytest.approx(
-        math.sin(1.2) * math.cos(0.7) + ex, rel=1e-12
-    )
-    assert f.grad[0] == pytest.approx(
-        math.cos(1.2) * math.cos(0.7) + ex / (2 * math.sqrt(1.2)), rel=1e-12
-    )
-    assert f.grad[1] == pytest.approx(-math.sin(1.2) * math.sin(0.7), rel=1e-12)
-
-
-def test_gradient_helper_matches_finite_differences():
-    def f(v):
-        return v[0] * sin(v[1]) + 1.0 / (1.0 + v[0] * v[0])
-
-    point = [0.8, 2.3]
-    grads = gradient(f, point)
-
-    def plain(v):
-        return v[0] * math.sin(v[1]) + 1.0 / (1.0 + v[0] * v[0])
-
-    for i in range(2):
-        fd = central_difference(plain, point, i)
-        assert grads[i] == pytest.approx(fd, rel=1e-5)
-
-
 def test_value_and_grad_of_plain_floats():
     assert value_of(2.5) == 2.5
     assert np.all(grad_of(2.5, 3) == 0.0)
@@ -162,7 +132,7 @@ def test_batched_duals_match_single_points_exactly():
 
     def f(v):
         x, y = v
-        return x * x * y + y / x - 2.0 / x**2 + sin(x) * exp(sqrt(y * y))
+        return x * x * y + y / x - 2.0 / x**2 + (x - y) ** 3 / (1.0 + y * y)
 
     batch = f(Dual.seed(points))
     assert batch.value.shape == (3,) and batch.grad.shape == (3, 2)

@@ -1,57 +1,10 @@
-"""Pointwise tensor container: slot bookkeeping and contraction."""
+"""Pointwise tensor container: slot bookkeeping, immutability and norm."""
 
 import numpy as np
 import pytest
 
 from aegeom.errors import SlotMismatch
-from aegeom.tensors import LOWER, UPPER, TensorValue, contract
-
-
-def test_trace_of_identity_is_dimension():
-    delta = TensorValue(np.eye(2), (UPPER, LOWER))
-    tr = contract(delta, 0, 1)
-    assert tr.rank == 0
-    assert float(tr.data) == 2.0
-
-
-def test_structure_composed_with_itself_gives_minus_identity():
-    j = np.array([[0.0, -1.0], [1.0, 0.0]])
-    # outer product J^i_a J^b_j, then sum a against b
-    prod = TensorValue(np.einsum("ia,bj->iabj", j, j), (UPPER, LOWER, UPPER, LOWER))
-    composed = contract(prod, 2, 1)
-    assert composed.variance == (UPPER, LOWER)
-    assert np.allclose(composed.data, -np.eye(2), atol=1e-15)
-
-
-def test_contraction_with_basis_vector_picks_a_slice():
-    rng = np.random.default_rng(3)
-    t = rng.standard_normal((3, 3, 3))
-    tv = TensorValue(t, (UPPER, LOWER, LOWER))
-    for k in range(3):
-        e = np.zeros(3)
-        e[k] = 1.0
-        prod = TensorValue(np.einsum("iab,c->iabc", t, e), (UPPER, LOWER, LOWER, UPPER))
-        sliced = contract(prod, 3, 1)
-        assert sliced.variance == (UPPER, LOWER)
-        assert np.allclose(sliced.data, t[:, k, :], atol=1e-15)
-
-
-def test_contract_method_matches_function():
-    t = TensorValue(np.arange(8.0).reshape(2, 2, 2), (UPPER, LOWER, LOWER))
-    assert t.contract(0, 1) == contract(t, 0, 1)
-
-
-def test_contract_rejects_bad_slots():
-    t = TensorValue(np.eye(2), (UPPER, LOWER))
-    with pytest.raises(SlotMismatch):
-        contract(t, 0, 0)
-    with pytest.raises(SlotMismatch):
-        contract(t, 2, 1)
-    with pytest.raises(SlotMismatch):
-        contract(t, 1, 0)  # slot 1 is lower, slot 0 is upper
-    both_lower = TensorValue(np.eye(2), (LOWER, LOWER))
-    with pytest.raises(SlotMismatch):
-        contract(both_lower, 0, 1)
+from aegeom.tensors import LOWER, UPPER, TensorValue
 
 
 def test_variance_label_validation():
@@ -63,13 +16,9 @@ def test_variance_label_validation():
         TensorValue(np.zeros((2, 3)), (UPPER, LOWER))
 
 
-def test_scalar_multiplication_and_norm():
+def test_inf_norm_is_the_largest_absolute_component():
     t = TensorValue(np.array([[1.0, -4.0], [2.0, 0.5]]), (LOWER, LOWER))
     assert t.inf_norm() == 4.0
-    doubled = 2 * t
-    assert doubled.inf_norm() == 8.0
-    assert (t * 0.5).data[0, 1] == -2.0
-    assert t.dims == (2, 2)
 
 
 def test_backing_array_is_read_only():
