@@ -11,8 +11,8 @@ the pointwise model of the "nearly" condition) and the part symmetric in
 the first two arguments (the pointwise model of the Codazzi condition).
 
 Dimensions are computed numerically by SVD and cross-checked by exact
-rational elimination; any disagreement raises, because the constraint
-coefficients are integers and both routes must agree exactly.
+fraction-free integer elimination; any disagreement raises, because the
+constraint coefficients are integers and both routes must agree exactly.
 """
 
 from __future__ import annotations
@@ -192,7 +192,7 @@ def subspace_dimension(
 ) -> int:
     """Dimension of the requested subspace, numerically and exactly.
 
-    The SVD dimension (singular values only) and the exact rational
+    The SVD dimension (singular values only) and the exact integer
     elimination must agree; a mismatch raises ``DimensionOracleMismatch``.
     """
     system = build_constraints(fiber, query)
@@ -239,34 +239,35 @@ def alternating_definitions_coincide(
     """
     d = fiber.dim
     base = _base_rows(fiber)
-
-    polarized = list(base)
-    for i in range(d):
-        for k in range(d):
-            polarized.append([(_index(d, i, i, k), 1.0)])
-    for i in range(d):
-        for j in range(i + 1, d):
-            for k in range(d):
-                polarized.append(
-                    [
-                        (_index(d, i, j, k), 1.0),
-                        (_index(d, j, i, k), 1.0),
-                    ]
-                )
-
-    alternating = base + _first_two_rows(d, 1.0)
-
-    sys_a = LinearConstraintSystem.from_rows(d**3, polarized)
-    sys_b = LinearConstraintSystem.from_rows(d**3, alternating)
-    dim_a, basis_a = null_space(sys_a, tol)
-    dim_b, basis_b = null_space(sys_b, tol)
-    if dim_a != dim_b:
-        return False
+    sys_a = LinearConstraintSystem.from_rows(d**3, base + _polarized_rows(d))
+    sys_b = LinearConstraintSystem.from_rows(d**3, base + _first_two_rows(d, 1.0))
     dense_a = sys_a.to_dense()
     dense_b = sys_b.to_dense()
+    dim_a, basis_a = null_space(sys_a, tol, dense_a)
+    dim_b, basis_b = null_space(sys_b, tol, dense_b)
+    if dim_a != dim_b:
+        return False
     for basis, dense in ((basis_a, dense_b), (basis_b, dense_a)):
         for vec in basis:
             unit = vec / np.max(np.abs(vec))
             if float(np.max(np.abs(dense @ unit))) >= tol:
                 return False
     return True
+
+
+def _polarized_rows(d: int) -> List[List[Tuple[int, float]]]:
+    """Vanishing on equal first arguments: diagonal rows, symmetric pairs."""
+    rows: List[List[Tuple[int, float]]] = []
+    for i in range(d):
+        for k in range(d):
+            rows.append([(_index(d, i, i, k), 1.0)])
+    for i in range(d):
+        for j in range(i + 1, d):
+            for k in range(d):
+                rows.append(
+                    [
+                        (_index(d, i, j, k), 1.0),
+                        (_index(d, j, i, k), 1.0),
+                    ]
+                )
+    return rows

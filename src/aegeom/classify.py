@@ -29,7 +29,13 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .algebra import MAX_HALF_DIM, ModelFiber, SubspaceQuery, subspace_dimension
+from .algebra import (
+    MAX_HALF_DIM,
+    ModelFiber,
+    SubspaceQuery,
+    dimension_table,
+    subspace_dimension,
+)
 from .catalog import catalog, standard_names
 from .connection import _Frame, _derived_arrays
 from .errors import TheoremViolation
@@ -204,30 +210,42 @@ def _biconditional(
     return CheckResult(name=name, status="hypothesis not met", details=details)
 
 
-def _sign_dimension(fiber: ModelFiber, query: SubspaceQuery) -> int:
-    """Dimension of a sign-condition subspace, checked against the theorems.
+def _check_sign_pattern(
+    kind: StructureKind, n: int, query: SubspaceQuery, value: int
+) -> int:
+    """Return a sign-condition subspace dimension that fits the theorems.
 
-    The symmetric (Codazzi) subspace is zero for every kind; the alternating
-    (nearly) subspace is zero exactly when alpha*epsilon = +1.
+    The symmetric (Codazzi) subspace is zero for every kind and n; the
+    alternating (nearly) subspace is zero at every n when alpha*epsilon = +1,
+    and nonzero at n = ``MAX_HALF_DIM`` when alpha*epsilon = -1.  Any other
+    value raises ``TheoremViolation``.
     """
-    value = subspace_dimension(fiber, query)
-    kind = fiber.kind
-    zero = query is SubspaceQuery.SYMMETRIC or kind.product == 1
+    if query is SubspaceQuery.SYMMETRIC or kind.product == 1:
+        zero = True
+    elif n == MAX_HALF_DIM:
+        zero = False
+    else:
+        return value
     if (value == 0) != zero:
         raise TheoremViolation(
             f"{query.value} subspace has dimension {value} for {kind.label}, "
-            f"n={fiber.n}; expected {'zero' if zero else 'nonzero'}"
+            f"n={n}; expected {'zero' if zero else 'nonzero'}"
         )
     return value
 
 
 def _with_subspace_note(
-    check: CheckResult, kind: StructureKind, dim: int, query: SubspaceQuery
+    check: CheckResult,
+    kind: StructureKind,
+    dim: Optional[int],
+    query: SubspaceQuery,
 ) -> CheckResult:
-    n = dim // 2
-    if n > MAX_HALF_DIM:
+    if dim is None or dim // 2 > MAX_HALF_DIM:
         return check
-    value = _sign_dimension(ModelFiber.standard(kind, n), query)
+    n = dim // 2
+    value = _check_sign_pattern(
+        kind, n, query, subspace_dimension(ModelFiber.standard(kind, n), query)
+    )
     note = f", {query.value} subspace dimension {value} (n={n})"
     return CheckResult(
         name=check.name, status=check.status, details=check.details + note
@@ -235,12 +253,17 @@ def _with_subspace_note(
 
 
 def _suite_from_residuals(
-    residuals: Dict[str, float], kind: StructureKind, dim: int, tol: float
+    residuals: Dict[str, float],
+    kind: StructureKind,
+    dim: Optional[int],
+    tol: float,
 ) -> List[CheckResult]:
     """Every theorem check that applies to the kind, from sweep residuals.
 
     Both torsion checks, the nearly check that fits the sign product, and
-    the Codazzi check, in that order.
+    the Codazzi check, in that order.  Given the manifold dimension ``dim``,
+    the nearly-forces and Codazzi checks carry the subspace dimension of the
+    matching model fiber; with ``dim=None`` no subspace is queried.
     """
     checks = [
         _biconditional(
@@ -326,20 +349,31 @@ def theorem_suite(
 
 
 def condition_table(
-    plan: Optional[SamplePlan] = None, tol: float = VERDICT_TOL
+    plan: Optional[SamplePlan] = None,
+    tol: float = VERDICT_TOL,
+    dims: Optional[dict] = None,
 ) -> Dict[str, object]:
     """Classes cut out by the two sign conditions, for each kind.
 
     The cells are decided by exact subspace dimensions in the largest
     supported model fiber: a zero-dimensional subspace means the condition
-    forces the structure derivative itself to vanish.  The computed
-    dimensions must match the expected pattern or ``TheoremViolation`` is
-    raised.  Each cell also records the outcome of the matching theorem
-    check on every catalog entry of that kind, as sampled evidence beside
-    the algebraic proof.
+    forces the structure derivative itself to vanish.  ``dims`` is the
+    output of ``dimension_table()``, which is computed when not given; every
+    sign-condition dimension in it must match the expected pattern or
+    ``TheoremViolation`` is raised.  Each cell also records the outcome of
+    the matching theorem check on every catalog entry of that kind, as
+    sampled evidence beside the algebraic proof.
     """
     if plan is None:
         plan = SamplePlan()
+    if dims is None:
+        dims = dimension_table()
+    if any(MAX_HALF_DIM not in dims.get(kind.label, {}) for kind in KINDS):
+        raise ValueError(f"dims must reach n={MAX_HALF_DIM} for every kind")
+    for kind in KINDS:
+        for n, queries in dims[kind.label].items():
+            for query in (SubspaceQuery.ALTERNATING, SubspaceQuery.SYMMETRIC):
+                _check_sign_pattern(kind, n, query, queries[query.value])
     n = MAX_HALF_DIM
     by_kind: Dict[str, List[ChartedManifold]] = {}
     for name in standard_names():
@@ -347,9 +381,8 @@ def condition_table(
         by_kind.setdefault(m.kind.label, []).append(m)
     cells: Dict[str, object] = {}
     for kind in KINDS:
-        fiber = ModelFiber.standard(kind, n)
-        alt = _sign_dimension(fiber, SubspaceQuery.ALTERNATING)
-        sym = _sign_dimension(fiber, SubspaceQuery.SYMMETRIC)
+        alt = dims[kind.label][n][SubspaceQuery.ALTERNATING.value]
+        sym = dims[kind.label][n][SubspaceQuery.SYMMETRIC.value]
         if kind.product == 1:
             plus_class = "Kahler type"
             plus_check = "nearly_forces_kahler_type"
@@ -359,7 +392,10 @@ def condition_table(
         plus_entries: Dict[str, str] = {}
         minus_entries: Dict[str, str] = {}
         for m in by_kind.get(kind.label, []):
-            statuses = {c.name: c.status for c in theorem_suite(m, plan, tol)}
+            checks = _suite_from_residuals(
+                sample_residuals(m, plan), m.kind, None, tol
+            )
+            statuses = {c.name: c.status for c in checks}
             plus_entries[m.name] = statuses[plus_check]
             minus_entries[m.name] = statuses["codazzi_forces_kahler_type"]
         cells[kind.label] = {

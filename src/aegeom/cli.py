@@ -212,7 +212,7 @@ def _cmd_algebra_table(args, parser) -> int:
             str(n): alternating_definitions_coincide(ModelFiber.standard(kind, n))
             for n in (1, 2, 3)
         }
-    table = condition_table(plan, args.tol)
+    table = condition_table(plan, args.tol, dims)
     if args.format == "json":
         dims_json = {
             label: {str(n): queries for n, queries in per_kind.items()}

@@ -2,14 +2,15 @@
 
 Null spaces are computed by singular value decomposition with a cutoff
 relative to the largest singular value, and cross-checked elsewhere by exact
-rational Gaussian elimination (``exact_nullity``), which never rounds.
+fraction-free Gaussian elimination over the integers (``exact_nullity``),
+which never rounds.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,23 +43,35 @@ class LinearConstraintSystem:
         return LinearConstraintSystem(n_unknowns, tuple(packed))
 
     def to_dense(self) -> np.ndarray:
+        """Dense coefficient matrix; repeated columns in a row add up."""
         dense = np.zeros((len(self.rows), self.n_unknowns))
-        for r, row in enumerate(self.rows):
-            for idx, coeff in row:
-                dense[r, idx] += coeff
+        packed = np.array(
+            [entry for row in self.rows for entry in row], dtype=float
+        ).reshape(-1, 2)
+        row_of = np.repeat(np.arange(len(self.rows)), [len(r) for r in self.rows])
+        np.add.at(dense, (row_of, packed[:, 0].astype(np.intp)), packed[:, 1])
         return dense
 
 
 def null_space(
-    system: LinearConstraintSystem, tol: float = NULL_SPACE_TOL
+    system: LinearConstraintSystem,
+    tol: float = NULL_SPACE_TOL,
+    dense: Optional[np.ndarray] = None,
 ) -> Tuple[int, List[np.ndarray]]:
     """Dimension and orthonormal basis of the null space of the system.
 
     ``tol`` is relative to the largest singular value; singular values at or
-    below the cutoff count as zero.
+    below the cutoff count as zero.  ``dense`` is ``system.to_dense()`` when
+    the caller already holds it.  A system with at least as many rows as
+    unknowns gets the thin SVD, whose V is already square; only a wide one
+    needs the full V, and then pays for the full U as well.
     """
+    _check_args(system, tol)
+    if dense is None:
+        dense = system.to_dense()
     n = system.n_unknowns
-    _, sigma, vt = np.linalg.svd(_checked_dense(system, tol), full_matrices=True)
+    full = dense.shape[0] < n
+    _, sigma, vt = np.linalg.svd(dense, full_matrices=full)
     rank = _numeric_rank(sigma, tol)
     return n - rank, [vt[i] for i in range(rank, n)]
 
@@ -67,16 +80,16 @@ def numeric_nullity(
     system: LinearConstraintSystem, tol: float = NULL_SPACE_TOL
 ) -> int:
     """Null space dimension by the ``null_space`` cutoff, without a basis."""
-    sigma = np.linalg.svd(_checked_dense(system, tol), compute_uv=False)
+    _check_args(system, tol)
+    sigma = np.linalg.svd(system.to_dense(), compute_uv=False)
     return system.n_unknowns - _numeric_rank(sigma, tol)
 
 
-def _checked_dense(system: LinearConstraintSystem, tol: float) -> np.ndarray:
+def _check_args(system: LinearConstraintSystem, tol: float) -> None:
     if system.n_unknowns == 0:
         raise DegenerateSystem("system has no unknowns")
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    return system.to_dense()
 
 
 def _numeric_rank(sigma: np.ndarray, tol: float) -> int:
@@ -88,52 +101,57 @@ def _numeric_rank(sigma: np.ndarray, tol: float) -> int:
 
 
 def exact_nullity(system: LinearConstraintSystem) -> int:
-    """Null space dimension by exact Gaussian elimination over the rationals.
+    """Null space dimension by exact Gaussian elimination over the integers.
 
-    Coefficients are converted to exact fractions (floats convert exactly),
-    so the returned rank involves no rounding at all.  Pivot rows are kept in
-    reduced form to bound fill-in; all catalog constraint rows are short.
+    Each row is scaled to integers (floats are exact binary fractions), and
+    elimination is fraction-free: ``row <- p*row - r*pivot`` with every row
+    divided by the gcd of its entries, so the returned rank involves no
+    rounding at all.  Pivot rows are kept in reduced form, zero in every
+    other pivot column, to bound fill-in; all catalog constraint rows are
+    short.
     """
     if system.n_unknowns == 0:
         raise DegenerateSystem("system has no unknowns")
-    zero = Fraction(0)
-    pivots: dict[int, dict[int, Fraction]] = {}
+    pivots: Dict[int, Dict[int, int]] = {}
     for raw in system.rows:
-        row: dict[int, Fraction] = {}
-        for idx, coeff in raw:
-            acc = row.get(idx, zero) + Fraction(coeff)
-            if acc:
-                row[idx] = acc
-            else:
-                row.pop(idx, None)
-        while row:
-            hit = next((c for c in row if c in pivots), None)
-            if hit is None:
-                break
-            factor = row.pop(hit)
-            for c, v in pivots[hit].items():
-                if c == hit:
-                    continue
-                acc = row.get(c, zero) - factor * v
-                if acc:
-                    row[c] = acc
-                else:
-                    row.pop(c, None)
+        row = _integer_row(raw)
+        # reduced pivot rows bring no other pivot column into the row
+        for col in [c for c in row if c in pivots]:
+            row = _eliminate(row, pivots[col], col)
         if not row:
             continue
         pcol = min(row)
-        pval = row[pcol]
-        prow = {c: v / pval for c, v in row.items()}
-        for qrow in pivots.values():
+        for qcol, qrow in pivots.items():
             if pcol in qrow:
-                f = qrow.pop(pcol)
-                for c, v in prow.items():
-                    if c == pcol:
-                        continue
-                    acc = qrow.get(c, zero) - f * v
-                    if acc:
-                        qrow[c] = acc
-                    else:
-                        qrow.pop(c, None)
-        pivots[pcol] = prow
+                pivots[qcol] = _eliminate(qrow, row, pcol)
+        pivots[pcol] = row
     return system.n_unknowns - len(pivots)
+
+
+def _integer_row(raw: Row) -> Dict[int, int]:
+    """Primitive integer multiple of one sparse row, zeros dropped."""
+    ratios = [(idx, coeff.as_integer_ratio()) for idx, coeff in raw]
+    scale = math.lcm(*(den for _, (_, den) in ratios))
+    row: Dict[int, int] = {}
+    for idx, (num, den) in ratios:
+        row[idx] = row.get(idx, 0) + num * (scale // den)
+    return _primitive({c: v for c, v in row.items() if v})
+
+
+def _eliminate(row: Dict[int, int], pivot: Dict[int, int], col: int) -> Dict[int, int]:
+    """``p*row - r*pivot`` with ``col`` cleared, divided by its gcd."""
+    g = math.gcd(pivot[col], row[col])
+    p, r = pivot[col] // g, row[col] // g
+    out = {c: p * v for c, v in row.items()}
+    for c, v in pivot.items():
+        acc = out.get(c, 0) - r * v
+        if acc:
+            out[c] = acc
+        else:
+            out.pop(c, None)
+    return _primitive(out)
+
+
+def _primitive(row: Dict[int, int]) -> Dict[int, int]:
+    g = math.gcd(*row.values())
+    return {c: v // g for c, v in row.items()} if g > 1 else row

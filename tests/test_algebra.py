@@ -12,7 +12,7 @@ from aegeom.algebra import (
     dimension_table,
     subspace_dimension,
 )
-from aegeom import linalg
+from aegeom import algebra, linalg
 from aegeom.errors import DimensionOracleMismatch, UnsupportedDimension
 from aegeom.linalg import null_space
 from aegeom.manifold import (
@@ -230,4 +230,15 @@ def test_wrong_numeric_rank_trips_the_dimension_oracle(monkeypatch):
         linalg, "_numeric_rank", lambda sigma, tol: true_rank(sigma, tol) - 1
     )
     with pytest.raises(DimensionOracleMismatch):
+        subspace_dimension(fiber, SubspaceQuery.ALTERNATING)
+
+
+def test_wrong_exact_rank_trips_the_dimension_oracle(monkeypatch):
+    fiber = ModelFiber.standard(HERMITIAN, 3)
+    subspace_dimension(fiber, SubspaceQuery.ALTERNATING)
+    true_nullity = algebra.exact_nullity
+    monkeypatch.setattr(
+        algebra, "exact_nullity", lambda system: true_nullity(system) + 1
+    )
+    with pytest.raises(DimensionOracleMismatch, match="exact dimension 3"):
         subspace_dimension(fiber, SubspaceQuery.ALTERNATING)

@@ -5,11 +5,13 @@ import importlib
 import numpy as np
 import pytest
 
+from aegeom.algebra import MAX_HALF_DIM, SubspaceQuery, dimension_table
 from aegeom.catalog import catalog, standard_names
 from aegeom.classify import (
     CONDITIONS,
     ClassificationReport,
     _biconditional,
+    _check_sign_pattern,
     _implication,
     classify,
     condition_table,
@@ -18,7 +20,7 @@ from aegeom.classify import (
     theorem_suite,
 )
 from aegeom.errors import TheoremViolation
-from aegeom.manifold import SamplePlan
+from aegeom.manifold import HERMITIAN, KINDS, NORDEN, PARA_HERMITIAN, SamplePlan
 
 PLAN = SamplePlan(seed=0, n_points=8)
 
@@ -114,16 +116,57 @@ def test_theorem_suite_runs_clean_on_every_entry():
 def test_wrong_subspace_dimension_is_a_theorem_violation(monkeypatch):
     # the package re-exports the function classify under the module's name
     classify_module = importlib.import_module("aegeom.classify")
+    algebra_module = importlib.import_module("aegeom.algebra")
+
+    def patch(value):
+        # the subspace notes query through classify, the table through algebra
+        for module in (classify_module, algebra_module):
+            monkeypatch.setattr(module, "subspace_dimension", lambda f, q: value)
+
     # the symmetric subspace must be zero for every kind
-    monkeypatch.setattr(classify_module, "subspace_dimension", lambda f, q: 1)
+    patch(1)
     with pytest.raises(TheoremViolation, match="symmetric"):
         theorem_suite(catalog("flat-kahler"), PLAN)
     with pytest.raises(TheoremViolation, match="expected"):
         condition_table(PLAN)
     # the alternating one is zero exactly when alpha*epsilon = +1
-    monkeypatch.setattr(classify_module, "subspace_dimension", lambda f, q: 0)
+    patch(0)
     with pytest.raises(TheoremViolation, match="alternating.*expected nonzero"):
         condition_table(PLAN)
+
+
+def test_sign_pattern_accepts_every_true_dimension():
+    # below the largest fiber the alternating subspace is zero for every
+    # kind, also where alpha*epsilon = -1
+    table = dimension_table()
+    for kind in KINDS:
+        for n in range(1, MAX_HALF_DIM + 1):
+            for query in (SubspaceQuery.ALTERNATING, SubspaceQuery.SYMMETRIC):
+                value = table[kind.label][n][query.value]
+                assert _check_sign_pattern(kind, n, query, value) == value
+    for n in (1, 2):
+        assert table[HERMITIAN.label][n][SubspaceQuery.ALTERNATING.value] == 0
+        assert _check_sign_pattern(HERMITIAN, n, SubspaceQuery.ALTERNATING, 0) == 0
+
+
+def test_sign_pattern_rejects_each_wrong_cell():
+    for kind, n, query, value, word in (
+        (HERMITIAN, 1, SubspaceQuery.SYMMETRIC, 1, "zero"),
+        (NORDEN, 2, SubspaceQuery.ALTERNATING, 3, "zero"),
+        (PARA_HERMITIAN, MAX_HALF_DIM, SubspaceQuery.ALTERNATING, 0, "nonzero"),
+    ):
+        with pytest.raises(TheoremViolation, match=f"n={n}; expected {word}$"):
+            _check_sign_pattern(kind, n, query, value)
+
+
+def test_condition_table_reads_a_given_dimension_table():
+    table = dimension_table()
+    assert condition_table(PLAN, dims=table) == condition_table(PLAN)
+    table[NORDEN.label][1][SubspaceQuery.SYMMETRIC.value] = 4
+    with pytest.raises(TheoremViolation, match="norden, n=1; expected zero"):
+        condition_table(PLAN, dims=table)
+    with pytest.raises(ValueError, match="n=3 for every kind"):
+        condition_table(PLAN, dims=dimension_table(max_n=2))
 
 
 def test_codazzi_check_carries_the_subspace_note():

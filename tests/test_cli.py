@@ -1,5 +1,6 @@
 """Command line behavior: exit codes, formats, determinism, file output."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -220,6 +221,28 @@ def test_algebra_table_text_and_json(capsys):
         for per_n in data["alternating_definitions_coincide"].values()
         for ok in per_n.values()
     )
+
+
+def test_algebra_table_queries_each_subspace_dimension_once_per_job(
+    capsys, monkeypatch
+):
+    # every module binding through which a subspace dimension is queried
+    modules = [importlib.import_module(f"aegeom.{m}") for m in ("algebra", "classify")]
+    calls = []
+    for module in modules:
+        query = module.subspace_dimension
+
+        def counted(fiber, q, *args, _query=query, **kwargs):
+            calls.append((fiber.kind.label, fiber.n, q.value))
+            return _query(fiber, q, *args, **kwargs)
+
+        monkeypatch.setattr(module, "subspace_dimension", counted)
+    # a second job in the same process recomputes: nothing is cached
+    for _ in range(2):
+        calls.clear()
+        code, _, _ = run_capture(capsys, ["algebra-table", *FAST])
+        assert code == EXIT_PASS
+        assert len(calls) == len(set(calls)) == 36
 
 
 def test_unknown_catalog_name_exits_one(capsys):

@@ -1,8 +1,18 @@
 """Null spaces against hand-rolled elimination oracles."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from aegeom.algebra import (
+    MAX_HALF_DIM,
+    ModelFiber,
+    SubspaceQuery,
+    _base_rows,
+    _polarized_rows,
+    build_constraints,
+)
 from aegeom.errors import DegenerateSystem, SlotMismatch
 from aegeom.linalg import (
     LinearConstraintSystem,
@@ -10,6 +20,7 @@ from aegeom.linalg import (
     null_space,
     numeric_nullity,
 )
+from aegeom.manifold import KINDS
 
 
 def elimination_rank(a, tol=1e-9):
@@ -33,6 +44,55 @@ def elimination_rank(a, tol=1e-9):
         if rank == rows:
             break
     return rank
+
+
+def fraction_nullity(system):
+    """Null space dimension by Gaussian elimination over ``Fraction``.
+
+    The reference for ``exact_nullity``: the same reduced pivot rows, but
+    in rational arithmetic, with each pivot row scaled to a leading one.
+    """
+    zero = Fraction(0)
+    pivots = {}
+    for raw in system.rows:
+        row = {}
+        for idx, coeff in raw:
+            acc = row.get(idx, zero) + Fraction(coeff)
+            if acc:
+                row[idx] = acc
+            else:
+                row.pop(idx, None)
+        while row:
+            hit = next((c for c in row if c in pivots), None)
+            if hit is None:
+                break
+            factor = row.pop(hit)
+            for c, v in pivots[hit].items():
+                if c == hit:
+                    continue
+                acc = row.get(c, zero) - factor * v
+                if acc:
+                    row[c] = acc
+                else:
+                    row.pop(c, None)
+        if not row:
+            continue
+        pcol = min(row)
+        pval = row[pcol]
+        prow = {c: v / pval for c, v in row.items()}
+        for qrow in pivots.values():
+            if pcol in qrow:
+                f = qrow.pop(pcol)
+                for c, v in prow.items():
+                    if c == pcol:
+                        continue
+                    acc = qrow.get(c, zero) - f * v
+                    if acc:
+                        qrow[c] = acc
+                    else:
+                        qrow.pop(c, None)
+        pivots[pcol] = prow
+    return system.n_unknowns - len(pivots)
 
 
 def system_from_dense(a):
@@ -160,3 +220,65 @@ def test_numeric_nullity_counts_like_null_space():
         numeric_nullity(LinearConstraintSystem.from_rows(0, []))
     with pytest.raises(ValueError):
         numeric_nullity(systems[0], tol=0.0)
+
+
+def test_exact_nullity_matches_the_fraction_oracle_on_random_systems():
+    rng = np.random.default_rng(31)
+    # integers, then fractions with non-dyadic values such as 0.1 and 1/3
+    values = [0.1, 1 / 3, 2.5, -0.75, 1e-3, 7.0, -2.0]
+    for trial in range(300):
+        shape = (rng.integers(1, 9), rng.integers(1, 9))
+        if trial % 2:
+            dense = rng.integers(-3, 4, size=shape).astype(float)
+        else:
+            dense = rng.choice(values + [0.0] * 4, size=shape)
+        # dependent rows make the rank smaller than the row count
+        extra = rng.integers(-2, 3, size=(rng.integers(0, 4), shape[0])) @ dense
+        sys = system_from_dense(np.vstack([dense, extra]))
+        assert exact_nullity(sys) == fraction_nullity(sys), trial
+
+
+def test_exact_nullity_matches_the_fraction_oracle_on_repeated_columns():
+    rows = [
+        # 0.1 + 0.1 and 0.4 are exactly 0.2 and 4 * 0.1: a multiple of the
+        # next row, so the rank counts only if every row is scaled exactly
+        [(0, 0.1), (0, 0.1), (1, 0.4)],
+        [(0, 1.0), (1, 2.0)],
+        [(1, 1 / 3), (2, 1.0), (1, 2 / 3), (2, -1.0)],
+        [(2, 2.5), (3, 0.5), (2, -2.5)],
+        [(3, 1.0), (3, -1.0)],
+        [(0, 0.1), (0, 0.2), (1, -0.3), (3, 1e-3)],
+    ]
+    for k in range(len(rows) + 1):
+        sys = LinearConstraintSystem.from_rows(4, rows[:k])
+        assert exact_nullity(sys) == fraction_nullity(sys), k
+    assert exact_nullity(LinearConstraintSystem.from_rows(4, rows[:2])) == 3
+
+
+def test_exact_nullity_matches_the_fraction_oracle_on_the_model_fibers():
+    for kind in KINDS:
+        for n in range(1, MAX_HALF_DIM + 1):
+            fiber = ModelFiber.standard(kind, n)
+            systems = [build_constraints(fiber, query) for query in SubspaceQuery]
+            polarized = _base_rows(fiber) + _polarized_rows(fiber.dim)
+            systems.append(
+                LinearConstraintSystem.from_rows(fiber.dim**3, polarized)
+            )
+            for sys in systems:
+                assert exact_nullity(sys) == fraction_nullity(sys), (kind.label, n)
+
+
+def test_null_space_basis_is_complete_for_wide_and_tall_systems():
+    rng = np.random.default_rng(7)
+    for rows, cols, rank in ((2, 6, 2), (3, 9, 2), (9, 4, 3), (6, 6, 6)):
+        dense = rng.integers(-3, 4, size=(rows, rank)) @ rng.integers(
+            -3, 4, size=(rank, cols)
+        )
+        dense = dense.astype(float)
+        nullity = cols - elimination_rank(dense)
+        dim, basis = null_space(system_from_dense(dense))
+        assert dim == len(basis) == nullity, (rows, cols)
+        if nullity:
+            b = np.stack(basis)
+            assert np.allclose(b @ b.T, np.eye(nullity), atol=1e-12)
+            assert np.max(np.abs(dense @ b.T)) < 1e-9
