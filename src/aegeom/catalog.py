@@ -12,8 +12,11 @@ four for that, because on a surface they are parallel for every compatible
 metric.  Random entries conjugate the flat structure by a seeded polynomial
 matrix field and polarize a seeded positive-definite form.
 
-All component functions are rational in the coordinates, so they evaluate
-on ``Dual`` scalars without any special cases.
+Each field is written as the matrix formula it stands for, with ``matrix``,
+``@``, ``.T`` and ``inv`` from ``aegeom.dual``.  The same function evaluates
+on float coordinates, on arrays of coordinates (one entry per point) and on
+``Dual`` coordinates; it returns a plain array, a stack of arrays or a
+matrix ``Dual`` accordingly.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from .dual import inv, matrix
 from .errors import DegenerateConstruction, UnknownCatalogName
 from .manifold import (
     HERMITIAN,
@@ -33,7 +37,7 @@ from .manifold import (
     ChartedManifold,
     StructureKind,
 )
-from .octonion import cross
+from .octonion import cross_matrix
 
 RANDOM_RETRIES = 20
 
@@ -106,10 +110,11 @@ def catalog(name: str) -> ChartedManifold:
 
 
 def _constant_matrix_fn(rows) -> Callable:
-    data = [list(r) for r in rows]
+    data = np.array(rows, dtype=float)
+    data.setflags(write=False)
 
     def fn(coords, _data=data):
-        return [list(r) for r in _data]
+        return _data
 
     return fn
 
@@ -137,8 +142,8 @@ def _s6_chart(u: Sequence):
 
     The chart sends u in R^6 to ((1-s)/(1+s), u/(1+s)) with s = |u|^2/4,
     landing on the unit sphere in the imaginary octonions and missing only
-    the pole -e1.  Returns (p, d, den) where p has 7 components, d[b][j] is
-    the Jacobian d p_b / d u_j, and den = 1 + s.
+    the pole -e1.  Returns (p, d, den) where p is the list of 7 components,
+    d is the 7x6 Jacobian matrix, d[b][j] = d p_b / d u_j, and den = 1 + s.
     """
     s = (
         u[0] * u[0]
@@ -150,32 +155,20 @@ def _s6_chart(u: Sequence):
     ) * 0.25
     den = 1.0 + s
     den2 = den * den
-    p = [(1.0 - s) / den]
+    two_den2 = 2.0 * den2
+    inv_den = 1.0 / den
+    p = [(1.0 - s) / den] + [u[a] / den for a in range(6)]
+    rows = [[-u[j] / den2 for j in range(6)]]
     for a in range(6):
-        p.append(u[a] / den)
-    d = [[-u[j] / den2 for j in range(6)]]
-    for a in range(6):
-        row = []
-        for j in range(6):
-            entry = -(u[a] * u[j]) / (2.0 * den2)
-            if a == j:
-                entry = entry + 1.0 / den
-            row.append(entry)
-        d.append(row)
-    return p, d, den
+        row = [-(u[a] * u[j]) / two_den2 for j in range(6)]
+        row[a] = row[a] + inv_den
+        rows.append(row)
+    return p, matrix(rows), den
 
 
 def _s6_metric(u: Sequence):
     _, d, _ = _s6_chart(u)
-    g = [[None] * 6 for _ in range(6)]
-    for i in range(6):
-        for j in range(i, 6):
-            acc = d[0][i] * d[0][j]
-            for b in range(1, 7):
-                acc = acc + d[b][i] * d[b][j]
-            g[i][j] = acc
-            g[j][i] = acc
-    return g
+    return d.T @ d
 
 
 def _s6_structure(u: Sequence):
@@ -185,18 +178,7 @@ def _s6_structure(u: Sequence):
     # product with p, then pull back through the chart.  The chart is
     # conformal with factor 1/den^2, so (D^T D)^{-1} = den^2 * Id and the
     # pullback is den^2 * D^T w.
-    cols = []
-    for j in range(6):
-        x = [d[b][j] for b in range(7)]
-        w = cross(p, x)
-        col = []
-        for i in range(6):
-            acc = d[0][i] * w[0]
-            for b in range(1, 7):
-                acc = acc + d[b][i] * w[b]
-            col.append(den2 * acc)
-        cols.append(col)
-    return [[cols[j][i] for j in range(6)] for i in range(6)]
+    return d.T @ cross_matrix([den2 * x for x in p]) @ d
 
 
 def _six_sphere() -> ChartedManifold:
@@ -226,79 +208,21 @@ def _phi_jacobian(x: Sequence):
     """
     if len(x) == 2:
         x1, x2 = x[0], x[1]
-        return [
-            [1.0 + 0.1 * x2, 0.1 * (x1 + 2.0 * x2)],
-            [0.1 * (2.0 * x1 - x2), 1.0 - 0.1 * x1],
+        dq = [[x2, x1 + 2.0 * x2], [2.0 * x1 - x2, -x1]]
+    else:
+        x1, x2, x3, x4 = x[0], x[1], x[2], x[3]
+        dq = [
+            [0.0, x3, x2, 2.0 * x4],
+            [x4, 0.0, 2.0 * x3, x1],
+            [x2, x1 - x4, 0.0, -x2],
+            [x3, -2.0 * x2, x1, 0.0],
         ]
-    x1, x2, x3, x4 = x[0], x[1], x[2], x[3]
-    rows = [
-        [0.0, x3, x2, 2.0 * x4],
-        [x4, 0.0, 2.0 * x3, x1],
-        [x2, x1 - x4, 0.0, -x2],
-        [x3, -2.0 * x2, x1, 0.0],
-    ]
-    return [
-        [0.1 * rows[i][j] + (1.0 if i == j else 0.0) for j in range(4)]
-        for i in range(4)
-    ]
-
-
-def _inv2(a):
-    det = a[0][0] * a[1][1] - a[0][1] * a[1][0]
-    return [
-        [a[1][1] / det, -a[0][1] / det],
-        [-a[1][0] / det, a[0][0] / det],
-    ]
-
-
-def _inv_small(a):
-    """Gauss-Jordan inverse without pivoting, for near-identity matrices.
-
-    Entries may be floats or dual scalars; the diagonal must stay away
-    from zero, which holds for every matrix this module inverts.
-    """
-    n = len(a)
-    work = [list(row) for row in a]
-    inv = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
-    for col in range(n):
-        scale = 1.0 / work[col][col]
-        for j in range(n):
-            work[col][j] = work[col][j] * scale
-            inv[col][j] = inv[col][j] * scale
-        for row in range(n):
-            if row == col:
-                continue
-            factor = work[row][col]
-            for j in range(n):
-                work[row][j] = work[row][j] - factor * work[col][j]
-                inv[row][j] = inv[row][j] - factor * inv[col][j]
-    return inv
-
-
-def _mat_mul(a, b):
-    n = len(a)
-    m = len(b[0])
-    k_range = range(len(b))
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = a[i][0] * b[0][j]
-            for k in k_range:
-                if k:
-                    acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def _transpose(a):
-    return [list(col) for col in zip(*a)]
+    return np.eye(len(dq)) + 0.1 * matrix(dq)
 
 
 def _pullback_structure(x, j0):
     dphi = _phi_jacobian(x)
-    return _mat_mul(_inv_small(dphi), _mat_mul(j0, dphi))
+    return inv(dphi) @ j0 @ dphi
 
 
 # On a surface, a structure whose paired form is antisymmetric is parallel
@@ -343,21 +267,17 @@ def _pullback(label: str) -> ChartedManifold:
         j_rows, g_rows = _PULLBACK_FLAT4[label]
     else:
         kind, j_rows, g_rows = _FLAT_DATA[_FLAT_BY_KIND[label]]
-    j0 = [list(r) for r in j_rows]
-    g0 = [list(r) for r in g_rows]
+    j0 = np.array(j_rows)
+    g0 = np.array(g_rows)
     eps = kind.epsilon
     dim = len(j0)
 
     def structure_fn(coords, _j0=j0):
         return _pullback_structure(coords, _j0)
 
-    def metric_fn(coords, _j0=j0, _g0=g0, _eps=eps, _dim=dim):
+    def metric_fn(coords, _j0=j0, _g0=g0, _eps=eps):
         j = _pullback_structure(coords, _j0)
-        pol = _mat_mul(_transpose(j), _mat_mul(_g0, j))
-        return [
-            [0.5 * (_g0[i][k] + _eps * pol[i][k]) for k in range(_dim)]
-            for i in range(_dim)
-        ]
+        return 0.5 * (_g0 + _eps * (j.T @ _g0 @ j))
 
     return ChartedManifold(
         name=f"pullback-integrable-{label}",
@@ -373,36 +293,31 @@ def _pullback(label: str) -> ChartedManifold:
 # Random entries: seeded conjugation and polarization.
 # ---------------------------------------------------------------------------
 
-_MONOMIALS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
-
-
 def _poly_matrix(coeffs: np.ndarray, x):
-    """Evaluate the 2x2 matrix Id + 0.1 * P(x), P quadratic with coeffs."""
+    """Evaluate the 2x2 matrix Id + 0.1 * P(x), P quadratic with coeffs.
+
+    coeffs[i][j][m] multiplies the m-th of 1, x1, x2, x1^2, x1*x2, x2^2.
+    """
     x1, x2 = x[0], x[1]
-    mono = [1.0, x1, x2, x1 * x1, x1 * x2, x2 * x2]
-    out = []
-    for i in range(2):
-        row = []
-        for j in range(2):
-            acc = coeffs[i][j][0] * mono[0]
-            for m in range(1, 6):
-                acc = acc + coeffs[i][j][m] * mono[m]
-            acc = 0.1 * acc
-            if i == j:
-                acc = acc + 1.0
-            row.append(acc)
-        out.append(row)
-    return out
+    mono = (x1, x2, x1 * x1, x1 * x2, x2 * x2)
+
+    def poly(c):
+        acc = c[0]
+        for cm, xm in zip(c[1:], mono):
+            acc = acc + cm * xm
+        return acc
+
+    return np.eye(2) + 0.1 * matrix([[poly(c) for c in row] for row in coeffs])
 
 
 def _random_structure(coeffs, j0, x):
     a = _poly_matrix(coeffs, x)
-    return _mat_mul(a, _mat_mul(j0, _inv2(a)))
+    return a @ j0 @ inv(a)
 
 
 def _random(label: str, seed: int) -> ChartedManifold:
     kind, j_rows, _ = _FLAT_DATA[_FLAT_BY_KIND[label]]
-    j0 = [list(r) for r in j_rows]
+    j0 = np.array(j_rows)
     eps = kind.epsilon
     box = Box((-0.6, -0.6), (0.6, 0.6))
     rng = np.random.default_rng([seed, _kind_tag(kind), 29])
@@ -429,10 +344,7 @@ def _random(label: str, seed: int) -> ChartedManifold:
 
     def metric_fn(coords, _c=coeffs, _j0=j0, _h=h, _eps=eps):
         j = _random_structure(_c, _j0, coords)
-        pol = _mat_mul(_transpose(j), _mat_mul(_h.tolist(), j))
-        return [
-            [_h[i][k] + _eps * pol[i][k] for k in range(2)] for i in range(2)
-        ]
+        return _h + _eps * (j.T @ _h @ j)
 
     return ChartedManifold(
         name=f"random-{label}-{seed}",
@@ -447,15 +359,15 @@ def _random(label: str, seed: int) -> ChartedManifold:
 def _random_candidate_ok(coeffs, j0, h, eps, grid) -> bool:
     """Whether A and g stay away from singular at every grid point.
 
-    The grid points are evaluated at once, each entry as an array over them.
+    The grid points are evaluated at once, as a stack of matrices.  A is
+    tested before it is inverted, since ``inv`` raises on a singular matrix.
     """
     x = np.asarray(grid, dtype=float).T
-    with np.errstate(all="ignore"):
-        a = np.moveaxis(np.array(_poly_matrix(coeffs, x)), -1, 0)
-        j = np.moveaxis(np.array(_random_structure(coeffs, j0, x)), -1, 0)
-        g = h + eps * (np.swapaxes(j, 1, 2) @ h @ j)
-        det_a, det_g = np.linalg.det(a), np.linalg.det(g)
-    return not (np.abs(det_a) < 0.25).any() and not (np.abs(det_g) < 1e-4).any()
+    if (np.abs(np.linalg.det(_poly_matrix(coeffs, x))) < 0.25).any():
+        return False
+    j = _random_structure(coeffs, j0, x)
+    g = h + eps * (np.swapaxes(j, -1, -2) @ h @ j)
+    return not (np.abs(np.linalg.det(g)) < 1e-4).any()
 
 
 def _kind_tag(kind: StructureKind) -> int:

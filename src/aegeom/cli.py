@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Dict, List, Optional
@@ -137,8 +138,8 @@ def _check_sample_args(parser: argparse.ArgumentParser, args) -> SamplePlan:
         parser.error("--points must be at least 1")
     if args.vectors < 1:
         parser.error("--vectors must be at least 1")
-    if args.tol <= 0.0:
-        parser.error("--tol must be positive")
+    if not 0.0 < args.tol < math.inf:
+        parser.error("--tol must be a positive finite number")
     return SamplePlan(
         seed=args.seed, n_points=args.points, n_vector_triples=args.vectors
     )

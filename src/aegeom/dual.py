@@ -5,25 +5,27 @@ respect to a fixed tuple of active coordinates.  Arithmetic propagates the
 gradient exactly (up to rounding), so derivatives of polynomial and rational
 chart data carry no truncation error.  Finite differences are used only as an
 independent oracle in the test suite.  A dual may carry a whole batch of
-points; arithmetic is elementwise, so each point gets exactly the numbers
-it would get on its own.
+points, and its value may end in two matrix axes: arithmetic is elementwise,
+and ``@``, ``.T`` and ``inv`` act on the matrix of each point, so each point
+gets exactly the numbers it would get on its own.  ``matrix`` stacks nested
+entries into such a matrix.
 """
 
 from __future__ import annotations
 
-from typing import Union
-
 import numpy as np
 
 Number = (int, float, np.integer, np.floating)
-Scalar = Union["Dual", int, float]
+Constant = Number + (np.ndarray,)
 
 
 class Dual:
     """Number of the form a + sum_i b_i eps_i with eps_i eps_j = 0.
 
-    ``value`` has a batch shape S (``np.float64`` for S = (), one point) and
-    ``grad`` has shape S + (d,).  Plain and numpy numbers act as constants.
+    ``value`` has shape V, a batch shape S (``np.float64`` for S = (), one
+    point) that may be followed by two matrix axes, and ``grad`` has shape
+    V + (d,).  Plain and numpy numbers act as constants; so do arrays in
+    ``+``, ``-`` and ``@``, where they must not add axes to V.
     """
 
     __slots__ = ("value", "grad")
@@ -57,8 +59,8 @@ class Dual:
     def __add__(self, other):
         if isinstance(other, Dual):
             return Dual(self.value + other.value, self.grad + other.grad)
-        if isinstance(other, Number):
-            return Dual(self.value + float(other), self.grad)
+        if isinstance(other, Constant):
+            return Dual(self.value + other, self.grad)
         return NotImplemented
 
     __radd__ = __add__
@@ -66,13 +68,13 @@ class Dual:
     def __sub__(self, other):
         if isinstance(other, Dual):
             return Dual(self.value - other.value, self.grad - other.grad)
-        if isinstance(other, Number):
-            return Dual(self.value - float(other), self.grad)
+        if isinstance(other, Constant):
+            return Dual(self.value - other, self.grad)
         return NotImplemented
 
     def __rsub__(self, other):
-        if isinstance(other, Number):
-            return Dual(float(other) - self.value, -self.grad)
+        if isinstance(other, Constant):
+            return Dual(other - self.value, -self.grad)
         return NotImplemented
 
     def __mul__(self, other):
@@ -127,16 +129,73 @@ class Dual:
             n >>= 1
         return result
 
+    def __matmul__(self, other):
+        if isinstance(other, Dual):
+            return Dual(
+                self.value @ other.value,
+                _left(self.value, other.grad) + _right(self.grad, other.value),
+            )
+        if isinstance(other, np.ndarray):
+            return Dual(self.value @ other, _right(self.grad, other))
+        return NotImplemented
 
-def value_of(x: Scalar):
-    """Value of a number that may or may not be a Dual (an array for a batch)."""
-    if isinstance(x, Dual):
-        return x.value
-    return float(x)
+    def __rmatmul__(self, other):
+        if isinstance(other, np.ndarray):
+            return Dual(other @ self.value, _left(other, self.grad))
+        return NotImplemented
+
+    @property
+    def T(self) -> "Dual":
+        """The transpose of each point's matrix."""
+        return Dual(np.swapaxes(self.value, -1, -2), np.swapaxes(self.grad, -2, -3))
 
 
-def grad_of(x: Scalar, width: int) -> np.ndarray:
-    """Gradient of a number; constants contribute a zero vector."""
-    if isinstance(x, Dual):
-        return x.grad
-    return np.zeros(width)
+def _left(a: np.ndarray, db: np.ndarray) -> np.ndarray:
+    """a @ db for a gradient db: the derivative axis rides with the columns."""
+    cols, width = db.shape[-2:]
+    out = a @ db.reshape(db.shape[:-2] + (cols * width,))
+    return out.reshape(out.shape[:-1] + (cols, width))
+
+
+def _right(da: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """da @ b for a gradient da: the derivative axis becomes a row axis."""
+    return np.swapaxes(np.swapaxes(da, -1, -2) @ b[..., None, :, :], -1, -2)
+
+
+def inv(a):
+    """Inverse of each point's matrix, with d(A^-1) = -A^-1 dA A^-1.
+
+    Plain arrays go to ``np.linalg.inv``, which raises ``LinAlgError`` for
+    an exactly singular matrix.
+    """
+    if not isinstance(a, Dual):
+        return np.linalg.inv(a)
+    v = np.linalg.inv(a.value)
+    return Dual(v, -_right(_left(v, a.grad), v))
+
+
+def matrix(rows):
+    """Stack nested entries (numbers, arrays or duals) on two trailing axes.
+
+    Array entries and dual values share one batch shape S or are scalars,
+    and the value has shape S + (rows, columns).  The result is a ``Dual``
+    when any entry is one, the other entries having zero gradient, and a
+    plain float array otherwise.
+    """
+    shape = (len(rows), len(rows[0]))
+    if any(len(row) != shape[1] for row in rows):
+        raise ValueError("matrix rows differ in length")
+    cells = [cell for row in rows for cell in row]
+    values = [cell.value if isinstance(cell, Dual) else cell for cell in cells]
+    batch = next((v.shape for v in values if isinstance(v, np.ndarray)), ())
+    value = np.empty(batch + (len(cells),))
+    for k, v in enumerate(values):
+        value[..., k] = v
+    value = value.reshape(batch + shape)
+    grads = [(k, cell.grad) for k, cell in enumerate(cells) if isinstance(cell, Dual)]
+    if not grads:
+        return value
+    grad = np.zeros(batch + (len(cells), grads[0][1].shape[-1]))
+    for k, g in grads:
+        grad[..., k, :] = g
+    return Dual(value, grad.reshape(batch + shape + grad.shape[-1:]))

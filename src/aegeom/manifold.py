@@ -7,21 +7,25 @@ Riemannian (+1, +1, with trace J = 0 required), almost Norden (-1, -1), and
 almost para-Hermitian (+1, -1).  The last two force a split-signature
 metric.
 
-Metric and structure components are arbitrary callables of the chart
-coordinates; they must accept ``Dual`` numbers carrying a whole stack of
-sample points, so that first derivatives come out of one forward-mode pass.
+The metric and the structure are callables of the chart coordinates; they
+must accept ``Dual`` numbers carrying a whole stack of sample points, so
+that first derivatives come out of one forward-mode pass, and plain floats
+for the float reference.  A field returns a matrix ``Dual``, an array (a
+constant field) or nested entries, and one conversion turns each into the
+stacks the rest of the package reads.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dual import Dual, grad_of, value_of
+from .dual import Dual, matrix
 from .errors import (
     ConfigError,
     DomainEmpty,
@@ -183,8 +187,8 @@ def evaluate_fields(m: ChartedManifold, point: Sequence[float]):
         with np.errstate(all="ignore"):
             g_entries = _call_field(m, "metric", coords, point)
             j_entries = _call_field(m, "structure", coords, point)
-    g = _as_matrix(g_entries, m.dim, "metric")
-    j = _as_matrix(j_entries, m.dim, "structure")
+    g = _field_stacks(g_entries, 1, m.dim, "metric")[0][0]
+    j = _field_stacks(j_entries, 1, m.dim, "structure")[0][0]
     _require_finite(m, [point], np.isfinite(g)[None], np.isfinite(j)[None], "value")
     return g, j
 
@@ -208,8 +212,8 @@ def eval_with_derivatives(m: ChartedManifold, points):
         coords = Dual.seed(stack)
         g_entries = _call_field(m, "metric", coords, stack[0])
         j_entries = _call_field(m, "structure", coords, stack[0])
-    g, dg = _as_stack(g_entries, len(stack), m.dim, "metric")
-    jj, dj = _as_stack(j_entries, len(stack), m.dim, "structure")
+    g, dg = _field_stacks(g_entries, len(stack), m.dim, "metric")
+    jj, dj = _field_stacks(j_entries, len(stack), m.dim, "structure")
     finite_g = np.isfinite(g) & np.isfinite(dg).all(axis=1)
     finite_j = np.isfinite(jj) & np.isfinite(dj).all(axis=1)
     _require_finite(m, stack, finite_g, finite_j, "value or derivative")
@@ -396,30 +400,29 @@ def validate_structure(
     )
 
 
-def _as_matrix(entries, dim: int, what: str) -> np.ndarray:
-    out = np.empty((dim, dim))
-    try:
-        for i in range(dim):
-            for j in range(dim):
-                out[i, j] = value_of(entries[i][j])
-    except (IndexError, TypeError) as exc:
-        raise SlotMismatch(f"{what} must produce a {dim}x{dim} matrix") from exc
-    return out
+def _field_stacks(entries, n: int, dim: int, what: str):
+    """Value (n, dim, dim) and gradient (n, dim, dim, dim) stacks of a field.
 
-
-def _as_stack(entries, n: int, dim: int, what: str):
-    """Value (n, dim, dim) and gradient (n, dim, dim, dim) stacks of a field."""
-    values = np.empty((n, dim, dim))
-    grads = np.empty((n, dim, dim, dim))
+    ``entries`` is what the field returned: a matrix ``Dual``, an array, or
+    nested entries for ``matrix``.  An array is constant, so its gradient is
+    zero; both it and its gradient are broadcast, not copied.
+    """
+    mismatch = SlotMismatch(f"{what} must produce a {dim}x{dim} matrix")
     try:
-        for i in range(dim):
-            for j in range(dim):
-                cell = entries[i][j]
-                values[:, i, j] = value_of(cell)
-                grads[:, :, i, j] = grad_of(cell, dim)
-    except (IndexError, TypeError) as exc:
-        raise SlotMismatch(f"{what} must produce a {dim}x{dim} matrix") from exc
-    return values, grads
+        if not isinstance(entries, (Dual, np.ndarray)):
+            entries = matrix(entries)
+        if isinstance(entries, Dual):
+            value, grad = entries.value, np.moveaxis(entries.grad, -1, -3)
+        else:
+            value, grad = np.asarray(entries, dtype=float), np.zeros(())
+    except (IndexError, TypeError, ValueError) as exc:
+        raise mismatch from exc
+    if value.shape not in ((dim, dim), (n, dim, dim)):
+        raise mismatch
+    return (
+        np.broadcast_to(value, (n, dim, dim)),
+        np.broadcast_to(grad, (n, dim, dim, dim)),
+    )
 
 
 def load_manifold_config(path) -> ChartedManifold:
@@ -448,13 +451,16 @@ def load_manifold_config(path) -> ChartedManifold:
         raise ConfigError(f"{path}: {exc}") from exc
 
     dim = _require(raw, "dim", int, path)
+    if dim < 2 or dim % 2 != 0:
+        raise ConfigError(f"{path}: 'dim' must be even and at least 2, got {dim}")
     domain_raw = _require(raw, "domain", dict, path)
     for key in ("lo", "hi"):
-        if key not in domain_raw or not isinstance(domain_raw[key], list):
-            raise ConfigError(f"{path}: domain.{key} must be a list")
+        bounds = domain_raw.get(key)
+        if not isinstance(bounds, list) or not all(map(_finite_number, bounds)):
+            raise ConfigError(f"{path}: domain.{key} must be a list of finite numbers")
     try:
         domain = Box(tuple(domain_raw["lo"]), tuple(domain_raw["hi"]))
-    except (TypeError, ValueError) as exc:
+    except (OverflowError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     if domain.dim != dim:
         raise ConfigError(f"{path}: domain length {domain.dim} but dim {dim}")
@@ -493,6 +499,12 @@ def _require(raw: dict, key: str, expected_type, path):
     elif not isinstance(value, expected_type):
         raise ConfigError(f"{path}: {key!r} must be a {expected_type.__name__}")
     return value
+
+
+def _finite_number(x) -> bool:
+    # JSON gives NaN and +-Infinity as floats and big integers as ints;
+    # an int too large for a float passes here and fails in Box
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) < math.inf
 
 
 def _compile_matrix(raw: dict, key: str, dim: int, path):

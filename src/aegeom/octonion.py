@@ -12,13 +12,18 @@ checks on random inputs.  The induced cross product on the imaginary part
 R^7 is u x v = Im(u*v); for unit u and v orthogonal to u it squares to -1,
 which is what makes it usable as an almost complex structure on the sphere.
 
-Coefficients may be floats or ``Dual`` scalars; only ring operations are
-used, so derivative information flows through untouched.
+``multiply`` takes floats or ``Dual`` scalars and uses only ring
+operations.  ``cross_matrix`` places the entries of u (numbers, arrays or
+``Dual`` scalars) with their signs in the matrix of v -> u x v, so the cross
+product of two vectors, or of a field with the columns of a Jacobian, is
+one matrix product.
 """
 
 from __future__ import annotations
 
 from typing import List, Sequence
+
+from .dual import matrix
 
 TRIPLES = (
     (1, 2, 3),
@@ -54,7 +59,8 @@ def _build_tables():
 _IDX, _SGN = _build_tables()
 
 # Bilinear terms of the imaginary-part cross product: result k accumulates
-# sign * u_i * v_j, all indices 0-based within R^7.
+# sign * u_i * v_j, all indices 0-based within R^7.  Each (k, j) pair
+# occurs at most once.
 _CROSS_TERMS = tuple(
     (_IDX[i][j] - 1, i - 1, j - 1, _SGN[i][j])
     for i in range(1, 8)
@@ -79,13 +85,9 @@ def multiply(x: Sequence, y: Sequence) -> List:
     return out
 
 
-def cross(u: Sequence, v: Sequence) -> List:
-    """Seven-dimensional cross product of imaginary octonions."""
-    out = [0.0] * 7
+def cross_matrix(u: Sequence):
+    """Matrix C(u) with C(u) @ v = u x v for imaginary octonions u, v in R^7."""
+    rows = [[0.0] * 7 for _ in range(7)]
     for k, i, j, s in _CROSS_TERMS:
-        term = u[i] * v[j]
-        if s > 0:
-            out[k] = out[k] + term
-        else:
-            out[k] = out[k] - term
-    return out
+        rows[k][j] = u[i] if s > 0 else -u[i]
+    return matrix(rows)

@@ -20,7 +20,9 @@ class TensorValue:
     ``data`` is a dense real array in row-major index order and ``variance``
     labels each slot ``"upper"`` or ``"lower"``.  All slot extents must agree
     (components live over a single tangent space).  Instances are immutable:
-    the backing array is made read-only on construction.
+    the data is copied on construction and the copy made read-only.  Only a
+    copy can be: a single-point result is a slice of a stack whose base
+    array stays writable, so a read-only view of it could still change.
     """
 
     data: np.ndarray

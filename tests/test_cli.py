@@ -287,6 +287,53 @@ def test_usage_errors_exit_two(capsys):
     )
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0"])
+def test_tol_must_be_positive_and_finite(capsys, tol):
+    for verb in ("validate", "classify", "verify", "identities"):
+        code, out, err = run_capture(
+            capsys, [verb, "--manifold", "flat-kahler", *FAST, f"--tol={tol}"]
+        )
+        assert code == EXIT_USAGE, verb
+        assert out == "" and "--tol must be a positive finite number" in err
+    code, _, _ = run_capture(capsys, ["algebra-table", f"--tol={tol}"])
+    assert code == EXIT_USAGE
+
+
+BAD_CONFIGS = {
+    "odd-dim": ({"dim": 3}, "'dim' must be even and at least 2, got 3"),
+    "zero-dim": ({"dim": 0}, "'dim' must be even and at least 2, got 0"),
+    "infinite-lo": (
+        {"domain": {"lo": [float("-inf"), -1.0], "hi": [1.0, 1.0]}},
+        "domain.lo must be a list of finite numbers",
+    ),
+    "nan-hi": (
+        {"domain": {"lo": [-1.0, -1.0], "hi": [1.0, float("nan")]}},
+        "domain.hi must be a list of finite numbers",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_CONFIGS))
+def test_bad_config_dimensions_and_bounds_exit_one(tmp_path, capsys, name):
+    change, message = BAD_CONFIGS[name]
+    config = {
+        "kind": {"alpha": -1, "epsilon": 1},
+        "dim": 2,
+        "domain": {"lo": [-1.0, -1.0], "hi": [1.0, 1.0]},
+        "metric": [["1", "0"], ["0", "1"]],
+        "structure": [["0", "-1"], ["1", "0"]],
+        **change,
+    }
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(config))
+    for verb in ("validate", "classify"):
+        code, out, err = run_capture(capsys, [verb, "--manifold", str(path), *FAST])
+        assert code == EXIT_FAIL, verb
+        assert out == ""
+        assert err.startswith("error:") and message in err
+        assert "Traceback" not in err
+
+
 def test_help_exits_zero(capsys):
     assert run_capture(capsys, ["--help"])[0] == EXIT_PASS
     assert run_capture(capsys, ["classify", "--help"])[0] == EXIT_PASS

@@ -1,10 +1,14 @@
-"""Forward-mode dual numbers against analytic and finite-difference oracles."""
+"""Forward-mode dual numbers against analytic and finite-difference oracles.
+
+Matrix duals are also checked against entrywise scalar-dual arithmetic: the
+nested-loop product and Gauss-Jordan inverse below are the reference.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from aegeom.dual import Dual, grad_of, value_of
+from aegeom.dual import Dual, inv, matrix
 
 
 def central_difference(f, point, i, h=1e-6):
@@ -76,11 +80,107 @@ def test_unary_plus_and_minus():
 
 
 def test_value_and_grad_of_plain_floats():
-    assert value_of(2.5) == 2.5
-    assert np.all(grad_of(2.5, 3) == 0.0)
+    # plain entries stack to a float array; beside a dual they are constants
+    plain = matrix([[2.5, 1], [np.float64(0.0), -1.0]])
+    assert isinstance(plain, np.ndarray) and plain.dtype == float
+    assert np.array_equal(plain, [[2.5, 1.0], [0.0, -1.0]])
     (x,) = Dual.seed([1.0])
-    assert value_of(x) == 1.0
-    assert grad_of(x, 1)[0] == 1.0
+    mixed = matrix([[x, 2.5]])
+    assert np.array_equal(mixed.value, [[1.0, 2.5]])
+    assert np.array_equal(mixed.grad, [[[1.0], [0.0]]])
+
+
+def test_matrix_puts_array_entries_on_trailing_axes():
+    x = np.array([1.0, 2.0, 3.0])
+    stack = matrix([[x, 0.0], [1.0, x * x]])
+    assert stack.shape == (3, 2, 2)
+    assert np.array_equal(stack[2], [[3.0, 0.0], [1.0, 9.0]])
+    with pytest.raises(ValueError):
+        matrix([[1.0, 2.0], [3.0]])
+
+
+J0 = np.array([[0.0, -1.0], [1.0, 0.0]])
+K = np.array([[0.5, -1.0, 2.0], [1.5, 0.0, -0.5]])
+
+
+def matrix_field(v):
+    """A 3x2 matrix function using every matrix operation of ``Dual``."""
+    x, y = v
+    a = matrix([[1.0 + 0.1 * x * y, 0.2 * x], [0.3 * y * y, 1.0 - 0.1 * x]])
+    b = matrix([[x, 1.0, y], [x * y, -y, 2.0]])
+    c = J0 @ inv(a) @ b - K
+    return (K - c).T @ (np.eye(2) + a) @ J0
+
+
+def mat_mul(a, b):
+    n = len(a)
+    m = len(b[0])
+    k_range = range(len(b))
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(m):
+            acc = a[i][0] * b[0][j]
+            for k in k_range:
+                if k:
+                    acc = acc + a[i][k] * b[k][j]
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def inv_small(a):
+    """Gauss-Jordan inverse without pivoting, for near-identity matrices."""
+    n = len(a)
+    work = [list(row) for row in a]
+    inv = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
+    for col in range(n):
+        scale = 1.0 / work[col][col]
+        for j in range(n):
+            work[col][j] = work[col][j] * scale
+            inv[col][j] = inv[col][j] * scale
+        for row in range(n):
+            if row == col:
+                continue
+            factor = work[row][col]
+            for j in range(n):
+                work[row][j] = work[row][j] - factor * work[col][j]
+                inv[row][j] = inv[row][j] - factor * inv[col][j]
+    return inv
+
+
+def entrywise(op, a, b):
+    return [[op(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def matrix_field_by_entries(v):
+    """``matrix_field`` in scalar-dual arithmetic, one entry at a time."""
+    x, y = v
+    a = [[1.0 + 0.1 * x * y, 0.2 * x], [0.3 * y * y, 1.0 - 0.1 * x]]
+    b = [[x, 1.0, y], [x * y, -y, 2.0]]
+    j0, k, eye = J0.tolist(), K.tolist(), np.eye(2).tolist()
+    c = entrywise(lambda p, q: p - q, mat_mul(mat_mul(j0, inv_small(a)), b), k)
+    left = [list(col) for col in zip(*entrywise(lambda p, q: p - q, k, c))]
+    return mat_mul(mat_mul(left, entrywise(lambda p, q: p + q, eye, a)), j0)
+
+
+@pytest.mark.parametrize("point", [(0.3, -0.7), (-1.2, 0.4), (2.0, 1.5)])
+def test_matrix_operations_match_entrywise_scalar_duals(point):
+    dual = matrix_field(Dual.seed(point))
+    cells = matrix_field_by_entries(Dual.seed(point))
+    assert dual.value.shape == (3, 2) and dual.grad.shape == (3, 2, 2)
+    value = np.array([[c.value for c in row] for row in cells])
+    grad = np.array([[c.grad for c in row] for row in cells])
+    assert np.allclose(dual.value, value, rtol=1e-12, atol=1e-13)
+    assert np.allclose(dual.grad, grad, rtol=1e-12, atol=1e-13)
+
+
+@pytest.mark.parametrize("point", [(0.3, -0.7), (-1.2, 0.4), (2.0, 1.5)])
+def test_matrix_gradient_matches_finite_differences(point):
+    grad = matrix_field(Dual.seed(point)).grad
+    for i in range(2):
+        fd = central_difference(matrix_field, point, i)
+        assert np.allclose(grad[..., i], fd, rtol=1e-6, atol=1e-7)
 
 
 coeffs = st.lists(
@@ -134,9 +234,11 @@ def test_batched_duals_match_single_points_exactly():
         x, y = v
         return x * x * y + y / x - 2.0 / x**2 + (x - y) ** 3 / (1.0 + y * y)
 
-    batch = f(Dual.seed(points))
-    assert batch.value.shape == (3,) and batch.grad.shape == (3, 2)
-    for n, point in enumerate(points):
-        single = f(Dual.seed(point))
-        assert batch.value[n] == single.value
-        assert np.array_equal(batch.grad[n], single.grad)
+    for fn, shape in ((f, ()), (matrix_field, (3, 2))):
+        batch = fn(Dual.seed(points))
+        assert batch.value.shape == (3,) + shape
+        assert batch.grad.shape == (3,) + shape + (2,)
+        for n, point in enumerate(points):
+            single = fn(Dual.seed(point))
+            assert np.array_equal(batch.value[n], single.value)
+            assert np.array_equal(batch.grad[n], single.grad)
