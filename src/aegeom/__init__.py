@@ -12,6 +12,7 @@ from .algebra import (
     SubspaceQuery,
     alternating_definitions_coincide,
     build_constraints,
+    closed_form_dimension,
     dimension_table,
     subspace_dimension,
 )
@@ -123,6 +124,7 @@ __all__ = [
     "catalog",
     "christoffel",
     "classify",
+    "closed_form_dimension",
     "codazzi_coupled_residuals",
     "condition_table",
     "derived_tensors",

@@ -10,21 +10,31 @@ two refinements: the alternating part (vanishing on equal first arguments,
 the pointwise model of the "nearly" condition) and the part symmetric in
 the first two arguments (the pointwise model of the Codazzi condition).
 
-Dimensions are computed numerically by SVD and cross-checked by exact
-fraction-free integer elimination; any disagreement raises, because the
-constraint coefficients are integers and both routes must agree exactly.
+Dimensions are computed numerically, from the singular values of the
+independent blocks of each system's sparsity pattern, and cross-checked by
+exact fraction-free integer elimination of the whole system; any
+disagreement raises, because the constraint coefficients are integers and
+both routes must agree exactly.  ``closed_form_dimension`` states the
+dimensions the theorems give.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .errors import DimensionOracleMismatch, UnsupportedDimension
-from .linalg import LinearConstraintSystem, exact_nullity, null_space, numeric_nullity
+from .linalg import (
+    Entries,
+    LinearConstraintSystem,
+    exact_nullity,
+    null_space,
+    numeric_nullity,
+)
 from .manifold import KINDS, StructureKind
 
 MAX_HALF_DIM = 3
@@ -134,44 +144,63 @@ class ModelFiber:
         )
 
 
-def _index(d: int, i: int, j: int, k: int) -> int:
-    return (i * d + j) * d + k
+def _pairs(
+    first: np.ndarray, second: np.ndarray, coeffs: Tuple[float, float]
+) -> Entries:
+    """Rows of two terms: slots ``first`` and ``second``, row by row in C order."""
+    count = first.size
+    cols = np.stack([first.ravel(), second.ravel()], axis=1).ravel()
+    return np.full(count, 2), cols, np.tile(np.array(coeffs, dtype=float), count)
 
 
-def _base_rows(fiber: ModelFiber) -> List[List[Tuple[int, float]]]:
+def _slots(d: int) -> np.ndarray:
+    """``_slots(d)[i, j, k]`` is the unknown phi(e_i, e_j, e_k)."""
+    return np.arange(d**3).reshape(d, d, d)
+
+
+def _base_rows(fiber: ModelFiber) -> Entries:
     d = fiber.dim
     ae = fiber.kind.product
-    j0 = fiber.j0
-    rows: List[List[Tuple[int, float]]] = []
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                rows.append(
-                    [
-                        (_index(d, i, j, k), 1.0),
-                        (_index(d, i, k, j), float(-ae)),
-                    ]
-                )
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                row: List[Tuple[int, float]] = []
-                for m in range(d):
-                    if j0[m, j]:
-                        row.append((_index(d, i, m, k), float(j0[m, j])))
-                    if j0[m, k]:
-                        row.append((_index(d, i, j, m), float(ae * j0[m, k])))
-                rows.append(row)
-    return rows
+    slot = _slots(d)
+    swap = _pairs(slot, slot.transpose(0, 2, 1), (1.0, -ae))
+    # row (i, j, k), term (m, t): phi(e_i, J e_j, e_k) through slot (i, m, k)
+    # when t = 0, and ae * phi(e_i, e_j, J e_k) through slot (i, j, m) when
+    # t = 1; the terms run over m first, then t, and zero terms are absent
+    a = np.arange(d)
+    i, j, k, m = a[:, None, None, None], a[:, None, None], a[:, None], a
+    cols = np.empty((d, d, d, d, 2), dtype=np.intp)
+    cols[..., 0] = (i * d + m) * d + k
+    cols[..., 1] = (i * d + j) * d + m
+    coeffs = np.empty((d, d, d, d, 2))
+    coeffs[..., 0] = fiber.j0[m, j]
+    coeffs[..., 1] = ae * fiber.j0[m, k]
+    present = coeffs != 0
+    lengths = present.reshape(d**3, -1).sum(axis=1)
+    return _concat(swap, (lengths, cols[present], coeffs[present]))
 
 
-def _first_two_rows(d: int, sign: float) -> List[List[Tuple[int, float]]]:
-    return [
-        [(_index(d, i, j, k), 1.0), (_index(d, j, i, k), sign)]
-        for i in range(d)
-        for j in range(d)
-        for k in range(d)
-    ]
+def _first_two_rows(d: int, sign: float) -> Entries:
+    slot = _slots(d)
+    return _pairs(slot, slot.transpose(1, 0, 2), (1.0, sign))
+
+
+def _polarized_rows(d: int) -> Entries:
+    """Vanishing on equal first arguments: diagonal rows, symmetric pairs."""
+    slot = _slots(d)
+    diagonal = slot[np.arange(d), np.arange(d)].ravel()
+    i, j = np.triu_indices(d, 1)
+    ones = np.ones(diagonal.size, dtype=np.intp)
+    return _concat(
+        (ones, diagonal, ones.astype(float)), _pairs(slot[i, j], slot[j, i], (1.0, 1.0))
+    )
+
+
+def _concat(*parts: Entries) -> Entries:
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+
+
+def _system(d: int, *parts: Entries) -> LinearConstraintSystem:
+    return LinearConstraintSystem.from_entries(d**3, *_concat(*parts))
 
 
 def build_constraints(
@@ -179,12 +208,12 @@ def build_constraints(
 ) -> LinearConstraintSystem:
     """Sparse homogeneous constraints for the requested subspace."""
     d = fiber.dim
-    rows = _base_rows(fiber)
+    parts = [_base_rows(fiber)]
     if query is SubspaceQuery.ALTERNATING:
-        rows += _first_two_rows(d, 1.0)
+        parts.append(_first_two_rows(d, 1.0))
     elif query is SubspaceQuery.SYMMETRIC:
-        rows += _first_two_rows(d, -1.0)
-    return LinearConstraintSystem.from_rows(d**3, rows)
+        parts.append(_first_two_rows(d, -1.0))
+    return _system(d, *parts)
 
 
 def subspace_dimension(
@@ -204,6 +233,24 @@ def subspace_dimension(
             f"for {fiber.kind.label}, n={fiber.n}, query={query.value}"
         )
     return exact_dim
+
+
+def closed_form_dimension(kind: StructureKind, n: int, query: SubspaceQuery) -> int:
+    """The dimension the theorems give for a subspace, in half-dimension n.
+
+    When alpha*epsilon = -1 the full subspace has dimension 2n^2(n-1) and
+    the alternating one 2*C(n, 3), the realified (3,0)-forms of the
+    Gray-Hervella class W1; when alpha*epsilon = +1 the full subspace has
+    dimension 2n^3 and the alternating one is zero.  The symmetric
+    subspace is zero for every kind.
+    """
+    if query is SubspaceQuery.SYMMETRIC:
+        return 0
+    if kind.product == -1:
+        if query is SubspaceQuery.FULL:
+            return 2 * n * n * (n - 1)
+        return 2 * math.comb(n, 3)
+    return 2 * n**3 if query is SubspaceQuery.FULL else 0
 
 
 def dimension_table(max_n: int = MAX_HALF_DIM) -> dict:
@@ -239,35 +286,16 @@ def alternating_definitions_coincide(
     """
     d = fiber.dim
     base = _base_rows(fiber)
-    sys_a = LinearConstraintSystem.from_rows(d**3, base + _polarized_rows(d))
-    sys_b = LinearConstraintSystem.from_rows(d**3, base + _first_two_rows(d, 1.0))
-    dense_a = sys_a.to_dense()
-    dense_b = sys_b.to_dense()
-    dim_a, basis_a = null_space(sys_a, tol, dense_a)
-    dim_b, basis_b = null_space(sys_b, tol, dense_b)
+    sys_a = _system(d, base, _polarized_rows(d))
+    sys_b = _system(d, base, _first_two_rows(d, 1.0))
+    dim_a, basis_a = null_space(sys_a, tol)
+    dim_b, basis_b = null_space(sys_b, tol)
     if dim_a != dim_b:
         return False
-    for basis, dense in ((basis_a, dense_b), (basis_b, dense_a)):
-        for vec in basis:
-            unit = vec / np.max(np.abs(vec))
-            if float(np.max(np.abs(dense @ unit))) >= tol:
+    for basis, other in ((basis_a, sys_b), (basis_b, sys_a)):
+        if basis:
+            vectors = np.stack(basis)
+            units = vectors / np.max(np.abs(vectors), axis=1, keepdims=True)
+            if float(np.max(np.abs(other.to_dense() @ units.T))) >= tol:
                 return False
     return True
-
-
-def _polarized_rows(d: int) -> List[List[Tuple[int, float]]]:
-    """Vanishing on equal first arguments: diagonal rows, symmetric pairs."""
-    rows: List[List[Tuple[int, float]]] = []
-    for i in range(d):
-        for k in range(d):
-            rows.append([(_index(d, i, i, k), 1.0)])
-    for i in range(d):
-        for j in range(i + 1, d):
-            for k in range(d):
-                rows.append(
-                    [
-                        (_index(d, i, j, k), 1.0),
-                        (_index(d, j, i, k), 1.0),
-                    ]
-                )
-    return rows

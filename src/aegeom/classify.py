@@ -33,6 +33,7 @@ from .algebra import (
     MAX_HALF_DIM,
     ModelFiber,
     SubspaceQuery,
+    closed_form_dimension,
     dimension_table,
     subspace_dimension,
 )
@@ -210,26 +211,18 @@ def _biconditional(
     return CheckResult(name=name, status="hypothesis not met", details=details)
 
 
-def _check_sign_pattern(
+def _check_closed_form(
     kind: StructureKind, n: int, query: SubspaceQuery, value: int
 ) -> int:
-    """Return a sign-condition subspace dimension that fits the theorems.
+    """Return a subspace dimension that equals ``closed_form_dimension``.
 
-    The symmetric (Codazzi) subspace is zero for every kind and n; the
-    alternating (nearly) subspace is zero at every n when alpha*epsilon = +1,
-    and nonzero at n = ``MAX_HALF_DIM`` when alpha*epsilon = -1.  Any other
-    value raises ``TheoremViolation``.
+    Any other value raises ``TheoremViolation``.
     """
-    if query is SubspaceQuery.SYMMETRIC or kind.product == 1:
-        zero = True
-    elif n == MAX_HALF_DIM:
-        zero = False
-    else:
-        return value
-    if (value == 0) != zero:
+    expected = closed_form_dimension(kind, n, query)
+    if value != expected:
         raise TheoremViolation(
             f"{query.value} subspace has dimension {value} for {kind.label}, "
-            f"n={n}; expected {'zero' if zero else 'nonzero'}"
+            f"n={n}; the closed form gives {expected}"
         )
     return value
 
@@ -243,7 +236,7 @@ def _with_subspace_note(
     if dim is None or dim // 2 > MAX_HALF_DIM:
         return check
     n = dim // 2
-    value = _check_sign_pattern(
+    value = _check_closed_form(
         kind, n, query, subspace_dimension(ModelFiber.standard(kind, n), query)
     )
     note = f", {query.value} subspace dimension {value} (n={n})"
@@ -359,7 +352,7 @@ def condition_table(
     supported model fiber: a zero-dimensional subspace means the condition
     forces the structure derivative itself to vanish.  ``dims`` is the
     output of ``dimension_table()``, which is computed when not given; every
-    sign-condition dimension in it must match the expected pattern or
+    dimension in it must equal ``closed_form_dimension`` or
     ``TheoremViolation`` is raised.  Each cell also records the outcome of
     the matching theorem check on every catalog entry of that kind, as
     sampled evidence beside the algebraic proof.
@@ -372,8 +365,8 @@ def condition_table(
         raise ValueError(f"dims must reach n={MAX_HALF_DIM} for every kind")
     for kind in KINDS:
         for n, queries in dims[kind.label].items():
-            for query in (SubspaceQuery.ALTERNATING, SubspaceQuery.SYMMETRIC):
-                _check_sign_pattern(kind, n, query, queries[query.value])
+            for query in SubspaceQuery:
+                _check_closed_form(kind, n, query, queries[query.value])
     n = MAX_HALF_DIM
     by_kind: Dict[str, List[ChartedManifold]] = {}
     for name in standard_names():

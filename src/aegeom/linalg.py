@@ -1,16 +1,23 @@
 """Sparse linear constraint systems and their null spaces.
 
-Null spaces are computed by singular value decomposition with a cutoff
-relative to the largest singular value, and cross-checked elsewhere by exact
-fraction-free Gaussian elimination over the integers (``exact_nullity``),
-which never rounds.
+Two routes give a system's null space dimension, and they share no step.
+The numeric route splits the system into the independent blocks of its
+sparsity pattern (``_blocks``), takes the singular values of every block
+(blocks of equal shape in one stacked SVD), and counts those above a
+cutoff relative to the largest singular value of the whole system; the
+blocks of a block-diagonal matrix have exactly its singular values, so
+the split changes the cost and not the count.  The exact route,
+``exact_nullity``, eliminates the whole unsplit system by fraction-free
+Gaussian elimination over the integers, which never rounds.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from functools import cached_property
+from itertools import islice
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -19,6 +26,8 @@ from .errors import DegenerateSystem, SlotMismatch
 NULL_SPACE_TOL = 1e-9
 
 Row = Tuple[Tuple[int, float], ...]
+Entries = Tuple[np.ndarray, np.ndarray, np.ndarray]
+Block = Tuple[np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -32,48 +41,174 @@ class LinearConstraintSystem:
     def from_rows(
         n_unknowns: int, rows: Iterable[Sequence[Tuple[int, float]]]
     ) -> "LinearConstraintSystem":
-        packed = []
-        for row in rows:
-            for idx, _ in row:
-                if not 0 <= idx < n_unknowns:
-                    raise SlotMismatch(
-                        f"column {idx} out of range for {n_unknowns} unknowns"
-                    )
-            packed.append(tuple((int(i), float(c)) for i, c in row))
-        return LinearConstraintSystem(n_unknowns, tuple(packed))
+        rows = [list(row) for row in rows]
+        return LinearConstraintSystem.from_entries(
+            n_unknowns,
+            [len(row) for row in rows],
+            [idx for row in rows for idx, _ in row],
+            [coeff for row in rows for _, coeff in row],
+        )
+
+    @staticmethod
+    def from_entries(
+        n_unknowns: int, lengths: np.ndarray, cols: np.ndarray, coeffs: np.ndarray
+    ) -> "LinearConstraintSystem":
+        """System from flat entry arrays in row order.
+
+        Row r holds the next ``lengths[r]`` entries of ``cols`` and
+        ``coeffs``; read-only copies are kept as the system's ``entries``.
+        """
+        lengths = np.asarray(lengths, dtype=np.intp)
+        cols = np.array(cols, dtype=np.intp)
+        coeffs = np.array(coeffs, dtype=float)
+        if cols.shape != coeffs.shape or int(lengths.sum()) != cols.size:
+            raise ValueError("row lengths, columns and coefficients disagree")
+        bad = (cols < 0) | (cols >= n_unknowns)
+        if bad.any():
+            raise SlotMismatch(
+                f"column {cols[bad][0]} out of range for {n_unknowns} unknowns"
+            )
+        pairs = iter(zip(cols.tolist(), coeffs.tolist()))
+        rows = tuple(tuple(islice(pairs, n)) for n in lengths.tolist())
+        system = LinearConstraintSystem(n_unknowns, rows)
+        # fills the cached property below, so the rows are never flattened
+        row_of = np.repeat(np.arange(lengths.size), lengths)
+        system.__dict__["entries"] = _read_only(row_of, cols, coeffs)
+        return system
+
+    @cached_property
+    def entries(self) -> Entries:
+        """Row index, column and coefficient of every stored entry."""
+        flat = [entry for row in self.rows for entry in row]
+        packed = np.array(flat, dtype=float).reshape(-1, 2)
+        row_of = np.repeat(np.arange(len(self.rows)), [len(r) for r in self.rows])
+        return _read_only(row_of, packed[:, 0].astype(np.intp), packed[:, 1])
 
     def to_dense(self) -> np.ndarray:
         """Dense coefficient matrix; repeated columns in a row add up."""
+        row_of, cols, coeffs = self.entries
         dense = np.zeros((len(self.rows), self.n_unknowns))
-        packed = np.array(
-            [entry for row in self.rows for entry in row], dtype=float
-        ).reshape(-1, 2)
-        row_of = np.repeat(np.arange(len(self.rows)), [len(r) for r in self.rows])
-        np.add.at(dense, (row_of, packed[:, 0].astype(np.intp)), packed[:, 1])
+        np.add.at(dense, (row_of, cols), coeffs)
         return dense
 
 
+def _read_only(*arrays: np.ndarray) -> Entries:
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+def _blocks(system: LinearConstraintSystem) -> List[Block]:
+    """Independent blocks of the sparsity pattern, as (rows, columns) arrays.
+
+    Two unknowns share a block when a chain of rows links them, whatever
+    the coefficients, so a row whose entries cancel still joins its
+    columns.  A row with no entry belongs to no block; an unknown that no
+    row touches is a block of its own with no rows.  Indices ascend inside
+    a block, and blocks come in the order of their smallest unknown.
+    """
+    row_of, cols, _ = system.entries
+    n_rows, n = len(system.rows), system.n_unknowns
+    # every unknown ends labelled by the smallest unknown of its block:
+    # labels only shrink, each row pulls its columns to their least label,
+    # and a pointer jump per round shortens the chains
+    label = np.arange(n)
+    while cols.size:
+        row_min = np.full(n_rows, n)
+        np.minimum.at(row_min, row_of, label[cols])
+        pulled = label.copy()
+        np.minimum.at(pulled, cols, row_min[row_of])
+        pulled = pulled[pulled]
+        if (pulled == label).all():
+            break
+        label = pulled
+    roots = np.flatnonzero(label == np.arange(n))
+    row_label = np.full(n_rows, n)
+    row_label[row_of] = label[cols]
+    col_order = np.argsort(label, kind="stable")
+    row_order = np.argsort(row_label, kind="stable")
+    bounds = []
+    for order, labels in ((row_order, row_label), (col_order, label)):
+        ordered = labels[order]
+        bounds += [
+            np.searchsorted(ordered, roots).tolist(),
+            np.searchsorted(ordered, roots, side="right").tolist(),
+        ]
+    return [
+        (row_order[r0:r1], col_order[c0:c1]) for r0, r1, c0, c1 in zip(*bounds)
+    ]
+
+
+def _block_spectra(
+    system: LinearConstraintSystem, compute_uv: bool
+) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Singular values of every block, one stacked SVD per block shape.
+
+    Each item is (columns (k, c), singular values (k, min(r, c)), right
+    singular vectors (k, c, c) or None) for the k blocks of shape (r, c).
+    A wide block takes the full V, so every block gets all c of its right
+    singular vectors; a block with no rows has none of its singular values
+    and the identity for V.
+    """
+    dense = system.to_dense()
+    by_shape: Dict[Tuple[int, int], List[Block]] = {}
+    for rows, cols in _blocks(system):
+        by_shape.setdefault((rows.size, cols.size), []).append((rows, cols))
+    spectra = []
+    for (r, c), blocks in by_shape.items():
+        cols = np.array([b[1] for b in blocks], dtype=np.intp)
+        vt = None
+        if r == 0:
+            sigma = np.zeros((len(blocks), 0))
+            if compute_uv:
+                vt = np.broadcast_to(np.eye(c), (len(blocks), c, c))
+        else:
+            rows = np.array([b[0] for b in blocks], dtype=np.intp)
+            stack = dense[rows[:, :, None], cols[:, None, :]]
+            if compute_uv:
+                _, sigma, vt = np.linalg.svd(stack, full_matrices=r < c)
+            else:
+                sigma = np.linalg.svd(stack, compute_uv=False)
+        spectra.append((cols, sigma, vt))
+    return spectra
+
+
+def _descending(spectra) -> Tuple[np.ndarray, np.ndarray]:
+    """Every block's singular values in one array, and its descending order."""
+    flat = np.concatenate([s.ravel() for _, s, _ in spectra] + [np.zeros(0)])
+    return flat, np.argsort(-flat, kind="stable")
+
+
 def null_space(
-    system: LinearConstraintSystem,
-    tol: float = NULL_SPACE_TOL,
-    dense: Optional[np.ndarray] = None,
+    system: LinearConstraintSystem, tol: float = NULL_SPACE_TOL
 ) -> Tuple[int, List[np.ndarray]]:
     """Dimension and orthonormal basis of the null space of the system.
 
-    ``tol`` is relative to the largest singular value; singular values at or
-    below the cutoff count as zero.  ``dense`` is ``system.to_dense()`` when
-    the caller already holds it.  A system with at least as many rows as
-    unknowns gets the thin SVD, whose V is already square; only a wide one
-    needs the full V, and then pays for the full U as well.
+    ``tol`` is relative to the largest singular value of the whole system;
+    singular values at or below the cutoff count as zero.  Each block of
+    the sparsity pattern (``_blocks``) contributes the right singular
+    vectors past its own rank, embedded into vectors of full length; the
+    blocks have disjoint columns, so the basis is orthonormal.
     """
     _check_args(system, tol)
-    if dense is None:
-        dense = system.to_dense()
-    n = system.n_unknowns
-    full = dense.shape[0] < n
-    _, sigma, vt = np.linalg.svd(dense, full_matrices=full)
-    rank = _numeric_rank(sigma, tol)
-    return n - rank, [vt[i] for i in range(rank, n)]
+    spectra = _block_spectra(system, compute_uv=True)
+    flat, order = _descending(spectra)
+    # the cutoff keeps the largest values; a block's rank is how many of
+    # its own values it keeps, and those come first in the block's SVD
+    above = np.zeros(flat.size, dtype=bool)
+    above[order[: _numeric_rank(flat[order], tol)]] = True
+    basis: List[np.ndarray] = []
+    offset = 0
+    for cols, sigma, vt in spectra:
+        k, c = cols.shape
+        ranks = above[offset : offset + sigma.size].reshape(sigma.shape).sum(axis=1)
+        offset += sigma.size
+        null = np.arange(c) >= ranks[:, None]
+        vectors = np.zeros((int(null.sum()), system.n_unknowns))
+        targets = np.broadcast_to(cols[:, None, :], (k, c, c))[null]
+        vectors[np.arange(len(vectors))[:, None], targets] = vt[null]
+        basis.extend(vectors)
+    return len(basis), basis
 
 
 def numeric_nullity(
@@ -81,8 +216,8 @@ def numeric_nullity(
 ) -> int:
     """Null space dimension by the ``null_space`` cutoff, without a basis."""
     _check_args(system, tol)
-    sigma = np.linalg.svd(system.to_dense(), compute_uv=False)
-    return system.n_unknowns - _numeric_rank(sigma, tol)
+    flat, order = _descending(_block_spectra(system, compute_uv=False))
+    return system.n_unknowns - _numeric_rank(flat[order], tol)
 
 
 def _check_args(system: LinearConstraintSystem, tol: float) -> None:

@@ -203,11 +203,7 @@ def eval_with_derivatives(m: ChartedManifold, points):
     ``NonFiniteField`` naming the cell and the first such point.
     """
     stack = np.atleast_2d(np.asarray(points, dtype=float))
-    for point in stack:
-        if not m.domain.contains(point):
-            raise PointOutsideDomain(
-                f"point {_as_tuple(point)} not inside {m.name} domain"
-            )
+    _require_inside(m, stack)
     with np.errstate(all="ignore"):
         coords = Dual.seed(stack)
         g_entries = _call_field(m, "metric", coords, stack[0])
@@ -223,6 +219,21 @@ def eval_with_derivatives(m: ChartedManifold, points):
     return tuple(
         TensorValue(a[0], v) for a, v in zip((g, dg, jj, dj), variances)
     )
+
+
+def _require_inside(m: ChartedManifold, stack: np.ndarray) -> None:
+    """Raise ``PointOutsideDomain`` naming the first point not in the box.
+
+    The comparisons are strict, so a NaN coordinate is outside.
+    """
+    if stack.shape[1:] != (m.domain.dim,):
+        inside = np.zeros(len(stack), dtype=bool)
+    else:
+        lo, hi = np.asarray(m.domain.lo), np.asarray(m.domain.hi)
+        inside = ((lo < stack) & (stack < hi)).all(axis=1)
+    if not inside.all():
+        point = _as_tuple(stack[int(np.argmin(inside))])
+        raise PointOutsideDomain(f"point {point} not inside {m.name} domain")
 
 
 def _as_tuple(point) -> Tuple[float, ...]:

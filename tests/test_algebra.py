@@ -14,7 +14,7 @@ from aegeom.algebra import (
 )
 from aegeom import algebra, linalg
 from aegeom.errors import DimensionOracleMismatch, UnsupportedDimension
-from aegeom.linalg import null_space
+from aegeom.linalg import LinearConstraintSystem, null_space
 from aegeom.manifold import (
     HERMITIAN,
     KINDS,
@@ -242,3 +242,107 @@ def test_wrong_exact_rank_trips_the_dimension_oracle(monkeypatch):
     )
     with pytest.raises(DimensionOracleMismatch, match="exact dimension 3"):
         subspace_dimension(fiber, SubspaceQuery.ALTERNATING)
+
+
+def test_a_split_that_drops_a_row_trips_the_dimension_oracle(monkeypatch):
+    # the first block of the product-Riemannian n=3 full system is the
+    # unknown phi_000 alone: its swap row cancels, and the structure row
+    # 2 phi_000 = 0 is the only one that pins it, so without that row the
+    # numeric route finds one null vector too many
+    fiber = ModelFiber.standard(PRODUCT_RIEMANNIAN, 3)
+    true_blocks = linalg._blocks
+
+    def dropping(system):
+        blocks = true_blocks(system)
+        rows, cols = blocks[0]
+        blocks[0] = (rows[:-1], cols)
+        return blocks
+
+    monkeypatch.setattr(linalg, "_blocks", dropping)
+    with pytest.raises(DimensionOracleMismatch, match="numeric dimension 55"):
+        subspace_dimension(fiber, SubspaceQuery.FULL)
+
+
+def test_a_split_that_cuts_a_block_in_two_trips_the_dimension_oracle(monkeypatch):
+    # halving the largest block's unknowns turns every row that crosses the
+    # cut into a one-term row on each side, which kills a null vector
+    fiber = ModelFiber.standard(HERMITIAN, 3)
+    true_blocks = linalg._blocks
+
+    def cutting(system):
+        blocks = true_blocks(system)
+        big = max(range(len(blocks)), key=lambda b: blocks[b][1].size)
+        rows, cols = blocks[big]
+        half = cols.size // 2
+        blocks[big : big + 1] = [(rows, cols[:half]), (rows, cols[half:])]
+        return blocks
+
+    monkeypatch.setattr(linalg, "_blocks", cutting)
+    with pytest.raises(DimensionOracleMismatch, match="numeric dimension 1 "):
+        subspace_dimension(fiber, SubspaceQuery.ALTERNATING)
+
+
+def test_the_dimension_table_takes_no_svd_wider_than_a_block(monkeypatch):
+    # the widest block of any standard system up to n=3 has 24 unknowns;
+    # a dense SVD of a whole n=3 system would have 216
+    shapes = []
+    true_svd = np.linalg.svd
+
+    def recording(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return true_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    dimension_table()
+    assert shapes
+    assert max(shape[-1] for shape in shapes) == 24
+
+
+
+def loop_rows(fiber, extra):
+    """The constraint rows written as nested loops, the builders' reference."""
+    d, ae, j0 = fiber.dim, fiber.kind.product, fiber.j0
+    index = lambda i, j, k: (i * d + j) * d + k  # noqa: E731
+    cube = [(i, j, k) for i in range(d) for j in range(d) for k in range(d)]
+    rows = [[(index(i, j, k), 1.0), (index(i, k, j), float(-ae))] for i, j, k in cube]
+    for i, j, k in cube:
+        row = []
+        for m in range(d):
+            if j0[m, j]:
+                row.append((index(i, m, k), float(j0[m, j])))
+            if j0[m, k]:
+                row.append((index(i, j, m), float(ae * j0[m, k])))
+        rows.append(row)
+    if extra == "polarized":
+        rows += [[(index(i, i, k), 1.0)] for i in range(d) for k in range(d)]
+        rows += [
+            [(index(i, j, k), 1.0), (index(j, i, k), 1.0)]
+            for i in range(d)
+            for j in range(i + 1, d)
+            for k in range(d)
+        ]
+    elif extra is not None:
+        rows += [[(index(i, j, k), 1.0), (index(j, i, k), extra)] for i, j, k in cube]
+    return LinearConstraintSystem.from_rows(d**3, rows)
+
+
+def test_constraint_builders_match_the_nested_loops():
+    s = np.array([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, -1], [0, 0, 0, 1]])
+    for kind in KINDS:
+        fibers = [ModelFiber.standard(kind, n) for n in (1, 2, 3)]
+        fibers.append(ModelFiber.standard(kind, 2).conjugated(s))
+        for fiber in fibers:
+            d = fiber.dim
+            built = {
+                None: build_constraints(fiber, SubspaceQuery.FULL),
+                1.0: build_constraints(fiber, SubspaceQuery.ALTERNATING),
+                -1.0: build_constraints(fiber, SubspaceQuery.SYMMETRIC),
+                "polarized": algebra._system(
+                    d, algebra._base_rows(fiber), algebra._polarized_rows(d)
+                ),
+            }
+            for extra, system in built.items():
+                reference = loop_rows(fiber, extra)
+                assert system == reference, (kind.label, d, extra)
+                for ours, theirs in zip(system.entries, reference.entries):
+                    assert np.array_equal(ours, theirs)

@@ -5,13 +5,18 @@ import importlib
 import numpy as np
 import pytest
 
-from aegeom.algebra import MAX_HALF_DIM, SubspaceQuery, dimension_table
+from aegeom.algebra import (
+    MAX_HALF_DIM,
+    SubspaceQuery,
+    closed_form_dimension,
+    dimension_table,
+)
 from aegeom.catalog import catalog, standard_names
 from aegeom.classify import (
     CONDITIONS,
     ClassificationReport,
     _biconditional,
-    _check_sign_pattern,
+    _check_closed_form,
     _implication,
     classify,
     condition_table,
@@ -20,7 +25,14 @@ from aegeom.classify import (
     theorem_suite,
 )
 from aegeom.errors import TheoremViolation
-from aegeom.manifold import HERMITIAN, KINDS, NORDEN, PARA_HERMITIAN, SamplePlan
+from aegeom.manifold import (
+    HERMITIAN,
+    KINDS,
+    NORDEN,
+    PARA_HERMITIAN,
+    PRODUCT_RIEMANNIAN,
+    SamplePlan,
+)
 
 PLAN = SamplePlan(seed=0, n_points=8)
 
@@ -118,52 +130,91 @@ def test_wrong_subspace_dimension_is_a_theorem_violation(monkeypatch):
     classify_module = importlib.import_module("aegeom.classify")
     algebra_module = importlib.import_module("aegeom.algebra")
 
-    def patch(value):
-        # the subspace notes query through classify, the table through algebra
+    def patch(wrong_query, value):
+        # the subspace notes query through classify, the table through
+        # algebra; every other query keeps its closed form
+        def query(fiber, q):
+            if q is wrong_query:
+                return value
+            return closed_form_dimension(fiber.kind, fiber.n, q)
+
         for module in (classify_module, algebra_module):
-            monkeypatch.setattr(module, "subspace_dimension", lambda f, q: value)
+            monkeypatch.setattr(module, "subspace_dimension", query)
 
     # the symmetric subspace must be zero for every kind
-    patch(1)
+    patch(SubspaceQuery.SYMMETRIC, 1)
     with pytest.raises(TheoremViolation, match="symmetric"):
         theorem_suite(catalog("flat-kahler"), PLAN)
-    with pytest.raises(TheoremViolation, match="expected"):
+    with pytest.raises(TheoremViolation, match="symmetric.*closed form gives 0"):
         condition_table(PLAN)
-    # the alternating one is zero exactly when alpha*epsilon = +1
-    patch(0)
-    with pytest.raises(TheoremViolation, match="alternating.*expected nonzero"):
+    # the alternating one is nonzero in six dimensions for alpha*epsilon = -1
+    patch(SubspaceQuery.ALTERNATING, 0)
+    with pytest.raises(
+        TheoremViolation, match="alternating.*hermitian, n=3; the closed form gives 2"
+    ):
+        condition_table(PLAN)
+    # and the full one is checked too
+    patch(SubspaceQuery.FULL, 7)
+    with pytest.raises(TheoremViolation, match="full subspace has dimension 7"):
         condition_table(PLAN)
 
 
 def test_sign_pattern_accepts_every_true_dimension():
-    # below the largest fiber the alternating subspace is zero for every
-    # kind, also where alpha*epsilon = -1
+    # every computed cell equals the closed form, the full subspace and the
+    # alternating one below the largest fiber included
     table = dimension_table()
     for kind in KINDS:
         for n in range(1, MAX_HALF_DIM + 1):
-            for query in (SubspaceQuery.ALTERNATING, SubspaceQuery.SYMMETRIC):
+            for query in SubspaceQuery:
                 value = table[kind.label][n][query.value]
-                assert _check_sign_pattern(kind, n, query, value) == value
+                assert value == closed_form_dimension(kind, n, query)
+                assert _check_closed_form(kind, n, query, value) == value
     for n in (1, 2):
         assert table[HERMITIAN.label][n][SubspaceQuery.ALTERNATING.value] == 0
-        assert _check_sign_pattern(HERMITIAN, n, SubspaceQuery.ALTERNATING, 0) == 0
+        assert _check_closed_form(HERMITIAN, n, SubspaceQuery.ALTERNATING, 0) == 0
 
 
 def test_sign_pattern_rejects_each_wrong_cell():
-    for kind, n, query, value, word in (
-        (HERMITIAN, 1, SubspaceQuery.SYMMETRIC, 1, "zero"),
-        (NORDEN, 2, SubspaceQuery.ALTERNATING, 3, "zero"),
-        (PARA_HERMITIAN, MAX_HALF_DIM, SubspaceQuery.ALTERNATING, 0, "nonzero"),
+    for kind, n, query, value, expected in (
+        (HERMITIAN, 1, SubspaceQuery.SYMMETRIC, 1, 0),
+        (NORDEN, 2, SubspaceQuery.ALTERNATING, 3, 0),
+        (PARA_HERMITIAN, MAX_HALF_DIM, SubspaceQuery.ALTERNATING, 0, 2),
+        (NORDEN, 2, SubspaceQuery.FULL, 8, 16),
+        (HERMITIAN, 3, SubspaceQuery.FULL, 54, 36),
     ):
-        with pytest.raises(TheoremViolation, match=f"n={n}; expected {word}$"):
-            _check_sign_pattern(kind, n, query, value)
+        with pytest.raises(
+            TheoremViolation, match=f"n={n}; the closed form gives {expected}$"
+        ):
+            _check_closed_form(kind, n, query, value)
+
+
+def test_wrong_alternating_value_below_the_largest_fiber_is_caught():
+    # alpha*epsilon = -1 below n = MAX_HALF_DIM used to pass any value
+    with pytest.raises(TheoremViolation, match="hermitian, n=2"):
+        _check_closed_form(HERMITIAN, 2, SubspaceQuery.ALTERNATING, 4)
+    table = dimension_table()
+    table[HERMITIAN.label][2][SubspaceQuery.ALTERNATING.value] = 4
+    with pytest.raises(TheoremViolation, match="alternating_first_two subspace"):
+        condition_table(PLAN, dims=table)
+
+
+def test_closed_forms_follow_the_gray_hervella_count():
+    # alpha*epsilon = -1: the alternating part is the realified (3,0)-forms
+    for n, w1 in ((1, 0), (2, 0), (3, 2), (4, 8), (5, 20)):
+        for kind in (HERMITIAN, PARA_HERMITIAN):
+            assert closed_form_dimension(kind, n, SubspaceQuery.ALTERNATING) == w1
+        assert closed_form_dimension(NORDEN, n, SubspaceQuery.ALTERNATING) == 0
+    for kind in KINDS:
+        assert closed_form_dimension(kind, 4, SubspaceQuery.SYMMETRIC) == 0
+    assert closed_form_dimension(HERMITIAN, 4, SubspaceQuery.FULL) == 96
+    assert closed_form_dimension(PRODUCT_RIEMANNIAN, 4, SubspaceQuery.FULL) == 128
 
 
 def test_condition_table_reads_a_given_dimension_table():
     table = dimension_table()
     assert condition_table(PLAN, dims=table) == condition_table(PLAN)
     table[NORDEN.label][1][SubspaceQuery.SYMMETRIC.value] = 4
-    with pytest.raises(TheoremViolation, match="norden, n=1; expected zero"):
+    with pytest.raises(TheoremViolation, match="norden, n=1; the closed form gives 0"):
         condition_table(PLAN, dims=table)
     with pytest.raises(ValueError, match="n=3 for every kind"):
         condition_table(PLAN, dims=dimension_table(max_n=2))

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aegeom.algebra import (
     MAX_HALF_DIM,
@@ -11,10 +13,13 @@ from aegeom.algebra import (
     SubspaceQuery,
     _base_rows,
     _polarized_rows,
+    _system,
     build_constraints,
 )
 from aegeom.errors import DegenerateSystem, SlotMismatch
+from aegeom import linalg
 from aegeom.linalg import (
+    NULL_SPACE_TOL,
     LinearConstraintSystem,
     exact_nullity,
     null_space,
@@ -260,9 +265,8 @@ def test_exact_nullity_matches_the_fraction_oracle_on_the_model_fibers():
         for n in range(1, MAX_HALF_DIM + 1):
             fiber = ModelFiber.standard(kind, n)
             systems = [build_constraints(fiber, query) for query in SubspaceQuery]
-            polarized = _base_rows(fiber) + _polarized_rows(fiber.dim)
             systems.append(
-                LinearConstraintSystem.from_rows(fiber.dim**3, polarized)
+                _system(fiber.dim, _base_rows(fiber), _polarized_rows(fiber.dim))
             )
             for sys in systems:
                 assert exact_nullity(sys) == fraction_nullity(sys), (kind.label, n)
@@ -282,3 +286,103 @@ def test_null_space_basis_is_complete_for_wide_and_tall_systems():
             b = np.stack(basis)
             assert np.allclose(b @ b.T, np.eye(nullity), atol=1e-12)
             assert np.max(np.abs(dense @ b.T)) < 1e-9
+
+
+def dense_nullity(dense, tol=NULL_SPACE_TOL):
+    """The numeric route without the split: one SVD of the whole matrix."""
+    sigma = np.linalg.svd(dense, compute_uv=False) if dense.size else np.zeros(0)
+    return dense.shape[1] - int(np.sum(sigma > tol * sigma.max(initial=0.0)))
+
+
+@st.composite
+def split_systems(draw):
+    """Integer blocks laid out block-diagonally under shuffled rows and columns.
+
+    Block 0 is the fixed 1 x 1 block (2), so the largest singular value is
+    at least 2.  Rows may hold a coefficient split over two entries of one
+    column and a pair of entries that cancel; some columns are in no row;
+    and one drawn block may be scaled by 1e-12.  Returns the system, the
+    rows of the scaled block and the number of columns.
+    """
+    blocks = [np.array([[2]])]
+    for _ in range(draw(st.integers(1, 4))):
+        r, c = draw(st.integers(0, 5)), draw(st.integers(1, 4))
+        values = draw(st.lists(st.integers(-3, 3), min_size=r * c, max_size=r * c))
+        blocks.append(np.array(values, dtype=int).reshape(r, c))
+    n_rows = sum(b.shape[0] for b in blocks)
+    n_cols = sum(b.shape[1] for b in blocks) + draw(st.integers(0, 3))
+    row_at = draw(st.permutations(range(n_rows)))
+    col_at = draw(st.permutations(range(n_cols)))
+    small = draw(st.sampled_from([None] + list(range(1, len(blocks)))))
+    rows = [None] * n_rows
+    small_rows = []
+    r0 = c0 = 0
+    for b, block in enumerate(blocks):
+        scale = 1e-12 if b == small else 1.0
+        for i, line in enumerate(block):
+            row = [(col_at[c0 + j], float(v) * scale) for j, v in enumerate(line) if v]
+            if row and draw(st.booleans()):
+                col, v = row[0]
+                part = draw(st.integers(-3, 3)) * scale
+                row[0:1] = [(col, part), (col, v - part)]
+            if draw(st.booleans()):
+                col = col_at[c0 + draw(st.integers(0, block.shape[1] - 1))]
+                x = draw(st.integers(1, 3)) * scale
+                row += [(col, x), (col, -x)]
+            rows[row_at[r0 + i]] = row
+            if b == small:
+                small_rows.append(row_at[r0 + i])
+        r0 += block.shape[0]
+        c0 += block.shape[1]
+    system = LinearConstraintSystem.from_rows(n_cols, rows)
+    return system, small_rows, n_cols
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(split_systems())
+def test_block_split_numeric_route_matches_the_dense_svd_and_the_exact_route(drawn):
+    system, small_rows, n = drawn
+    dense = system.to_dense()
+    expected = dense_nullity(dense)
+    assert numeric_nullity(system) == expected
+    dim, basis = null_space(system)
+    assert dim == len(basis) == expected
+    # the scaled block sits below the cutoff of the whole system, so its
+    # rows count as absent; the exact route sees them, so it is given the
+    # system without them
+    kept = [row for r, row in enumerate(system.rows) if r not in small_rows]
+    assert exact_nullity(LinearConstraintSystem.from_rows(n, kept)) == expected
+    if basis:
+        b = np.stack(basis)
+        assert b.shape == (dim, n)
+        assert np.allclose(b @ b.T, np.eye(dim), atol=1e-12)
+        assert np.max(np.abs(dense @ b.T)) < 1e-9
+
+
+def test_blocks_follow_the_pattern_not_the_coefficients():
+    rows = [
+        [(3, 1.0), (0, 2.0)],
+        [],
+        [(1, 1.0), (4, 1.0), (1, -1.0)],  # cancels in column 1, joins 1 and 4
+        [(0, 1.0)],
+        [(5, 1.0), (5, -1.0)],  # cancels, a block on its own
+    ]
+    blocks = linalg._blocks(LinearConstraintSystem.from_rows(7, rows))
+    assert [(r.tolist(), c.tolist()) for r, c in blocks] == [
+        ([0, 3], [0, 3]),
+        ([2], [1, 4]),
+        ([], [2]),
+        ([4], [5]),
+        ([], [6]),
+    ]
+
+
+def test_a_chain_of_rows_is_one_block():
+    # a path 0 - 1 - ... - 9 whose rows come in scrambled order
+    order = [4, 0, 8, 2, 6, 1, 7, 3, 5]
+    rows = [[(k + 1, 1.0), (k, -1.0)] for k in order]
+    system = LinearConstraintSystem.from_rows(10, rows)
+    ((block_rows, block_cols),) = linalg._blocks(system)
+    assert block_rows.tolist() == list(range(9))
+    assert block_cols.tolist() == list(range(10))
+    assert numeric_nullity(system) == exact_nullity(system) == 1

@@ -174,6 +174,18 @@ def test_evaluate_fields_and_domain_check():
         eval_with_derivatives(m, (0.0, 1.5))
 
 
+def test_domain_check_names_the_first_outside_point_of_a_stack():
+    m = flat2(HERMITIAN)
+    stack = [(0.1, 0.2), (-0.3, 0.4), (0.5, 1.25), (3.0, 0.0)]
+    with pytest.raises(PointOutsideDomain, match=r"point \(0\.5, 1\.25\) "):
+        eval_with_derivatives(m, stack)
+    stack = [(0.1, 0.2), (float("nan"), 0.4), (3.0, 0.0)]
+    with pytest.raises(PointOutsideDomain, match=r"point \(nan, 0\.4\) "):
+        eval_with_derivatives(m, stack)
+    with pytest.raises(PointOutsideDomain, match=r"point \(0\.1, 0\.2, 0\.3\) "):
+        eval_with_derivatives(m, [(0.1, 0.2, 0.3)])
+
+
 def test_flat_fields_have_exactly_zero_derivatives():
     m = flat2(NORDEN, j=REFLECTION, g=[[1.0, 0.0], [0.0, -1.0]])
     g, dg, j, dj = eval_with_derivatives(m, (0.1, 0.4))
