@@ -25,18 +25,7 @@ from .classify import (
     sample_residuals,
     theorem_suite,
 )
-from .connection import (
-    ConnectionCoefficients,
-    DerivedTensors,
-    canonical_connection,
-    canonical_torsion,
-    christoffel,
-    codazzi_coupled_residuals,
-    derived_tensors,
-    identity_residuals,
-    nabla_j,
-    nijenhuis,
-)
+from .connection import christoffel, derived_tensors, identity_residuals
 from .dual import Dual
 from .errors import (
     ConfigError,
@@ -76,7 +65,6 @@ from .manifold import (
     load_manifold_config,
     validate_structure,
 )
-from .tensors import LOWER, UPPER, TensorValue
 
 __version__ = "0.1.0"
 
@@ -86,10 +74,8 @@ __all__ = [
     "CheckResult",
     "ClassificationReport",
     "ConfigError",
-    "ConnectionCoefficients",
     "DegenerateConstruction",
     "DegenerateSystem",
-    "DerivedTensors",
     "DimensionOracleMismatch",
     "DomainEmpty",
     "Dual",
@@ -99,7 +85,6 @@ __all__ = [
     "InternalConsistencyError",
     "InvalidStructure",
     "KINDS",
-    "LOWER",
     "LinearConstraintSystem",
     "ModelFiber",
     "NORDEN",
@@ -111,21 +96,16 @@ __all__ = [
     "SlotMismatch",
     "StructureKind",
     "SubspaceQuery",
-    "TensorValue",
     "TheoremViolation",
-    "UPPER",
     "UnknownCatalogName",
     "UnsupportedDimension",
     "ValidationReport",
     "alternating_definitions_coincide",
     "build_constraints",
-    "canonical_connection",
-    "canonical_torsion",
     "catalog",
     "christoffel",
     "classify",
     "closed_form_dimension",
-    "codazzi_coupled_residuals",
     "condition_table",
     "derived_tensors",
     "dimension_table",
@@ -134,8 +114,6 @@ __all__ = [
     "exact_nullity",
     "identity_residuals",
     "load_manifold_config",
-    "nabla_j",
-    "nijenhuis",
     "null_space",
     "sample_residuals",
     "standard_names",

@@ -38,7 +38,7 @@ from .algebra import (
     subspace_dimension,
 )
 from .catalog import catalog, standard_names
-from .connection import _Frame, _derived_arrays
+from .connection import derived_tensors
 from .errors import TheoremViolation
 from .manifold import (
     KINDS,
@@ -161,7 +161,7 @@ def sample_residuals(
 
 
 def _conditions(m: ChartedManifold, points) -> Dict[str, float]:
-    arrs = _derived_arrays(_Frame(m, points))
+    arrs = derived_tensors(m, points)
     nj = arrs["nabla_j"]
     t = arrs["torsion"]
     lowered = np.einsum("nai,nijk->najk", arrs["g"], t)

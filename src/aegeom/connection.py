@@ -1,7 +1,7 @@
 """Connections and derived tensors over a stack of sample points.
 
-Every array carries the sample points on its leading axis; the public
-single-point functions return the N=1 slice of the same pass.  Index
+Every function takes a stack of points (N, d), or one point (d,) as a stack
+of one, and every array carries the points on its leading axis.  Index
 conventions after the point axis, with d the manifold dimension:
 
 * ``gamma[k, i, j]``   coefficient of the covariant derivative in direction
@@ -19,13 +19,14 @@ torsion and Nijenhuis formulas.  These identities assume the structure
 axioms, so every checked pass first checks the axioms and raises
 ``InvalidStructure`` where they fail; past that, any disagreement can only
 come from an implementation bug.  Either names the manifold and the first
-failing sample point.
+failing sample point.  ``derived_tensors`` is the checked pass,
+``identity_residuals`` checks the axioms only, and ``christoffel``, which
+needs no structure, checks nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -38,34 +39,17 @@ from .errors import (
 from .manifold import (
     VALIDATION_TOL,
     ChartedManifold,
+    _as_tuple,
     axiom_residuals,
     eval_with_derivatives,
     metric_abs_det,
     worst_over_sample,
 )
-from .tensors import LOWER, UPPER, TensorValue, inf_norm
+from .tensors import inf_norm
 
 PARALLEL_TOL = 1e-8
 TORSION_AGREEMENT_TOL = 1e-9
 NIJENHUIS_AGREEMENT_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class ConnectionCoefficients:
-    """Coefficients gamma[k, i, j] of an affine connection at a point."""
-
-    point: Tuple[float, ...]
-    gamma: TensorValue
-
-
-@dataclass(frozen=True)
-class DerivedTensors:
-    """Structure derivative, canonical torsion, and Nijenhuis at a point."""
-
-    point: Tuple[float, ...]
-    nabla_j: TensorValue
-    torsion: TensorValue
-    nijenhuis: TensorValue
 
 
 class _Frame:
@@ -76,7 +60,7 @@ class _Frame:
     def __init__(self, m: ChartedManifold, points) -> None:
         self.name = m.name
         self.kind = m.kind
-        self.points = np.asarray(points, dtype=float)
+        self.points = np.atleast_2d(np.asarray(points, dtype=float))
         self.g, self.dg, self.j, self.dj = eval_with_derivatives(m, self.points)
         metric_abs_det(m, self.points, self.g)
         n, d = self.g.shape[:2]
@@ -88,7 +72,7 @@ class _Frame:
         self.nabla_j = _covariant_structure(self.dj, self.gamma, self.j)
 
     def point(self, n: int) -> Tuple[float, ...]:
-        return tuple(float(x) for x in self.points[n])
+        return _as_tuple(self.points[n])
 
 
 def _covariant_structure(dj, gamma, j):
@@ -132,6 +116,9 @@ def _require(frame: _Frame, checks: List[_Check]) -> None:
         (InvalidStructure, VALIDATION_TOL, message.format(key), (r,))
         for key, r in axioms.items()
     ] + checks
+    # locating the point is needed only when something fails
+    if all(inf_norm(r) < tol for _, tol, _, stacks in checks for r in stacks):
+        return
     per_point = [
         np.stack([np.abs(r).reshape(len(r), -1).max(axis=1) for r in stacks])
         for _, _, _, stacks in checks
@@ -147,13 +134,24 @@ def _require(frame: _Frame, checks: List[_Check]) -> None:
         raise error(f"{frame.name}: {detail}")
 
 
-def _derived_arrays(frame: _Frame) -> Dict[str, np.ndarray]:
-    """Every derived stack, after every runtime cross-check has passed.
+def christoffel(m: ChartedManifold, points) -> np.ndarray:
+    """Coefficients gamma[n, k, i, j] of the metric (torsion-free) connection.
 
-    ``gamma0`` holds the canonical coefficients; the torsion is computed
-    from them and in two closed forms, the Nijenhuis tensor from covariant
-    derivatives and from brackets.
+    Checks nothing about the structure: the metric connection needs only g.
     """
+    return _Frame(m, points).gamma
+
+
+def derived_tensors(m: ChartedManifold, points) -> Dict[str, np.ndarray]:
+    """Every derived stack of the checked pass, after every check has passed.
+
+    Keys ``g``, ``gamma0`` (the canonical connection), ``nabla_j``,
+    ``torsion``, ``torsion_shift`` and ``nijenhuis``.  The torsion is
+    computed from ``gamma0`` and in two closed forms, the Nijenhuis tensor
+    from covariant derivatives and from brackets; the axioms and every
+    runtime cross-check run first and raise where one fails.
+    """
+    frame = _Frame(m, points)
     g, dg, j, dj, nj = frame.g, frame.dg, frame.j, frame.dj, frame.nabla_j
     alpha = frame.kind.alpha
     gamma0 = frame.gamma + (-alpha / 2.0) * np.einsum("nika,naj->nkij", nj, j)
@@ -224,94 +222,6 @@ def _derived_arrays(frame: _Frame) -> Dict[str, np.ndarray]:
     }
 
 
-def _checked_point(
-    m: ChartedManifold, point: Sequence[float]
-) -> Tuple[Tuple[float, ...], Dict[str, np.ndarray]]:
-    """The point and the N=1 slice of every stack of the checked pass."""
-    frame = _Frame(m, [point])
-    arrays = _derived_arrays(frame)
-    return frame.point(0), {key: arr[0] for key, arr in arrays.items()}
-
-
-def christoffel(m: ChartedManifold, point: Sequence[float]) -> ConnectionCoefficients:
-    """Coefficients of the metric (torsion-free) connection at a point."""
-    frame = _Frame(m, [point])
-    return ConnectionCoefficients(
-        point=frame.point(0),
-        gamma=TensorValue(frame.gamma[0], (UPPER, LOWER, LOWER)),
-    )
-
-
-def nabla_j(m: ChartedManifold, point: Sequence[float]) -> TensorValue:
-    """Covariant derivative of the structure tensor, metric connection.
-
-    Like every checked single-point function, runs the whole checked pass
-    (axioms and every runtime cross-check) and raises where it fails.
-    """
-    _, arrays = _checked_point(m, point)
-    return TensorValue(arrays["nabla_j"], (LOWER, UPPER, LOWER))
-
-
-def canonical_connection(
-    m: ChartedManifold, point: Sequence[float]
-) -> ConnectionCoefficients:
-    """Canonical connection at a point, checked to make J and g parallel."""
-    point, arrays = _checked_point(m, point)
-    return ConnectionCoefficients(
-        point=point, gamma=TensorValue(arrays["gamma0"], (UPPER, LOWER, LOWER))
-    )
-
-
-def canonical_torsion(m: ChartedManifold, point: Sequence[float]) -> TensorValue:
-    """Torsion of the canonical connection, computed three ways.
-
-    The antisymmetrized coefficients must agree with both closed forms in
-    terms of (nabla J) J and J (nabla J); disagreement raises
-    ``TorsionFormulaMismatch``.
-    """
-    _, arrays = _checked_point(m, point)
-    return TensorValue(arrays["torsion"], (UPPER, LOWER, LOWER))
-
-
-def nijenhuis(m: ChartedManifold, point: Sequence[float]) -> TensorValue:
-    """Nijenhuis tensor, via covariant derivatives and via brackets.
-
-    Also checks that minus half of it equals the canonical torsion with
-    structure-rotated arguments plus alpha times the plain torsion; any
-    disagreement raises ``NijenhuisFormulaMismatch``.
-    """
-    _, arrays = _checked_point(m, point)
-    return TensorValue(arrays["nijenhuis"], (UPPER, LOWER, LOWER))
-
-
-def derived_tensors(m: ChartedManifold, point: Sequence[float]) -> DerivedTensors:
-    """Structure derivative, torsion, and Nijenhuis in one checked pass."""
-    point, arrays = _checked_point(m, point)
-    return DerivedTensors(
-        point=point,
-        nabla_j=TensorValue(arrays["nabla_j"], (LOWER, UPPER, LOWER)),
-        torsion=TensorValue(arrays["torsion"], (UPPER, LOWER, LOWER)),
-        nijenhuis=TensorValue(arrays["nijenhuis"], (UPPER, LOWER, LOWER)),
-    )
-
-
-def codazzi_coupled_residuals(
-    m: ChartedManifold, point: Sequence[float]
-) -> Tuple[float, float]:
-    """Residuals of the two coupling equations for the metric connection.
-
-    Returns (structure part, metric part): the antisymmetrized covariant
-    derivative of J, and the antisymmetrized covariant derivative of g.  The
-    metric part vanishes identically for the metric connection and serves as
-    a sharp internal check.
-    """
-    frame = _Frame(m, [point])
-    r_j = inf_norm(frame.nabla_j - np.einsum("njik->nkij", frame.nabla_j))
-    nabla_g = _covariant_metric(frame.dg, frame.gamma, frame.g)
-    r_g = inf_norm(nabla_g - np.einsum("nikj->nkij", nabla_g))
-    return r_j, r_g
-
-
 def identity_residuals(
     m: ChartedManifold,
     points,
@@ -319,7 +229,8 @@ def identity_residuals(
 ) -> Dict[str, float]:
     """Residuals of the built-in identity suite, worst over the points.
 
-    ``points`` is one point of shape (d,) or a stack of shape (N, d).
+    The identities assume the structure axioms, which are checked first as
+    in ``derived_tensors``; the runtime cross-checks are not run.
 
     Component-norm keys:
 
@@ -346,6 +257,7 @@ def identity_residuals(
 
 def _identities(m: ChartedManifold, points, triples) -> Dict[str, float]:
     frame = _Frame(m, points)
+    _require(frame, [])
     g, dg, j, dj = frame.g, frame.dg, frame.j, frame.dj
     nj, gamma = frame.nabla_j, frame.gamma
     ae = frame.kind.product

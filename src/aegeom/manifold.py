@@ -9,7 +9,7 @@ metric.
 
 The metric and the structure are callables of the chart coordinates; they
 must accept ``Dual`` numbers carrying a whole stack of sample points, so
-that first derivatives come out of one forward-mode pass, and plain floats
+that first derivatives come out of one forward-mode pass, and numpy floats
 for the float reference.  A field returns a matrix ``Dual``, an array (a
 constant field) or nested entries, and one conversion turns each into the
 stacks the rest of the package reads.
@@ -36,7 +36,7 @@ from .errors import (
     SlotMismatch,
 )
 from .expressions import parse_expression
-from .tensors import LOWER, UPPER, TensorValue, inf_norm
+from .tensors import inf_norm
 
 VALIDATION_TOL = 1e-8
 # |det g| at or below the floor is too close to singular for a solve
@@ -177,16 +177,12 @@ def evaluate_fields(m: ChartedManifold, point: Sequence[float]):
     """
     if not m.domain.contains(point):
         raise PointOutsideDomain(f"point {tuple(point)} not inside {m.name} domain")
-    coords = [float(x) for x in point]
-    try:
-        g_entries, j_entries = m.metric(coords), m.structure(coords)
-    except (ZeroDivisionError, OverflowError):
-        # numpy floats give inf or nan where Python floats raise, and the
-        # finiteness check below then names the cell
-        coords = list(np.asarray(coords))
-        with np.errstate(all="ignore"):
-            g_entries = _call_field(m, "metric", coords, point)
-            j_entries = _call_field(m, "structure", coords, point)
+    # numpy floats give inf or nan where Python floats raise, and the
+    # finiteness check below then names the cell
+    coords = list(np.asarray(point, dtype=float))
+    with np.errstate(all="ignore"):
+        g_entries = _call_field(m, "metric", coords, point)
+        j_entries = _call_field(m, "structure", coords, point)
     g = _field_stacks(g_entries, 1, m.dim, "metric")[0][0]
     j = _field_stacks(j_entries, 1, m.dim, "structure")[0][0]
     _require_finite(m, [point], np.isfinite(g)[None], np.isfinite(j)[None], "value")
@@ -196,10 +192,10 @@ def evaluate_fields(m: ChartedManifold, point: Sequence[float]):
 def eval_with_derivatives(m: ChartedManifold, points):
     """Values and first derivatives of the metric and structure.
 
-    ``points`` is a stack (N, d), evaluated by one call of each field on
-    duals.  Returns float arrays g, dg, J, dJ with dg[n, k, i, j] = d_k g_ij
-    and dJ[n, k, i, j] = d_k J^i_j at point n; for one point (d,), the N=1
-    slice as TensorValues.  A value or derivative that is not finite raises
+    ``points`` is a stack (N, d), or one point (d,) as a stack of one,
+    evaluated by one call of each field on duals.  Returns float stacks g,
+    dg, J, dJ with dg[n, k, i, j] = d_k g_ij and dJ[n, k, i, j] = d_k J^i_j
+    at point n.  A value or derivative that is not finite raises
     ``NonFiniteField`` naming the cell and the first such point.
     """
     stack = np.atleast_2d(np.asarray(points, dtype=float))
@@ -213,12 +209,7 @@ def eval_with_derivatives(m: ChartedManifold, points):
     finite_g = np.isfinite(g) & np.isfinite(dg).all(axis=1)
     finite_j = np.isfinite(jj) & np.isfinite(dj).all(axis=1)
     _require_finite(m, stack, finite_g, finite_j, "value or derivative")
-    if np.ndim(points) == 2:
-        return g, dg, jj, dj
-    variances = ((LOWER, LOWER), (LOWER,) * 3, (UPPER, LOWER), (LOWER, UPPER, LOWER))
-    return tuple(
-        TensorValue(a[0], v) for a, v in zip((g, dg, jj, dj), variances)
-    )
+    return g, dg, jj, dj
 
 
 def _require_inside(m: ChartedManifold, stack: np.ndarray) -> None:

@@ -15,7 +15,7 @@ import pytest
 from aegeom import manifold
 from aegeom.catalog import catalog, standard_names
 from aegeom.classify import CONDITIONS, sample_residuals
-from aegeom.connection import derived_tensors, identity_residuals
+from aegeom.connection import christoffel, derived_tensors, identity_residuals
 from aegeom.errors import GeometryError, InvalidStructure
 from aegeom.manifold import (
     HERMITIAN,
@@ -67,7 +67,21 @@ def test_stacked_evaluation_equals_single_points_exactly(tmp_path):
         for n, point in enumerate(points):
             singles = eval_with_derivatives(m, point)
             for stack, single in zip(stacks, singles):
-                assert np.array_equal(stack[n], single.data), m.name
+                assert np.array_equal(stack[n], single[0]), m.name
+
+
+def test_connection_stacks_equal_stacks_of_one_exactly():
+    for name in standard_names():
+        m = catalog(name)
+        points = PLAN.points(m.domain)
+        gamma = christoffel(m, points)
+        arrays = derived_tensors(m, points)
+        for n in range(len(points)):
+            assert np.array_equal(gamma[n], christoffel(m, points[n : n + 1])[0])
+            single = derived_tensors(m, points[n : n + 1])
+            assert set(single) == set(arrays)
+            for key, stack in arrays.items():
+                assert np.array_equal(stack[n], single[key][0]), (name, key, n)
 
 
 def test_constant_cells_broadcast_with_zero_gradient():

@@ -126,11 +126,12 @@ def test_structure_failing_its_axioms_exits_one(tmp_path, capsys, name):
     )
     m = load_manifold_config(path)
     first = tuple(float(x) for x in SamplePlan().points(m.domain)[0])
-    for verb in ("classify", "verify"):
+    for verb in ("classify", "verify", "identities"):
         code, out, err = run_capture(capsys, [verb, "--manifold", str(path)])
         assert code == EXIT_FAIL, verb
         assert out == ""
         assert "internal consistency failure" not in err
+        assert "Traceback" not in err
         assert err.startswith(f"error: {name}: {axiom} axiom fails by ")
         assert f"at {first}" in err
     code, out, _ = run_capture(capsys, ["validate", "--manifold", str(path)])
@@ -187,7 +188,8 @@ def test_identities_pass_and_fail(tmp_path, capsys):
         capsys, ["identities", "--manifold", "flat-para-kahler", *FAST]
     )
     assert code == EXIT_PASS
-    # incompatible pair: the pairing swap identity is violated
+    # incompatible pair: g(J., J.) = g fails, so the identities, which
+    # assume the axioms, are not computed
     config = {
         "kind": {"alpha": -1, "epsilon": 1},
         "dim": 2,
@@ -197,11 +199,12 @@ def test_identities_pass_and_fail(tmp_path, capsys):
     }
     path = tmp_path / "lopsided.json"
     path.write_text(json.dumps(config))
-    code, out, _ = run_capture(
+    code, out, err = run_capture(
         capsys, ["identities", "--manifold", str(path), *FAST]
     )
     assert code == EXIT_FAIL
-    assert "pairing_swap" in out
+    assert out == ""
+    assert err.startswith("error: lopsided: metric_isometry axiom fails")
 
 
 def test_algebra_table_text_and_json(capsys):

@@ -187,7 +187,7 @@ def test_float_and_dual_evaluation_agree(text, point):
         structure=lambda c: eye,
     )
     on_floats = evaluate_fields(m, point)[0][0, 0]
-    on_duals = eval_with_derivatives(m, point)[0].data[0, 0]
+    on_duals = eval_with_derivatives(m, point)[0][0, 0, 0]
     # Python ** calls pow while Dual squares repeatedly, so the two may
     # round differently, but only at the level of the magnitude
     assert abs(on_floats - on_duals) <= 1e-12 * magnitude(expr, point)
