@@ -12,16 +12,19 @@ four for that, because on a surface they are parallel for every compatible
 metric.  Random entries conjugate the flat structure by a seeded polynomial
 matrix field and polarize a seeded positive-definite form.
 
-Each field is written as the matrix formula it stands for, with ``matrix``,
-``@``, ``.T`` and ``inv`` from ``aegeom.dual``.  The same function evaluates
-on float coordinates, on arrays of coordinates (one entry per point) and on
-``Dual`` coordinates; it returns a plain array, a stack of arrays or a
-matrix ``Dual`` accordingly.
+Each entry has one field function returning the pair (metric, structure):
+a curved entry builds J once and its metric from that J, and the sphere
+builds its chart once for both.  The fields are written as the matrix
+formulas they stand for, with ``matrix``, ``@``, ``.T`` and ``inv`` from
+``aegeom.dual``.  The same function evaluates on float coordinates, on
+arrays of coordinates (one entry per point) and on ``Dual`` coordinates; it
+returns plain arrays, stacks of arrays or matrix ``Dual`` values
+accordingly.  The flat entries return one read-only constant pair.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -35,7 +38,6 @@ from .manifold import (
     PRODUCT_RIEMANNIAN,
     Box,
     ChartedManifold,
-    StructureKind,
 )
 from .octonion import cross_matrix
 
@@ -60,12 +62,7 @@ _FLAT_DATA = {
     ),
 }
 
-_FLAT_BY_KIND = {
-    "hermitian": "flat-kahler",
-    "product-riemannian": "flat-product-riemannian",
-    "norden": "flat-anti-kahler",
-    "para-hermitian": "flat-para-kahler",
-}
+_FLAT_BY_KIND = {kind.label: name for name, (kind, _, _) in _FLAT_DATA.items()}
 
 
 def standard_names() -> Tuple[str, ...]:
@@ -109,26 +106,18 @@ def catalog(name: str) -> ChartedManifold:
     )
 
 
-def _constant_matrix_fn(rows) -> Callable:
-    data = np.array(rows, dtype=float)
-    data.setflags(write=False)
-
-    def fn(coords, _data=data):
-        return _data
-
-    return fn
-
-
 def _flat(name: str) -> ChartedManifold:
     kind, j_rows, g_rows = _FLAT_DATA[name]
+    pair = (np.array(g_rows), np.array(j_rows))
+    for data in pair:
+        data.setflags(write=False)
     box = Box((-1.5, -1.5), (1.5, 1.5))
     return ChartedManifold(
         name=name,
         kind=kind,
         dim=2,
         domain=box,
-        metric=_constant_matrix_fn(g_rows),
-        structure=_constant_matrix_fn(j_rows),
+        fields=lambda coords: pair,
     )
 
 
@@ -166,19 +155,14 @@ def _s6_chart(u: Sequence):
     return p, matrix(rows), den
 
 
-def _s6_metric(u: Sequence):
-    _, d, _ = _s6_chart(u)
-    return d.T @ d
-
-
-def _s6_structure(u: Sequence):
+def _s6_fields(u: Sequence):
     p, d, den = _s6_chart(u)
     den2 = den * den
     # Column j of the Jacobian is tangent at p; rotate it by the cross
     # product with p, then pull back through the chart.  The chart is
     # conformal with factor 1/den^2, so (D^T D)^{-1} = den^2 * Id and the
     # pullback is den^2 * D^T w.
-    return d.T @ cross_matrix([den2 * x for x in p]) @ d
+    return d.T @ d, d.T @ cross_matrix([den2 * x for x in p]) @ d
 
 
 def _six_sphere() -> ChartedManifold:
@@ -188,8 +172,7 @@ def _six_sphere() -> ChartedManifold:
         kind=HERMITIAN,
         dim=6,
         domain=box,
-        metric=_s6_metric,
-        structure=_s6_structure,
+        fields=_s6_fields,
     )
 
 
@@ -218,11 +201,6 @@ def _phi_jacobian(x: Sequence):
             [x3, -2.0 * x2, x1, 0.0],
         ]
     return np.eye(len(dq)) + 0.1 * matrix(dq)
-
-
-def _pullback_structure(x, j0):
-    dphi = _phi_jacobian(x)
-    return inv(dphi) @ j0 @ dphi
 
 
 # On a surface, a structure whose paired form is antisymmetric is parallel
@@ -272,20 +250,17 @@ def _pullback(label: str) -> ChartedManifold:
     eps = kind.epsilon
     dim = len(j0)
 
-    def structure_fn(coords, _j0=j0):
-        return _pullback_structure(coords, _j0)
-
-    def metric_fn(coords, _j0=j0, _g0=g0, _eps=eps):
-        j = _pullback_structure(coords, _j0)
-        return 0.5 * (_g0 + _eps * (j.T @ _g0 @ j))
+    def fields(coords, _j0=j0, _g0=g0, _eps=eps):
+        dphi = _phi_jacobian(coords)
+        j = inv(dphi) @ _j0 @ dphi
+        return 0.5 * (_g0 + _eps * (j.T @ _g0 @ j)), j
 
     return ChartedManifold(
         name=f"pullback-integrable-{label}",
         kind=kind,
         dim=dim,
         domain=Box((-0.9,) * dim, (0.9,) * dim),
-        metric=metric_fn,
-        structure=structure_fn,
+        fields=fields,
     )
 
 
@@ -320,7 +295,7 @@ def _random(label: str, seed: int) -> ChartedManifold:
     j0 = np.array(j_rows)
     eps = kind.epsilon
     box = Box((-0.6, -0.6), (0.6, 0.6))
-    rng = np.random.default_rng([seed, _kind_tag(kind), 29])
+    rng = np.random.default_rng([seed, KINDS.index(kind) + 1, 29])
     b = rng.uniform(-1.0, 1.0, (2, 2))
     h = b.T @ b + np.eye(2)
 
@@ -339,20 +314,16 @@ def _random(label: str, seed: int) -> ChartedManifold:
             f"{RANDOM_RETRIES} attempts"
         )
 
-    def structure_fn(coords, _c=coeffs, _j0=j0):
-        return _random_structure(_c, _j0, coords)
-
-    def metric_fn(coords, _c=coeffs, _j0=j0, _h=h, _eps=eps):
+    def fields(coords, _c=coeffs, _j0=j0, _h=h, _eps=eps):
         j = _random_structure(_c, _j0, coords)
-        return _h + _eps * (j.T @ _h @ j)
+        return _h + _eps * (j.T @ _h @ j), j
 
     return ChartedManifold(
         name=f"random-{label}-{seed}",
         kind=kind,
         dim=2,
         domain=box,
-        metric=metric_fn,
-        structure=structure_fn,
+        fields=fields,
     )
 
 
@@ -368,10 +339,3 @@ def _random_candidate_ok(coeffs, j0, h, eps, grid) -> bool:
     j = _random_structure(coeffs, j0, x)
     g = h + eps * (np.swapaxes(j, -1, -2) @ h @ j)
     return not (np.abs(np.linalg.det(g)) < 1e-4).any()
-
-
-def _kind_tag(kind: StructureKind) -> int:
-    """Small stable integer tag for seeding, one per structure kind."""
-    return {(-1, 1): 1, (1, 1): 2, (-1, -1): 3, (1, -1): 4}[
-        (kind.alpha, kind.epsilon)
-    ]

@@ -5,14 +5,18 @@ strings in the coordinates ``x1 .. x<dim>`` using ``+ - * / ^`` and
 parentheses, for example ``"1 + 0.5*x1^2 - x1*x2"``.  Number literals may
 carry a decimal exponent (``1e6``, ``2.5e-3``); exponents of ``^`` must be
 integer literals.  Parsing is recursive descent; errors carry the line and
-column where they occurred.  Compiled expressions evaluate on plain floats
-or on ``Dual`` scalars alike.
+column where they occurred.  Compiled expressions evaluate on plain or
+numpy floats or on ``Dual`` scalars alike.  Literals are numpy floats, so a
+constant subexpression that divides by zero or overflows gives inf or nan,
+as the dual path does, and the finiteness check then names the cell.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .errors import ExpressionError
 
@@ -234,7 +238,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "number":
             self.advance()
-            return Num(float(tok.text))
+            return Num(np.float64(tok.text))
         if tok.kind == "name":
             self.advance()
             return Var(self._var_index(tok))

@@ -7,21 +7,23 @@ Riemannian (+1, +1, with trace J = 0 required), almost Norden (-1, -1), and
 almost para-Hermitian (+1, -1).  The last two force a split-signature
 metric.
 
-The metric and the structure are callables of the chart coordinates; they
-must accept ``Dual`` numbers carrying a whole stack of sample points, so
-that first derivatives come out of one forward-mode pass, and numpy floats
-for the float reference.  A field returns a matrix ``Dual``, an array (a
-constant field) or nested entries, and one conversion turns each into the
-stacks the rest of the package reads.
+A manifold has one field function of the chart coordinates that returns
+the pair (metric, structure), since the catalog builds each metric from its
+structure and both from one chart.  It must accept ``Dual`` numbers carrying
+a whole stack of sample points, so that first derivatives come out of one
+forward-mode pass, and numpy floats for the float reference; every
+evaluation calls it once.  Each half of the pair is a matrix ``Dual``, an
+array (a constant field) or nested entries, and one conversion turns each
+into the stacks the rest of the package reads.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -46,7 +48,7 @@ DET_FLOOR = 1e-10
 # pass, about 27 KB per point in dimension six.
 SWEEP_BLOCK = 256
 
-FieldFn = Callable[[Sequence], Sequence[Sequence]]
+FieldsFn = Callable[[Sequence], Tuple[object, object]]
 
 
 @dataclass(frozen=True)
@@ -111,24 +113,16 @@ class Box:
     def is_empty(self) -> bool:
         return any(h <= l for l, h in zip(self.lo, self.hi))
 
-    def contains(self, point: Sequence[float]) -> bool:
-        if len(point) != self.dim:
-            return False
-        return all(
-            l < float(x) < h for l, x, h in zip(self.lo, point, self.hi)
-        )
-
 
 @dataclass(frozen=True)
 class ChartedManifold:
-    """Single-chart manifold with metric and structure component functions."""
+    """Single-chart manifold with one function giving (metric, structure)."""
 
     name: str
     kind: StructureKind
     dim: int
     domain: Box
-    metric: FieldFn
-    structure: FieldFn
+    fields: FieldsFn
 
     def __post_init__(self) -> None:
         if self.dim < 2 or self.dim % 2 != 0:
@@ -175,35 +169,31 @@ def evaluate_fields(m: ChartedManifold, point: Sequence[float]):
 
     The plain-float reference for ``eval_with_derivatives``; no sweep uses it.
     """
-    if not m.domain.contains(point):
-        raise PointOutsideDomain(f"point {tuple(point)} not inside {m.name} domain")
+    stack = np.asarray(point, dtype=float).reshape(1, -1)
+    _require_inside(m, stack)
     # numpy floats give inf or nan where Python floats raise, and the
     # finiteness check below then names the cell
-    coords = list(np.asarray(point, dtype=float))
     with np.errstate(all="ignore"):
-        g_entries = _call_field(m, "metric", coords, point)
-        j_entries = _call_field(m, "structure", coords, point)
-    g = _field_stacks(g_entries, 1, m.dim, "metric")[0][0]
-    j = _field_stacks(j_entries, 1, m.dim, "structure")[0][0]
-    _require_finite(m, [point], np.isfinite(g)[None], np.isfinite(j)[None], "value")
-    return g, j
+        g_entries, j_entries = _call_fields(m, list(stack[0]), stack[0])
+    g = _field_stacks(g_entries, 1, m.dim, "metric")[0]
+    j = _field_stacks(j_entries, 1, m.dim, "structure")[0]
+    _require_finite(m, stack, np.isfinite(g), np.isfinite(j), "value")
+    return g[0], j[0]
 
 
 def eval_with_derivatives(m: ChartedManifold, points):
     """Values and first derivatives of the metric and structure.
 
     ``points`` is a stack (N, d), or one point (d,) as a stack of one,
-    evaluated by one call of each field on duals.  Returns float stacks g,
-    dg, J, dJ with dg[n, k, i, j] = d_k g_ij and dJ[n, k, i, j] = d_k J^i_j
-    at point n.  A value or derivative that is not finite raises
+    evaluated by one call of the field function on duals.  Returns float
+    stacks g, dg, J, dJ with dg[n, k, i, j] = d_k g_ij and dJ[n, k, i, j] =
+    d_k J^i_j at point n.  A value or derivative that is not finite raises
     ``NonFiniteField`` naming the cell and the first such point.
     """
     stack = np.atleast_2d(np.asarray(points, dtype=float))
     _require_inside(m, stack)
     with np.errstate(all="ignore"):
-        coords = Dual.seed(stack)
-        g_entries = _call_field(m, "metric", coords, stack[0])
-        j_entries = _call_field(m, "structure", coords, stack[0])
+        g_entries, j_entries = _call_fields(m, Dual.seed(stack), stack[0])
     g, dg = _field_stacks(g_entries, len(stack), m.dim, "metric")
     jj, dj = _field_stacks(j_entries, len(stack), m.dim, "structure")
     finite_g = np.isfinite(g) & np.isfinite(dg).all(axis=1)
@@ -231,12 +221,12 @@ def _as_tuple(point) -> Tuple[float, ...]:
     return tuple(float(x) for x in point)
 
 
-def _call_field(m: ChartedManifold, what: str, coords, point):
+def _call_fields(m: ChartedManifold, coords, point):
     try:
-        return getattr(m, what)(coords)
+        return m.fields(coords)
     except (ZeroDivisionError, OverflowError) as exc:
         raise NonFiniteField(
-            f"{what} of {m.name} is undefined at point {_as_tuple(point)}: {exc}"
+            f"fields of {m.name} are undefined at point {_as_tuple(point)}: {exc}"
         ) from exc
 
 
@@ -266,31 +256,11 @@ class ValidationReport:
     valid: bool
 
     def to_dict(self) -> dict:
-        return {
-            "manifold": self.manifold,
-            "alpha": self.alpha,
-            "epsilon": self.epsilon,
-            "seed": self.seed,
-            "n_points": self.n_points,
-            "residuals": dict(self.residuals),
-            "min_abs_det": self.min_abs_det,
-            "failures": list(self.failures),
-            "valid": self.valid,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_dict(data: dict) -> "ValidationReport":
-        return ValidationReport(
-            manifold=data["manifold"],
-            alpha=data["alpha"],
-            epsilon=data["epsilon"],
-            seed=data["seed"],
-            n_points=data["n_points"],
-            residuals=dict(data["residuals"]),
-            min_abs_det=data["min_abs_det"],
-            failures=list(data["failures"]),
-            valid=data["valid"],
-        )
+        return ValidationReport(**data)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
@@ -475,19 +445,18 @@ def load_manifold_config(path) -> ChartedManifold:
     if not isinstance(name, str) or not name:
         raise ConfigError(f"{path}: name must be a non-empty string")
 
-    def metric_fn(coords, _exprs=metric_exprs):
-        return [[e.evaluate(coords) for e in row] for row in _exprs]
-
-    def structure_fn(coords, _exprs=structure_exprs):
-        return [[e.evaluate(coords) for e in row] for row in _exprs]
+    def fields(coords):
+        return tuple(
+            [[e.evaluate(coords) for e in row] for row in exprs]
+            for exprs in (metric_exprs, structure_exprs)
+        )
 
     return ChartedManifold(
         name=name,
         kind=kind,
         dim=dim,
         domain=domain,
-        metric=metric_fn,
-        structure=structure_fn,
+        fields=fields,
     )
 
 

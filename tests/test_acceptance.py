@@ -278,8 +278,10 @@ def test_criterion_8_christoffel_against_finite_differences(capsys):
         kind=HERMITIAN,
         dim=2,
         domain=Box((1.0, -1.0), (3.0, 1.0)),
-        metric=lambda c: [[1.0, 0.0 * c[0]], [0.0 * c[0], c[0] * c[0]]],
-        structure=lambda c: [[0.0, -1.0], [1.0, 0.0]],
+        fields=lambda c: (
+            [[1.0, 0.0 * c[0]], [0.0 * c[0], c[0] * c[0]]],
+            [[0.0, -1.0], [1.0, 0.0]],
+        ),
     )
     gamma = christoffel(polar, (2.0, 0.0))[0]
     closed_ok = (

@@ -134,8 +134,10 @@ def slightly_crooked():
         kind=HERMITIAN,
         dim=2,
         domain=Box((-1.0, -1.0), (1.0, 1.0)),
-        metric=lambda c: [[1.0, 0.0], [0.0, 1.0]],
-        structure=lambda c: [[0.0, -1.0 + 1e-7 * c[0] ** 8], [1.0, 0.0]],
+        fields=lambda c: (
+            [[1.0, 0.0], [0.0, 1.0]],
+            [[0.0, -1.0 + 1e-7 * c[0] ** 8], [1.0, 0.0]],
+        ),
     )
 
 

@@ -68,8 +68,10 @@ def polar_like():
         kind=HERMITIAN,
         dim=2,
         domain=Box((1.0, -1.0), (3.0, 1.0)),
-        metric=lambda c: [[1.0, 0.0 * c[0]], [0.0 * c[0], c[0] * c[0]]],
-        structure=lambda c: [[0.0, -1.0], [1.0, 0.0]],
+        fields=lambda c: (
+            [[1.0, 0.0 * c[0]], [0.0 * c[0], c[0] * c[0]]],
+            [[0.0, -1.0], [1.0, 0.0]],
+        ),
     )
 
 
@@ -375,8 +377,10 @@ def crooked():
         kind=HERMITIAN,
         dim=2,
         domain=Box((-1.0, -1.0), (1.0, 1.0)),
-        metric=lambda c: [[1.0 + c[1] * c[1], 0.0], [0.0, 1.0]],
-        structure=lambda c: [[1.0, 0.0], [0.0, 2.0]],
+        fields=lambda c: (
+            [[1.0 + c[1] * c[1], 0.0], [0.0, 1.0]],
+            [[1.0, 0.0], [0.0, 2.0]],
+        ),
     )
 
 

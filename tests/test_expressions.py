@@ -183,8 +183,7 @@ def test_float_and_dual_evaluation_agree(text, point):
         kind=HERMITIAN,
         dim=4,
         domain=Box((-1.0,) * 4, (1.0,) * 4),
-        metric=lambda c: [[expr.evaluate(c)] + eye[0][1:]] + eye[1:],
-        structure=lambda c: eye,
+        fields=lambda c: ([[expr.evaluate(c)] + eye[0][1:]] + eye[1:], eye),
     )
     on_floats = evaluate_fields(m, point)[0][0, 0]
     on_duals = eval_with_derivatives(m, point)[0][0, 0, 0]

@@ -1,6 +1,9 @@
 """Kinds, domains, sampling, field evaluation, validation, and config loading."""
 
+import dataclasses
+import importlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -31,6 +34,9 @@ from aegeom.manifold import (
 )
 from aegeom.tensors import inf_norm
 
+# the package exports the function ``catalog`` under the module's name
+catalog_module = importlib.import_module("aegeom.catalog")
+
 ROTATION = [[0.0, -1.0], [1.0, 0.0]]
 REFLECTION = [[1.0, 0.0], [0.0, -1.0]]
 
@@ -42,8 +48,7 @@ def const_manifold(kind, g, j, name="probe", lo=(-1.0, -1.0), hi=(1.0, 1.0)):
         kind=kind,
         dim=dim,
         domain=Box(lo[:dim] if len(lo) == dim else tuple(lo) * 1, tuple(hi)),
-        metric=lambda c, _g=g: _g,
-        structure=lambda c, _j=j: _j,
+        fields=lambda c, _g=g, _j=j: (_g, _j),
     )
 
 
@@ -57,8 +62,7 @@ def flat2(kind, g=None, j=None):
         kind=kind,
         dim=2,
         domain=Box((-1.0, -1.0), (1.0, 1.0)),
-        metric=lambda c, _g=g: _g,
-        structure=lambda c, _j=j: _j,
+        fields=lambda c, _g=g, _j=j: (_g, _j),
     )
 
 
@@ -85,10 +89,6 @@ def test_kind_rejects_bad_signs_and_names():
 def test_box_containment_is_strict():
     b = Box((-1.0, 0.0), (1.0, 2.0))
     assert b.dim == 2
-    assert b.contains((0.0, 1.0))
-    assert not b.contains((1.0, 1.0))  # boundary excluded
-    assert not b.contains((0.0, 2.0))
-    assert not b.contains((0.0,))
     assert not b.is_empty()
     assert Box((0.0,), (0.0,)).is_empty()
     with pytest.raises(ValueError):
@@ -102,8 +102,7 @@ def test_manifold_requires_even_dimension():
             kind=HERMITIAN,
             dim=3,
             domain=Box((-1.0,) * 3, (1.0,) * 3),
-            metric=lambda c: np.eye(3).tolist(),
-            structure=lambda c: np.eye(3).tolist(),
+            fields=lambda c: (np.eye(3).tolist(), np.eye(3).tolist()),
         )
     with pytest.raises(ValueError):
         flat_domain = Box((-1.0,), (1.0,))
@@ -112,8 +111,7 @@ def test_manifold_requires_even_dimension():
             kind=HERMITIAN,
             dim=2,
             domain=flat_domain,
-            metric=lambda c: np.eye(2).tolist(),
-            structure=lambda c: ROTATION,
+            fields=lambda c: (np.eye(2).tolist(), ROTATION),
         )
 
 
@@ -185,6 +183,29 @@ def test_domain_check_names_the_first_outside_point_of_a_stack():
         eval_with_derivatives(m, stack)
     with pytest.raises(PointOutsideDomain, match=r"point \(0\.1, 0\.2, 0\.3\) "):
         eval_with_derivatives(m, [(0.1, 0.2, 0.3)])
+    # the float reference applies the same rule to its one point
+    for point in [(1.0, 0.5), (0.0, 2.0), (0.0,)]:  # boundary, outside, width
+        with pytest.raises(PointOutsideDomain, match=re.escape(f"point {point} ")):
+            evaluate_fields(m, point)
+
+
+def test_each_evaluation_calls_the_field_function_once(monkeypatch):
+    calls = []
+    m = flat2(HERMITIAN)
+    counted = dataclasses.replace(m, fields=lambda c: calls.append(1) or m.fields(c))
+    evaluate_fields(counted, (0.1, 0.2))
+    assert len(calls) == 1
+    eval_with_derivatives(counted, [(0.1, 0.2), (0.3, -0.4), (-0.5, 0.6)])
+    assert len(calls) == 2
+
+    charts = []
+    chart = catalog_module._s6_chart
+    monkeypatch.setattr(
+        catalog_module, "_s6_chart", lambda u: charts.append(1) or chart(u)
+    )
+    s6 = catalog_module.catalog("s6-nearly-kahler")
+    eval_with_derivatives(s6, SamplePlan(n_points=5).points(s6.domain))
+    assert len(charts) == 1
 
 
 def test_flat_fields_have_exactly_zero_derivatives():
@@ -203,8 +224,7 @@ def polar_like():
         kind=HERMITIAN,
         dim=2,
         domain=Box((1.0, -1.0), (3.0, 1.0)),
-        metric=lambda c: [[1.0, 0.0 * c[0]], [0.0 * c[0], c[0] * c[0]]],
-        structure=lambda c: ROTATION,
+        fields=lambda c: ([[1.0, 0.0 * c[0]], [0.0 * c[0], c[0] * c[0]]], ROTATION),
     )
 
 
@@ -293,8 +313,7 @@ def test_malformed_field_output_is_flagged():
         kind=HERMITIAN,
         dim=2,
         domain=Box((-1.0, -1.0), (1.0, 1.0)),
-        metric=lambda c: [[1.0, 0.0]],  # not 2x2
-        structure=lambda c: ROTATION,
+        fields=lambda c: ([[1.0, 0.0]], ROTATION),  # metric not 2x2
     )
     with pytest.raises(SlotMismatch):
         evaluate_fields(bad, (0.0, 0.0))

@@ -56,7 +56,9 @@ def first_failing_point(evaluate, m):
 
 
 @pytest.mark.parametrize("verb", VERBS)
-@pytest.mark.parametrize("cell", [OVERFLOW_CELL, DIVISION_CELL])
+@pytest.mark.parametrize(
+    "cell", [OVERFLOW_CELL, DIVISION_CELL, "1 + 1/0", "1 + (1e200)^2"]
+)
 def test_non_finite_config_exits_1_naming_cell_and_point(tmp_path, capsys, verb, cell):
     path = write_config(tmp_path, cell)
     m = load_manifold_config(path)
@@ -79,9 +81,8 @@ def test_callable_that_raises_is_reported_for_its_field():
         kind=HERMITIAN,
         dim=2,
         domain=Box((-1.0, -1.0), (1.0, 1.0)),
-        metric=lambda c: [[1.0, 0.0], [0.0, 1.0]],
-        structure=lambda c: [[0.0, -1.0 / 0.0], [1.0, 0.0]],
+        fields=lambda c: ([[1.0, 0.0], [0.0, 1.0]], [[0.0, -1.0 / 0.0], [1.0, 0.0]]),
     )
     for evaluate in (evaluate_fields, eval_with_derivatives):
-        with pytest.raises(NonFiniteField, match=r"structure of raising .* \(0\.5, 0\.25\)"):
+        with pytest.raises(NonFiniteField, match=r"fields of raising .* \(0\.5, 0\.25\)"):
             evaluate(m, (0.5, 0.25))

@@ -1,23 +1,30 @@
-"""The README's library example runs, and the package exports what it lists.
+"""The README's examples run, and the package exports what it lists.
 
-A name deleted from the package but still shown in the README, or still
-listed in ``__all__``, fails here rather than in a reader's session.
+A name deleted from the package but still shown in the README, still
+listed in ``__all__``, or a config example the loader no longer accepts,
+fails here rather than in a reader's session.
 """
 
 import re
 from pathlib import Path
 
+import pytest
+
 import aegeom
+from aegeom.cli import EXIT_PASS, run
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def library_example() -> str:
-    text = README.read_text()
-    section = text.split("## Library entry points", 1)[1]
-    match = re.search(r"```python\n(.*?)```", section, re.DOTALL)
-    assert match, "no python block under 'Library entry points'"
+def readme_block(heading: str, language: str) -> str:
+    section = README.read_text().split(f"## {heading}", 1)[1]
+    match = re.search(rf"```{language}\n(.*?)```", section, re.DOTALL)
+    assert match, f"no {language} block under {heading!r}"
     return match.group(1)
+
+
+def library_example() -> str:
+    return readme_block("Library entry points", "python")
 
 
 def test_readme_library_example_runs(capsys):
@@ -30,3 +37,13 @@ def test_readme_library_example_runs(capsys):
 def test_every_exported_name_resolves():
     missing = [name for name in aegeom.__all__ if not hasattr(aegeom, name)]
     assert missing == []
+
+
+@pytest.mark.parametrize("verb", ["validate", "classify", "verify", "identities"])
+def test_readme_config_example_passes_every_verb(tmp_path, capsys, verb):
+    path = tmp_path / "example.json"
+    path.write_text(readme_block("Manifold config files", "json"))
+    code = run([verb, "--manifold", str(path)])
+    captured = capsys.readouterr()
+    assert code == EXIT_PASS, captured.err
+    assert "my-surface" in captured.out
