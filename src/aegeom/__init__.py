@@ -23,7 +23,6 @@ from .classify import (
     classify,
     condition_table,
     sample_residuals,
-    theorem_suite,
 )
 from .connection import christoffel, derived_tensors, identity_residuals
 from .dual import Dual
@@ -118,6 +117,5 @@ __all__ = [
     "sample_residuals",
     "standard_names",
     "subspace_dimension",
-    "theorem_suite",
     "validate_structure",
 ]

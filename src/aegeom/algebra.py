@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import DimensionOracleMismatch, UnsupportedDimension
 from .linalg import (
+    NULL_SPACE_TOL,
     Entries,
     LinearConstraintSystem,
     exact_nullity,
@@ -216,16 +217,14 @@ def build_constraints(
     return _system(d, *parts)
 
 
-def subspace_dimension(
-    fiber: ModelFiber, query: SubspaceQuery, tol: float = 1e-9
-) -> int:
+def subspace_dimension(fiber: ModelFiber, query: SubspaceQuery) -> int:
     """Dimension of the requested subspace, numerically and exactly.
 
     The SVD dimension (singular values only) and the exact integer
     elimination must agree; a mismatch raises ``DimensionOracleMismatch``.
     """
     system = build_constraints(fiber, query)
-    numeric_dim = numeric_nullity(system, tol)
+    numeric_dim = numeric_nullity(system)
     exact_dim = exact_nullity(system)
     if numeric_dim != exact_dim:
         raise DimensionOracleMismatch(
@@ -273,9 +272,7 @@ def dimension_table(max_n: int = MAX_HALF_DIM) -> dict:
     return table
 
 
-def alternating_definitions_coincide(
-    fiber: ModelFiber, tol: float = 1e-9
-) -> bool:
+def alternating_definitions_coincide(fiber: ModelFiber) -> bool:
     """Check that two renderings of the alternating condition agree.
 
     The condition "phi vanishes when the first two arguments coincide" can
@@ -288,14 +285,14 @@ def alternating_definitions_coincide(
     base = _base_rows(fiber)
     sys_a = _system(d, base, _polarized_rows(d))
     sys_b = _system(d, base, _first_two_rows(d, 1.0))
-    dim_a, basis_a = null_space(sys_a, tol)
-    dim_b, basis_b = null_space(sys_b, tol)
+    dim_a, basis_a = null_space(sys_a)
+    dim_b, basis_b = null_space(sys_b)
     if dim_a != dim_b:
         return False
     for basis, other in ((basis_a, sys_b), (basis_b, sys_a)):
         if basis:
             vectors = np.stack(basis)
             units = vectors / np.max(np.abs(vectors), axis=1, keepdims=True)
-            if float(np.max(np.abs(other.to_dense() @ units.T))) >= tol:
+            if float(np.max(np.abs(other.to_dense() @ units.T))) >= NULL_SPACE_TOL:
                 return False
     return True

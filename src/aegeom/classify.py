@@ -45,6 +45,7 @@ from .manifold import (
     ChartedManifold,
     SamplePlan,
     StructureKind,
+    report_json,
     worst_over_sample,
 )
 from .tensors import inf_norm
@@ -124,7 +125,7 @@ class ClassificationReport:
         )
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return report_json(self.to_dict())
 
     @staticmethod
     def from_json(text: str) -> "ClassificationReport":
@@ -330,15 +331,6 @@ def classify(
         verdicts=verdicts,
         theorem_checks=checks,
     )
-
-
-def theorem_suite(
-    m: ChartedManifold,
-    plan: Optional[SamplePlan] = None,
-    tol: float = VERDICT_TOL,
-) -> List[CheckResult]:
-    """All applicable theorem checks for the manifold's kind."""
-    return _suite_from_residuals(sample_residuals(m, plan), m.kind, m.dim, tol)
 
 
 def condition_table(

@@ -8,7 +8,7 @@ class GeometryError(Exception):
 
 
 class SlotMismatch(GeometryError):
-    """Tensor slots disagree in variance, extent, or position."""
+    """A field matrix has the wrong size, or a constraint column is out of range."""
 
 
 class DegenerateSystem(GeometryError):

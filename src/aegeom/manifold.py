@@ -241,6 +241,11 @@ def _require_finite(m: ChartedManifold, points, finite_g, finite_j, what: str):
         )
 
 
+def report_json(payload) -> str:
+    """The one JSON format of reports and CLI output: sorted, indent 2, newline."""
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
 @dataclass
 class ValidationReport:
     """Pointwise structure-axiom residuals over a deterministic sample."""
@@ -263,7 +268,7 @@ class ValidationReport:
         return ValidationReport(**data)
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return report_json(self.to_dict())
 
     @staticmethod
     def from_json(text: str) -> "ValidationReport":

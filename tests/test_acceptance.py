@@ -17,7 +17,7 @@ from aegeom.algebra import (
     subspace_dimension,
 )
 from aegeom.catalog import catalog, standard_names
-from aegeom.classify import condition_table, theorem_suite
+from aegeom.classify import classify, condition_table
 from aegeom.cli import EXIT_PASS, run as cli_run
 from aegeom.connection import christoffel, derived_tensors, identity_residuals
 from aegeom.linalg import exact_nullity, null_space
@@ -244,7 +244,8 @@ def test_criterion_6_six_sphere_profile(capsys):
 def test_criterion_7_theorem_suite_and_table(capsys):
     vacuous_seen = False
     for name in standard_names():
-        checks = theorem_suite(catalog(name), FULL_PLAN)  # raises on violation
+        # raises on violation
+        checks = classify(catalog(name), FULL_PLAN).theorem_checks
         for check in checks:
             assert check.status in ("passed", "hypothesis not met")
             vacuous_seen = vacuous_seen or check.status == "hypothesis not met"

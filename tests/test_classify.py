@@ -22,7 +22,6 @@ from aegeom.classify import (
     condition_table,
     render_condition_table,
     sample_residuals,
-    theorem_suite,
 )
 from aegeom.errors import TheoremViolation
 from aegeom.manifold import (
@@ -69,7 +68,8 @@ def test_six_sphere_is_nearly_but_not_kahler_type():
 
 
 def test_six_sphere_theorem_statuses():
-    checks = {c.name: c.status for c in theorem_suite(catalog("s6-nearly-kahler"), PLAN)}
+    report = classify(catalog("s6-nearly-kahler"), PLAN)
+    checks = {c.name: c.status for c in report.theorem_checks}
     assert checks["kahler_type_iff_torsion_free"] == "hypothesis not met"
     assert checks["integrable_iff_torsion_shift_vanishes"] == "hypothesis not met"
     assert checks["nearly_iff_torsion_pairing_skew"] == "passed"
@@ -118,7 +118,7 @@ def test_torsion_free_and_codazzi_verdicts_agree_everywhere():
 
 def test_theorem_suite_runs_clean_on_every_entry():
     for name in standard_names():
-        checks = theorem_suite(catalog(name), PLAN)
+        checks = classify(catalog(name), PLAN).theorem_checks
         assert len(checks) == 4
         for check in checks:
             assert check.status in ("passed", "hypothesis not met")
@@ -144,7 +144,7 @@ def test_wrong_subspace_dimension_is_a_theorem_violation(monkeypatch):
     # the symmetric subspace must be zero for every kind
     patch(SubspaceQuery.SYMMETRIC, 1)
     with pytest.raises(TheoremViolation, match="symmetric"):
-        theorem_suite(catalog("flat-kahler"), PLAN)
+        classify(catalog("flat-kahler"), PLAN).theorem_checks
     with pytest.raises(TheoremViolation, match="symmetric.*closed form gives 0"):
         condition_table(PLAN)
     # the alternating one is nonzero in six dimensions for alpha*epsilon = -1
@@ -221,13 +221,13 @@ def test_condition_table_reads_a_given_dimension_table():
 
 
 def test_codazzi_check_carries_the_subspace_note():
-    checks = theorem_suite(catalog("flat-kahler"), PLAN)
+    checks = classify(catalog("flat-kahler"), PLAN).theorem_checks
     codazzi = next(c for c in checks if c.name == "codazzi_forces_kahler_type")
     assert "symmetric_first_two subspace dimension 0 (n=1)" in codazzi.details
 
 
 def statuses(name):
-    return {c.name: c for c in theorem_suite(catalog(name), PLAN)}
+    return {c.name: c for c in classify(catalog(name), PLAN).theorem_checks}
 
 
 def test_nearly_verifier_requires_matching_signs():

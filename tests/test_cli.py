@@ -1,22 +1,27 @@
 """Command line behavior: exit codes, formats, determinism, file output."""
 
 import importlib
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import aegeom
+from aegeom import algebra
+from aegeom.algebra import ModelFiber, alternating_definitions_coincide
 from aegeom.classify import ClassificationReport, classify
 from aegeom.catalog import catalog
 from aegeom.cli import EXIT_FAIL, EXIT_INTERNAL, EXIT_PASS, EXIT_USAGE, run
 from aegeom.errors import TheoremViolation
-from aegeom.manifold import SamplePlan, ValidationReport, load_manifold_config
+from aegeom.manifold import KINDS, SamplePlan, ValidationReport, load_manifold_config
 
 FAST = ["--points", "5", "--vectors", "3"]
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
 def run_capture(capsys, argv):
@@ -226,6 +231,44 @@ def test_algebra_table_text_and_json(capsys):
     )
 
 
+def test_algebra_table_fails_when_the_alternating_renderings_split(
+    capsys, monkeypatch
+):
+    # the polarized rendering with its pairs made symmetric, (1, -1) in
+    # place of (1, 1): it cuts out the symmetric part with zero diagonal,
+    # which is zero, so it splits from the alternating one exactly where
+    # that is not zero, at n=3 for alpha*epsilon = -1
+    polarized = algebra._polarized_rows
+
+    def symmetric_rendering(d):
+        lengths, cols, coeffs = polarized(d)
+        coeffs = coeffs.copy()
+        coeffs[np.cumsum(lengths)[lengths == 2] - 1] = -1.0
+        return lengths, cols, coeffs
+
+    monkeypatch.setattr(algebra, "_polarized_rows", symmetric_rendering)
+    split = {("hermitian", 3), ("para-hermitian", 3)}
+    for kind in KINDS:
+        for n in (1, 2, 3):
+            coincide = alternating_definitions_coincide(ModelFiber.standard(kind, n))
+            assert coincide == ((kind.label, n) not in split), (kind.label, n)
+    code, out, _ = run_capture(capsys, ["algebra-table", *FAST])
+    assert code == EXIT_FAIL
+    for kind in KINDS:
+        verdict = "no" if (kind.label, 3) in split else "yes"
+        assert f"  {kind.label:20s} n=1: yes, n=2: yes, n=3: {verdict}\n" in out
+    code, out, _ = run_capture(capsys, ["algebra-table", *FAST, "--format", "json"])
+    assert code == EXIT_FAIL
+    coincide = json.loads(out)["alternating_definitions_coincide"]
+    failed = {
+        (label, int(n))
+        for label, per_n in coincide.items()
+        for n, ok in per_n.items()
+        if ok is False
+    }
+    assert failed == split
+
+
 def test_algebra_table_queries_each_subspace_dimension_once_per_job(
     capsys, monkeypatch
 ):
@@ -352,6 +395,52 @@ def test_internal_error_exits_three(monkeypatch, capsys):
     )
     assert code == EXIT_INTERNAL
     assert "internal consistency failure" in err
+
+
+def test_verbs_look_the_traced_names_up_when_they_run(tmp_path, capsys, monkeypatch):
+    # the benchmark's tracer patches these names into aegeom.cli after
+    # import; a verb that bound them at import time would bypass it
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)
+    spec.loader.exec_module(tracing)
+    traced = {attr for module, attr, _, _ in tracing.WRAPPED if module == "aegeom.cli"}
+    config = tmp_path / "flat.json"
+    config.write_text(
+        json.dumps(
+            {
+                "kind": {"alpha": -1, "epsilon": 1},
+                "dim": 2,
+                "domain": {"lo": [-1.0, -1.0], "hi": [1.0, 1.0]},
+                "metric": [["1", "0"], ["0", "1"]],
+                "structure": [["0", "-1"], ["1", "0"]],
+            }
+        )
+    )
+    flat = ["--manifold", "flat-kahler", *FAST]
+    verbs = {
+        "catalog": [["catalog"]],
+        "load_manifold_config": [["validate", "--manifold", str(config), *FAST]],
+        "validate_structure": [["validate", *flat]],
+        "identity_residuals": [["identities", *flat]],
+        "alternating_definitions_coincide": [["algebra-table", *FAST]],
+        "classify": [["classify", *flat], ["verify", *flat]],
+    }
+    assert traced - {"run"} <= set(verbs)
+    cli = importlib.import_module("aegeom.cli")
+    for name, argvs in verbs.items():
+        for argv in argvs:
+            calls = []
+            original = getattr(cli, name)
+
+            def counted(*args, _original=original, **kwargs):
+                calls.append(args)
+                return _original(*args, **kwargs)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, name, counted)
+                assert run_capture(capsys, argv)[0] == EXIT_PASS, argv
+            assert calls, (name, argv)
 
 
 def test_output_flag_writes_file_and_keeps_stdout_quiet(tmp_path, capsys):

@@ -6,6 +6,7 @@ fails here rather than in a reader's session.
 """
 
 import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -47,3 +48,17 @@ def test_readme_config_example_passes_every_verb(tmp_path, capsys, verb):
     captured = capsys.readouterr()
     assert code == EXIT_PASS, captured.err
     assert "my-surface" in captured.out
+
+
+def command_lines():
+    return readme_block("Command line", "").strip().splitlines()
+
+
+@pytest.mark.parametrize("line", command_lines())
+def test_readme_command_lines_pass(capsys, line):
+    argv = shlex.split(line)
+    assert argv[0] == "aegeom"
+    code = run(argv[1:])
+    captured = capsys.readouterr()
+    assert code == EXIT_PASS, captured.err
+    assert captured.out
