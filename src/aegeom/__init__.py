@@ -24,7 +24,7 @@ from .classify import (
     condition_table,
     sample_residuals,
 )
-from .connection import christoffel, derived_tensors, identity_residuals
+from .connection import christoffel, derived_tensors, identity_residuals, vector_triples
 from .dual import Dual
 from .errors import (
     ConfigError,
@@ -118,4 +118,5 @@ __all__ = [
     "standard_names",
     "subspace_dimension",
     "validate_structure",
+    "vector_triples",
 ]

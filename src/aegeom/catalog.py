@@ -28,6 +28,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
+from .algebra import ModelFiber
 from .dual import inv, matrix
 from .errors import DegenerateConstruction, UnknownCatalogName
 from .manifold import (
@@ -38,31 +39,37 @@ from .manifold import (
     PRODUCT_RIEMANNIAN,
     Box,
     ChartedManifold,
+    StructureKind,
 )
 from .octonion import cross_matrix
 
 RANDOM_RETRIES = 20
 
-_FLAT_DATA = {
-    "flat-kahler": (HERMITIAN, ((0.0, -1.0), (1.0, 0.0)), ((1.0, 0.0), (0.0, 1.0))),
-    "flat-product-riemannian": (
-        PRODUCT_RIEMANNIAN,
-        ((1.0, 0.0), (0.0, -1.0)),
-        ((1.0, 0.0), (0.0, 1.0)),
-    ),
-    "flat-anti-kahler": (
-        NORDEN,
-        ((0.0, -1.0), (1.0, 0.0)),
-        ((1.0, 0.0), (0.0, -1.0)),
-    ),
-    "flat-para-kahler": (
-        PARA_HERMITIAN,
-        ((1.0, 0.0), (0.0, -1.0)),
-        ((0.0, 1.0), (1.0, 0.0)),
-    ),
+_FLAT_KINDS = {
+    "flat-kahler": HERMITIAN,
+    "flat-product-riemannian": PRODUCT_RIEMANNIAN,
+    "flat-anti-kahler": NORDEN,
+    "flat-para-kahler": PARA_HERMITIAN,
 }
 
-_FLAT_BY_KIND = {kind.label: name for name, (kind, _, _) in _FLAT_DATA.items()}
+
+def _standard_pair(kind: StructureKind, n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(metric, structure) of ``ModelFiber.standard(kind, n)``, read-only floats."""
+    fiber = ModelFiber.standard(kind, n)
+    pair = (fiber.inner.astype(float), fiber.j0.astype(float))
+    for data in pair:
+        data.setflags(write=False)
+    return pair
+
+
+# The constant pairs by kind label: the surface pair of the flat and random
+# entries, and the pair each pullback entry conjugates.  The latter is four
+# dimensional when alpha*epsilon = -1, the paired form being antisymmetric.
+_SURFACE_PAIRS = {kind.label: _standard_pair(kind, 1) for kind in KINDS}
+_PULLBACK_PAIRS = {
+    kind.label: _standard_pair(kind, 2 if kind.product == -1 else 1)
+    for kind in KINDS
+}
 
 
 def standard_names() -> Tuple[str, ...]:
@@ -86,18 +93,18 @@ def standard_names() -> Tuple[str, ...]:
 
 def catalog(name: str) -> ChartedManifold:
     """Look up or construct a catalog manifold by name."""
-    if name in _FLAT_DATA:
+    if name in _FLAT_KINDS:
         return _flat(name)
     if name == "s6-nearly-kahler":
         return _six_sphere()
     if name.startswith("pullback-integrable-"):
         label = name[len("pullback-integrable-") :]
-        if label in _FLAT_BY_KIND:
+        if label in _SURFACE_PAIRS:
             return _pullback(label)
     if name.startswith("random-"):
         rest = name[len("random-") :]
         label, sep, seed_text = rest.rpartition("-")
-        if sep and label in _FLAT_BY_KIND and seed_text.isdigit():
+        if sep and label in _SURFACE_PAIRS and seed_text.isdigit():
             return _random(label, int(seed_text))
     raise UnknownCatalogName(
         f"no catalog entry named {name!r}; known entries: "
@@ -107,10 +114,8 @@ def catalog(name: str) -> ChartedManifold:
 
 
 def _flat(name: str) -> ChartedManifold:
-    kind, j_rows, g_rows = _FLAT_DATA[name]
-    pair = (np.array(g_rows), np.array(j_rows))
-    for data in pair:
-        data.setflags(write=False)
+    kind = _FLAT_KINDS[name]
+    pair = _SURFACE_PAIRS[kind.label]
     box = Box((-1.5, -1.5), (1.5, 1.5))
     return ChartedManifold(
         name=name,
@@ -203,50 +208,9 @@ def _phi_jacobian(x: Sequence):
     return np.eye(len(dq)) + 0.1 * matrix(dq)
 
 
-# On a surface, a structure whose paired form is antisymmetric is parallel
-# for every compatible metric, so the hermitian and para-hermitian pullback
-# entries live in dimension four, where the construction has room to be
-# integrable without being parallel.
-_PULLBACK_FLAT4 = {
-    "hermitian": (
-        (
-            (0.0, -1.0, 0.0, 0.0),
-            (1.0, 0.0, 0.0, 0.0),
-            (0.0, 0.0, 0.0, -1.0),
-            (0.0, 0.0, 1.0, 0.0),
-        ),
-        (
-            (1.0, 0.0, 0.0, 0.0),
-            (0.0, 1.0, 0.0, 0.0),
-            (0.0, 0.0, 1.0, 0.0),
-            (0.0, 0.0, 0.0, 1.0),
-        ),
-    ),
-    "para-hermitian": (
-        (
-            (1.0, 0.0, 0.0, 0.0),
-            (0.0, 1.0, 0.0, 0.0),
-            (0.0, 0.0, -1.0, 0.0),
-            (0.0, 0.0, 0.0, -1.0),
-        ),
-        (
-            (0.0, 0.0, 1.0, 0.0),
-            (0.0, 0.0, 0.0, 1.0),
-            (1.0, 0.0, 0.0, 0.0),
-            (0.0, 1.0, 0.0, 0.0),
-        ),
-    ),
-}
-
-
 def _pullback(label: str) -> ChartedManifold:
-    if label in _PULLBACK_FLAT4:
-        kind = _FLAT_DATA[_FLAT_BY_KIND[label]][0]
-        j_rows, g_rows = _PULLBACK_FLAT4[label]
-    else:
-        kind, j_rows, g_rows = _FLAT_DATA[_FLAT_BY_KIND[label]]
-    j0 = np.array(j_rows)
-    g0 = np.array(g_rows)
+    kind = StructureKind.from_name(label)
+    g0, j0 = _PULLBACK_PAIRS[label]
     eps = kind.epsilon
     dim = len(j0)
 
@@ -291,8 +255,8 @@ def _random_structure(coeffs, j0, x):
 
 
 def _random(label: str, seed: int) -> ChartedManifold:
-    kind, j_rows, _ = _FLAT_DATA[_FLAT_BY_KIND[label]]
-    j0 = np.array(j_rows)
+    kind = StructureKind.from_name(label)
+    j0 = _SURFACE_PAIRS[label][1]
     eps = kind.epsilon
     box = Box((-0.6, -0.6), (0.6, 0.6))
     rng = np.random.default_rng([seed, KINDS.index(kind) + 1, 29])

@@ -1,8 +1,8 @@
 """Command line front end.
 
-Each verb is one row of ``VERBS``: its help text, its handler, and whether
-it takes the sample options and ``--manifold``.  ``build_parser`` and
-``run`` loop over that table, and ``run`` writes a verb's output once, as
+Each verb is one row of ``VERBS``: its help text, its handler, and the
+options it reads, each a row of ``OPTIONS``.  ``build_parser`` and ``run``
+loop over those tables, and ``run`` writes a verb's output once, as
 ``report_json`` or as text.  ``--manifold`` names a catalog entry, or a
 JSON config file when a file of that name exists.
 
@@ -23,7 +23,7 @@ from typing import Dict, List, Optional
 from .algebra import ModelFiber, alternating_definitions_coincide, dimension_table
 from .catalog import catalog, standard_names
 from .classify import classify, condition_table, render_condition_table
-from .connection import identity_residuals
+from .connection import identity_residuals, vector_triples
 from .errors import GeometryError, InternalConsistencyError
 from .manifold import (
     KINDS,
@@ -54,22 +54,37 @@ def _emit(text: str, output: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _check_sample_args(parser: argparse.ArgumentParser, args) -> SamplePlan:
-    if args.points < 1:
-        parser.error("--points must be at least 1")
-    if args.vectors < 1:
-        parser.error("--vectors must be at least 1")
-    if not 0.0 < args.tol < math.inf:
+# option: its argparse keywords.  The order is the order of the options in
+# --help.
+OPTIONS: Dict[str, dict] = {
+    "manifold": {"required": True, "help": "catalog entry name or config file path"},
+    "seed": {"type": int, "default": 0, "help": "sampling seed"},
+    "points": {"type": int, "default": 50, "help": "sample points"},
+    "vectors": {"type": int, "default": 20, "help": "probe vector triples"},
+    "tol": {"type": float, "default": 1e-8, "help": "verdict tolerance"},
+}
+SAMPLE = ("seed", "points", "tol")
+ON_MANIFOLD = ("manifold",) + SAMPLE
+
+
+def _check_sample_args(
+    parser: argparse.ArgumentParser, args, options
+) -> Optional[SamplePlan]:
+    """Check the options the verb reads; its sample plan if it reads --points."""
+    for name in ("points", "vectors"):
+        if name in options and getattr(args, name) < 1:
+            parser.error(f"--{name} must be at least 1")
+    if "tol" in options and not 0.0 < args.tol < math.inf:
         parser.error("--tol must be a positive finite number")
-    return SamplePlan(
-        seed=args.seed, n_points=args.points, n_vector_triples=args.vectors
-    )
+    if "points" not in options:
+        return None
+    return SamplePlan(seed=args.seed, n_points=args.points)
 
 
-# A handler takes the arguments and the sample plan (None without sample
-# options) and returns the JSON payload, a function rendering the text, and
-# whether it passed.  It looks library functions up as module globals when
-# it runs, so a wrapper patched into this module sees every call.
+# A handler takes the arguments and the sample plan (None for a verb that
+# does not read --points) and returns the JSON payload, a function rendering
+# the text, and whether it passed.  It looks library functions up as module
+# globals when it runs, so a wrapper patched into this module sees every call.
 
 
 def _cmd_catalog(args, plan):
@@ -155,7 +170,8 @@ def _cmd_algebra_table(args, plan):
 
 def _cmd_identities(args, plan):
     m = _resolve_manifold(args.manifold)
-    worst = identity_residuals(m, plan.points(m.domain), plan.vector_triples(m.dim))
+    triples = vector_triples(plan.seed, args.vectors, m.dim)
+    worst = identity_residuals(m, plan.points(m.domain), triples)
     max_residual = max(worst.values())
     passed = max_residual < args.tol
     payload = {
@@ -164,7 +180,7 @@ def _cmd_identities(args, plan):
         "sample": {
             "seed": plan.seed,
             "n_points": plan.n_points,
-            "n_vector_triples": plan.n_vector_triples,
+            "n_vector_triples": args.vectors,
         },
         "tol": args.tol,
         "residuals": worst,
@@ -185,27 +201,26 @@ def _cmd_identities(args, plan):
     return payload, text, passed
 
 
-# verb: (help, handler, manifold); manifold is None for a verb without the
-# sample options, False for sample options alone, True when it also takes
-# --manifold.  The order is the order of the verbs in --help.
+# verb: (help, handler, the options it reads besides --format and --output).
+# The order is the order of the verbs in --help.
 VERBS: Dict[str, tuple] = {
-    "catalog": ("list built-in manifolds", _cmd_catalog, None),
-    "validate": ("check the structure axioms", _cmd_validate, True),
+    "catalog": ("list built-in manifolds", _cmd_catalog, ()),
+    "validate": ("check the structure axioms", _cmd_validate, ON_MANIFOLD),
     "classify": (
         "residuals and verdicts for the main conditions",
         _cmd_classify,
-        True,
+        ON_MANIFOLD,
     ),
-    "verify": ("machine-check the applicable implications", _cmd_verify, True),
+    "verify": ("machine-check the applicable implications", _cmd_verify, ON_MANIFOLD),
     "algebra-table": (
         "pointwise subspace dimensions and class table",
         _cmd_algebra_table,
-        False,
+        SAMPLE,
     ),
     "identities": (
         "pointwise identities of the structure derivative",
         _cmd_identities,
-        True,
+        ON_MANIFOLD + ("vectors",),
     ),
 }
 
@@ -219,23 +234,11 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     commands = parser.add_subparsers(dest="command", required=True)
-    for verb, (help_text, _, manifold) in VERBS.items():
+    for verb, (help_text, _, options) in VERBS.items():
         sub = commands.add_parser(verb, help=help_text)
-        if manifold:
-            sub.add_argument(
-                "--manifold",
-                required=True,
-                help="catalog entry name or config file path",
-            )
-        if manifold is not None:
-            sub.add_argument("--seed", type=int, default=0, help="sampling seed")
-            sub.add_argument("--points", type=int, default=50, help="sample points")
-            sub.add_argument(
-                "--vectors", type=int, default=20, help="probe vector triples"
-            )
-            sub.add_argument(
-                "--tol", type=float, default=1e-8, help="verdict tolerance"
-            )
+        for name, keywords in OPTIONS.items():
+            if name in options:
+                sub.add_argument(f"--{name}", **keywords)
         sub.add_argument(
             "--format", choices=("text", "json"), default="text", help="output format"
         )
@@ -249,8 +252,8 @@ def run(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _, handler, manifold = VERBS[args.command]
-        plan = None if manifold is None else _check_sample_args(parser, args)
+        _, handler, options = VERBS[args.command]
+        plan = _check_sample_args(parser, args, options)
         payload, text, passed = handler(args, plan)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_PASS

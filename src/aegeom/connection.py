@@ -255,6 +255,20 @@ def identity_residuals(
     return worst_over_sample(points, lambda block: _identities(m, block, triples))
 
 
+def vector_triples(seed: int, n_triples: int, dim: int) -> np.ndarray:
+    """Probe triples (n_triples, 3, dim) with infinity norm in [0.1, 1].
+
+    Deterministic in the seed, and fewer triples are a prefix of more.
+    """
+    if n_triples < 1:
+        raise ValueError("n_triples must be at least 1")
+    raw = np.random.default_rng([seed, 13]).uniform(-1.0, 1.0, (n_triples, 3, dim))
+    targets = 0.1 + 0.9 * np.random.default_rng([seed, 17]).random((n_triples, 3))
+    norms = np.max(np.abs(raw), axis=2)
+    norms[norms == 0.0] = 1.0
+    return raw * (targets / norms)[:, :, None]
+
+
 def _identities(m: ChartedManifold, points, triples) -> Dict[str, float]:
     frame = _Frame(m, points)
     _require(frame, [])

@@ -1,5 +1,9 @@
 """Sparse linear constraint systems and their null spaces.
 
+A system is stored once, as flat entry arrays: the row index, column and
+coefficient of every entry, rows in order, plus the row count (a row may
+have no entries).  Both routes read those arrays.
+
 Two routes give a system's null space dimension, and they share no step.
 The numeric route splits the system into the independent blocks of its
 sparsity pattern (``_blocks``), takes the singular values of every block
@@ -15,8 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import islice
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -25,17 +27,23 @@ from .errors import DegenerateSystem, SlotMismatch
 
 NULL_SPACE_TOL = 1e-9
 
-Row = Tuple[Tuple[int, float], ...]
 Entries = Tuple[np.ndarray, np.ndarray, np.ndarray]
 Block = Tuple[np.ndarray, np.ndarray]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearConstraintSystem:
-    """Homogeneous system A x = 0 stored as sparse rows of (index, coeff)."""
+    """Homogeneous system A x = 0 stored as flat entry arrays in row order.
+
+    ``entries`` holds the row index, column and coefficient of every stored
+    entry as read-only arrays, rows ascending; ``n_rows`` counts the rows,
+    since a row may have no entries.  Build a system with ``from_entries``
+    (or ``from_rows``), which validates the arrays.
+    """
 
     n_unknowns: int
-    rows: Tuple[Row, ...]
+    n_rows: int
+    entries: Entries
 
     @staticmethod
     def from_rows(
@@ -68,34 +76,33 @@ class LinearConstraintSystem:
             raise SlotMismatch(
                 f"column {cols[bad][0]} out of range for {n_unknowns} unknowns"
             )
-        pairs = iter(zip(cols.tolist(), coeffs.tolist()))
-        rows = tuple(tuple(islice(pairs, n)) for n in lengths.tolist())
-        system = LinearConstraintSystem(n_unknowns, rows)
-        # fills the cached property below, so the rows are never flattened
         row_of = np.repeat(np.arange(lengths.size), lengths)
-        system.__dict__["entries"] = _read_only(row_of, cols, coeffs)
-        return system
+        for a in (row_of, cols, coeffs):
+            a.setflags(write=False)
+        return LinearConstraintSystem(n_unknowns, lengths.size, (row_of, cols, coeffs))
 
-    @cached_property
-    def entries(self) -> Entries:
-        """Row index, column and coefficient of every stored entry."""
-        flat = [entry for row in self.rows for entry in row]
-        packed = np.array(flat, dtype=float).reshape(-1, 2)
-        row_of = np.repeat(np.arange(len(self.rows)), [len(r) for r in self.rows])
-        return _read_only(row_of, packed[:, 0].astype(np.intp), packed[:, 1])
+    @property
+    def rows(self) -> Tuple[Tuple[Tuple[int, float], ...], ...]:
+        """Each row as (column, coefficient) pairs, rebuilt from ``entries``.
+
+        A view for readers outside the package; no rank route reads it.
+        """
+        _, cols, coeffs = self.entries
+        pairs = list(zip(cols.tolist(), coeffs.tolist()))
+        return tuple(tuple(pairs[a:b]) for a, b in _row_bounds(self))
 
     def to_dense(self) -> np.ndarray:
         """Dense coefficient matrix; repeated columns in a row add up."""
         row_of, cols, coeffs = self.entries
-        dense = np.zeros((len(self.rows), self.n_unknowns))
+        dense = np.zeros((self.n_rows, self.n_unknowns))
         np.add.at(dense, (row_of, cols), coeffs)
         return dense
 
 
-def _read_only(*arrays: np.ndarray) -> Entries:
-    for a in arrays:
-        a.setflags(write=False)
-    return arrays
+def _row_bounds(system: LinearConstraintSystem) -> List[Tuple[int, int]]:
+    """Start and end of every row within the entry arrays."""
+    ends = np.cumsum(np.bincount(system.entries[0], minlength=system.n_rows))
+    return list(zip([0] + ends[:-1].tolist(), ends.tolist()))
 
 
 def _blocks(system: LinearConstraintSystem) -> List[Block]:
@@ -108,7 +115,7 @@ def _blocks(system: LinearConstraintSystem) -> List[Block]:
     a block, and blocks come in the order of their smallest unknown.
     """
     row_of, cols, _ = system.entries
-    n_rows, n = len(system.rows), system.n_unknowns
+    n_rows, n = system.n_rows, system.n_unknowns
     # every unknown ends labelled by the smallest unknown of its block:
     # labels only shrink, each row pulls its columns to their least label,
     # and a pointer jump per round shortens the chains
@@ -247,9 +254,11 @@ def exact_nullity(system: LinearConstraintSystem) -> int:
     """
     if system.n_unknowns == 0:
         raise DegenerateSystem("system has no unknowns")
+    _, cols, coeffs = system.entries
+    cols, coeffs = cols.tolist(), coeffs.tolist()
     pivots: Dict[int, Dict[int, int]] = {}
-    for raw in system.rows:
-        row = _integer_row(raw)
+    for start, end in _row_bounds(system):
+        row = _integer_row(cols[start:end], coeffs[start:end])
         # reduced pivot rows bring no other pivot column into the row
         for col in [c for c in row if c in pivots]:
             row = _eliminate(row, pivots[col], col)
@@ -263,13 +272,13 @@ def exact_nullity(system: LinearConstraintSystem) -> int:
     return system.n_unknowns - len(pivots)
 
 
-def _integer_row(raw: Row) -> Dict[int, int]:
+def _integer_row(cols: List[int], coeffs: List[float]) -> Dict[int, int]:
     """Primitive integer multiple of one sparse row, zeros dropped."""
-    ratios = [(idx, coeff.as_integer_ratio()) for idx, coeff in raw]
-    scale = math.lcm(*(den for _, (_, den) in ratios))
+    ratios = [coeff.as_integer_ratio() for coeff in coeffs]
+    scale = math.lcm(*(den for _, den in ratios))
     row: Dict[int, int] = {}
-    for idx, (num, den) in ratios:
-        row[idx] = row.get(idx, 0) + num * (scale // den)
+    for col, (num, den) in zip(cols, ratios):
+        row[col] = row.get(col, 0) + num * (scale // den)
     return _primitive({c: v for c, v in row.items() if v})
 
 

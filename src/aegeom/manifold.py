@@ -133,15 +133,14 @@ class ChartedManifold:
 
 @dataclass(frozen=True)
 class SamplePlan:
-    """Deterministic sample of interior points and probe vectors."""
+    """Deterministic sample of interior points."""
 
     seed: int = 0
     n_points: int = 50
-    n_vector_triples: int = 20
 
     def __post_init__(self) -> None:
-        if self.n_points < 1 or self.n_vector_triples < 1:
-            raise ValueError("sample counts must be positive")
+        if self.n_points < 1:
+            raise ValueError("n_points must be at least 1")
 
     def points(self, domain: Box) -> np.ndarray:
         """Points strictly inside the box, stable under shrinking n_points."""
@@ -152,16 +151,6 @@ class SamplePlan:
         lo = np.asarray(domain.lo)
         hi = np.asarray(domain.hi)
         return lo + (0.05 + 0.9 * u) * (hi - lo)
-
-    def vector_triples(self, dim: int) -> np.ndarray:
-        """Triples of probe vectors with infinity norm in [0.1, 1]."""
-        rng = np.random.default_rng([self.seed, 13])
-        raw = rng.uniform(-1.0, 1.0, (self.n_vector_triples, 3, dim))
-        scale_rng = np.random.default_rng([self.seed, 17])
-        targets = 0.1 + 0.9 * scale_rng.random((self.n_vector_triples, 3))
-        norms = np.max(np.abs(raw), axis=2)
-        norms[norms == 0.0] = 1.0
-        return raw * (targets / norms)[:, :, None]
 
 
 def evaluate_fields(m: ChartedManifold, point: Sequence[float]):

@@ -19,7 +19,12 @@ from aegeom.algebra import (
 from aegeom.catalog import catalog, standard_names
 from aegeom.classify import classify, condition_table
 from aegeom.cli import EXIT_PASS, run as cli_run
-from aegeom.connection import christoffel, derived_tensors, identity_residuals
+from aegeom.connection import (
+    christoffel,
+    derived_tensors,
+    identity_residuals,
+    vector_triples,
+)
 from aegeom.linalg import exact_nullity, null_space
 from aegeom.manifold import (
     HERMITIAN,
@@ -34,7 +39,7 @@ from aegeom.manifold import (
     validate_structure,
 )
 
-FULL_PLAN = SamplePlan(seed=0, n_points=50, n_vector_triples=20)
+FULL_PLAN = SamplePlan(seed=0, n_points=50)
 
 
 def announce(capsys, ok, label):
@@ -82,7 +87,7 @@ def test_criterion_2_identity_suite(capsys):
     worst = 0.0
     for name in standard_names():
         m = catalog(name)
-        triples = FULL_PLAN.vector_triples(m.dim)
+        triples = vector_triples(FULL_PLAN.seed, 20, m.dim)
         for point in FULL_PLAN.points(m.domain):
             res = identity_residuals(m, point, triples)
             worst = max(worst, max(res.values()))
@@ -201,8 +206,8 @@ def test_criterion_5_subspace_dimensions(capsys):
 def test_criterion_6_six_sphere_profile(capsys):
     start = time.monotonic()
     m = catalog("s6-nearly-kahler")
-    plan = SamplePlan(seed=0, n_points=20, n_vector_triples=20)
-    triples = plan.vector_triples(6)
+    plan = SamplePlan(seed=0, n_points=20)
+    triples = vector_triples(0, 20, 6)
     worst_nearly = 0.0
     worst_pairing = 0.0
     min_nabla = np.inf

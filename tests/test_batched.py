@@ -15,7 +15,12 @@ import pytest
 from aegeom import manifold
 from aegeom.catalog import catalog, standard_names
 from aegeom.classify import CONDITIONS, sample_residuals
-from aegeom.connection import christoffel, derived_tensors, identity_residuals
+from aegeom.connection import (
+    christoffel,
+    derived_tensors,
+    identity_residuals,
+    vector_triples,
+)
 from aegeom.errors import GeometryError, InvalidStructure
 from aegeom.manifold import (
     HERMITIAN,
@@ -26,7 +31,7 @@ from aegeom.manifold import (
     load_manifold_config,
 )
 
-PLAN = SamplePlan(seed=3, n_points=7, n_vector_triples=6)
+PLAN = SamplePlan(seed=3, n_points=7)
 
 CONFIG = {
     "name": "wavy",
@@ -104,7 +109,7 @@ def test_sample_residuals_are_the_worst_single_point_residuals(tmp_path):
 def test_identity_residuals_are_the_worst_single_point_residuals(tmp_path):
     for m in manifolds(tmp_path):
         points = PLAN.points(m.domain)
-        triples = PLAN.vector_triples(m.dim)
+        triples = vector_triples(PLAN.seed, 6, m.dim)
         swept = identity_residuals(m, points, triples)
         singles = [identity_residuals(m, p, triples) for p in points]
         assert set(swept) == set(singles[0])
@@ -115,10 +120,10 @@ def test_identity_residuals_are_the_worst_single_point_residuals(tmp_path):
 
 def test_sweeps_in_blocks_match_one_pass(monkeypatch):
     m = catalog("pullback-integrable-para-hermitian")
-    plan = SamplePlan(seed=5, n_points=10, n_vector_triples=4)
+    plan = SamplePlan(seed=5, n_points=10)
 
     def sweep():
-        points, triples = plan.points(m.domain), plan.vector_triples(m.dim)
+        points, triples = plan.points(m.domain), vector_triples(5, 4, m.dim)
         return sample_residuals(m, plan), identity_residuals(m, points, triples)
 
     whole = sweep()

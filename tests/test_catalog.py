@@ -53,6 +53,36 @@ def test_flat_entries_have_exactly_zero_residuals():
         assert all(v == 0.0 for v in report.residuals.values()), name
 
 
+# (metric, structure) of the constant pairs, written out so that a change to
+# ModelFiber.standard, which the catalog takes them from, shows here
+CONSTANT_PAIRS = {
+    "flat-kahler": ([[1, 0], [0, 1]], [[0, -1], [1, 0]]),
+    "flat-product-riemannian": ([[1, 0], [0, 1]], [[1, 0], [0, -1]]),
+    "flat-anti-kahler": ([[1, 0], [0, -1]], [[0, -1], [1, 0]]),
+    "flat-para-kahler": ([[0, 1], [1, 0]], [[1, 0], [0, -1]]),
+    "pullback-integrable-hermitian": (
+        np.eye(4),
+        [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]],
+    ),
+    "pullback-integrable-para-hermitian": (
+        [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]],
+        np.diag([1, 1, -1, -1]),
+    ),
+}
+
+
+def test_constant_pairs_are_pinned():
+    # a pullback entry is its constant pair at the origin, where the
+    # diffeomorphism's Jacobian is the identity
+    pins = dict(CONSTANT_PAIRS)
+    pins["pullback-integrable-product-riemannian"] = pins["flat-product-riemannian"]
+    pins["pullback-integrable-norden"] = pins["flat-anti-kahler"]
+    for name, expected in pins.items():
+        m = catalog(name)
+        for got, want in zip(evaluate_fields(m, np.zeros(m.dim)), expected):
+            assert np.array_equal(got, np.array(want, dtype=float)), name
+
+
 def test_entry_kinds_and_dimensions():
     expected = {
         "flat-kahler": ("hermitian", 2),

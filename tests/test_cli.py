@@ -20,7 +20,8 @@ from aegeom.cli import EXIT_FAIL, EXIT_INTERNAL, EXIT_PASS, EXIT_USAGE, run
 from aegeom.errors import TheoremViolation
 from aegeom.manifold import KINDS, SamplePlan, ValidationReport, load_manifold_config
 
-FAST = ["--points", "5", "--vectors", "3"]
+FAST = ["--points", "5"]
+PROBES = ["--vectors", "3"]
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
@@ -171,7 +172,7 @@ def test_classify_json_parses_into_report(capsys):
     parsed = ClassificationReport.from_json(out)
     direct = classify(
         catalog("random-norden-42"),
-        SamplePlan(seed=3, n_points=5, n_vector_triples=3),
+        SamplePlan(seed=3, n_points=5),
     )
     assert parsed == direct
 
@@ -190,7 +191,7 @@ def test_verify_lists_checks(capsys):
 
 def test_identities_pass_and_fail(tmp_path, capsys):
     code, _, _ = run_capture(
-        capsys, ["identities", "--manifold", "flat-para-kahler", *FAST]
+        capsys, ["identities", "--manifold", "flat-para-kahler", *FAST, *PROBES]
     )
     assert code == EXIT_PASS
     # incompatible pair: g(J., J.) = g fails, so the identities, which
@@ -205,7 +206,7 @@ def test_identities_pass_and_fail(tmp_path, capsys):
     path = tmp_path / "lopsided.json"
     path.write_text(json.dumps(config))
     code, out, err = run_capture(
-        capsys, ["identities", "--manifold", str(path), *FAST]
+        capsys, ["identities", "--manifold", str(path), *FAST, *PROBES]
     )
     assert code == EXIT_FAIL
     assert out == ""
@@ -324,13 +325,25 @@ def test_usage_errors_exit_two(capsys):
     )
     assert (
         run_capture(
-            capsys, ["classify", "--manifold", "flat-kahler", "--vectors", "0"]
+            capsys, ["identities", "--manifold", "flat-kahler", "--vectors", "0"]
         )[0]
         == EXIT_USAGE
     )
     assert (
         run_capture(capsys, ["catalog", "--format", "yaml"])[0] == EXIT_USAGE
     )
+
+
+def test_only_identities_takes_vectors(capsys):
+    flat = ["--manifold", "flat-kahler"]
+    others = [["catalog"], ["algebra-table"]] + [
+        [verb, *flat] for verb in ("validate", "classify", "verify")
+    ]
+    for argv in others:
+        code, out, err = run_capture(capsys, [*argv, *PROBES])
+        assert code == EXIT_USAGE, argv
+        assert out == "" and "unrecognized arguments: --vectors 3" in err
+    assert run_capture(capsys, ["identities", *flat, *FAST, *PROBES])[0] == EXIT_PASS
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0"])

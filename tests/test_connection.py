@@ -11,7 +11,12 @@ import pytest
 from aegeom import connection
 from aegeom.catalog import catalog, standard_names
 from aegeom.classify import sample_residuals
-from aegeom.connection import christoffel, derived_tensors, identity_residuals
+from aegeom.connection import (
+    christoffel,
+    derived_tensors,
+    identity_residuals,
+    vector_triples,
+)
 from aegeom.errors import FormulaMismatch, InvalidStructure, TorsionFormulaMismatch
 from aegeom.manifold import (
     HERMITIAN,
@@ -141,7 +146,7 @@ def test_structure_derivative_shape_and_magnitude():
 
 def test_nearly_property_on_the_six_sphere():
     m = catalog("s6-nearly-kahler")
-    vectors = SamplePlan(seed=2, n_vector_triples=20).vector_triples(6)
+    vectors = vector_triples(2, 20, 6)
     for nj in derived_tensors(m, SMALL.points(m.domain)[:4])["nabla_j"]:
         sym = nj + np.einsum("jik->kij", nj)
         assert np.max(np.abs(sym)) < 1e-8
@@ -214,7 +219,7 @@ def test_canonical_torsion_matches_structure_rotation_routes():
 
 def test_torsion_pairing_is_skew_on_the_six_sphere():
     m = catalog("s6-nearly-kahler")
-    vectors = SamplePlan(seed=4, n_vector_triples=20).vector_triples(6)
+    vectors = vector_triples(4, 20, 6)
     points = SMALL.points(m.domain)[:4]
     for point, t in zip(points, derived_tensors(m, points)["torsion"]):
         g, _ = evaluate_fields(m, point)
@@ -349,10 +354,9 @@ def test_codazzi_defect_doubles_on_nearly_structures():
 
 
 def test_identity_suite_on_every_catalog_entry():
-    triples = SamplePlan(seed=1, n_vector_triples=5)
     for name in standard_names():
         m = catalog(name)
-        vectors = triples.vector_triples(m.dim)
+        vectors = vector_triples(1, 5, m.dim)
         for point in SMALL.points(m.domain)[:2]:
             res = identity_residuals(m, point, vectors)
             for key, val in res.items():

@@ -198,7 +198,7 @@ def test_system_rejects_out_of_range_columns():
 
 
 def test_zero_unknowns_is_degenerate():
-    sys = LinearConstraintSystem(0, ())
+    sys = LinearConstraintSystem.from_entries(0, [], [], [])
     with pytest.raises(DegenerateSystem):
         null_space(sys)
     with pytest.raises(DegenerateSystem):
@@ -386,3 +386,51 @@ def test_a_chain_of_rows_is_one_block():
     assert block_rows.tolist() == list(range(9))
     assert block_cols.tolist() == list(range(10))
     assert numeric_nullity(system) == exact_nullity(system) == 1
+
+
+def test_no_rank_route_reads_the_rows_view(monkeypatch):
+    systems = [
+        build_constraints(ModelFiber.standard(kind, n), query)
+        for kind in KINDS
+        for n in range(1, MAX_HALF_DIM + 1)
+        for query in SubspaceQuery
+    ]
+    expected = [
+        (exact_nullity(s), numeric_nullity(s), null_space(s)[0], linalg._blocks(s))
+        for s in systems
+    ]
+
+    def unread(self):
+        raise AssertionError("a rank route read the rows view")
+
+    monkeypatch.setattr(LinearConstraintSystem, "rows", property(unread))
+    for system, (exact, numeric, basis_dim, blocks) in zip(systems, expected):
+        assert exact_nullity(system) == numeric_nullity(system) == exact
+        assert null_space(system)[0] == basis_dim == numeric
+        for (rows, cols), (rows0, cols0) in zip(linalg._blocks(system), blocks):
+            assert np.array_equal(rows, rows0) and np.array_equal(cols, cols0)
+
+
+def test_trailing_empty_rows_keep_their_count():
+    rows = [[(0, 1.0), (1, -1.0)], [], [(2, 1.0), (2, -1.0)], [], []]
+    by_rows = LinearConstraintSystem.from_rows(4, rows)
+    by_entries = LinearConstraintSystem.from_entries(
+        4, [2, 0, 2, 0, 0], [0, 1, 2, 2], [1.0, -1.0, 1.0, -1.0]
+    )
+    for system in (by_rows, by_entries):
+        assert system.n_rows == 5
+        assert system.rows == tuple(tuple(row) for row in rows)
+        assert system.to_dense().tolist() == [
+            [1.0, -1.0, 0.0, 0.0],
+            [0.0] * 4,
+            [0.0] * 4,
+            [0.0] * 4,
+            [0.0] * 4,
+        ]
+        blocks = [(r.tolist(), c.tolist()) for r, c in linalg._blocks(system)]
+        assert blocks == [([0], [0, 1]), ([2], [2]), ([], [3])]
+        assert exact_nullity(system) == numeric_nullity(system) == 3
+        assert null_space(system)[0] == 3
+    only_empty = LinearConstraintSystem.from_rows(2, [[], []])
+    assert only_empty.n_rows == 2 and only_empty.to_dense().shape == (2, 2)
+    assert exact_nullity(only_empty) == numeric_nullity(only_empty) == 2

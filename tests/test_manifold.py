@@ -8,6 +8,7 @@ import re
 import numpy as np
 import pytest
 
+from aegeom.connection import vector_triples
 from aegeom.errors import (
     ConfigError,
     DomainEmpty,
@@ -142,21 +143,19 @@ def test_sample_points_are_prefix_stable():
 
 
 def test_vector_triples_norms_and_prefix():
-    plan = SamplePlan(seed=5, n_vector_triples=30)
-    v = plan.vector_triples(6)
+    v = vector_triples(5, 30, 6)
     assert v.shape == (30, 3, 6)
     norms = np.max(np.abs(v), axis=2)
     assert np.all(norms >= 0.1 - 1e-12)
     assert np.all(norms <= 1.0 + 1e-12)
-    small = SamplePlan(seed=5, n_vector_triples=4).vector_triples(6)
-    assert np.array_equal(v[:4], small)
+    assert np.array_equal(v[:4], vector_triples(5, 4, 6))
+    with pytest.raises(ValueError):
+        vector_triples(5, 0, 6)
 
 
 def test_sample_plan_rejects_empty_domain_and_bad_counts():
     with pytest.raises(ValueError):
         SamplePlan(n_points=0)
-    with pytest.raises(ValueError):
-        SamplePlan(n_vector_triples=0)
     empty = Box((0.0, 0.0), (0.0, 1.0))
     with pytest.raises(DomainEmpty):
         SamplePlan().points(empty)
