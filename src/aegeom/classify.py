@@ -5,7 +5,8 @@ structure tensor is parallel (Kahler type), the Nijenhuis tensor vanishes
 (integrable), the covariant derivative of the structure alternates in its
 direction and argument (nearly), or is symmetric in them (Codazzi).  The
 canonical-connection torsion and two derived quantities round out the
-picture because the main results tie them to those conditions:
+picture because the main results tie them to those conditions.  Each
+result is one row of ``THEOREMS``:
 
 * Kahler type is equivalent to vanishing canonical torsion.
 * Integrability is equivalent to vanishing of the torsion shift
@@ -23,9 +24,8 @@ never declared a counterexample because of roundoff in the conclusion.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from dataclasses import asdict, dataclass, replace
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -53,18 +53,60 @@ from .tensors import inf_norm
 VERDICT_TOL = 1e-8
 IMPLICATION_SLACK = 10.0
 
-CONDITIONS = (
-    "kahler_type",
-    "integrable",
-    "nearly",
-    "codazzi",
-    "canonical_torsion",
-    "torsion_shift",
-    "torsion_pairing_skew",
+# residual key: the words naming it in a check's details.  The order is the
+# order of the residuals in reports.
+LABELS = {
+    "kahler_type": "structure derivative residual",
+    "integrable": "Nijenhuis residual",
+    "nearly": "nearly residual",
+    "codazzi": "codazzi residual",
+    "canonical_torsion": "canonical torsion residual",
+    "torsion_shift": "torsion shift residual",
+    "torsion_pairing_skew": "torsion pairing symmetric part",
+}
+CONDITIONS = tuple(LABELS)
+
+
+class Theorem(NamedTuple):
+    """One checked result: a small hypothesis residual forces a small conclusion.
+
+    ``products`` are the sign products alpha*epsilon it holds for.  With
+    ``converse`` the conclusion forces the hypothesis too.  ``note`` is the
+    subspace whose model-fiber dimension the check reports, if any.
+    """
+
+    name: str
+    products: Tuple[int, ...]
+    hypothesis: str
+    conclusion: str
+    converse: bool = False
+    note: Optional[SubspaceQuery] = None
+
+
+BOTH = (1, -1)
+# The checks a kind gets are the rows for its sign product, in this order.
+THEOREMS = (
+    Theorem("kahler_type_iff_torsion_free", BOTH, "kahler_type",
+            "canonical_torsion", converse=True),
+    Theorem("integrable_iff_torsion_shift_vanishes", BOTH, "integrable",
+            "torsion_shift", converse=True),
+    Theorem("nearly_forces_kahler_type", (1,), "nearly", "kahler_type",
+            note=SubspaceQuery.ALTERNATING),
+    Theorem("nearly_iff_torsion_pairing_skew", (-1,), "nearly",
+            "torsion_pairing_skew", converse=True),
+    Theorem("codazzi_forces_kahler_type", BOTH, "codazzi", "kahler_type",
+            note=SubspaceQuery.SYMMETRIC),
 )
 
-PLUS_SIGN_CONDITION = "(nabla_x J) y + (nabla_y J) x = 0"
-MINUS_SIGN_CONDITION = "(nabla_x J) y - (nabla_y J) x = 0"
+# (cell key, condition, its residual key, its subspace, the class when that
+# subspace is not zero).  A zero subspace means the condition forces Kahler
+# type.
+SIGN_CONDITIONS = (
+    ("plus_sign", "(nabla_x J) y + (nabla_y J) x = 0", "nearly",
+     SubspaceQuery.ALTERNATING, "nearly Kahler type"),
+    ("minus_sign", "(nabla_x J) y - (nabla_y J) x = 0", "codazzi",
+     SubspaceQuery.SYMMETRIC, "Kahler-Codazzi type"),
+)
 
 
 @dataclass(frozen=True)
@@ -76,7 +118,7 @@ class CheckResult:
     details: str
 
     def to_dict(self) -> Dict[str, str]:
-        return {"name": self.name, "status": self.status, "details": self.details}
+        return asdict(self)
 
 
 @dataclass
@@ -105,31 +147,8 @@ class ClassificationReport:
             "theorem_checks": [c.to_dict() for c in self.theorem_checks],
         }
 
-    @staticmethod
-    def from_dict(data: Dict[str, object]) -> "ClassificationReport":
-        kind = StructureKind(
-            alpha=int(data["kind"]["alpha"]), epsilon=int(data["kind"]["epsilon"])
-        )
-        return ClassificationReport(
-            manifold=str(data["manifold"]),
-            kind=kind,
-            seed=int(data["sample"]["seed"]),
-            n_points=int(data["sample"]["n_points"]),
-            tol=float(data["tol"]),
-            residuals={k: float(v) for k, v in data["residuals"].items()},
-            verdicts={k: bool(v) for k, v in data["verdicts"].items()},
-            theorem_checks=[
-                CheckResult(name=c["name"], status=c["status"], details=c["details"])
-                for c in data["theorem_checks"]
-            ],
-        )
-
     def to_json(self) -> str:
         return report_json(self.to_dict())
-
-    @staticmethod
-    def from_json(text: str) -> "ClassificationReport":
-        return ClassificationReport.from_dict(json.loads(text))
 
     def render_text(self) -> str:
         lines = [
@@ -177,39 +196,34 @@ def _conditions(m: ChartedManifold, points) -> Dict[str, float]:
     }
 
 
-def _implication(
-    name: str,
-    hyp_label: str,
-    hyp: float,
-    con_label: str,
-    con: float,
-    tol: float,
-) -> CheckResult:
-    details = f"{hyp_label} {hyp:.3e}, {con_label} {con:.3e}, tol {tol:.1e}"
-    if hyp < tol:
-        if con >= IMPLICATION_SLACK * tol:
-            raise TheoremViolation(f"{name}: {details}")
-        return CheckResult(name=name, status="passed", details=details)
-    return CheckResult(name=name, status="hypothesis not met", details=details)
+def _theorems_for(kind: StructureKind) -> List[Theorem]:
+    """The rows of ``THEOREMS`` that hold for the kind, in table order."""
+    return [row for row in THEOREMS if kind.product in row.products]
 
 
-def _biconditional(
-    name: str,
-    left_label: str,
-    left: float,
-    right_label: str,
-    right: float,
-    tol: float,
+def _theorem_check(
+    row: Theorem, residuals: Dict[str, float], tol: float
 ) -> CheckResult:
-    details = f"{left_label} {left:.3e}, {right_label} {right:.3e}, tol {tol:.1e}"
-    slack = IMPLICATION_SLACK * tol
-    if left < tol and right >= slack:
-        raise TheoremViolation(f"{name}: {details}")
-    if right < tol and left >= slack:
-        raise TheoremViolation(f"{name}: {details}")
-    if left < tol or right < tol:
-        return CheckResult(name=name, status="passed", details=details)
-    return CheckResult(name=name, status="hypothesis not met", details=details)
+    """Check one theorem row, in both directions when it has a converse.
+
+    A direction whose hypothesis is below ``tol`` passes unless its
+    conclusion reaches ``IMPLICATION_SLACK * tol``, which raises
+    ``TheoremViolation``; with no hypothesis below ``tol`` the hypothesis
+    was not met.
+    """
+    hyp, con = residuals[row.hypothesis], residuals[row.conclusion]
+    details = (
+        f"{LABELS[row.hypothesis]} {hyp:.3e}, "
+        f"{LABELS[row.conclusion]} {con:.3e}, tol {tol:.1e}"
+    )
+    directions = ((hyp, con), (con, hyp)) if row.converse else ((hyp, con),)
+    met = False
+    for given, claimed in directions:
+        if given < tol:
+            if claimed >= IMPLICATION_SLACK * tol:
+                raise TheoremViolation(f"{row.name}: {details}")
+            met = True
+    return CheckResult(row.name, "passed" if met else "hypothesis not met", details)
 
 
 def _check_closed_form(
@@ -228,24 +242,6 @@ def _check_closed_form(
     return value
 
 
-def _with_subspace_note(
-    check: CheckResult,
-    kind: StructureKind,
-    dim: Optional[int],
-    query: SubspaceQuery,
-) -> CheckResult:
-    if dim is None or dim // 2 > MAX_HALF_DIM:
-        return check
-    n = dim // 2
-    value = _check_closed_form(
-        kind, n, query, subspace_dimension(ModelFiber.standard(kind, n), query)
-    )
-    note = f", {query.value} subspace dimension {value} (n={n})"
-    return CheckResult(
-        name=check.name, status=check.status, details=check.details + note
-    )
-
-
 def _suite_from_residuals(
     residuals: Dict[str, float],
     kind: StructureKind,
@@ -254,59 +250,22 @@ def _suite_from_residuals(
 ) -> List[CheckResult]:
     """Every theorem check that applies to the kind, from sweep residuals.
 
-    Both torsion checks, the nearly check that fits the sign product, and
-    the Codazzi check, in that order.  Given the manifold dimension ``dim``,
-    the nearly-forces and Codazzi checks carry the subspace dimension of the
-    matching model fiber; with ``dim=None`` no subspace is queried.
+    Given the manifold dimension ``dim``, a row with a ``note`` also reports
+    the dimension of its subspace in the matching model fiber; with
+    ``dim=None``, or past ``MAX_HALF_DIM``, no subspace is queried.
     """
-    checks = [
-        _biconditional(
-            "kahler_type_iff_torsion_free",
-            "structure derivative residual",
-            residuals["kahler_type"],
-            "canonical torsion residual",
-            residuals["canonical_torsion"],
-            tol,
-        ),
-        _biconditional(
-            "integrable_iff_torsion_shift_vanishes",
-            "Nijenhuis residual",
-            residuals["integrable"],
-            "torsion shift residual",
-            residuals["torsion_shift"],
-            tol,
-        ),
-    ]
-    if kind.product == 1:
-        nearly = _implication(
-            "nearly_forces_kahler_type",
-            "nearly residual",
-            residuals["nearly"],
-            "structure derivative residual",
-            residuals["kahler_type"],
-            tol,
-        )
-        checks.append(_with_subspace_note(nearly, kind, dim, SubspaceQuery.ALTERNATING))
-    else:
-        checks.append(
-            _biconditional(
-                "nearly_iff_torsion_pairing_skew",
-                "nearly residual",
-                residuals["nearly"],
-                "torsion pairing symmetric part",
-                residuals["torsion_pairing_skew"],
-                tol,
+    checks = []
+    for row in _theorems_for(kind):
+        check = _theorem_check(row, residuals, tol)
+        if row.note is not None and dim is not None and dim // 2 <= MAX_HALF_DIM:
+            n = dim // 2
+            fiber = ModelFiber.standard(kind, n)
+            value = _check_closed_form(
+                kind, n, row.note, subspace_dimension(fiber, row.note)
             )
-        )
-    codazzi = _implication(
-        "codazzi_forces_kahler_type",
-        "codazzi residual",
-        residuals["codazzi"],
-        "structure derivative residual",
-        residuals["kahler_type"],
-        tol,
-    )
-    checks.append(_with_subspace_note(codazzi, kind, dim, SubspaceQuery.SYMMETRIC))
+            note = f", {row.note.value} subspace dimension {value} (n={n})"
+            check = replace(check, details=check.details + note)
+        checks.append(check)
     return checks
 
 
@@ -342,12 +301,14 @@ def condition_table(
 
     The cells are decided by exact subspace dimensions in the largest
     supported model fiber: a zero-dimensional subspace means the condition
-    forces the structure derivative itself to vanish.  ``dims`` is the
-    output of ``dimension_table()``, which is computed when not given; every
-    dimension in it must equal ``closed_form_dimension`` or
-    ``TheoremViolation`` is raised.  Each cell also records the outcome of
-    the matching theorem check on every catalog entry of that kind, as
-    sampled evidence beside the algebraic proof.
+    forces the structure derivative itself to vanish, so the class is
+    Kahler type; any other dimension leaves the class of the condition
+    (``SIGN_CONDITIONS``).  ``dims`` is the output of ``dimension_table()``,
+    which is computed when not given; every dimension in it must equal
+    ``closed_form_dimension`` or ``TheoremViolation`` is raised.  Each cell
+    also records, on every catalog entry of that kind, the outcome of the
+    theorem check whose hypothesis is the condition, as sampled evidence
+    beside the algebraic proof.
     """
     if plan is None:
         plan = SamplePlan()
@@ -366,39 +327,23 @@ def condition_table(
         by_kind.setdefault(m.kind.label, []).append(m)
     cells: Dict[str, object] = {}
     for kind in KINDS:
-        alt = dims[kind.label][n][SubspaceQuery.ALTERNATING.value]
-        sym = dims[kind.label][n][SubspaceQuery.SYMMETRIC.value]
-        if kind.product == 1:
-            plus_class = "Kahler type"
-            plus_check = "nearly_forces_kahler_type"
-        else:
-            plus_class = "nearly Kahler type"
-            plus_check = "nearly_iff_torsion_pairing_skew"
-        plus_entries: Dict[str, str] = {}
-        minus_entries: Dict[str, str] = {}
+        entry_check = {row.hypothesis: row.name for row in _theorems_for(kind)}
+        statuses = {}
         for m in by_kind.get(kind.label, []):
-            checks = _suite_from_residuals(
-                sample_residuals(m, plan), m.kind, None, tol
-            )
-            statuses = {c.name: c.status for c in checks}
-            plus_entries[m.name] = statuses[plus_check]
-            minus_entries[m.name] = statuses["codazzi_forces_kahler_type"]
-        cells[kind.label] = {
-            "plus_sign": {
-                "subspace_dimension": alt,
-                "class": plus_class,
-                "entry_checks": plus_entries,
-            },
-            "minus_sign": {
-                "subspace_dimension": sym,
-                "class": "Kahler type",
-                "entry_checks": minus_entries,
-            },
-        }
+            checks = _suite_from_residuals(sample_residuals(m, plan), kind, None, tol)
+            statuses[m.name] = {c.name: c.status for c in checks}
+        cells[kind.label] = {}
+        for key, _, condition, query, nonzero_class in SIGN_CONDITIONS:
+            dim = dims[kind.label][n][query.value]
+            check = entry_check[condition]
+            cells[kind.label][key] = {
+                "subspace_dimension": dim,
+                "class": "Kahler type" if dim == 0 else nonzero_class,
+                "entry_checks": {name: by[check] for name, by in statuses.items()},
+            }
     return {
         "half_dimension": n,
-        "plus_sign_condition": PLUS_SIGN_CONDITION,
-        "minus_sign_condition": MINUS_SIGN_CONDITION,
+        **{f"{key}_condition": text for key, text, *_ in SIGN_CONDITIONS},
         "cells": cells,
     }
 

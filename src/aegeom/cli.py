@@ -102,7 +102,7 @@ def _cmd_catalog(args, plan):
 
 
 def _cmd_validate(args, plan):
-    report = validate_structure(_resolve_manifold(args.manifold), plan, args.tol)
+    report = validate_structure(_resolve_manifold(args.manifold), plan)
     return report.to_dict(), report.render_text, report.valid
 
 
@@ -205,7 +205,11 @@ def _cmd_identities(args, plan):
 # The order is the order of the verbs in --help.
 VERBS: Dict[str, tuple] = {
     "catalog": ("list built-in manifolds", _cmd_catalog, ()),
-    "validate": ("check the structure axioms", _cmd_validate, ON_MANIFOLD),
+    "validate": (
+        "check the structure axioms",
+        _cmd_validate,
+        ("manifold", "seed", "points"),
+    ),
     "classify": (
         "residuals and verdicts for the main conditions",
         _cmd_classify,

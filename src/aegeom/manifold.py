@@ -252,16 +252,8 @@ class ValidationReport:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @staticmethod
-    def from_dict(data: dict) -> "ValidationReport":
-        return ValidationReport(**data)
-
     def to_json(self) -> str:
         return report_json(self.to_dict())
-
-    @staticmethod
-    def from_json(text: str) -> "ValidationReport":
-        return ValidationReport.from_dict(json.loads(text))
 
     def render_text(self) -> str:
         lines = [
@@ -336,14 +328,13 @@ def metric_abs_det(m: ChartedManifold, points, g) -> np.ndarray:
     return det
 
 
-def validate_structure(
-    m: ChartedManifold, plan: SamplePlan, tol: float = VALIDATION_TOL
-) -> ValidationReport:
+def validate_structure(m: ChartedManifold, plan: SamplePlan) -> ValidationReport:
     """Worst residual of each structure axiom over the plan's sample.
 
-    Residual keys are those of ``axiom_residuals``.  Raises
-    ``NearSingularMetric`` at the first sampled point where |det g| falls
-    to the floor.
+    Residual keys are those of ``axiom_residuals``.  An axiom fails where
+    its residual reaches ``VALIDATION_TOL``, the tolerance every verb checks
+    the axioms against.  Raises ``NearSingularMetric`` at the first sampled
+    point where |det g| falls to the floor.
     """
     residuals: Dict[str, float] = {}
     min_abs_det = np.inf
@@ -352,7 +343,7 @@ def validate_structure(
         min_abs_det = min(min_abs_det, metric_abs_det(m, block, g).min())
         for key, stack in axiom_residuals(m.kind, g, j).items():
             residuals[key] = max(residuals.get(key, 0.0), inf_norm(stack))
-    failures = [key for key, value in residuals.items() if value >= tol]
+    failures = [key for key, value in residuals.items() if value >= VALIDATION_TOL]
     return ValidationReport(
         manifold=m.name,
         alpha=m.kind.alpha,

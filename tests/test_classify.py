@@ -1,6 +1,7 @@
 """Condition residuals, verdicts, theorem checks, and the summary table."""
 
 import importlib
+import json
 
 import numpy as np
 import pytest
@@ -14,10 +15,9 @@ from aegeom.algebra import (
 from aegeom.catalog import catalog, standard_names
 from aegeom.classify import (
     CONDITIONS,
-    ClassificationReport,
-    _biconditional,
+    Theorem,
     _check_closed_form,
-    _implication,
+    _theorem_check,
     classify,
     condition_table,
     render_condition_table,
@@ -265,26 +265,30 @@ def test_torsion_verifier_passes_on_flat_and_random_entries():
             assert checks[check].status in ("passed", "hypothesis not met"), name
 
 
-def test_implication_helper_zones():
-    ok = _implication("demo", "h", 0.0, "c", 0.0, 1e-8)
-    assert ok.status == "passed"
-    gray = _implication("demo", "h", 0.0, "c", 5e-8, 1e-8)
-    assert gray.status == "passed"  # within the slack band
-    vac = _implication("demo", "h", 1.0, "c", 1.0, 1e-8)
-    assert vac.status == "hypothesis not met"
-    with pytest.raises(TheoremViolation):
-        _implication("demo", "h", 0.0, "c", 1.0, 1e-8)
+@pytest.mark.parametrize("converse", [False, True])
+def test_theorem_check_zones(converse):
+    row = Theorem("demo", (1, -1), "nearly", "kahler_type", converse)
 
+    def check(hyp, con):
+        return _theorem_check(row, {"nearly": hyp, "kahler_type": con}, 1e-8)
 
-def test_biconditional_helper_zones():
-    ok = _biconditional("demo", "l", 0.0, "r", 0.0, 1e-8)
+    ok = check(0.0, 0.0)
     assert ok.status == "passed"
-    vac = _biconditional("demo", "l", 1.0, "r", 1.0, 1e-8)
-    assert vac.status == "hypothesis not met"
-    with pytest.raises(TheoremViolation):
-        _biconditional("demo", "l", 0.0, "r", 1.0, 1e-8)
-    with pytest.raises(TheoremViolation):
-        _biconditional("demo", "l", 1.0, "r", 0.0, 1e-8)
+    assert ok.details == (
+        "nearly residual 0.000e+00, structure derivative residual 0.000e+00, "
+        "tol 1.0e-08"
+    )
+    assert check(0.0, 5e-8).status == "passed"  # within the slack band
+    assert check(1.0, 1.0).status == "hypothesis not met"
+    with pytest.raises(TheoremViolation, match="^demo: nearly residual"):
+        check(0.0, 1.0)
+    # the converse direction: only a biconditional reads it
+    if converse:
+        with pytest.raises(TheoremViolation):
+            check(1.0, 0.0)
+        assert check(5e-8, 0.0).status == "passed"
+    else:
+        assert check(1.0, 0.0).status == "hypothesis not met"
 
 
 def test_report_json_round_trip_and_determinism():
@@ -292,9 +296,7 @@ def test_report_json_round_trip_and_determinism():
     r1 = classify(m, PLAN)
     r2 = classify(m, PLAN)
     assert r1.to_json() == r2.to_json()
-    again = ClassificationReport.from_json(r1.to_json())
-    assert again == r1
-    assert again.to_json() == r1.to_json()
+    assert json.loads(r1.to_json()) == r1.to_dict()
 
 
 def test_report_serialization_carries_kind_and_sample():
@@ -336,6 +338,40 @@ def test_condition_table_shape_and_classes():
         assert cells[label]["plus_sign"]["class"] == "Kahler type"
         assert cells[label]["plus_sign"]["subspace_dimension"] == 0
         assert cells[label]["minus_sign"]["subspace_dimension"] == 0
+
+
+def test_class_follows_the_subspace_dimension(monkeypatch):
+    # the package re-exports the function classify under the module's name
+    classify_module = importlib.import_module("aegeom.classify")
+    algebra_module = importlib.import_module("aegeom.algebra")
+
+    def patch(zero_query, nonzero_query):
+        # the table's dimensions come from algebra, the closed forms it is
+        # checked against from classify; both agree on the patched values
+        def closed_form(kind, n, q):
+            if q is zero_query:
+                return 0
+            if q is nonzero_query:
+                return 1
+            return closed_form_dimension(kind, n, q)
+
+        monkeypatch.setattr(classify_module, "closed_form_dimension", closed_form)
+        monkeypatch.setattr(
+            algebra_module,
+            "subspace_dimension",
+            lambda fiber, q: closed_form(fiber.kind, fiber.n, q),
+        )
+
+    patch(SubspaceQuery.ALTERNATING, None)
+    cells = condition_table(PLAN)["cells"]
+    for label in ("hermitian", "para-hermitian"):
+        assert cells[label]["plus_sign"]["subspace_dimension"] == 0
+        assert cells[label]["plus_sign"]["class"] == "Kahler type"
+    patch(None, SubspaceQuery.SYMMETRIC)
+    cells = condition_table(PLAN)["cells"]
+    for kind in KINDS:
+        assert cells[kind.label]["minus_sign"]["subspace_dimension"] == 1
+        assert cells[kind.label]["minus_sign"]["class"] == "Kahler-Codazzi type"
 
 
 def test_condition_table_records_entry_checks():

@@ -1,5 +1,6 @@
 """Command line behavior: exit codes, formats, determinism, file output."""
 
+import argparse
 import importlib
 import importlib.util
 import json
@@ -14,11 +15,18 @@ import pytest
 import aegeom
 from aegeom import algebra
 from aegeom.algebra import ModelFiber, alternating_definitions_coincide
-from aegeom.classify import ClassificationReport, classify
+from aegeom.classify import classify
 from aegeom.catalog import catalog
-from aegeom.cli import EXIT_FAIL, EXIT_INTERNAL, EXIT_PASS, EXIT_USAGE, run
+from aegeom.cli import (
+    EXIT_FAIL,
+    EXIT_INTERNAL,
+    EXIT_PASS,
+    EXIT_USAGE,
+    build_parser,
+    run,
+)
 from aegeom.errors import TheoremViolation
-from aegeom.manifold import KINDS, SamplePlan, ValidationReport, load_manifold_config
+from aegeom.manifold import KINDS, SamplePlan, load_manifold_config
 
 FAST = ["--points", "5"]
 PROBES = ["--vectors", "3"]
@@ -62,9 +70,9 @@ def test_validate_json_round_trips(capsys):
         ["validate", "--manifold", "random-norden-42", *FAST, "--format", "json"],
     )
     assert code == EXIT_PASS
-    report = ValidationReport.from_json(out)
-    assert report.manifold == "random-norden-42"
-    assert report.valid
+    report = json.loads(out)
+    assert report["manifold"] == "random-norden-42"
+    assert report["valid"]
 
 
 def test_validate_fails_on_incompatible_config(tmp_path, capsys):
@@ -169,12 +177,11 @@ def test_classify_json_parses_into_report(capsys):
         ],
     )
     assert code == EXIT_PASS
-    parsed = ClassificationReport.from_json(out)
     direct = classify(
         catalog("random-norden-42"),
         SamplePlan(seed=3, n_points=5),
     )
-    assert parsed == direct
+    assert json.loads(out) == direct.to_dict()
 
 
 def test_verify_lists_checks(capsys):
@@ -319,7 +326,7 @@ def test_usage_errors_exit_two(capsys):
     )
     assert (
         run_capture(
-            capsys, ["validate", "--manifold", "flat-kahler", "--tol", "-1"]
+            capsys, ["classify", "--manifold", "flat-kahler", "--tol", "-1"]
         )[0]
         == EXIT_USAGE
     )
@@ -348,7 +355,7 @@ def test_only_identities_takes_vectors(capsys):
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0"])
 def test_tol_must_be_positive_and_finite(capsys, tol):
-    for verb in ("validate", "classify", "verify", "identities"):
+    for verb in ("classify", "verify", "identities"):
         code, out, err = run_capture(
             capsys, [verb, "--manifold", "flat-kahler", *FAST, f"--tol={tol}"]
         )
@@ -356,6 +363,39 @@ def test_tol_must_be_positive_and_finite(capsys, tol):
         assert out == "" and "--tol must be a positive finite number" in err
     code, _, _ = run_capture(capsys, ["algebra-table", f"--tol={tol}"])
     assert code == EXIT_USAGE
+    # validate checks the axioms at their one tolerance and takes no --tol
+    code, out, err = run_capture(
+        capsys, ["validate", "--manifold", "flat-kahler", "--tol", "1e-3"]
+    )
+    assert code == EXIT_USAGE
+    assert out == "" and "unrecognized arguments: --tol" in err
+
+
+def test_each_verb_takes_exactly_its_options():
+    subparsers = next(
+        action
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    taken = {
+        verb: {
+            option
+            for action in sub._actions
+            for option in action.option_strings
+            if option not in ("-h", "--help")
+        }
+        for verb, sub in subparsers.choices.items()
+    }
+    out = {"--format", "--output"}
+    sample = {"--seed", "--points"}
+    assert taken == {
+        "catalog": out,
+        "validate": {"--manifold"} | sample | out,
+        "classify": {"--manifold", "--tol"} | sample | out,
+        "verify": {"--manifold", "--tol"} | sample | out,
+        "algebra-table": {"--tol"} | sample | out,
+        "identities": {"--manifold", "--tol", "--vectors"} | sample | out,
+    }
 
 
 BAD_CONFIGS = {
@@ -473,8 +513,8 @@ def test_output_flag_writes_file_and_keeps_stdout_quiet(tmp_path, capsys):
     )
     assert code == EXIT_PASS
     assert out == ""
-    report = ClassificationReport.from_json(target.read_text())
-    assert report.manifold == "flat-kahler"
+    report = json.loads(target.read_text())
+    assert report["manifold"] == "flat-kahler"
 
 
 def test_repeated_runs_are_byte_identical(tmp_path, capsys):

@@ -27,7 +27,6 @@ from aegeom.manifold import (
     ChartedManifold,
     SamplePlan,
     StructureKind,
-    ValidationReport,
     eval_with_derivatives,
     evaluate_fields,
     load_manifold_config,
@@ -299,9 +298,7 @@ def test_validate_raises_on_degenerate_metric():
 def test_validation_report_json_round_trip():
     m = flat2(HERMITIAN)
     report = validate_structure(m, SamplePlan(n_points=5))
-    again = ValidationReport.from_json(report.to_json())
-    assert again == report
-    assert report.to_json() == again.to_json()
+    assert json.loads(report.to_json()) == report.to_dict()
     text = report.render_text()
     assert "flat2" in text and "valid" in text
 
