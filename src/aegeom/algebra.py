@@ -10,20 +10,26 @@ two refinements: the alternating part (vanishing on equal first arguments,
 the pointwise model of the "nearly" condition) and the part symmetric in
 the first two arguments (the pointwise model of the Codazzi condition).
 
-Dimensions are computed numerically, from the singular values of the
-independent blocks of each system's sparsity pattern, and cross-checked by
-exact fraction-free integer elimination of the whole system; any
-disagreement raises, because the constraint coefficients are integers and
-both routes must agree exactly.  ``closed_form_dimension`` states the
-dimensions the theorems give.
+Dimensions come from two routes that share no step, and any disagreement
+raises, because the constraint coefficients are integers and both routes
+must agree exactly.  The numeric route takes the singular values of the
+independent blocks of the whole system's sparsity pattern.  The exact route
+is fraction-free integer elimination: of the whole system at n <= 2, and at
+n = 3 of the top subsystem of the J-pair split (the unknowns that use all
+three J-pairs), once the split is checked row for row against the n=1 and
+n=2 systems; a split that fails its check, or a fiber that is not the
+standard one, is eliminated whole.  What ``dimension_table`` hands from one
+n to the next lives only as long as that call.  ``closed_form_dimension``
+states the dimensions the theorems give.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -68,8 +74,8 @@ class ModelFiber:
             raise UnsupportedDimension(
                 f"half-dimension {self.n} outside 1..{MAX_HALF_DIM}"
             )
-        j0 = np.array(self.j0, dtype=int)
-        inner = np.array(self.inner, dtype=int)
+        j0 = _integer_matrix(self.j0, "j0")
+        inner = _integer_matrix(self.inner, "inner form")
         j0.setflags(write=False)
         inner.setflags(write=False)
         object.__setattr__(self, "j0", j0)
@@ -127,7 +133,7 @@ class ModelFiber:
         ``s`` must be unimodular so that the transported matrices stay
         integral.
         """
-        s = np.array(s, dtype=int)
+        s = _integer_matrix(s, "basis change")
         d = self.dim
         if s.shape != (d, d):
             raise ValueError(f"basis change must be {d}x{d}")
@@ -143,6 +149,21 @@ class ModelFiber:
             j0=s @ self.j0 @ s_inv,
             inner=s_inv.T @ self.inner @ s_inv,
         )
+
+
+def _integer_matrix(values, what: str) -> np.ndarray:
+    """``values`` as an int array; an entry that is not an integer raises.
+
+    A plain cast would truncate 1.9 to 1 and pass a different matrix on.
+    """
+    matrix = np.array(values)
+    if matrix.dtype.kind not in "biu" and not (
+        matrix.dtype.kind == "f"
+        and np.isfinite(matrix).all()
+        and (matrix == np.rint(matrix)).all()
+    ):
+        raise ValueError(f"{what} has an entry that is not an integer")
+    return matrix.astype(int)
 
 
 def _pairs(
@@ -217,21 +238,179 @@ def build_constraints(
     return _system(d, *parts)
 
 
-def subspace_dimension(fiber: ModelFiber, query: SubspaceQuery) -> int:
+Solved = Dict[int, Tuple[LinearConstraintSystem, int]]
+
+
+def subspace_dimension(
+    fiber: ModelFiber, query: SubspaceQuery, solved: Optional[Solved] = None
+) -> int:
     """Dimension of the requested subspace, numerically and exactly.
 
     The SVD dimension (singular values only) and the exact integer
-    elimination must agree; a mismatch raises ``DimensionOracleMismatch``.
+    dimension must agree; a mismatch raises ``DimensionOracleMismatch``.
+    ``solved`` hands results up a walk over n: it maps a half-dimension m
+    to the (system, exact dimension) of the standard m-fiber of the same
+    kind and query, and this call adds its own entry.  Without it, an n=3
+    query computes the n=1 and n=2 results itself.
     """
     system = build_constraints(fiber, query)
     numeric_dim = numeric_nullity(system)
-    exact_dim = exact_nullity(system)
+    exact_dim = _exact_dimension(fiber, query, system, solved or {})
     if numeric_dim != exact_dim:
         raise DimensionOracleMismatch(
             f"numeric dimension {numeric_dim} != exact dimension {exact_dim} "
             f"for {fiber.kind.label}, n={fiber.n}, query={query.value}"
         )
+    if solved is not None:
+        solved[fiber.n] = (system, exact_dim)
     return exact_dim
+
+
+def _exact_dimension(
+    fiber: ModelFiber,
+    query: SubspaceQuery,
+    system: LinearConstraintSystem,
+    solved: Solved,
+) -> int:
+    """Exact route: the checked J-pair split at n=3, else the whole system.
+
+    At n <= 2, eliminating the whole system costs less than checking the
+    split.  A fiber that is not ``ModelFiber.standard`` (a ``conjugated``
+    one, say), or a split whose lemma fails, is eliminated whole: a count
+    is never wrong, only slower.
+    """
+    if fiber.n == 3:
+        kind = fiber.kind
+        standard = ModelFiber.standard(kind, 3)
+        if np.array_equal(fiber.j0, standard.j0) and np.array_equal(
+            fiber.inner, standard.inner
+        ):
+            below = [solved.get(m) or _solve(kind, m, query) for m in (1, 2)]
+            terms = _split_terms(
+                kind, [s for s, _ in below] + [system], [c for _, c in below]
+            )
+            if terms is not None:
+                return sum(math.comb(3, k) * e for k, e in enumerate(terms, 1))
+    return exact_nullity(system)
+
+
+def _solve(
+    kind: StructureKind, n: int, query: SubspaceQuery
+) -> Tuple[LinearConstraintSystem, int]:
+    """The standard n-fiber's system and its exact dimension, eliminated whole."""
+    system = build_constraints(ModelFiber.standard(kind, n), query)
+    return system, exact_nullity(system)
+
+
+# The J-pair split: every constraint row of a standard fiber lies on
+# unknowns phi(e_i, e_j, e_k) whose indices use one set S of J-pairs,
+# |S| <= 3, and the builders treat every pair alike, so a system is a direct
+# sum of copies of the *top* subsystems (on the unknowns that use all
+# pairs) of the standard |S|-fibers.  ``_split_terms`` checks this row for
+# row before a count relies on it.
+
+
+def _top_unknowns(kind: StructureKind, n: int) -> np.ndarray:
+    """Mask of the unknowns whose three indices use all n J-pairs.
+
+    A J-pair of ``ModelFiber.standard(kind, n)`` is a rotation block of
+    ``j0`` (indices 2b, 2b + 1) when alpha = -1, and {b, n + b} of the
+    split when alpha = +1.
+    """
+    index = np.arange(2 * n)
+    bit = 1 << (index // 2 if kind.alpha == -1 else index % n)
+    used = bit[:, None, None] | bit[:, None] | bit
+    return (used == (1 << n) - 1).ravel()
+
+
+def _pair_maps(kind: StructureKind, m: int, n: int) -> np.ndarray:
+    """Unknown maps from the standard m-fiber into the n-fiber, one per row.
+
+    Row c sends pair b of the m-fiber to pair ``S[b]`` of the n-fiber, for
+    the c-th m-subset S of the n pairs in ``itertools.combinations`` order.
+    """
+    pairs = np.array(list(itertools.combinations(range(n), m)))
+    a = np.arange(2 * m)
+    if kind.alpha == -1:
+        index = 2 * pairs[:, a // 2] + a % 2
+    else:
+        index = pairs[:, a % m] + n * (a // m)
+    d = 2 * n
+    i, j, k = index[:, :, None, None], index[:, None, :, None], index[:, None, None]
+    return ((i * d + j) * d + k).reshape(len(pairs), -1)
+
+
+def _rows_within(system: LinearConstraintSystem, unknowns: np.ndarray) -> np.ndarray:
+    """Mask of the rows whose every entry lies on a marked unknown."""
+    row_of, cols, _ = system.entries
+    outside = np.bincount(row_of, weights=~unknowns[cols], minlength=system.n_rows)
+    return outside == 0
+
+
+def _select(system: LinearConstraintSystem, rows: np.ndarray) -> Entries:
+    """The marked rows as (lengths, columns, coefficients)."""
+    row_of, cols, coeffs = system.entries
+    keep = rows[row_of]
+    return np.bincount(row_of, minlength=system.n_rows)[rows], cols[keep], coeffs[keep]
+
+
+def _row_multiset(
+    lengths: np.ndarray, cols: np.ndarray, coeffs: np.ndarray
+) -> np.ndarray:
+    """Rows as one array, each row's (column, coefficient) pairs sorted, rows sorted.
+
+    Two sets of rows give equal arrays exactly when they are equal
+    multisets of sorted rows.  An entry is the complex number column +
+    i * coefficient, which numpy sorts by real part, then imaginary part;
+    a short row is padded with -1.
+    """
+    row = np.repeat(np.arange(lengths.size), lengths)
+    entry = cols + 1j * coeffs
+    order = np.argsort(row * (cols.max(initial=0) + 1) + entry)
+    table = np.full((lengths.size, int(lengths.max(initial=0))), -1 + 0j)
+    place = np.arange(cols.size) - (np.cumsum(lengths) - lengths)[row]
+    table[row, place] = entry[order]
+    return table[np.lexsort(table.T[::-1])]
+
+
+def _split_terms(
+    kind: StructureKind, systems: List[LinearConstraintSystem], counts: List[int]
+) -> Optional[List[int]]:
+    """e_1..e_n, the top subsystems' nullities, or None when the lemma fails.
+
+    ``systems[m - 1]`` is the system of the standard m-fiber for m = 1..n,
+    all for one query, and ``counts[m - 1]`` its exact dimension for
+    m < n.  The lemma, checked at every m from 2 to n: the m-system's rows
+    off its top unknowns equal, as multisets of sorted (column,
+    coefficient) rows, the images of every smaller system's top rows at
+    every set of its pairs.  The pair maps split the other unknowns into
+    those images, so dim(m) = sum of C(m, k) * e_k; that gives each e_m
+    with m < n from the counts, and e_n is eliminated on the top unknowns.
+    """
+    n = len(systems)
+    tops = [_top_unknowns(kind, m) for m in range(1, n + 1)]
+    inside = [_rows_within(s, top) for s, top in zip(systems, tops)]
+    top_rows = [_select(s, rows) for s, rows in zip(systems, inside)]
+    for m in range(2, n + 1):
+        images = []
+        for k in range(1, m):
+            maps = _pair_maps(kind, k, m)
+            lengths, cols, coeffs = top_rows[k - 1]
+            copies = len(maps)
+            cols = maps[:, cols].ravel()
+            images.append((np.tile(lengths, copies), cols, np.tile(coeffs, copies)))
+        rest = _select(systems[m - 1], ~inside[m - 1])
+        if not np.array_equal(_row_multiset(*rest), _row_multiset(*_concat(*images))):
+            return None
+    terms: List[int] = []
+    for m, count in enumerate(counts, start=1):
+        terms.append(count - sum(math.comb(m, k) * e for k, e in enumerate(terms, 1)))
+    lengths, cols, coeffs = top_rows[-1]
+    renumber = np.cumsum(tops[-1]) - 1
+    top_system = LinearConstraintSystem.from_entries(
+        int(tops[-1].sum()), lengths, renumber[cols], coeffs
+    )
+    return terms + [exact_nullity(top_system)]
 
 
 def closed_form_dimension(kind: StructureKind, n: int, query: SubspaceQuery) -> int:
@@ -242,6 +421,21 @@ def closed_form_dimension(kind: StructureKind, n: int, query: SubspaceQuery) -> 
     Gray-Hervella class W1; when alpha*epsilon = +1 the full subspace has
     dimension 2n^3 and the alternating one is zero.  The symmetric
     subspace is zero for every kind.
+
+    The J-pair split states the dimension for every n as the polynomial
+    n*e_1 + C(n, 2)*e_2 + C(n, 3)*e_3, where e_k is the dimension on the
+    unknowns that use exactly k given J-pairs (a row never mixes pair
+    sets, and every pair is alike):
+
+        alpha*epsilon   full           alternating   symmetric
+        -1              (0, 8, 12)     (0, 0, 2)     (0, 0, 0)
+        +1              (2, 12, 12)    (0, 0, 0)     (0, 0, 0)
+
+    (Gray and Hervella, "The sixteen classes of almost Hermitian
+    manifolds", 1980, for the -1 counts.)  Both this closed form and that
+    polynomial have degree at most 3 in n, so their agreement at
+    n = 0, 1, 2, 3 makes them equal for every n, which is the theorem for
+    every n.
     """
     if query is SubspaceQuery.SYMMETRIC:
         return 0
@@ -257,17 +451,18 @@ def dimension_table(max_n: int = MAX_HALF_DIM) -> dict:
 
     Keys are kind labels; values map the half-dimension to the dimensions
     of the full, alternating, and symmetric subspaces, each computed by
-    both the numeric and the exact route.
+    both the numeric and the exact route.  For each kind and query the
+    walk goes up n and hands the n=1 and n=2 systems and exact dimensions
+    to the n=3 query through ``solved``, which ends with this call.
     """
     table: dict = {}
     for kind in KINDS:
-        per_kind: dict = {}
-        for n in range(1, max_n + 1):
-            fiber = ModelFiber.standard(kind, n)
-            per_kind[n] = {
-                query.value: subspace_dimension(fiber, query)
-                for query in SubspaceQuery
-            }
+        fibers = {n: ModelFiber.standard(kind, n) for n in range(1, max_n + 1)}
+        per_kind: dict = {n: {} for n in fibers}
+        for query in SubspaceQuery:
+            solved: Solved = {}
+            for n, fiber in fibers.items():
+                per_kind[n][query.value] = subspace_dimension(fiber, query, solved)
         table[kind.label] = per_kind
     return table
 
@@ -282,9 +477,8 @@ def alternating_definitions_coincide(fiber: ModelFiber) -> bool:
     mutual containment of the null space bases.
     """
     d = fiber.dim
-    base = _base_rows(fiber)
-    sys_a = _system(d, base, _polarized_rows(d))
-    sys_b = _system(d, base, _first_two_rows(d, 1.0))
+    sys_a = _system(d, _base_rows(fiber), _polarized_rows(d))
+    sys_b = build_constraints(fiber, SubspaceQuery.ALTERNATING)
     dim_a, basis_a = null_space(sys_a)
     dim_b, basis_b = null_space(sys_b)
     if dim_a != dim_b:

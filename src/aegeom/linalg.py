@@ -11,8 +11,11 @@ sparsity pattern (``_blocks``), takes the singular values of every block
 cutoff relative to the largest singular value of the whole system; the
 blocks of a block-diagonal matrix have exactly its singular values, so
 the split changes the cost and not the count.  The exact route,
-``exact_nullity``, eliminates the whole unsplit system by fraction-free
-Gaussian elimination over the integers, which never rounds.
+``exact_nullity``, eliminates the system it is given, unsplit, by
+fraction-free Gaussian elimination over the integers, which never rounds.
+``algebra`` gives it whole systems at n <= 2 and, at n = 3, the top
+subsystem of its checked J-pair split, a split by labels and not by the
+sparsity pattern, so the two routes still share no step.
 """
 
 from __future__ import annotations

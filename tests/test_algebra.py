@@ -1,5 +1,7 @@
 """Pointwise constraint subspaces: dimensions, invariance, and basis checks."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from aegeom.algebra import (
     SubspaceQuery,
     alternating_definitions_coincide,
     build_constraints,
+    closed_form_dimension,
     dimension_table,
     subspace_dimension,
 )
@@ -63,6 +66,31 @@ def test_fiber_validates_its_matrices():
             j0=np.eye(2, dtype=int),
             inner=np.eye(2, dtype=int),
         )  # nonzero trace
+
+
+def test_fiber_rejects_non_integer_matrices():
+    # a cast to int would truncate this j0 to the standard rotation
+    with pytest.raises(ValueError, match="j0 has an entry that is not an integer"):
+        ModelFiber(
+            n=1, kind=HERMITIAN, j0=[[0, -1.9], [1.2, 0]], inner=np.eye(2, dtype=int)
+        )
+    with pytest.raises(ValueError, match="inner form has an entry"):
+        ModelFiber(n=1, kind=HERMITIAN, j0=[[0, -1], [1, 0]], inner=np.eye(2) * 1.5)
+    # integer values stored as floats are integers
+    fiber = ModelFiber(
+        n=1, kind=HERMITIAN, j0=[[0.0, -1.0], [1.0, 0.0]], inner=np.eye(2)
+    )
+    assert fiber.j0.dtype.kind == "i"
+    assert np.array_equal(fiber.j0, ModelFiber.standard(HERMITIAN, 1).j0)
+
+
+def test_conjugation_rejects_a_non_integer_basis_change():
+    # a cast to int would truncate this shear to the identity
+    fiber = ModelFiber.standard(HERMITIAN, 1)
+    with pytest.raises(ValueError, match="basis change has an entry"):
+        fiber.conjugated([[1, 0.5], [0, 1]])
+    with pytest.raises(ValueError, match="basis change has an entry"):
+        fiber.conjugated([[1, np.nan], [0, 1]])
 
 
 def test_smallest_full_system_shape():
@@ -349,3 +377,182 @@ def test_constraint_builders_match_the_nested_loops():
                 ), (kind.label, d, extra)
                 for ours, theirs in zip(system.entries, reference.entries):
                     assert np.array_equal(ours, theirs)
+
+
+# (alpha*epsilon, query) -> (e_1, e_2, e_3): the dimension on the unknowns
+# that use exactly k given J-pairs, the table in closed_form_dimension
+LABEL_TERMS = {
+    (-1, SubspaceQuery.FULL): (0, 8, 12),
+    (-1, SubspaceQuery.ALTERNATING): (0, 0, 2),
+    (-1, SubspaceQuery.SYMMETRIC): (0, 0, 0),
+    (1, SubspaceQuery.FULL): (2, 12, 12),
+    (1, SubspaceQuery.ALTERNATING): (0, 0, 0),
+    (1, SubspaceQuery.SYMMETRIC): (0, 0, 0),
+}
+
+
+def record_eliminations(monkeypatch):
+    """Unknown counts of the systems that algebra eliminates exactly."""
+    sizes = []
+    true_nullity = algebra.exact_nullity
+
+    def recording(system):
+        sizes.append(system.n_unknowns)
+        return true_nullity(system)
+
+    monkeypatch.setattr(algebra, "exact_nullity", recording)
+    return sizes
+
+
+def standard_solved(kind, query, top=3):
+    """(systems, exact dimensions) of the standard fibers up to n=top, whole."""
+    solved = [algebra._solve(kind, n, query) for n in range(1, top + 1)]
+    return [s for s, _ in solved], [c for _, c in solved]
+
+
+def test_the_pair_maps_split_the_unknowns():
+    # the split's count relies on this: the top unknowns of the n-fiber and
+    # the images of the smaller top unknowns cover each unknown once
+    for kind in KINDS:
+        for n in (2, 3):
+            covered = [np.flatnonzero(algebra._top_unknowns(kind, n))]
+            for m in range(1, n):
+                maps = algebra._pair_maps(kind, m, n)
+                assert len(maps) == math.comb(n, m)
+                covered.append(maps[:, algebra._top_unknowns(kind, m)].ravel())
+            covered = np.sort(np.concatenate(covered))
+            assert np.array_equal(covered, np.arange((2 * n) ** 3)), (kind.label, n)
+    # the top unknowns at n=3: three distinct pairs, two indices in each
+    assert algebra._top_unknowns(HERMITIAN, 3).sum() == 3 * 2 * 1 * 2**3
+
+
+def test_the_split_terms_follow_the_table_and_the_closed_form():
+    for kind in KINDS:
+        for query in SubspaceQuery:
+            terms = LABEL_TERMS[kind.product, query]
+            systems, counts = standard_solved(kind, query)
+            assert algebra._split_terms(kind, systems, counts[:2]) == list(terms)
+            # e_2 eliminated on the n=2 top subsystem, not read off the counts
+            assert algebra._split_terms(kind, systems[:2], counts[:1]) == list(
+                terms[:2]
+            )
+            for n in range(4):
+                polynomial = sum(math.comb(n, k) * e for k, e in enumerate(terms, 1))
+                assert closed_form_dimension(kind, n, query) == polynomial
+                if n:
+                    assert counts[n - 1] == polynomial, (kind.label, query, n)
+
+
+def test_every_standard_n3_query_takes_the_split(monkeypatch):
+    # the n=3 cells eliminate the 48 top unknowns, never the whole 216
+    eliminated = record_eliminations(monkeypatch)
+    dimension_table()
+    assert sorted(eliminated) == sorted([8, 64, 48] * 12)
+    # a lone query eliminates the n=1 and n=2 systems itself
+    for kind in KINDS:
+        for query in SubspaceQuery:
+            eliminated.clear()
+            subspace_dimension(ModelFiber.standard(kind, 3), query)
+            assert eliminated == [8, 64, 48], (kind.label, query)
+
+
+def test_a_conjugated_fiber_is_eliminated_whole(monkeypatch):
+    s = np.eye(6, dtype=int)
+    s[0, 3] = 1
+    eliminated = record_eliminations(monkeypatch)
+    for kind in (HERMITIAN, PRODUCT_RIEMANNIAN):
+        eliminated.clear()
+        fiber = ModelFiber.standard(kind, 3).conjugated(s)
+        dim = subspace_dimension(fiber, SubspaceQuery.FULL)
+        assert dim == closed_form_dimension(kind, 3, SubspaceQuery.FULL)
+        assert eliminated == [216]
+
+
+def edit_row_zero(kind, n, edit):
+    """``build_constraints`` with row 0 of the kind's n-system edited.
+
+    Row 0 is the swap row of phi(e_0, e_0, e_0), which uses one J-pair, so
+    the edit lands where the split reads the n=1 system.
+    """
+    build = algebra.build_constraints
+
+    def edited(fiber, query):
+        system = build(fiber, query)
+        if (fiber.kind, fiber.n) != (kind, n):
+            return system
+        rows = [list(row) for row in system.rows]
+        edit(rows)
+        return LinearConstraintSystem.from_rows(system.n_unknowns, rows)
+
+    return edited
+
+
+def change_coefficient(rows):
+    rows[0][1] = (rows[0][1][0], 3.0)
+
+
+def drop_row(rows):
+    del rows[0]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize(
+    "kind, edit, change",
+    [(NORDEN, change_coefficient, -1), (PARA_HERMITIAN, drop_row, 1)],
+)
+def test_a_broken_split_lemma_falls_back_to_the_whole_system(
+    monkeypatch, n, kind, edit, change
+):
+    # each edit moves the full dimension of the edited system off its
+    # closed form, so a split that let it through would give a wrong n=3
+    # count and trip the oracle
+    full = SubspaceQuery.FULL
+    monkeypatch.setattr(algebra, "build_constraints", edit_row_zero(kind, n, edit))
+    systems, counts = standard_solved(kind, full)
+    assert algebra._split_terms(kind, systems, counts[:2]) is None
+    true_dims = {
+        m: closed_form_dimension(kind, m, full) + (change if m == n else 0)
+        for m in (1, 2, 3)
+    }
+    eliminated = record_eliminations(monkeypatch)
+    assert subspace_dimension(ModelFiber.standard(kind, 3), full) == true_dims[3]
+    assert eliminated[-1] == 216
+    # the table walk falls back on each of the kind's three queries
+    eliminated.clear()
+    table = dimension_table()
+    assert {m: table[kind.label][m][full.value] for m in (1, 2, 3)} == true_dims
+    assert eliminated.count(216) == len(SubspaceQuery)
+
+
+def onto_another_pair(maps):
+    maps[0] = maps[1]
+
+
+def swapped_within_a_pair(maps):
+    swap = np.array([1, 0])
+    maps[0] = maps[0][((swap[:, None, None] * 2 + swap[:, None]) * 2 + swap).ravel()]
+
+
+@pytest.mark.parametrize("wrong", [onto_another_pair, swapped_within_a_pair])
+@pytest.mark.parametrize("kind", [HERMITIAN, PRODUCT_RIEMANNIAN])
+def test_a_wrong_pair_map_fails_the_split_lemma(monkeypatch, kind, wrong):
+    # one n=1 -> n=3 map sends pair 0 to the wrong unknowns: onto pair 1,
+    # which copies pair 1's rows and leaves pair 0's unmatched, or onto
+    # pair 0 with its two indices swapped, which negates the structure rows
+    true_maps = algebra._pair_maps
+
+    def wrong_maps(kind, m, n):
+        maps = true_maps(kind, m, n)
+        if (m, n) == (1, 3):
+            wrong(maps)
+        return maps
+
+    monkeypatch.setattr(algebra, "_pair_maps", wrong_maps)
+    eliminated = record_eliminations(monkeypatch)
+    for query in SubspaceQuery:
+        systems, counts = standard_solved(kind, query)
+        assert algebra._split_terms(kind, systems, counts[:2]) is None
+        eliminated.clear()
+        dim = subspace_dimension(ModelFiber.standard(kind, 3), query)
+        assert dim == closed_form_dimension(kind, 3, query)
+        assert eliminated[-1] == 216

@@ -132,8 +132,9 @@ def test_wrong_subspace_dimension_is_a_theorem_violation(monkeypatch):
 
     def patch(wrong_query, value):
         # the subspace notes query through classify, the table through
-        # algebra; every other query keeps its closed form
-        def query(fiber, q):
+        # algebra, which also hands on what it has solved; every other
+        # query keeps its closed form
+        def query(fiber, q, solved=None):
             if q is wrong_query:
                 return value
             return closed_form_dimension(fiber.kind, fiber.n, q)
@@ -359,7 +360,7 @@ def test_class_follows_the_subspace_dimension(monkeypatch):
         monkeypatch.setattr(
             algebra_module,
             "subspace_dimension",
-            lambda fiber, q: closed_form(fiber.kind, fiber.n, q),
+            lambda fiber, q, solved=None: closed_form(fiber.kind, fiber.n, q),
         )
 
     patch(SubspaceQuery.ALTERNATING, None)
