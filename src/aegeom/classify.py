@@ -27,8 +27,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, replace
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-import numpy as np
-
 from .algebra import (
     MAX_HALF_DIM,
     ModelFiber,
@@ -184,15 +182,16 @@ def _conditions(m: ChartedManifold, points) -> Dict[str, float]:
     arrs = derived_tensors(m, points)
     nj = arrs["nabla_j"]
     t = arrs["torsion"]
-    lowered = np.einsum("nai,nijk->najk", arrs["g"], t)
+    # lowered[n, j, k, a] = sum_i t[n, i, j, k] g[n, a, i]
+    lowered = t.transpose(0, 2, 3, 1) @ arrs["g"].swapaxes(1, 2)[:, None]
     return {
         "kahler_type": inf_norm(nj),
         "integrable": inf_norm(arrs["nijenhuis"]),
-        "nearly": inf_norm(nj + np.einsum("njik->nkij", nj)),
-        "codazzi": inf_norm(nj - np.einsum("njik->nkij", nj)),
+        "nearly": inf_norm(nj + nj.transpose(0, 3, 2, 1)),
+        "codazzi": inf_norm(nj - nj.transpose(0, 3, 2, 1)),
         "canonical_torsion": inf_norm(t),
         "torsion_shift": inf_norm(arrs["torsion_shift"]),
-        "torsion_pairing_skew": inf_norm(lowered + lowered.transpose(0, 3, 2, 1)),
+        "torsion_pairing_skew": inf_norm(lowered + lowered.swapaxes(2, 3)),
     }
 
 

@@ -7,9 +7,10 @@ loop over those tables, and ``run`` writes a verb's output once, as
 JSON config file when a file of that name exists.
 
 Exit codes: 0 when every requested check passes, 1 when a mathematical
-verdict fails or the input is bad, 2 for command line usage errors, and 3
-when an internal cross-check breaks (formula routes disagreeing, a proved
-implication failing, or the two dimension oracles splitting).
+verdict fails, the input is bad or the output file cannot be written, 2 for
+command line usage errors, and 3 when an internal cross-check breaks
+(formula routes disagreeing, a proved implication failing, or the two
+dimension oracles splitting).
 """
 
 from __future__ import annotations
@@ -46,14 +47,6 @@ def _resolve_manifold(target: str) -> ChartedManifold:
     return catalog(target)
 
 
-def _emit(text: str, output: Optional[str]) -> None:
-    if output:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 # option: its argparse keywords.  The order is the order of the options in
 # --help.
 OPTIONS: Dict[str, dict] = {
@@ -74,6 +67,8 @@ def _check_sample_args(
     for name in ("points", "vectors"):
         if name in options and getattr(args, name) < 1:
             parser.error(f"--{name} must be at least 1")
+    if "seed" in options and args.seed < 0:
+        parser.error("--seed must be non-negative")
     if "tol" in options and not 0.0 < args.tol < math.inf:
         parser.error("--tol must be a positive finite number")
     if "points" not in options:
@@ -267,7 +262,16 @@ def run(argv: Optional[List[str]] = None) -> int:
     except GeometryError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    _emit(report_json(payload) if args.format == "json" else text(), args.output)
+    rendered = report_json(payload) if args.format == "json" else text()
+    if args.output:
+        try:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(rendered)
+        except OSError as exc:
+            print(f"error: cannot write {args.output}: {exc.strerror}", file=sys.stderr)
+            return EXIT_FAIL
+    else:
+        sys.stdout.write(rendered)
     return EXIT_PASS if passed else EXIT_FAIL
 
 

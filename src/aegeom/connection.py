@@ -22,6 +22,12 @@ come from an implementation bug.  Either names the manifold and the first
 failing sample point.  ``derived_tensors`` is the checked pass,
 ``identity_residuals`` checks the axioms only, and ``christoffel``, which
 needs no structure, checks nothing.
+
+Contractions are stacked matrix products of each point's matrices, so a
+point gets the numbers it would get on its own.  (nabla J) J, J (nabla J)
+and J^T into the first slot of nabla J and of dJ are formed once per pass
+and read in other index orders as transposed views; only equal sums share
+a product, so each cross-check still compares two routes.
 """
 
 from __future__ import annotations
@@ -63,12 +69,10 @@ class _Frame:
         self.points = np.atleast_2d(np.asarray(points, dtype=float))
         self.g, self.dg, self.j, self.dj = eval_with_derivatives(m, self.points)
         metric_abs_det(m, self.points, self.g)
-        n, d = self.g.shape[:2]
         dg = self.dg
-        rhs = np.einsum("nilj->nlij", dg) + np.einsum("njil->nlij", dg) - dg
-        self.gamma = 0.5 * np.linalg.solve(
-            self.g, rhs.reshape(n, d, d * d)
-        ).reshape(n, d, d, d)
+        rhs = dg.transpose(0, 2, 1, 3) + dg.transpose(0, 3, 2, 1) - dg
+        flat = rhs.reshape(len(dg), m.dim, -1)
+        self.gamma = 0.5 * np.linalg.solve(self.g, flat).reshape(rhs.shape)
         self.nabla_j = _covariant_structure(self.dj, self.gamma, self.j)
 
     def point(self, n: int) -> Tuple[float, ...]:
@@ -77,24 +81,29 @@ class _Frame:
 
 def _covariant_structure(dj, gamma, j):
     """nabla[n, k, i, j] for any connection coefficients gamma."""
-    return (
-        dj
-        + np.einsum("nika,naj->nkij", gamma, j)
-        - np.einsum("nakj,nia->nkij", gamma, j)
-    )
+    gt = gamma.transpose(0, 2, 1, 3)  # gt[n, k] is the matrix of nabla_k
+    return dj + gt @ j[:, None] - j[:, None] @ gt
 
 
 def _covariant_metric(dg, gamma, g):
     """(nabla_k g)_ij at each point, for any gamma and any 2-form g."""
-    return (
-        dg
-        - np.einsum("naki,naj->nkij", gamma, g)
-        - np.einsum("nakj,nia->nkij", gamma, g)
-    )
+    gt = gamma.transpose(0, 2, 1, 3)
+    return dg - gt.swapaxes(2, 3) @ g[:, None] - g[:, None] @ gt
 
 
-def _anticommutator(nj, j):
-    return np.einsum("nkia,naj->nkij", nj, j) + np.einsum("nia,nkaj->nkij", j, nj)
+def _j_left(j, t):
+    """J t[k] at each point, for a stack t[n, k] of matrices."""
+    return j[:, None] @ t
+
+
+def _j_first(j, t):
+    """out[n, x, i, k] = sum_a J[a, x] t[n, a, i, k]: J^T into t's first slot."""
+    return (j.transpose(0, 2, 1) @ t.reshape(*j.shape[:2], -1)).reshape(t.shape)
+
+
+def _skew(x):
+    """out[n, i, j, k] = x[n, j, i, k] - x[n, k, i, j]."""
+    return x.transpose(0, 2, 1, 3) - x.transpose(0, 2, 3, 1)
 
 
 # Each runtime cross-check is (error type, tolerance, message, residual
@@ -154,36 +163,22 @@ def derived_tensors(m: ChartedManifold, points) -> Dict[str, np.ndarray]:
     frame = _Frame(m, points)
     g, dg, j, dj, nj = frame.g, frame.dg, frame.j, frame.dj, frame.nabla_j
     alpha = frame.kind.alpha
-    gamma0 = frame.gamma + (-alpha / 2.0) * np.einsum("nika,naj->nkij", nj, j)
-    torsion = gamma0 - np.einsum("nikj->nijk", gamma0)
-    t_shifted = (-alpha / 2.0) * (
-        np.einsum("njia,nak->nijk", nj, j) - np.einsum("nkia,naj->nijk", nj, j)
-    )
-    t_rotated = (alpha / 2.0) * (
-        np.einsum("nia,njak->nijk", j, nj) - np.einsum("nia,nkaj->nijk", j, nj)
-    )
-    n_deriv = (
-        np.einsum("njia,nak->nijk", nj, j)
-        + np.einsum("naj,naik->nijk", j, nj)
-        - np.einsum("nkia,naj->nijk", nj, j)
-        - np.einsum("nak,naij->nijk", j, nj)
-    )
-    n_bracket = (
-        np.einsum("naj,naik->nijk", j, dj)
-        - np.einsum("nak,naij->nijk", j, dj)
-        + np.einsum("nib,nkbj->nijk", j, dj)
-        - np.einsum("nib,njbk->nijk", j, dj)
-    )
-    shift = np.einsum("naj,nbk,niab->nijk", j, j, torsion) + alpha * torsion
+    p, q = nj @ j[:, None], _j_left(j, nj)
+    gamma0 = frame.gamma + (-alpha / 2.0) * p.transpose(0, 2, 1, 3)
+    torsion = gamma0 - gamma0.transpose(0, 1, 3, 2)
+    t_shifted = (-alpha / 2.0) * _skew(p)
+    t_rotated = (alpha / 2.0) * _skew(q)
+    n_deriv = _skew(p + _j_first(j, nj))
+    n_bracket = _skew(_j_first(j, dj) - _j_left(j, dj))
+    shift = j.transpose(0, 2, 1)[:, None] @ torsion @ j[:, None] + alpha * torsion
     spread = np.stack([torsion - t_shifted, torsion - t_rotated], axis=1)
     parallel = (_covariant_structure(dj, gamma0, j), _covariant_metric(dg, gamma0, g))
-    nijenhuis_error, tol = NijenhuisFormulaMismatch, NIJENHUIS_AGREEMENT_TOL
     checks = [
         (
             FormulaMismatch,
             PARALLEL_TOL,
             "(nabla J) J + J (nabla J) residual {0:.3e} at {point}",
-            (_anticommutator(nj, j),),
+            (p + q,),
         ),
         (
             TorsionFormulaMismatch,
@@ -199,14 +194,14 @@ def derived_tensors(m: ChartedManifold, points) -> Dict[str, np.ndarray]:
             parallel,
         ),
         (
-            nijenhuis_error,
-            tol,
+            NijenhuisFormulaMismatch,
+            NIJENHUIS_AGREEMENT_TOL,
             "Nijenhuis routes disagree by {0:.3e} at {point}",
             (n_deriv - n_bracket,),
         ),
         (
-            nijenhuis_error,
-            tol,
+            NijenhuisFormulaMismatch,
+            NIJENHUIS_AGREEMENT_TOL,
             "torsion relation residual {0:.3e} at {point}",
             (shift + 0.5 * n_deriv,),
         ),
@@ -270,58 +265,58 @@ def vector_triples(seed: int, n_triples: int, dim: int) -> np.ndarray:
 
 
 def _identities(m: ChartedManifold, points, triples) -> Dict[str, float]:
-    frame = _Frame(m, points)
-    _require(frame, [])
-    g, dg, j, dj = frame.g, frame.dg, frame.j, frame.dj
-    nj, gamma = frame.nabla_j, frame.gamma
-    ae = frame.kind.product
-
-    tensors: Dict[str, np.ndarray] = {}
-
-    twin = np.einsum("nai,naj->nij", j, g)
-    tensors["pairing_swap"] = twin - ae * np.einsum("nib,nbj->nij", g, j)
-
-    tensors["anticommute"] = _anticommutator(nj, j)
-
-    paired = np.einsum("naj,nkai->nkij", g, nj)
-    tensors["pairing_symmetry"] = paired - ae * np.einsum("nkij->nkji", paired)
-
-    tensors["pairing_j_shift"] = np.einsum(
-        "naj,nkab,nbi->nkij", g, nj, j
-    ) + ae * np.einsum("nab,nbj,nkai->nkij", g, j, nj)
-
-    dtwin = np.einsum("nkai,naj->nkij", dj, g) + np.einsum(
-        "nai,nkaj->nkij", j, dg
-    )
-    cov_twin = _covariant_metric(dtwin, gamma, twin)
-    twin_defect = cov_twin - np.einsum("nikj->nkij", cov_twin)
-    codazzi_j = nj - np.einsum("njik->nkij", nj)
-    paired_defect = np.einsum("naj,nkai->nkij", g, codazzi_j)
-    tensors["twin_codazzi_match"] = twin_defect - paired_defect
-
-    nabla_g = _covariant_metric(dg, gamma, g)
-    tensors["nabla_g"] = nabla_g
-    tensors["codazzi_nabla_g"] = nabla_g - np.einsum("nikj->nkij", nabla_g)
-
-    if ae == -1:
-        tensors["fundamental_form_antisymmetry"] = twin + twin.transpose(0, 2, 1)
-        nearly_form = cov_twin + np.einsum("nikj->nkij", cov_twin)
-        nearly_j = nj + np.einsum("njik->nkij", nj)
-        tensors["fundamental_form_nearly_match"] = nearly_form - np.einsum(
-            "naj,nkai->nkij", g, nearly_j
-        )
-
+    tensors = _identity_tensors(_Frame(m, points))
     out = {key: inf_norm(arr) for key, arr in tensors.items()}
     if triples is not None:
         # all triples at once: rows x (x) y and x (x) y (x) z, one per triple
         x, y, z = triples[:, 0], triples[:, 1], triples[:, 2]
-        yz = np.einsum("ti,tj->tij", y, z)
+        yz = y[:, :, None] * z[:, None, :]
         probes = {
-            3: np.einsum("ti,tj->tij", x, y).reshape(len(triples), -1),
-            4: np.einsum("tk,tij->tkij", x, yz).reshape(len(triples), -1),
+            3: (x[:, :, None] * y[:, None, :]).reshape(len(triples), -1),
+            4: (x[:, :, None, None] * yz[:, None]).reshape(len(triples), -1),
         }
         for key, arr in tensors.items():
-            flat = arr.reshape(len(arr), -1)
-            on_vectors = np.einsum("nc,tc->nt", flat, probes[arr.ndim])
+            on_vectors = arr.reshape(len(arr), -1) @ probes[arr.ndim].T
             out[key + "_on_vectors"] = inf_norm(on_vectors)
     return out
+
+
+def _identity_tensors(frame: _Frame) -> Dict[str, np.ndarray]:
+    """Residual stack of each identity, after the structure axioms pass."""
+    _require(frame, [])
+    g, dg, j, dj = frame.g, frame.dg, frame.j, frame.dj
+    nj, gamma = frame.nabla_j, frame.gamma
+    ae = frame.kind.product
+    gl, jt, njt = g[:, None], j.transpose(0, 2, 1), nj.swapaxes(2, 3)
+    p = nj @ j[:, None]
+
+    tensors: Dict[str, np.ndarray] = {}
+
+    twin, gj = jt @ g, g @ j
+    tensors["pairing_swap"] = twin - ae * gj
+
+    tensors["anticommute"] = p + _j_left(j, nj)
+
+    paired = njt @ gl
+    tensors["pairing_symmetry"] = paired - ae * paired.swapaxes(2, 3)
+
+    tensors["pairing_j_shift"] = p.swapaxes(2, 3) @ gl + ae * (njt @ gj[:, None])
+
+    dtwin = dj.swapaxes(2, 3) @ gl + jt[:, None] @ dg
+    cov_twin = _covariant_metric(dtwin, gamma, twin)
+    twin_defect = cov_twin - cov_twin.transpose(0, 2, 1, 3)
+    codazzi_j = nj - nj.transpose(0, 3, 2, 1)
+    tensors["twin_codazzi_match"] = twin_defect - codazzi_j.swapaxes(2, 3) @ gl
+
+    nabla_g = _covariant_metric(dg, gamma, g)
+    tensors["nabla_g"] = nabla_g
+    tensors["codazzi_nabla_g"] = nabla_g - nabla_g.transpose(0, 2, 1, 3)
+
+    if ae == -1:
+        tensors["fundamental_form_antisymmetry"] = twin + twin.transpose(0, 2, 1)
+        nearly_form = cov_twin + cov_twin.transpose(0, 2, 1, 3)
+        nearly_j = nj + nj.transpose(0, 3, 2, 1)
+        tensors["fundamental_form_nearly_match"] = (
+            nearly_form - nearly_j.swapaxes(2, 3) @ gl
+        )
+    return tensors

@@ -141,6 +141,8 @@ class SamplePlan:
     def __post_init__(self) -> None:
         if self.n_points < 1:
             raise ValueError("n_points must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
     def points(self, domain: Box) -> np.ndarray:
         """Points strictly inside the box, stable under shrinking n_points."""

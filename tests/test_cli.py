@@ -339,6 +339,13 @@ def test_usage_errors_exit_two(capsys):
     assert (
         run_capture(capsys, ["catalog", "--format", "yaml"])[0] == EXIT_USAGE
     )
+    flat = ["--manifold", "flat-kahler"]
+    for argv in [["algebra-table"]] + [
+        [verb, *flat] for verb in ("validate", "classify", "verify", "identities")
+    ]:
+        code, out, err = run_capture(capsys, argv + ["--seed", "-1"])
+        assert code == EXIT_USAGE, argv
+        assert "--seed must be non-negative" in err and out == "", argv
 
 
 def test_only_identities_takes_vectors(capsys):
@@ -515,6 +522,15 @@ def test_output_flag_writes_file_and_keeps_stdout_quiet(tmp_path, capsys):
     assert out == ""
     report = json.loads(target.read_text())
     assert report["manifold"] == "flat-kahler"
+
+
+def test_unwritable_output_exits_one_and_names_the_path(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run_capture(capsys, ["catalog", "--output", str(target)])
+    assert code == EXIT_FAIL
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert not target.parent.exists()
 
 
 def test_repeated_runs_are_byte_identical(tmp_path, capsys):

@@ -5,8 +5,13 @@ differentiates the metric by central differences and applies the explicit
 inverse-metric formula, sharing no code with the dual-number route.
 """
 
+import ast
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
+from test_batched import manifolds
 
 from aegeom import connection
 from aegeom.catalog import catalog, standard_names
@@ -17,12 +22,18 @@ from aegeom.connection import (
     identity_residuals,
     vector_triples,
 )
-from aegeom.errors import FormulaMismatch, InvalidStructure, TorsionFormulaMismatch
+from aegeom.errors import (
+    FormulaMismatch,
+    InvalidStructure,
+    NijenhuisFormulaMismatch,
+    TorsionFormulaMismatch,
+)
 from aegeom.manifold import (
     HERMITIAN,
     Box,
     ChartedManifold,
     SamplePlan,
+    StructureKind,
     eval_with_derivatives,
     evaluate_fields,
 )
@@ -316,7 +327,9 @@ def test_derived_tensors_bundle_is_consistent():
             - np.einsum("nakj,nia->nkij", gamma, j)
         )
         assert np.array_equal(arrays["g"], g), name
-        assert np.array_equal(arrays["nabla_j"], nj), name
+        # the stacked products may sum in another order than einsum
+        slack = 1e-14 * np.maximum(1.0, np.abs(nj))
+        assert np.all(np.abs(arrays["nabla_j"] - nj) <= slack), name
 
 
 def test_every_checked_point_function_runs_every_cross_check(monkeypatch):
@@ -416,3 +429,168 @@ def test_cross_check_failures_name_the_manifold(monkeypatch):
     monkeypatch.setattr(connection, "PARALLEL_TOL", 0.0)
     with pytest.raises(FormulaMismatch, match=r"^s6-nearly-kahler: \(nabla J\)"):
         derived_tensors(catalog("s6-nearly-kahler"), (0.1, 0.2, 0.3, 0.1, 0.2, 0.3))
+
+
+def einsum_reference(m, points):
+    """Every derived stack and identity tensor, in per-index einsum spellings.
+
+    The oracle for the stacked matrix products of ``connection``: it shares
+    only the field evaluation with them, and runs no check.
+    """
+    g, dg, j, dj = eval_with_derivatives(m, points)
+    n, d = g.shape[:2]
+    alpha, ae = m.kind.alpha, m.kind.product
+    rhs = np.einsum("nilj->nlij", dg) + np.einsum("njil->nlij", dg) - dg
+    gamma = 0.5 * np.linalg.solve(g, rhs.reshape(n, d, d * d)).reshape(n, d, d, d)
+
+    def cov_metric(dform, gam, form):
+        return (
+            dform
+            - np.einsum("naki,naj->nkij", gam, form)
+            - np.einsum("nakj,nia->nkij", gam, form)
+        )
+
+    nj = (
+        dj
+        + np.einsum("nika,naj->nkij", gamma, j)
+        - np.einsum("nakj,nia->nkij", gamma, j)
+    )
+    gamma0 = gamma + (-alpha / 2.0) * np.einsum("nika,naj->nkij", nj, j)
+    torsion = gamma0 - np.einsum("nikj->nijk", gamma0)
+    derived = {
+        "g": g,
+        "gamma0": gamma0,
+        "nabla_j": nj,
+        "torsion": torsion,
+        "torsion_shift": np.einsum("naj,nbk,niab->nijk", j, j, torsion)
+        + alpha * torsion,
+        "nijenhuis": np.einsum("njia,nak->nijk", nj, j)
+        + np.einsum("naj,naik->nijk", j, nj)
+        - np.einsum("nkia,naj->nijk", nj, j)
+        - np.einsum("nak,naij->nijk", j, nj),
+    }
+
+    twin = np.einsum("nai,naj->nij", j, g)
+    paired = np.einsum("naj,nkai->nkij", g, nj)
+    dtwin = np.einsum("nkai,naj->nkij", dj, g) + np.einsum("nai,nkaj->nkij", j, dg)
+    cov_twin = cov_metric(dtwin, gamma, twin)
+    codazzi_j = nj - np.einsum("njik->nkij", nj)
+    nabla_g = cov_metric(dg, gamma, g)
+    identities = {
+        "pairing_swap": twin - ae * np.einsum("nib,nbj->nij", g, j),
+        "anticommute": np.einsum("nkia,naj->nkij", nj, j)
+        + np.einsum("nia,nkaj->nkij", j, nj),
+        "pairing_symmetry": paired - ae * np.einsum("nkij->nkji", paired),
+        "pairing_j_shift": np.einsum("naj,nkab,nbi->nkij", g, nj, j)
+        + ae * np.einsum("nab,nbj,nkai->nkij", g, j, nj),
+        "twin_codazzi_match": cov_twin
+        - np.einsum("nikj->nkij", cov_twin)
+        - np.einsum("naj,nkai->nkij", g, codazzi_j),
+        "nabla_g": nabla_g,
+        "codazzi_nabla_g": nabla_g - np.einsum("nikj->nkij", nabla_g),
+    }
+    if ae == -1:
+        identities["fundamental_form_antisymmetry"] = twin + twin.transpose(0, 2, 1)
+        nearly_form = cov_twin + np.einsum("nikj->nkij", cov_twin)
+        nearly_j = nj + np.einsum("njik->nkij", nj)
+        identities["fundamental_form_nearly_match"] = nearly_form - np.einsum(
+            "naj,nkai->nkij", g, nearly_j
+        )
+    return derived, identities
+
+
+def einsum_on_vectors(tensor, triples):
+    x, y, z = triples[:, 0], triples[:, 1], triples[:, 2]
+    flat = tensor.reshape(len(tensor), -1)
+    if tensor.ndim == 3:
+        probes = np.einsum("ti,tj->tij", x, y)
+    else:
+        probes = np.einsum("tk,tij->tkij", x, np.einsum("ti,tj->tij", y, z))
+    return np.einsum("nc,tc->nt", flat, probes.reshape(len(triples), -1))
+
+
+def assert_close(got, want, what):
+    scale = max(1.0, float(np.max(np.abs(want))))
+    assert np.max(np.abs(np.asarray(got) - want)) <= 1e-13 * scale, what
+
+
+@pytest.mark.parametrize("flip", [False, True])
+def test_stacked_products_match_the_einsum_formulas(monkeypatch, tmp_path, flip):
+    # flipping alpha flips alpha*epsilon too; the axioms then fail and the
+    # identities stop vanishing, so the unchecked pass compares tensors of
+    # order one instead of round-off
+    if flip:
+        monkeypatch.setattr(connection, "_require", lambda frame, checks: None)
+    products = set()
+    for m in manifolds(tmp_path):
+        if flip:
+            m = dataclasses.replace(
+                m, kind=StructureKind(-m.kind.alpha, m.kind.epsilon)
+            )
+        products.add(m.kind.product)
+        points = SMALL.points(m.domain)
+        derived, identities = einsum_reference(m, points)
+        got = derived_tensors(m, points)
+        assert set(got) == set(derived)
+        for key, want in derived.items():
+            assert_close(got[key], want, (m.name, key))
+        tensors = connection._identity_tensors(connection._Frame(m, points))
+        assert set(tensors) == set(identities)
+        triples = vector_triples(1, 5, m.dim)
+        worst = identity_residuals(m, points, triples)
+        for key, want in identities.items():
+            assert_close(tensors[key], want, (m.name, key))
+            assert_close(worst[key], inf_norm(want), (m.name, key))
+            on_vectors = inf_norm(einsum_on_vectors(want, triples))
+            assert_close(worst[key + "_on_vectors"], on_vectors, (m.name, key))
+    assert products == {-1, 1}
+
+
+def perturbing(helper, target, size):
+    """``helper`` with ``size`` added to one entry when its operand is target."""
+
+    def perturbed(j, t):
+        out = helper(j, t)
+        if t.shape == target.shape and np.array_equal(t, target):
+            out = out.copy()
+            out[:, 0, 1, 2] += size
+        return out
+
+    return perturbed
+
+
+def test_each_shared_product_leaves_its_cross_check_live(monkeypatch):
+    # torsion is checked from gamma0, from (nabla J) J and from J (nabla J),
+    # and Nijenhuis from nabla J and from dJ brackets: perturbing one
+    # route's product alone fails its check
+    m = catalog("s6-nearly-kahler")
+    points = SMALL.points(m.domain)
+    nj = derived_tensors(m, points)["nabla_j"]
+    dj = eval_with_derivatives(m, points)[3]
+    # J (nabla J) also feeds the anticommutator check, so the perturbation
+    # stays below that tolerance and above the torsion one after alpha / 2
+    size = 0.5 * connection.PARALLEL_TOL
+    assert size / 2.0 > connection.TORSION_AGREEMENT_TOL
+    with monkeypatch.context() as patch:
+        patch.setattr(connection, "_j_left", perturbing(connection._j_left, nj, size))
+        with pytest.raises(TorsionFormulaMismatch, match="torsion formulas disagree"):
+            derived_tensors(m, points)
+    with monkeypatch.context() as patch:
+        patch.setattr(connection, "_j_first", perturbing(connection._j_first, dj, 1e-3))
+        with pytest.raises(NijenhuisFormulaMismatch, match="Nijenhuis routes disagree"):
+            derived_tensors(m, points)
+    derived_tensors(m, points)
+
+
+def test_no_multi_operand_einsum_in_the_contraction_layer():
+    # numpy runs a multi-operand einsum in its unoptimised loop; these
+    # modules contract with stacked matrix products
+    source = Path(connection.__file__)
+    for path in (source, source.with_name("classify.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and "einsum" in (
+                getattr(node.func, "attr", None),
+                getattr(node.func, "id", None),
+            ):
+                assert len(node.args) <= 2, (path.name, node.lineno)

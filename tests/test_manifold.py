@@ -155,6 +155,8 @@ def test_vector_triples_norms_and_prefix():
 def test_sample_plan_rejects_empty_domain_and_bad_counts():
     with pytest.raises(ValueError):
         SamplePlan(n_points=0)
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        SamplePlan(seed=-1)
     empty = Box((0.0, 0.0), (0.0, 1.0))
     with pytest.raises(DomainEmpty):
         SamplePlan().points(empty)
