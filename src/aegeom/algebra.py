@@ -12,24 +12,20 @@ the first two arguments (the pointwise model of the Codazzi condition).
 
 Dimensions come from two routes that share no step, and any disagreement
 raises, because the constraint coefficients are integers and both routes
-must agree exactly.  The numeric route takes the singular values of the
-independent blocks of the whole system's sparsity pattern.  The exact route
-is fraction-free integer elimination: of the whole system at n <= 2, and at
-n = 3 of the top subsystem of the J-pair split (the unknowns that use all
-three J-pairs), once the split is checked row for row against the n=1 and
-n=2 systems; a split that fails its check, or a fiber that is not the
-standard one, is eliminated whole.  What ``dimension_table`` hands from one
-n to the next lives only as long as that call.  ``closed_form_dimension``
-states the dimensions the theorems give.
+must agree exactly.  Both read the whole system at every n.  The numeric
+route takes the singular values of the independent blocks of the system's
+sparsity pattern.  The exact route, ``linalg.exact_nullity``, solves the
+system's identification rows as a signed graph and eliminates what is left
+over the integers.  ``closed_form_dimension`` states the dimensions the
+theorems give.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -238,179 +234,22 @@ def build_constraints(
     return _system(d, *parts)
 
 
-Solved = Dict[int, Tuple[LinearConstraintSystem, int]]
-
-
-def subspace_dimension(
-    fiber: ModelFiber, query: SubspaceQuery, solved: Optional[Solved] = None
-) -> int:
+def subspace_dimension(fiber: ModelFiber, query: SubspaceQuery) -> int:
     """Dimension of the requested subspace, numerically and exactly.
 
     The SVD dimension (singular values only) and the exact integer
-    dimension must agree; a mismatch raises ``DimensionOracleMismatch``.
-    ``solved`` hands results up a walk over n: it maps a half-dimension m
-    to the (system, exact dimension) of the standard m-fiber of the same
-    kind and query, and this call adds its own entry.  Without it, an n=3
-    query computes the n=1 and n=2 results itself.
+    dimension of the whole system must agree; a mismatch raises
+    ``DimensionOracleMismatch``.
     """
     system = build_constraints(fiber, query)
     numeric_dim = numeric_nullity(system)
-    exact_dim = _exact_dimension(fiber, query, system, solved or {})
+    exact_dim = exact_nullity(system)
     if numeric_dim != exact_dim:
         raise DimensionOracleMismatch(
             f"numeric dimension {numeric_dim} != exact dimension {exact_dim} "
             f"for {fiber.kind.label}, n={fiber.n}, query={query.value}"
         )
-    if solved is not None:
-        solved[fiber.n] = (system, exact_dim)
     return exact_dim
-
-
-def _exact_dimension(
-    fiber: ModelFiber,
-    query: SubspaceQuery,
-    system: LinearConstraintSystem,
-    solved: Solved,
-) -> int:
-    """Exact route: the checked J-pair split at n=3, else the whole system.
-
-    At n <= 2, eliminating the whole system costs less than checking the
-    split.  A fiber that is not ``ModelFiber.standard`` (a ``conjugated``
-    one, say), or a split whose lemma fails, is eliminated whole: a count
-    is never wrong, only slower.
-    """
-    if fiber.n == 3:
-        kind = fiber.kind
-        standard = ModelFiber.standard(kind, 3)
-        if np.array_equal(fiber.j0, standard.j0) and np.array_equal(
-            fiber.inner, standard.inner
-        ):
-            below = [solved.get(m) or _solve(kind, m, query) for m in (1, 2)]
-            terms = _split_terms(
-                kind, [s for s, _ in below] + [system], [c for _, c in below]
-            )
-            if terms is not None:
-                return sum(math.comb(3, k) * e for k, e in enumerate(terms, 1))
-    return exact_nullity(system)
-
-
-def _solve(
-    kind: StructureKind, n: int, query: SubspaceQuery
-) -> Tuple[LinearConstraintSystem, int]:
-    """The standard n-fiber's system and its exact dimension, eliminated whole."""
-    system = build_constraints(ModelFiber.standard(kind, n), query)
-    return system, exact_nullity(system)
-
-
-# The J-pair split: every constraint row of a standard fiber lies on
-# unknowns phi(e_i, e_j, e_k) whose indices use one set S of J-pairs,
-# |S| <= 3, and the builders treat every pair alike, so a system is a direct
-# sum of copies of the *top* subsystems (on the unknowns that use all
-# pairs) of the standard |S|-fibers.  ``_split_terms`` checks this row for
-# row before a count relies on it.
-
-
-def _top_unknowns(kind: StructureKind, n: int) -> np.ndarray:
-    """Mask of the unknowns whose three indices use all n J-pairs.
-
-    A J-pair of ``ModelFiber.standard(kind, n)`` is a rotation block of
-    ``j0`` (indices 2b, 2b + 1) when alpha = -1, and {b, n + b} of the
-    split when alpha = +1.
-    """
-    index = np.arange(2 * n)
-    bit = 1 << (index // 2 if kind.alpha == -1 else index % n)
-    used = bit[:, None, None] | bit[:, None] | bit
-    return (used == (1 << n) - 1).ravel()
-
-
-def _pair_maps(kind: StructureKind, m: int, n: int) -> np.ndarray:
-    """Unknown maps from the standard m-fiber into the n-fiber, one per row.
-
-    Row c sends pair b of the m-fiber to pair ``S[b]`` of the n-fiber, for
-    the c-th m-subset S of the n pairs in ``itertools.combinations`` order.
-    """
-    pairs = np.array(list(itertools.combinations(range(n), m)))
-    a = np.arange(2 * m)
-    if kind.alpha == -1:
-        index = 2 * pairs[:, a // 2] + a % 2
-    else:
-        index = pairs[:, a % m] + n * (a // m)
-    d = 2 * n
-    i, j, k = index[:, :, None, None], index[:, None, :, None], index[:, None, None]
-    return ((i * d + j) * d + k).reshape(len(pairs), -1)
-
-
-def _rows_within(system: LinearConstraintSystem, unknowns: np.ndarray) -> np.ndarray:
-    """Mask of the rows whose every entry lies on a marked unknown."""
-    row_of, cols, _ = system.entries
-    outside = np.bincount(row_of, weights=~unknowns[cols], minlength=system.n_rows)
-    return outside == 0
-
-
-def _select(system: LinearConstraintSystem, rows: np.ndarray) -> Entries:
-    """The marked rows as (lengths, columns, coefficients)."""
-    row_of, cols, coeffs = system.entries
-    keep = rows[row_of]
-    return np.bincount(row_of, minlength=system.n_rows)[rows], cols[keep], coeffs[keep]
-
-
-def _row_multiset(
-    lengths: np.ndarray, cols: np.ndarray, coeffs: np.ndarray
-) -> np.ndarray:
-    """Rows as one array, each row's (column, coefficient) pairs sorted, rows sorted.
-
-    Two sets of rows give equal arrays exactly when they are equal
-    multisets of sorted rows.  An entry is the complex number column +
-    i * coefficient, which numpy sorts by real part, then imaginary part;
-    a short row is padded with -1.
-    """
-    row = np.repeat(np.arange(lengths.size), lengths)
-    entry = cols + 1j * coeffs
-    order = np.argsort(row * (cols.max(initial=0) + 1) + entry)
-    table = np.full((lengths.size, int(lengths.max(initial=0))), -1 + 0j)
-    place = np.arange(cols.size) - (np.cumsum(lengths) - lengths)[row]
-    table[row, place] = entry[order]
-    return table[np.lexsort(table.T[::-1])]
-
-
-def _split_terms(
-    kind: StructureKind, systems: List[LinearConstraintSystem], counts: List[int]
-) -> Optional[List[int]]:
-    """e_1..e_n, the top subsystems' nullities, or None when the lemma fails.
-
-    ``systems[m - 1]`` is the system of the standard m-fiber for m = 1..n,
-    all for one query, and ``counts[m - 1]`` its exact dimension for
-    m < n.  The lemma, checked at every m from 2 to n: the m-system's rows
-    off its top unknowns equal, as multisets of sorted (column,
-    coefficient) rows, the images of every smaller system's top rows at
-    every set of its pairs.  The pair maps split the other unknowns into
-    those images, so dim(m) = sum of C(m, k) * e_k; that gives each e_m
-    with m < n from the counts, and e_n is eliminated on the top unknowns.
-    """
-    n = len(systems)
-    tops = [_top_unknowns(kind, m) for m in range(1, n + 1)]
-    inside = [_rows_within(s, top) for s, top in zip(systems, tops)]
-    top_rows = [_select(s, rows) for s, rows in zip(systems, inside)]
-    for m in range(2, n + 1):
-        images = []
-        for k in range(1, m):
-            maps = _pair_maps(kind, k, m)
-            lengths, cols, coeffs = top_rows[k - 1]
-            copies = len(maps)
-            cols = maps[:, cols].ravel()
-            images.append((np.tile(lengths, copies), cols, np.tile(coeffs, copies)))
-        rest = _select(systems[m - 1], ~inside[m - 1])
-        if not np.array_equal(_row_multiset(*rest), _row_multiset(*_concat(*images))):
-            return None
-    terms: List[int] = []
-    for m, count in enumerate(counts, start=1):
-        terms.append(count - sum(math.comb(m, k) * e for k, e in enumerate(terms, 1)))
-    lengths, cols, coeffs = top_rows[-1]
-    renumber = np.cumsum(tops[-1]) - 1
-    top_system = LinearConstraintSystem.from_entries(
-        int(tops[-1].sum()), lengths, renumber[cols], coeffs
-    )
-    return terms + [exact_nullity(top_system)]
 
 
 def closed_form_dimension(kind: StructureKind, n: int, query: SubspaceQuery) -> int:
@@ -424,8 +263,10 @@ def closed_form_dimension(kind: StructureKind, n: int, query: SubspaceQuery) -> 
 
     The J-pair split states the dimension for every n as the polynomial
     n*e_1 + C(n, 2)*e_2 + C(n, 3)*e_3, where e_k is the dimension on the
-    unknowns that use exactly k given J-pairs (a row never mixes pair
-    sets, and every pair is alike):
+    unknowns that use exactly k given J-pairs: a row never mixes pair
+    sets, and every pair is alike.  That split is a lemma about the
+    constraint builders, and ``tests/test_algebra.py`` checks it row for
+    row on the standard fibers.  The values of (e_1, e_2, e_3):
 
         alpha*epsilon   full           alternating   symmetric
         -1              (0, 8, 12)     (0, 0, 2)     (0, 0, 0)
@@ -451,19 +292,15 @@ def dimension_table(max_n: int = MAX_HALF_DIM) -> dict:
 
     Keys are kind labels; values map the half-dimension to the dimensions
     of the full, alternating, and symmetric subspaces, each computed by
-    both the numeric and the exact route.  For each kind and query the
-    walk goes up n and hands the n=1 and n=2 systems and exact dimensions
-    to the n=3 query through ``solved``, which ends with this call.
+    both the numeric and the exact route.
     """
     table: dict = {}
     for kind in KINDS:
-        fibers = {n: ModelFiber.standard(kind, n) for n in range(1, max_n + 1)}
-        per_kind: dict = {n: {} for n in fibers}
-        for query in SubspaceQuery:
-            solved: Solved = {}
-            for n, fiber in fibers.items():
-                per_kind[n][query.value] = subspace_dimension(fiber, query, solved)
-        table[kind.label] = per_kind
+        fibers = [ModelFiber.standard(kind, n) for n in range(1, max_n + 1)]
+        table[kind.label] = {
+            fiber.n: {q.value: subspace_dimension(fiber, q) for q in SubspaceQuery}
+            for fiber in fibers
+        }
     return table
 
 

@@ -60,17 +60,19 @@ SAMPLE = ("seed", "points", "tol")
 ON_MANIFOLD = ("manifold",) + SAMPLE
 
 
-def _check_sample_args(
-    parser: argparse.ArgumentParser, args, options
-) -> Optional[SamplePlan]:
-    """Check the options the verb reads; its sample plan if it reads --points."""
+def _check_sample_args(args, options) -> Optional[SamplePlan]:
+    """Check the options the verb reads; its sample plan if it reads --points.
+
+    A bad value exits through ``args.usage_error``, the error method of the
+    verb's own parser, so the message carries the verb's usage line.
+    """
     for name in ("points", "vectors"):
         if name in options and getattr(args, name) < 1:
-            parser.error(f"--{name} must be at least 1")
+            args.usage_error(f"--{name} must be at least 1")
     if "seed" in options and args.seed < 0:
-        parser.error("--seed must be non-negative")
+        args.usage_error("--seed must be non-negative")
     if "tol" in options and not 0.0 < args.tol < math.inf:
-        parser.error("--tol must be a positive finite number")
+        args.usage_error("--tol must be a positive finite number")
     if "points" not in options:
         return None
     return SamplePlan(seed=args.seed, n_points=args.points)
@@ -235,6 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
     for verb, (help_text, _, options) in VERBS.items():
         sub = commands.add_parser(verb, help=help_text)
+        sub.set_defaults(usage_error=sub.error)
         for name, keywords in OPTIONS.items():
             if name in options:
                 sub.add_argument(f"--{name}", **keywords)
@@ -252,7 +255,7 @@ def run(argv: Optional[List[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         _, handler, options = VERBS[args.command]
-        plan = _check_sample_args(parser, args, options)
+        plan = _check_sample_args(args, options)
         payload, text, passed = handler(args, plan)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_PASS

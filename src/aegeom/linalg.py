@@ -11,11 +11,12 @@ sparsity pattern (``_blocks``), takes the singular values of every block
 cutoff relative to the largest singular value of the whole system; the
 blocks of a block-diagonal matrix have exactly its singular values, so
 the split changes the cost and not the count.  The exact route,
-``exact_nullity``, eliminates the system it is given, unsplit, by
-fraction-free Gaussian elimination over the integers, which never rounds.
-``algebra`` gives it whole systems at n <= 2 and, at n = 3, the top
-subsystem of its checked J-pair split, a split by labels and not by the
-sparsity pattern, so the two routes still share no step.
+``exact_nullity``, never rounds: it merges each row's repeated columns
+exactly, solves the rows of one entry and the rows ``x_u = +-x_v`` as a
+signed graph in numpy (its own label propagation over the doubled graph,
+not ``_blocks``), and eliminates any other row fraction-free over the
+integers, on one unknown per free component of that graph.  ``algebra``
+gives both routes the whole system at every n.
 """
 
 from __future__ import annotations
@@ -246,33 +247,145 @@ def _numeric_rank(sigma: np.ndarray, tol: float) -> int:
 
 
 def exact_nullity(system: LinearConstraintSystem) -> int:
-    """Null space dimension by exact Gaussian elimination over the integers.
+    """Null space dimension by exact elimination, in three stages.
 
-    Each row is scaled to integers (floats are exact binary fractions), and
-    elimination is fraction-free: ``row <- p*row - r*pivot`` with every row
-    divided by the gcd of its entries, so the returned rank involves no
-    rounding at all.  Pivot rows are kept in reduced form, zero in every
-    other pivot column, to bound fill-in; all catalog constraint rows are
-    short.
+    1. ``_merged_rows`` merges each row's repeated columns exactly.
+    2. Of the rows it merged in numpy, those of one entry (``x_u = 0``)
+       or of two entries of equal absolute value (``x_u = x_v`` or
+       ``x_u = -x_v``) are the incidence matrix of a signed graph, which
+       ``_signed_components`` solves in numpy.  They leave one unknown per free component: one
+       that is balanced (Zaslavsky, "Signed graphs", 1982) and that no
+       ``x_u = 0`` row touches.
+    3. Every other row is written on the free components' roots, with
+       their signs, and eliminated fraction-free over the integers:
+       ``row <- p*row - r*pivot`` with every row divided by the gcd of
+       its entries, and pivot rows kept zero in every other pivot column.
+
+    The nullity is the number of free components minus the rank of the
+    stage-3 rows, and no step rounds.  Every row of a standard fiber's
+    system has at most two entries, all +-1, so stage 3 gets no row there.
     """
     if system.n_unknowns == 0:
         raise DegenerateSystem("system has no unknowns")
-    _, cols, coeffs = system.entries
-    cols, coeffs = cols.tolist(), coeffs.tolist()
+    row, col, value, general = _merged_rows(system)
+    count = np.bincount(row, minlength=system.n_rows)
+    first = np.cumsum(count) - count
+    pair = first[count == 2]
+    equal = np.abs(value[pair]) == np.abs(value[pair + 1])
+    edge = pair[equal]
+    root, sign, free = _signed_components(
+        system.n_unknowns,
+        col[first[count == 1]],
+        col[edge],
+        col[edge + 1],
+        (value[edge] > 0) == (value[edge + 1] > 0),
+    )
+    # stage 3 takes the rows of three or more entries, or of two unequal ones
+    rest = count > 2
+    rest[row[pair[~equal]]] = True
+    rest = rest[row]
+    for r, c, v in zip(*(a[rest].tolist() for a in (row, col, value))):
+        general.setdefault(r, []).append((c, v))
+    root, sign, free = root.tolist(), sign.tolist(), free.tolist()
     pivots: Dict[int, Dict[int, int]] = {}
-    for start, end in _row_bounds(system):
-        row = _integer_row(cols[start:end], coeffs[start:end])
+    for entries in general.values():
+        on_roots: Dict[int, int] = {}
+        for c, v in entries:
+            if free[root[c]]:
+                on_roots[root[c]] = on_roots.get(root[c], 0) + sign[c] * v
+        new = _primitive({c: v for c, v in on_roots.items() if v})
         # reduced pivot rows bring no other pivot column into the row
-        for col in [c for c in row if c in pivots]:
-            row = _eliminate(row, pivots[col], col)
-        if not row:
+        for c in [c for c in new if c in pivots]:
+            new = _eliminate(new, pivots[c], c)
+        if not new:
             continue
-        pcol = min(row)
+        pcol = min(new)
         for qcol, qrow in pivots.items():
             if pcol in qrow:
-                pivots[qcol] = _eliminate(qrow, row, pcol)
-        pivots[pcol] = row
-    return system.n_unknowns - len(pivots)
+                pivots[qcol] = _eliminate(qrow, new, pcol)
+        pivots[pcol] = new
+    return sum(free) - len(pivots)
+
+
+def _merged_rows(
+    system: LinearConstraintSystem,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Dict[int, List[Tuple[int, int]]]]:
+    """Stage 1: every row with its repeated columns merged, zeros dropped.
+
+    A row of integer coefficients whose absolute values sum below 2**53 is
+    merged in numpy, in floats: every partial sum is then an integer below
+    2**53, which a float holds exactly.  Every other row is merged by
+    ``_integer_row`` in Python integers, to its primitive multiple, and
+    left for stage 3.
+
+    Returns the row, column and integer value of every merged entry of the
+    numpy rows, ordered by row and then column, and the other rows as
+    {row: [(column, value)]}.
+    """
+    row_of, cols, coeffs = system.entries
+    n = system.n_unknowns
+    # a float sum of nonnegative integers reaches 2**53 exactly when the
+    # true sum does, so the guard cannot round its way through
+    size = np.bincount(row_of, weights=np.abs(coeffs), minlength=system.n_rows)
+    slow = ~(size < 2.0**53)
+    slow[row_of[coeffs != np.round(coeffs)]] = True
+    wide: Dict[int, List[Tuple[int, int]]] = {}
+    if slow.any():
+        bounds = _row_bounds(system)
+        col_list, coeff_list = cols.tolist(), coeffs.tolist()
+        for r in np.flatnonzero(slow).tolist():
+            start, end = bounds[r]
+            merged = _integer_row(col_list[start:end], coeff_list[start:end])
+            wide[r] = list(merged.items())
+        keep = ~slow[row_of]
+        row_of, cols, coeffs = row_of[keep], cols[keep], coeffs[keep]
+    key, where = np.unique(row_of * n + cols, return_inverse=True)
+    value = np.bincount(where, weights=coeffs, minlength=key.size)
+    nonzero = value != 0
+    row, col = np.divmod(key[nonzero], n)
+    return row, col, value[nonzero].astype(np.int64), wide
+
+
+def _signed_components(
+    n: int, kills: np.ndarray, u: np.ndarray, v: np.ndarray, same: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stage 2: the components of a signed graph on n unknowns.
+
+    Edge k says ``x_u = -x_v`` where ``same[k]`` and ``x_u = x_v``
+    elsewhere, and ``x_u = 0`` for every u in ``kills``.  In the doubled
+    graph, node u stands for +x_u and node n + u for -x_u, and edge k
+    joins +x_u to the node of the value it equals (+x_v, or -x_v where
+    ``same[k]``) and -x_u to the other.  A component is balanced when +x_u
+    and -x_u lie apart, and free when it is balanced and has no unknown in
+    ``kills``.
+
+    Returns, per unknown, the root of its component (its smallest
+    unknown), its sign relative to the root, and, at each root, whether
+    the component is free.
+    """
+    a = np.concatenate([u, u + n])
+    b = np.concatenate([v + n * same, v + n * ~same])
+    # every node ends labelled by the smallest node of its component: each
+    # round hooks the larger label of every edge onto the smaller one (the
+    # labels are roots, so an edge with equal labels changes nothing), then
+    # jumps pointers until every label points at itself
+    label = np.arange(2 * n)
+    while True:
+        la, lb = label[a], label[b]
+        if (la == lb).all():
+            break
+        np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
+        jumped = label[label]
+        while (jumped != label).any():
+            label, jumped = jumped, jumped[jumped]
+    plus, minus = label[:n], label[n:]
+    # +x_r of the smallest unknown r labels its own half of the doubled
+    # component; the other half holds only larger unknowns
+    root = np.minimum(plus, minus)
+    sign = np.where(plus == root, 1, -1)
+    free = (plus != minus) & (root == np.arange(n))
+    free[root[kills]] = False
+    return root, sign, free
 
 
 def _integer_row(cols: List[int], coeffs: List[float]) -> Dict[int, int]:

@@ -1,5 +1,6 @@
 """Pointwise constraint subspaces: dimensions, invariance, and basis checks."""
 
+import itertools
 import math
 
 import numpy as np
@@ -17,7 +18,7 @@ from aegeom.algebra import (
 )
 from aegeom import algebra, linalg
 from aegeom.errors import DimensionOracleMismatch, UnsupportedDimension
-from aegeom.linalg import LinearConstraintSystem, null_space
+from aegeom.linalg import LinearConstraintSystem, exact_nullity, null_space
 from aegeom.manifold import (
     HERMITIAN,
     KINDS,
@@ -379,6 +380,14 @@ def test_constraint_builders_match_the_nested_loops():
                     assert np.array_equal(ours, theirs)
 
 
+# The J-pair split, the lemma on which the all-n argument of
+# closed_form_dimension rests: every constraint row of a standard fiber
+# lies on unknowns phi(e_i, e_j, e_k) whose indices use one set S of
+# J-pairs, |S| <= 3, and the builders treat every pair alike, so a system
+# is a direct sum of copies of the *top* subsystems (on the unknowns that
+# use all pairs) of the standard |S|-fibers.  ``split_terms`` checks this
+# row for row.
+
 # (alpha*epsilon, query) -> (e_1, e_2, e_3): the dimension on the unknowns
 # that use exactly k given J-pairs, the table in closed_form_dimension
 LABEL_TERMS = {
@@ -389,6 +398,148 @@ LABEL_TERMS = {
     (1, SubspaceQuery.ALTERNATING): (0, 0, 0),
     (1, SubspaceQuery.SYMMETRIC): (0, 0, 0),
 }
+
+
+def top_unknowns(kind, n):
+    """Mask of the unknowns whose three indices use all n J-pairs.
+
+    A J-pair of ``ModelFiber.standard(kind, n)`` is a rotation block of
+    ``j0`` (indices 2b, 2b + 1) when alpha = -1, and {b, n + b} of the
+    split when alpha = +1.
+    """
+    index = np.arange(2 * n)
+    bit = 1 << (index // 2 if kind.alpha == -1 else index % n)
+    used = bit[:, None, None] | bit[:, None] | bit
+    return (used == (1 << n) - 1).ravel()
+
+
+def pair_maps(kind, m, n):
+    """Unknown maps from the standard m-fiber into the n-fiber, one per row.
+
+    Row c sends pair b of the m-fiber to pair ``S[b]`` of the n-fiber, for
+    the c-th m-subset S of the n pairs in ``itertools.combinations`` order.
+    """
+    pairs = np.array(list(itertools.combinations(range(n), m)))
+    a = np.arange(2 * m)
+    if kind.alpha == -1:
+        index = 2 * pairs[:, a // 2] + a % 2
+    else:
+        index = pairs[:, a % m] + n * (a // m)
+    d = 2 * n
+    i, j, k = index[:, :, None, None], index[:, None, :, None], index[:, None, None]
+    return ((i * d + j) * d + k).reshape(len(pairs), -1)
+
+
+def rows_within(system, unknowns):
+    """Mask of the rows whose every entry lies on a marked unknown."""
+    row_of, cols, _ = system.entries
+    outside = np.bincount(row_of, weights=~unknowns[cols], minlength=system.n_rows)
+    return outside == 0
+
+
+def select(system, rows):
+    """The marked rows as (lengths, columns, coefficients)."""
+    row_of, cols, coeffs = system.entries
+    keep = rows[row_of]
+    return np.bincount(row_of, minlength=system.n_rows)[rows], cols[keep], coeffs[keep]
+
+
+def row_multiset(lengths, cols, coeffs):
+    """Rows as one array, each row's (column, coefficient) pairs sorted, rows sorted.
+
+    Two sets of rows give equal arrays exactly when they are equal
+    multisets of sorted rows.  An entry is the complex number column +
+    i * coefficient, which numpy sorts by real part, then imaginary part;
+    a short row is padded with -1.
+    """
+    row = np.repeat(np.arange(lengths.size), lengths)
+    entry = cols + 1j * coeffs
+    order = np.argsort(row * (cols.max(initial=0) + 1) + entry)
+    table = np.full((lengths.size, int(lengths.max(initial=0))), -1 + 0j)
+    place = np.arange(cols.size) - (np.cumsum(lengths) - lengths)[row]
+    table[row, place] = entry[order]
+    return table[np.lexsort(table.T[::-1])]
+
+
+def split_terms(kind, systems, counts, maps=pair_maps):
+    """e_1..e_n, the top subsystems' nullities, or None when the lemma fails.
+
+    ``systems[m - 1]`` is the system of the standard m-fiber for m = 1..n,
+    all for one query, and ``counts[m - 1]`` its exact dimension for
+    m < n.  The lemma, checked at every m from 2 to n: the m-system's rows
+    off its top unknowns equal, as multisets of sorted (column,
+    coefficient) rows, the images of every smaller system's top rows at
+    every set of its pairs under ``maps``.  The pair maps split the other
+    unknowns into those images, so dim(m) = sum of C(m, k) * e_k; that
+    gives each e_m with m < n from the counts, and e_n is eliminated on
+    the top unknowns.
+    """
+    n = len(systems)
+    tops = [top_unknowns(kind, m) for m in range(1, n + 1)]
+    inside = [rows_within(s, top) for s, top in zip(systems, tops)]
+    top_rows = [select(s, rows) for s, rows in zip(systems, inside)]
+    for m in range(2, n + 1):
+        images = []
+        for k in range(1, m):
+            maps_km = maps(kind, k, m)
+            lengths, cols, coeffs = top_rows[k - 1]
+            copies = len(maps_km)
+            cols = maps_km[:, cols].ravel()
+            images.append((np.tile(lengths, copies), cols, np.tile(coeffs, copies)))
+        rest = select(systems[m - 1], ~inside[m - 1])
+        if not np.array_equal(
+            row_multiset(*rest), row_multiset(*algebra._concat(*images))
+        ):
+            return None
+    terms = []
+    for m, count in enumerate(counts, start=1):
+        terms.append(count - sum(math.comb(m, k) * e for k, e in enumerate(terms, 1)))
+    lengths, cols, coeffs = top_rows[-1]
+    renumber = np.cumsum(tops[-1]) - 1
+    top_system = LinearConstraintSystem.from_entries(
+        int(tops[-1].sum()), lengths, renumber[cols], coeffs
+    )
+    return terms + [exact_nullity(top_system)]
+
+
+def standard_solved(kind, query, top=3):
+    """(systems, exact dimensions) of the standard fibers up to n=top, whole."""
+    systems = [
+        build_constraints(ModelFiber.standard(kind, n), query)
+        for n in range(1, top + 1)
+    ]
+    return systems, [exact_nullity(s) for s in systems]
+
+
+def test_the_pair_maps_split_the_unknowns():
+    # the split's count relies on this: the top unknowns of the n-fiber and
+    # the images of the smaller top unknowns cover each unknown once
+    for kind in KINDS:
+        for n in (2, 3):
+            covered = [np.flatnonzero(top_unknowns(kind, n))]
+            for m in range(1, n):
+                maps = pair_maps(kind, m, n)
+                assert len(maps) == math.comb(n, m)
+                covered.append(maps[:, top_unknowns(kind, m)].ravel())
+            covered = np.sort(np.concatenate(covered))
+            assert np.array_equal(covered, np.arange((2 * n) ** 3)), (kind.label, n)
+    # the top unknowns at n=3: three distinct pairs, two indices in each
+    assert top_unknowns(HERMITIAN, 3).sum() == 3 * 2 * 1 * 2**3
+
+
+def test_the_split_terms_follow_the_table_and_the_closed_form():
+    for kind in KINDS:
+        for query in SubspaceQuery:
+            terms = LABEL_TERMS[kind.product, query]
+            systems, counts = standard_solved(kind, query)
+            assert split_terms(kind, systems, counts[:2]) == list(terms)
+            # e_2 eliminated on the n=2 top subsystem, not read off the counts
+            assert split_terms(kind, systems[:2], counts[:1]) == list(terms[:2])
+            for n in range(4):
+                polynomial = sum(math.comb(n, k) * e for k, e in enumerate(terms, 1))
+                assert closed_form_dimension(kind, n, query) == polynomial
+                if n:
+                    assert counts[n - 1] == polynomial, (kind.label, query, n)
 
 
 def record_eliminations(monkeypatch):
@@ -404,56 +555,18 @@ def record_eliminations(monkeypatch):
     return sizes
 
 
-def standard_solved(kind, query, top=3):
-    """(systems, exact dimensions) of the standard fibers up to n=top, whole."""
-    solved = [algebra._solve(kind, n, query) for n in range(1, top + 1)]
-    return [s for s, _ in solved], [c for _, c in solved]
-
-
-def test_the_pair_maps_split_the_unknowns():
-    # the split's count relies on this: the top unknowns of the n-fiber and
-    # the images of the smaller top unknowns cover each unknown once
-    for kind in KINDS:
-        for n in (2, 3):
-            covered = [np.flatnonzero(algebra._top_unknowns(kind, n))]
-            for m in range(1, n):
-                maps = algebra._pair_maps(kind, m, n)
-                assert len(maps) == math.comb(n, m)
-                covered.append(maps[:, algebra._top_unknowns(kind, m)].ravel())
-            covered = np.sort(np.concatenate(covered))
-            assert np.array_equal(covered, np.arange((2 * n) ** 3)), (kind.label, n)
-    # the top unknowns at n=3: three distinct pairs, two indices in each
-    assert algebra._top_unknowns(HERMITIAN, 3).sum() == 3 * 2 * 1 * 2**3
-
-
-def test_the_split_terms_follow_the_table_and_the_closed_form():
-    for kind in KINDS:
-        for query in SubspaceQuery:
-            terms = LABEL_TERMS[kind.product, query]
-            systems, counts = standard_solved(kind, query)
-            assert algebra._split_terms(kind, systems, counts[:2]) == list(terms)
-            # e_2 eliminated on the n=2 top subsystem, not read off the counts
-            assert algebra._split_terms(kind, systems[:2], counts[:1]) == list(
-                terms[:2]
-            )
-            for n in range(4):
-                polynomial = sum(math.comb(n, k) * e for k, e in enumerate(terms, 1))
-                assert closed_form_dimension(kind, n, query) == polynomial
-                if n:
-                    assert counts[n - 1] == polynomial, (kind.label, query, n)
-
-
-def test_every_standard_n3_query_takes_the_split(monkeypatch):
-    # the n=3 cells eliminate the 48 top unknowns, never the whole 216
+def test_every_standard_query_eliminates_its_whole_system(monkeypatch):
+    # each of the table's 36 systems is eliminated once, and whole
     eliminated = record_eliminations(monkeypatch)
     dimension_table()
-    assert sorted(eliminated) == sorted([8, 64, 48] * 12)
-    # a lone query eliminates the n=1 and n=2 systems itself
+    assert sorted(eliminated) == sorted([8, 64, 216] * 12)
+    # a lone query eliminates its own system and no other
     for kind in KINDS:
         for query in SubspaceQuery:
-            eliminated.clear()
-            subspace_dimension(ModelFiber.standard(kind, 3), query)
-            assert eliminated == [8, 64, 48], (kind.label, query)
+            for n in range(1, MAX_HALF_DIM + 1):
+                eliminated.clear()
+                subspace_dimension(ModelFiber.standard(kind, n), query)
+                assert eliminated == [(2 * n) ** 3], (kind.label, query, n)
 
 
 def test_a_conjugated_fiber_is_eliminated_whole(monkeypatch):
@@ -468,23 +581,15 @@ def test_a_conjugated_fiber_is_eliminated_whole(monkeypatch):
         assert eliminated == [216]
 
 
-def edit_row_zero(kind, n, edit):
-    """``build_constraints`` with row 0 of the kind's n-system edited.
+def with_row_zero_edited(system, edit):
+    """``system`` with its row 0 edited.
 
     Row 0 is the swap row of phi(e_0, e_0, e_0), which uses one J-pair, so
     the edit lands where the split reads the n=1 system.
     """
-    build = algebra.build_constraints
-
-    def edited(fiber, query):
-        system = build(fiber, query)
-        if (fiber.kind, fiber.n) != (kind, n):
-            return system
-        rows = [list(row) for row in system.rows]
-        edit(rows)
-        return LinearConstraintSystem.from_rows(system.n_unknowns, rows)
-
-    return edited
+    rows = [list(row) for row in system.rows]
+    edit(rows)
+    return LinearConstraintSystem.from_rows(system.n_unknowns, rows)
 
 
 def change_coefficient(rows):
@@ -500,28 +605,15 @@ def drop_row(rows):
     "kind, edit, change",
     [(NORDEN, change_coefficient, -1), (PARA_HERMITIAN, drop_row, 1)],
 )
-def test_a_broken_split_lemma_falls_back_to_the_whole_system(
-    monkeypatch, n, kind, edit, change
-):
+def test_a_broken_system_fails_the_split_lemma(kind, n, edit, change):
     # each edit moves the full dimension of the edited system off its
-    # closed form, so a split that let it through would give a wrong n=3
-    # count and trip the oracle
+    # closed form, so a split that let it through would miscount
     full = SubspaceQuery.FULL
-    monkeypatch.setattr(algebra, "build_constraints", edit_row_zero(kind, n, edit))
-    systems, counts = standard_solved(kind, full)
-    assert algebra._split_terms(kind, systems, counts[:2]) is None
-    true_dims = {
-        m: closed_form_dimension(kind, m, full) + (change if m == n else 0)
-        for m in (1, 2, 3)
-    }
-    eliminated = record_eliminations(monkeypatch)
-    assert subspace_dimension(ModelFiber.standard(kind, 3), full) == true_dims[3]
-    assert eliminated[-1] == 216
-    # the table walk falls back on each of the kind's three queries
-    eliminated.clear()
-    table = dimension_table()
-    assert {m: table[kind.label][m][full.value] for m in (1, 2, 3)} == true_dims
-    assert eliminated.count(216) == len(SubspaceQuery)
+    systems, _ = standard_solved(kind, full)
+    systems[n - 1] = with_row_zero_edited(systems[n - 1], edit)
+    counts = [exact_nullity(s) for s in systems]
+    assert counts[n - 1] == closed_form_dimension(kind, n, full) + change
+    assert split_terms(kind, systems, counts[:2]) is None
 
 
 def onto_another_pair(maps):
@@ -535,24 +627,16 @@ def swapped_within_a_pair(maps):
 
 @pytest.mark.parametrize("wrong", [onto_another_pair, swapped_within_a_pair])
 @pytest.mark.parametrize("kind", [HERMITIAN, PRODUCT_RIEMANNIAN])
-def test_a_wrong_pair_map_fails_the_split_lemma(monkeypatch, kind, wrong):
+def test_a_wrong_pair_map_fails_the_split_lemma(kind, wrong):
     # one n=1 -> n=3 map sends pair 0 to the wrong unknowns: onto pair 1,
     # which copies pair 1's rows and leaves pair 0's unmatched, or onto
     # pair 0 with its two indices swapped, which negates the structure rows
-    true_maps = algebra._pair_maps
-
     def wrong_maps(kind, m, n):
-        maps = true_maps(kind, m, n)
+        maps = pair_maps(kind, m, n)
         if (m, n) == (1, 3):
             wrong(maps)
         return maps
 
-    monkeypatch.setattr(algebra, "_pair_maps", wrong_maps)
-    eliminated = record_eliminations(monkeypatch)
     for query in SubspaceQuery:
         systems, counts = standard_solved(kind, query)
-        assert algebra._split_terms(kind, systems, counts[:2]) is None
-        eliminated.clear()
-        dim = subspace_dimension(ModelFiber.standard(kind, 3), query)
-        assert dim == closed_form_dimension(kind, 3, query)
-        assert eliminated[-1] == 216
+        assert split_terms(kind, systems, counts[:2], wrong_maps) is None

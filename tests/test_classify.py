@@ -132,9 +132,8 @@ def test_wrong_subspace_dimension_is_a_theorem_violation(monkeypatch):
 
     def patch(wrong_query, value):
         # the subspace notes query through classify, the table through
-        # algebra, which also hands on what it has solved; every other
-        # query keeps its closed form
-        def query(fiber, q, solved=None):
+        # algebra; every other query keeps its closed form
+        def query(fiber, q):
             if q is wrong_query:
                 return value
             return closed_form_dimension(fiber.kind, fiber.n, q)
@@ -360,7 +359,7 @@ def test_class_follows_the_subspace_dimension(monkeypatch):
         monkeypatch.setattr(
             algebra_module,
             "subspace_dimension",
-            lambda fiber, q, solved=None: closed_form(fiber.kind, fiber.n, q),
+            lambda fiber, q: closed_form(fiber.kind, fiber.n, q),
         )
 
     patch(SubspaceQuery.ALTERNATING, None)

@@ -321,31 +321,26 @@ def test_usage_errors_exit_two(capsys):
     assert run_capture(capsys, ["no-such-command"])[0] == EXIT_USAGE
     assert run_capture(capsys, ["validate"])[0] == EXIT_USAGE  # missing --manifold
     assert (
-        run_capture(capsys, ["validate", "--manifold", "flat-kahler", "--points", "0"])[0]
-        == EXIT_USAGE
-    )
-    assert (
-        run_capture(
-            capsys, ["classify", "--manifold", "flat-kahler", "--tol", "-1"]
-        )[0]
-        == EXIT_USAGE
-    )
-    assert (
-        run_capture(
-            capsys, ["identities", "--manifold", "flat-kahler", "--vectors", "0"]
-        )[0]
-        == EXIT_USAGE
-    )
-    assert (
         run_capture(capsys, ["catalog", "--format", "yaml"])[0] == EXIT_USAGE
     )
+    # a bad value is reported with the verb's usage line, as argparse
+    # reports one that does not parse (--seed x)
     flat = ["--manifold", "flat-kahler"]
-    for argv in [["algebra-table"]] + [
-        [verb, *flat] for verb in ("validate", "classify", "verify", "identities")
-    ]:
-        code, out, err = run_capture(capsys, argv + ["--seed", "-1"])
+    bad_values = [
+        (["validate", *flat, "--points", "0"], "--points must be at least 1"),
+        (["classify", *flat, "--tol", "-1"], "--tol must be a positive finite"),
+        (["identities", *flat, "--vectors", "0"], "--vectors must be at least 1"),
+        (["classify", *flat, "--seed", "x"], "invalid int value: 'x'"),
+    ] + [
+        (argv + ["--seed", "-1"], "--seed must be non-negative")
+        for argv in [["algebra-table"]]
+        + [[verb, *flat] for verb in ("validate", "classify", "verify", "identities")]
+    ]
+    for argv, message in bad_values:
+        code, out, err = run_capture(capsys, argv)
         assert code == EXIT_USAGE, argv
-        assert "--seed must be non-negative" in err and out == "", argv
+        assert message in err and out == "", argv
+        assert err.startswith(f"usage: aegeom {argv[0]} "), argv
 
 
 def test_only_identities_takes_vectors(capsys):

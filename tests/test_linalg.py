@@ -15,6 +15,7 @@ from aegeom.algebra import (
     _polarized_rows,
     _system,
     build_constraints,
+    dimension_table,
 )
 from aegeom.errors import DegenerateSystem, SlotMismatch
 from aegeom import linalg
@@ -270,6 +271,98 @@ def test_exact_nullity_matches_the_fraction_oracle_on_the_model_fibers():
             )
             for sys in systems:
                 assert exact_nullity(sys) == fraction_nullity(sys), (kind.label, n)
+
+
+# coefficients of the signed-graph pieces: dyadic, non-dyadic, and large
+LINK_SIZES = [1.0, 3.0, 0.5, 0.1, 1 / 3, 2.0**52]
+
+
+@st.composite
+def signed_graph_systems(draw):
+    """Systems built to reach every stage of ``exact_nullity``.
+
+    Rows come in pieces, shuffled: identification rows c x_u +- c x_v of
+    both signs; closed cycles of them, balanced or not; single-entry rows;
+    repeated columns that cancel or merge to +-2 or into an identification
+    row; the row 2**53 x_u + x_u - 2**53 x_u, which a float merge rounds
+    to zero; empty rows; and general rows of three or four random entries,
+    left for stage 3.  Coefficients are integers or dyadic or non-dyadic
+    fractions.
+    """
+    n = draw(st.integers(2, 8))
+    unknown = st.integers(0, n - 1)
+    size = st.sampled_from(LINK_SIZES)
+    sign = st.sampled_from([1.0, -1.0])
+    rows = []
+    for piece in draw(st.lists(st.integers(0, 7), max_size=12)):
+        if piece == 0:
+            u, v = draw(st.lists(unknown, min_size=2, max_size=2, unique=True))
+            c = draw(size)
+            rows.append([(u, c), (v, draw(sign) * c)])
+        elif piece == 1:
+            cycle = draw(st.lists(unknown, min_size=2, max_size=n, unique=True))
+            for u, v in zip(cycle, cycle[1:] + cycle[:1]):
+                rows.append([(u, 1.0), (v, draw(sign))])
+        elif piece == 2:
+            rows.append([(draw(unknown), draw(sign) * draw(size))])
+        elif piece == 3:
+            u, v = draw(st.lists(unknown, min_size=2, max_size=2, unique=True))
+            a, b = draw(sign), draw(sign)
+            # a + b is 0 or +-2; the v entries merge to +-2 as well
+            rows.append([(u, a), (v, 1.0), (u, b), (v, draw(sign))])
+        elif piece == 4:
+            rows.append([(draw(unknown), 2.0**53), (0, 1.0), (0, -(2.0**53))])
+        elif piece == 5:
+            rows.append([])
+        else:
+            cols = draw(st.lists(unknown, min_size=3, max_size=4))
+            values = st.sampled_from([1.0, -2.0, 3.0, 0.5, 0.1, -1 / 3])
+            rows.append([(c, draw(values)) for c in cols])
+    return LinearConstraintSystem.from_rows(n, draw(st.permutations(rows)))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(signed_graph_systems())
+def test_exact_nullity_matches_the_fraction_oracle_on_signed_graphs(system):
+    assert exact_nullity(system) == fraction_nullity(system)
+
+
+def test_signed_graph_stages_on_small_systems():
+    # x0 = x1 = x2 = x0: one balanced component, a free unknown
+    balanced = [[(0, 1.0), (1, -1.0)], [(1, 1.0), (2, -1.0)], [(2, 1.0), (0, -1.0)]]
+    # x0 = x1 = x2 = -x0: an unbalanced cycle, no free unknown, no kill
+    unbalanced = balanced[:2] + [[(2, 1.0), (0, 1.0)]]
+    # x0 = -x1, then x1 = 0 kills the component
+    killed = [[(0, 2.0), (1, 2.0)], [(1, 3.0)]]
+    # a float merge of 2**53 + 1 - 2**53 gives 0 and misses the kill
+    rounding = [[(0, 2.0**53), (0, 1.0), (0, -(2.0**53))]]
+    # repeated columns: a cancelling row, and 2 x0 - 2 x1 after merging
+    repeated = [[(0, 1.0), (0, -1.0)], [(0, 1.0), (1, -1.0), (0, 1.0), (1, -1.0)]]
+    # x0 = x1 and x0 + x1 + x2 = 0: stage 3 sees 2 t + x2 = 0
+    general = [[(0, 1.0), (1, -1.0)], [(0, 1.0), (1, 1.0), (2, 1.0)]]
+    cases = [
+        (balanced, 1),
+        (unbalanced, 0),
+        (killed, 1),
+        (rounding, 2),
+        (repeated, 2),
+        (general, 1),
+    ]
+    for rows, nullity in cases:
+        system = LinearConstraintSystem.from_rows(3, rows)
+        assert exact_nullity(system) == fraction_nullity(system) == nullity, rows
+
+
+def test_the_dimension_table_needs_no_general_elimination(monkeypatch):
+    # every row of a standard fiber's system merges in numpy and is a
+    # signed-graph row, so the table never reaches the Python integer code
+    def unreached(*args):
+        raise AssertionError("a standard fiber reached integer elimination")
+
+    monkeypatch.setattr(linalg, "_eliminate", unreached)
+    monkeypatch.setattr(linalg, "_integer_row", unreached)
+    table = dimension_table()
+    assert table["hermitian"][3]["alternating_first_two"] == 2
 
 
 def test_null_space_basis_is_complete_for_wide_and_tall_systems():
