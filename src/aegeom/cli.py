@@ -187,8 +187,9 @@ def _cmd_identities(args, plan):
 
     def text():
         lines = [f"manifold: {m.name}", f"kind: {m.kind.label}", "residuals:"]
+        width = max(map(len, worst)) + 2
         for key in sorted(worst):
-            lines.append(f"  {key:36s}{worst[key]:.3e}")
+            lines.append(f"  {key:{width}s}{worst[key]:.3e}")
         lines.append(
             f"max residual {max_residual:.3e} "
             f"{'<' if passed else '>='} tol {args.tol:.1e}"

@@ -5,6 +5,7 @@ import importlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -218,6 +219,17 @@ def test_identities_pass_and_fail(tmp_path, capsys):
     assert code == EXIT_FAIL
     assert out == ""
     assert err.startswith("error: lopsided: metric_isometry axiom fails")
+
+
+def test_identities_text_separates_every_key_from_its_value(capsys):
+    code, out, _ = run_capture(capsys, ["identities", "--manifold", "flat-kahler"])
+    assert code == EXIT_PASS
+    lines = out.split("residuals:\n", 1)[1].splitlines()[:-1]
+    assert "fundamental_form_nearly_match_on_vectors" in out
+    for line in lines:
+        assert re.fullmatch(r"  [a-z_]+ {2,}\d\.\d{3}e[+-]\d\d", line), line
+    # every value has the same width, so equal lengths put them in one column
+    assert len({len(line) for line in lines}) == 1
 
 
 def test_algebra_table_text_and_json(capsys):

@@ -1,12 +1,15 @@
 """Component expression parser: grammar, errors with positions, dual evaluation."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from aegeom.cli import EXIT_FAIL, run
 from aegeom.dual import Dual
 from aegeom.errors import ExpressionError
-from aegeom.expressions import Neg, Num, Pow, Var, parse_expression
+from aegeom.expressions import parse_expression
 from aegeom.manifold import (
     HERMITIAN,
     Box,
@@ -98,6 +101,64 @@ def test_unknown_variable_reports_allowed_range():
         parse_expression("x0", 2)
 
 
+# superscripts, Arabic-Indic and fullwidth digits and accented letters pass
+# str.isdigit or str.isalpha, but only ASCII is read
+@pytest.mark.parametrize(
+    "text, column",
+    [("\u00b2", 1), ("x1\u00b2", 3), ("\u0661", 1), ("x\uff11", 2), ("\u00e9", 1)],
+)
+def test_non_ascii_character_is_rejected_with_position(text, column):
+    with pytest.raises(ExpressionError, match="unexpected character") as exc:
+        parse_expression("1 +\n " + text, 1)
+    assert (exc.value.line, exc.value.column) == (2, column + 1)
+
+
+@pytest.mark.parametrize("verb", ["validate", "classify", "verify", "identities"])
+@pytest.mark.parametrize(
+    "cell, column",
+    [("\u00b2", 1), ("1 + x1\u00b2", 7), ("\u0661", 1), ("x\uff11", 2)],
+)
+def test_non_ascii_config_cell_exits_one_naming_the_cell(
+    tmp_path, capsys, verb, cell, column
+):
+    path = tmp_path / "superscript.json"
+    config = {
+        "kind": {"alpha": -1, "epsilon": 1},
+        "dim": 2,
+        "domain": {"lo": [-1.0, -1.0], "hi": [1.0, 1.0]},
+        "metric": [[cell, "0"], ["0", "1"]],
+        "structure": [["0", "-1"], ["1", "0"]],
+    }
+    path.write_text(json.dumps(config))
+    code = run([verb, "--manifold", str(path)])
+    captured = capsys.readouterr()
+    assert code == EXIT_FAIL
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert f"line 1, column {column}: metric[0][0] of superscript.json" in captured.err
+    assert "unexpected character" in captured.err
+
+
+def long_and_deep():
+    """Inputs past any recursion limit, with their value and x1-derivative at x1 = 2."""
+    terms = " + ".join(f"{k}*x1" for k in range(5000))
+    return [
+        (terms, 12497500 * 2.0, 12497500.0),
+        ("(" * 1000 + "x1*3 - 1" + ")" * 1000, 5.0, 3.0),
+        ("(" * 1000 + "x1" + ")^1" * 1000, 2.0, 1.0),
+        ("-" * 1001 + "x1", -2.0, -1.0),
+    ]
+
+
+@pytest.mark.parametrize("text, value, slope", long_and_deep())
+def test_long_and_deeply_nested_expressions_evaluate(text, value, slope):
+    expr = parse_expression(text, 1)
+    assert expr.evaluate([2.0]) == value
+    out = expr.evaluate(Dual.seed([2.0]))
+    assert out.value == value
+    assert out.grad.tolist() == [slope]
+
+
 def test_error_position_spans_lines():
     with pytest.raises(ExpressionError) as exc:
         parse_expression("x1 +\n  @", 1)
@@ -144,32 +205,43 @@ def test_parse_is_pure_and_reusable():
 
 def magnitude(expr, coords):
     """The expression with every sign made positive: bounds its rounding."""
-    if isinstance(expr, Num):
-        return abs(expr.value)
-    if isinstance(expr, Var):
-        return abs(coords[expr.index])
-    if isinstance(expr, Neg):
-        return magnitude(expr.operand, coords)
-    if isinstance(expr, Pow):
-        return magnitude(expr.base, coords) ** expr.exponent
-    left, right = magnitude(expr.left, coords), magnitude(expr.right, coords)
-    return left * right if expr.op == "*" else left + right
+    stack = []
+    for op, arg in expr.program:
+        if op == "num":
+            stack.append(abs(arg))
+        elif op == "var":
+            stack.append(abs(coords[arg]))
+        elif op == "^":
+            stack.append(stack.pop() ** arg)
+        elif op != "neg":
+            right, left = stack.pop(), stack.pop()
+            stack.append(left * right if op == "*" else left + right)
+    return stack.pop()
 
 
 leaves = st.one_of(
     st.integers(1, 4).map(lambda k: f"x{k}"),
     st.floats(-4.0, 4.0, allow_nan=False).map(repr),
 )
-trees = st.recursive(
-    leaves,
-    lambda sub: st.one_of(
-        st.tuples(sub, st.sampled_from("+-*"), sub).map(
-            lambda t: f"({t[0]} {t[1]} {t[2]})"
+
+
+def expression_trees(binary):
+    """Random expressions whose binary operations are written by ``binary``."""
+    return st.recursive(
+        leaves,
+        lambda sub: st.one_of(
+            st.tuples(sub, st.sampled_from("+-*"), sub).map(
+                lambda t: binary.format(*t)
+            ),
+            st.tuples(sub, st.integers(0, 6)).map(lambda t: f"({t[0]})^{t[1]}"),
         ),
-        st.tuples(sub, st.integers(0, 6)).map(lambda t: f"({t[0]})^{t[1]}"),
-    ),
-    max_leaves=8,
-)
+        max_leaves=8,
+    )
+
+
+trees = expression_trees("({} {} {})")
+# without the parentheses, precedence and association decide the reading
+bare_trees = expression_trees("{} {} {}")
 
 
 @settings(max_examples=150, deadline=None)
@@ -190,3 +262,15 @@ def test_float_and_dual_evaluation_agree(text, point):
     # Python ** calls pow while Dual squares repeatedly, so the two may
     # round differently, but only at the level of the magnitude
     assert abs(on_floats - on_duals) <= 1e-12 * magnitude(expr, point)
+
+
+@settings(max_examples=300, deadline=None)
+@given(bare_trees, st.lists(st.floats(-0.95, 0.95), min_size=4, max_size=4))
+def test_evaluation_matches_python_arithmetic(text, point):
+    """Python's own parser is an oracle for precedence, associativity and signs."""
+    expr = parse_expression(text, 4)
+    bound = magnitude(expr, point)
+    assume(bound < 1e100)
+    names = {f"x{k + 1}": x for k, x in enumerate(point)}
+    oracle = eval(text.replace("^", "**"), {"__builtins__": {}}, names)
+    assert abs(expr.evaluate(point) - oracle) <= 1e-12 * bound
