@@ -23,7 +23,7 @@ from typing import Dict, List, Optional
 
 from .algebra import ModelFiber, alternating_definitions_coincide, dimension_table
 from .catalog import catalog, standard_names
-from .classify import classify, condition_table, render_condition_table
+from .classify import VERDICT_TOL, classify, condition_table, render_condition_table
 from .connection import identity_residuals, vector_triples
 from .errors import GeometryError, InternalConsistencyError
 from .manifold import (
@@ -54,7 +54,7 @@ OPTIONS: Dict[str, dict] = {
     "seed": {"type": int, "default": 0, "help": "sampling seed"},
     "points": {"type": int, "default": 50, "help": "sample points"},
     "vectors": {"type": int, "default": 20, "help": "probe vector triples"},
-    "tol": {"type": float, "default": 1e-8, "help": "verdict tolerance"},
+    "tol": {"type": float, "default": VERDICT_TOL, "help": "verdict tolerance"},
 }
 SAMPLE = ("seed", "points", "tol")
 ON_MANIFOLD = ("manifold",) + SAMPLE

@@ -171,6 +171,8 @@ def derived_tensors(m: ChartedManifold, points) -> Dict[str, np.ndarray]:
     n_deriv = _skew(p + _j_first(j, nj))
     n_bracket = _skew(_j_first(j, dj) - _j_left(j, dj))
     shift = j.transpose(0, 2, 1)[:, None] @ torsion @ j[:, None] + alpha * torsion
+    # only torsion - t_rotated checks p = (nabla J) J: in torsion - t_shifted
+    # p cancels term by term, which leaves a check that frame.gamma is symmetric
     spread = np.stack([torsion - t_shifted, torsion - t_rotated], axis=1)
     parallel = (_covariant_structure(dj, gamma0, j), _covariant_metric(dg, gamma0, g))
     checks = [

@@ -7,16 +7,16 @@ have no entries).  Both routes read those arrays.
 Two routes give a system's null space dimension, and they share no step.
 The numeric route splits the system into the independent blocks of its
 sparsity pattern (``_blocks``), takes the singular values of every block
-(blocks of equal shape in one stacked SVD), and counts those above a
-cutoff relative to the largest singular value of the whole system; the
-blocks of a block-diagonal matrix have exactly its singular values, so
-the split changes the cost and not the count.  The exact route,
-``exact_nullity``, never rounds: it merges each row's repeated columns
-exactly, solves the rows of one entry and the rows ``x_u = +-x_v`` as a
-signed graph in numpy (its own label propagation over the doubled graph,
-not ``_blocks``), and eliminates any other row fraction-free over the
-integers, on one unknown per free component of that graph.  ``algebra``
-gives both routes the whole system at every n.
+(blocks of equal shape in one stacked SVD), and counts those above
+``_cutoff``, ``NULL_SPACE_TOL`` times the largest singular value of the
+whole system; the blocks of a block-diagonal matrix have exactly its
+singular values, so the split changes the cost and not the count.  The
+exact route, ``exact_nullity``, never rounds: it merges each row's
+repeated columns exactly, solves the rows of one entry and the rows
+``x_u = +-x_v`` as a signed graph in numpy (its own label propagation over
+the doubled graph, not ``_blocks``), and eliminates any other row forward,
+fraction-free over the integers, on one unknown per free component of
+that graph.  ``algebra`` gives both routes the whole system at every n.
 """
 
 from __future__ import annotations
@@ -150,6 +150,12 @@ def _blocks(system: LinearConstraintSystem) -> List[Block]:
     ]
 
 
+def _require_unknowns(system: LinearConstraintSystem) -> None:
+    """Every rank route refuses a system with no unknowns."""
+    if system.n_unknowns == 0:
+        raise DegenerateSystem("system has no unknowns")
+
+
 def _block_spectra(
     system: LinearConstraintSystem, compute_uv: bool
 ) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -159,8 +165,9 @@ def _block_spectra(
     singular vectors (k, c, c) or None) for the k blocks of shape (r, c).
     A wide block takes the full V, so every block gets all c of its right
     singular vectors; a block with no rows has none of its singular values
-    and the identity for V.
+    and the identity for V.  A system with no unknowns raises.
     """
+    _require_unknowns(system)
     dense = system.to_dense()
     by_shape: Dict[Tuple[int, int], List[Block]] = {}
     for rows, cols in _blocks(system):
@@ -184,37 +191,28 @@ def _block_spectra(
     return spectra
 
 
-def _descending(spectra) -> Tuple[np.ndarray, np.ndarray]:
-    """Every block's singular values in one array, and its descending order."""
-    flat = np.concatenate([s.ravel() for _, s, _ in spectra] + [np.zeros(0)])
-    return flat, np.argsort(-flat, kind="stable")
+def _cutoff(spectra) -> float:
+    """``NULL_SPACE_TOL`` times the system's largest singular value, or 0."""
+    largest = max((float(s.max()) for _, s, _ in spectra if s.size), default=0.0)
+    return NULL_SPACE_TOL * largest
 
 
-def null_space(
-    system: LinearConstraintSystem, tol: float = NULL_SPACE_TOL
-) -> Tuple[int, List[np.ndarray]]:
+def null_space(system: LinearConstraintSystem) -> Tuple[int, List[np.ndarray]]:
     """Dimension and orthonormal basis of the null space of the system.
 
-    ``tol`` is relative to the largest singular value of the whole system;
-    singular values at or below the cutoff count as zero.  Each block of
+    Singular values at or below ``_cutoff`` count as zero.  Each block of
     the sparsity pattern (``_blocks``) contributes the right singular
     vectors past its own rank, embedded into vectors of full length; the
     blocks have disjoint columns, so the basis is orthonormal.
     """
-    _check_args(system, tol)
     spectra = _block_spectra(system, compute_uv=True)
-    flat, order = _descending(spectra)
-    # the cutoff keeps the largest values; a block's rank is how many of
-    # its own values it keeps, and those come first in the block's SVD
-    above = np.zeros(flat.size, dtype=bool)
-    above[order[: _numeric_rank(flat[order], tol)]] = True
+    cut = _cutoff(spectra)
     basis: List[np.ndarray] = []
-    offset = 0
     for cols, sigma, vt in spectra:
         k, c = cols.shape
-        ranks = above[offset : offset + sigma.size].reshape(sigma.shape).sum(axis=1)
-        offset += sigma.size
-        null = np.arange(c) >= ranks[:, None]
+        # a block's SVD lists its values in descending order, so the ones
+        # above the cutoff come first and the rest of V spans its null space
+        null = np.arange(c) >= (sigma > cut).sum(axis=1)[:, None]
         vectors = np.zeros((int(null.sum()), system.n_unknowns))
         targets = np.broadcast_to(cols[:, None, :], (k, c, c))[null]
         vectors[np.arange(len(vectors))[:, None], targets] = vt[null]
@@ -222,28 +220,11 @@ def null_space(
     return len(basis), basis
 
 
-def numeric_nullity(
-    system: LinearConstraintSystem, tol: float = NULL_SPACE_TOL
-) -> int:
+def numeric_nullity(system: LinearConstraintSystem) -> int:
     """Null space dimension by the ``null_space`` cutoff, without a basis."""
-    _check_args(system, tol)
-    flat, order = _descending(_block_spectra(system, compute_uv=False))
-    return system.n_unknowns - _numeric_rank(flat[order], tol)
-
-
-def _check_args(system: LinearConstraintSystem, tol: float) -> None:
-    if system.n_unknowns == 0:
-        raise DegenerateSystem("system has no unknowns")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-
-
-def _numeric_rank(sigma: np.ndarray, tol: float) -> int:
-    """Number of singular values above ``tol`` times the largest one."""
-    largest = sigma[0] if sigma.size else 0.0
-    if largest == 0.0:
-        return 0
-    return int(np.sum(sigma > tol * largest))
+    spectra = _block_spectra(system, compute_uv=False)
+    cut = _cutoff(spectra)
+    return system.n_unknowns - sum(int((s > cut).sum()) for _, s, _ in spectra)
 
 
 def exact_nullity(system: LinearConstraintSystem) -> int:
@@ -253,20 +234,20 @@ def exact_nullity(system: LinearConstraintSystem) -> int:
     2. Of the rows it merged in numpy, those of one entry (``x_u = 0``)
        or of two entries of equal absolute value (``x_u = x_v`` or
        ``x_u = -x_v``) are the incidence matrix of a signed graph, which
-       ``_signed_components`` solves in numpy.  They leave one unknown per free component: one
-       that is balanced (Zaslavsky, "Signed graphs", 1982) and that no
-       ``x_u = 0`` row touches.
+       ``_signed_components`` solves in numpy.  They leave one unknown per
+       free component: one that is balanced (Zaslavsky, "Signed graphs",
+       1982) and that no ``x_u = 0`` row touches.
     3. Every other row is written on the free components' roots, with
-       their signs, and eliminated fraction-free over the integers:
-       ``row <- p*row - r*pivot`` with every row divided by the gcd of
-       its entries, and pivot rows kept zero in every other pivot column.
+       their signs, and reduced forward, fraction-free over the integers:
+       while its smallest column has a pivot row, ``row <- p*row - r*pivot``
+       clears it (every row divided by the gcd of its entries); a row left
+       nonzero becomes the pivot of its smallest column.
 
-    The nullity is the number of free components minus the rank of the
-    stage-3 rows, and no step rounds.  Every row of a standard fiber's
+    The nullity is the number of free components minus the number of
+    pivots, the rank of the stage-3 rows, and no step rounds.  Every row of a standard fiber's
     system has at most two entries, all +-1, so stage 3 gets no row there.
     """
-    if system.n_unknowns == 0:
-        raise DegenerateSystem("system has no unknowns")
+    _require_unknowns(system)
     row, col, value, general = _merged_rows(system)
     count = np.bincount(row, minlength=system.n_rows)
     first = np.cumsum(count) - count
@@ -294,16 +275,11 @@ def exact_nullity(system: LinearConstraintSystem) -> int:
             if free[root[c]]:
                 on_roots[root[c]] = on_roots.get(root[c], 0) + sign[c] * v
         new = _primitive({c: v for c, v in on_roots.items() if v})
-        # reduced pivot rows bring no other pivot column into the row
-        for c in [c for c in new if c in pivots]:
-            new = _eliminate(new, pivots[c], c)
-        if not new:
-            continue
-        pcol = min(new)
-        for qcol, qrow in pivots.items():
-            if pcol in qrow:
-                pivots[qcol] = _eliminate(qrow, new, pcol)
-        pivots[pcol] = new
+        # a pivot holds no column below its own, so each step raises min(new)
+        while new and min(new) in pivots:
+            new = _eliminate(new, pivots[min(new)], min(new))
+        if new:
+            pivots[min(new)] = new
     return sum(free) - len(pivots)
 
 
@@ -404,12 +380,8 @@ def _eliminate(row: Dict[int, int], pivot: Dict[int, int], col: int) -> Dict[int
     p, r = pivot[col] // g, row[col] // g
     out = {c: p * v for c, v in row.items()}
     for c, v in pivot.items():
-        acc = out.get(c, 0) - r * v
-        if acc:
-            out[c] = acc
-        else:
-            out.pop(c, None)
-    return _primitive(out)
+        out[c] = out.get(c, 0) - r * v
+    return _primitive({c: v for c, v in out.items() if v})
 
 
 def _primitive(row: Dict[int, int]) -> Dict[int, int]:

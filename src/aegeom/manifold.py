@@ -105,6 +105,9 @@ class Box:
         object.__setattr__(self, "hi", tuple(float(x) for x in self.hi))
         if len(self.lo) != len(self.hi):
             raise ValueError("lo and hi must have equal length")
+        # sampling scales by hi - lo, which overflows for finite bounds too
+        if not all(math.isfinite(h - l) for l, h in zip(self.lo, self.hi)):
+            raise ValueError("domain width hi - lo is not finite")
 
     @property
     def dim(self) -> int:

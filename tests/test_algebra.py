@@ -251,12 +251,32 @@ def test_both_renderings_of_the_alternating_condition_agree():
             assert alternating_definitions_coincide(fiber), (kind.label, n)
 
 
+def test_the_coincide_check_reads_the_basis_and_the_dimension(monkeypatch):
+    # the alternating subspace of this fiber has dimension 2, so a wrong
+    # basis of the right size and a wrong count can each be told apart
+    fiber = ModelFiber.standard(HERMITIAN, 3)
+    assert alternating_definitions_coincide(fiber)
+    true_null_space, true_nullity = algebra.null_space, algebra.numeric_nullity
+
+    def unit_vectors(system):
+        # phi(e_0, e_0, e_0) and phi(e_0, e_0, e_1): not antisymmetric
+        dim, _ = true_null_space(system)
+        return dim, list(np.eye(system.n_unknowns)[:dim])
+
+    monkeypatch.setattr(algebra, "null_space", unit_vectors)
+    assert not alternating_definitions_coincide(fiber)
+    monkeypatch.setattr(algebra, "null_space", true_null_space)
+    monkeypatch.setattr(algebra, "numeric_nullity", lambda s: true_nullity(s) + 1)
+    assert not alternating_definitions_coincide(fiber)
+
+
 def test_wrong_numeric_rank_trips_the_dimension_oracle(monkeypatch):
     fiber = ModelFiber.standard(PARA_HERMITIAN, 2)
     subspace_dimension(fiber, SubspaceQuery.ALTERNATING)
-    true_rank = linalg._numeric_rank
+    true_cutoff = linalg._cutoff
+    # the largest singular values no longer count toward the rank
     monkeypatch.setattr(
-        linalg, "_numeric_rank", lambda sigma, tol: true_rank(sigma, tol) - 1
+        linalg, "_cutoff", lambda spectra: true_cutoff(spectra) / linalg.NULL_SPACE_TOL
     )
     with pytest.raises(DimensionOracleMismatch):
         subspace_dimension(fiber, SubspaceQuery.ALTERNATING)

@@ -423,6 +423,10 @@ BAD_CONFIGS = {
         {"domain": {"lo": [-1.0, -1.0], "hi": [1.0, float("nan")]}},
         "domain.hi must be a list of finite numbers",
     ),
+    "overflowing-width": (
+        {"domain": {"lo": [-1e308, -1e308], "hi": [1e308, 1e308]}},
+        "domain width hi - lo is not finite",
+    ),
 }
 
 
@@ -439,7 +443,7 @@ def test_bad_config_dimensions_and_bounds_exit_one(tmp_path, capsys, name):
     }
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(config))
-    for verb in ("validate", "classify"):
+    for verb in ("validate", "classify", "verify", "identities"):
         code, out, err = run_capture(capsys, [verb, "--manifold", str(path), *FAST])
         assert code == EXIT_FAIL, verb
         assert out == ""
