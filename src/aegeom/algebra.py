@@ -23,6 +23,7 @@ theorems give.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Tuple
@@ -57,7 +58,8 @@ class ModelFiber:
 
     ``j0`` squares to alpha times the identity and ``inner`` transforms
     with the factor epsilon under it; both facts are verified in integer
-    arithmetic on construction.
+    arithmetic on construction.  ``base_rows`` is built on first use and
+    kept with the fiber, so every system of one fiber shares it.
     """
 
     n: int
@@ -95,6 +97,14 @@ class ModelFiber:
     @property
     def dim(self) -> int:
         return 2 * self.n
+
+    @functools.cached_property
+    def base_rows(self) -> Entries:
+        """Entry arrays of the two base symmetries' rows, read-only."""
+        rows = _base_rows(self)
+        for a in rows:
+            a.setflags(write=False)
+        return rows
 
     @staticmethod
     def standard(kind: StructureKind, n: int) -> "ModelFiber":
@@ -226,7 +236,7 @@ def build_constraints(
 ) -> LinearConstraintSystem:
     """Sparse homogeneous constraints for the requested subspace."""
     d = fiber.dim
-    parts = [_base_rows(fiber)]
+    parts = [fiber.base_rows]
     if query is SubspaceQuery.ALTERNATING:
         parts.append(_first_two_rows(d, 1.0))
     elif query is SubspaceQuery.SYMMETRIC:
@@ -304,7 +314,7 @@ def dimension_table(max_n: int = MAX_HALF_DIM) -> dict:
     return table
 
 
-def alternating_definitions_coincide(fiber: ModelFiber) -> bool:
+def alternating_definitions_coincide(fiber: ModelFiber, alternating_dim: int) -> bool:
     """Check that two renderings of the alternating condition agree.
 
     The condition "phi vanishes when the first two arguments coincide" can
@@ -313,14 +323,21 @@ def alternating_definitions_coincide(fiber: ModelFiber) -> bool:
     constraint sets must cut out the same subspace.  One containment is
     enough: the polarized null space U inside the antisymmetric one V, with
     dim U = dim V, gives U = V.
+
+    ``alternating_dim`` is dim V, as ``subspace_dimension(fiber,
+    SubspaceQuery.ALTERNATING)`` gives it once both rank routes agree;
+    ``algebra-table`` passes the value its ``dimension_table`` computed.
+    The basis of U comes from ``null_space``, and one product over the
+    antisymmetric system's entries tests that it lies in V.
     """
     d = fiber.dim
-    polarized = _system(d, _base_rows(fiber), _polarized_rows(d))
-    antisymmetric = build_constraints(fiber, SubspaceQuery.ALTERNATING)
-    dim, basis = null_space(polarized)
-    if dim != numeric_nullity(antisymmetric):
+    dim, basis = null_space(_system(d, fiber.base_rows, _polarized_rows(d)))
+    if dim != alternating_dim:
         return False
+    antisymmetric = build_constraints(fiber, SubspaceQuery.ALTERNATING)
+    row_of, cols, coeffs = antisymmetric.entries
     vectors = np.array(basis).reshape(dim, antisymmetric.n_unknowns)
     units = vectors / np.max(np.abs(vectors), axis=1, keepdims=True)
-    residual = antisymmetric.to_dense() @ units.T
+    residual = np.zeros((antisymmetric.n_rows, dim))
+    np.add.at(residual, row_of, coeffs[:, None] * units[:, cols].T)
     return float(np.abs(residual).max(initial=0.0)) < NULL_SPACE_TOL

@@ -250,15 +250,18 @@ def _suite_from_residuals(
     """Every theorem check that applies to the kind, from sweep residuals.
 
     Given the manifold dimension ``dim``, a row with a ``note`` also reports
-    the dimension of its subspace in the matching model fiber; with
-    ``dim=None``, or past ``MAX_HALF_DIM``, no subspace is queried.
+    the dimension of its subspace in the matching model fiber, one fiber
+    for every row; with ``dim=None``, or past ``MAX_HALF_DIM``, no subspace
+    is queried.
     """
+    fiber = None
+    if dim is not None and dim // 2 <= MAX_HALF_DIM:
+        fiber = ModelFiber.standard(kind, dim // 2)
     checks = []
     for row in _theorems_for(kind):
         check = _theorem_check(row, residuals, tol)
-        if row.note is not None and dim is not None and dim // 2 <= MAX_HALF_DIM:
-            n = dim // 2
-            fiber = ModelFiber.standard(kind, n)
+        if row.note is not None and fiber is not None:
+            n = fiber.n
             value = _check_closed_form(
                 kind, n, row.note, subspace_dimension(fiber, row.note)
             )

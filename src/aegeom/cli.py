@@ -21,7 +21,12 @@ import os
 import sys
 from typing import Dict, List, Optional
 
-from .algebra import ModelFiber, alternating_definitions_coincide, dimension_table
+from .algebra import (
+    ModelFiber,
+    SubspaceQuery,
+    alternating_definitions_coincide,
+    dimension_table,
+)
 from .catalog import catalog, standard_names
 from .classify import VERDICT_TOL, classify, condition_table, render_condition_table
 from .connection import identity_residuals, vector_triples
@@ -130,11 +135,16 @@ def _cmd_verify(args, plan):
 
 def _cmd_algebra_table(args, plan):
     dims = dimension_table()
+    # each check reads the alternating dimension on which both rank routes
+    # agreed in the table above, instead of taking its singular values again
+    alternating = SubspaceQuery.ALTERNATING.value
     coincide: Dict[str, Dict[str, bool]] = {}
     for kind in KINDS:
         coincide[kind.label] = {
-            str(n): alternating_definitions_coincide(ModelFiber.standard(kind, n))
-            for n in dims[kind.label]
+            str(n): alternating_definitions_coincide(
+                ModelFiber.standard(kind, n), queries[alternating]
+            )
+            for n, queries in dims[kind.label].items()
         }
     table = condition_table(plan, args.tol, dims)
     payload = {

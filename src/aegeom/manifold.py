@@ -404,13 +404,19 @@ def load_manifold_config(path) -> ChartedManifold:
         raise ConfigError(f"{path}: top level must be an object")
 
     kind_raw = _require(raw, "kind", dict, path)
+    signs = []
     for key in ("alpha", "epsilon"):
         if key not in kind_raw:
             raise ConfigError(f"{path}: kind.{key} is missing")
-    try:
-        kind = StructureKind(int(kind_raw["alpha"]), int(kind_raw["epsilon"]))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        value = kind_raw[key]
+        # read like 'dim': a cast would truncate 1.9 and accept true or "-1"
+        if type(value) is not int or value not in (-1, 1):
+            raise ConfigError(
+                f"{path}: kind.{key} is {json.dumps(value)}; "
+                "alpha and epsilon must each be the integer -1 or 1"
+            )
+        signs.append(value)
+    kind = StructureKind(*signs)
 
     dim = _require(raw, "dim", int, path)
     if dim < 2 or dim % 2 != 0:

@@ -248,15 +248,20 @@ def test_both_renderings_of_the_alternating_condition_agree():
     for kind in KINDS:
         for n in range(1, MAX_HALF_DIM + 1):
             fiber = ModelFiber.standard(kind, n)
-            assert alternating_definitions_coincide(fiber), (kind.label, n)
+            dim = subspace_dimension(fiber, SubspaceQuery.ALTERNATING)
+            assert alternating_definitions_coincide(fiber, dim), (kind.label, n)
 
 
 def test_the_coincide_check_reads_the_basis_and_the_dimension(monkeypatch):
     # the alternating subspace of this fiber has dimension 2, so a wrong
     # basis of the right size and a wrong count can each be told apart
     fiber = ModelFiber.standard(HERMITIAN, 3)
-    assert alternating_definitions_coincide(fiber)
-    true_null_space, true_nullity = algebra.null_space, algebra.numeric_nullity
+    dim = subspace_dimension(fiber, SubspaceQuery.ALTERNATING)
+    assert dim == 2
+    assert alternating_definitions_coincide(fiber, dim)
+    for wrong in (dim - 1, dim + 1):
+        assert not alternating_definitions_coincide(fiber, wrong), wrong
+    true_null_space = algebra.null_space
 
     def unit_vectors(system):
         # phi(e_0, e_0, e_0) and phi(e_0, e_0, e_1): not antisymmetric
@@ -264,10 +269,43 @@ def test_the_coincide_check_reads_the_basis_and_the_dimension(monkeypatch):
         return dim, list(np.eye(system.n_unknowns)[:dim])
 
     monkeypatch.setattr(algebra, "null_space", unit_vectors)
-    assert not alternating_definitions_coincide(fiber)
-    monkeypatch.setattr(algebra, "null_space", true_null_space)
-    monkeypatch.setattr(algebra, "numeric_nullity", lambda s: true_nullity(s) + 1)
-    assert not alternating_definitions_coincide(fiber)
+    assert not alternating_definitions_coincide(fiber, dim)
+
+
+def test_the_coincide_product_reads_the_antisymmetry_rows(monkeypatch):
+    # vectors of the full subspace satisfy the base rows, so only the rows
+    # of antisymmetry in the first two slots can reject them
+    fiber = ModelFiber.standard(HERMITIAN, 3)
+    dim = subspace_dimension(fiber, SubspaceQuery.ALTERNATING)
+    _, full = null_space(build_constraints(fiber, SubspaceQuery.FULL))
+    wrong = full[:dim]
+    antisymmetric = build_constraints(fiber, SubspaceQuery.ALTERNATING)
+    assert np.abs(antisymmetric.to_dense() @ np.array(wrong).T).max() > 1e-3
+    monkeypatch.setattr(algebra, "null_space", lambda system: (dim, wrong))
+    assert not alternating_definitions_coincide(fiber, dim)
+
+
+def test_a_fiber_builds_its_base_rows_once(monkeypatch):
+    builds = []
+    true_base_rows = algebra._base_rows
+
+    def counted(fiber):
+        builds.append((fiber.kind.label, fiber.n))
+        return true_base_rows(fiber)
+
+    monkeypatch.setattr(algebra, "_base_rows", counted)
+    fiber = ModelFiber.standard(PARA_HERMITIAN, 2)
+    for query in SubspaceQuery:
+        subspace_dimension(fiber, query)
+    alternating_definitions_coincide(
+        fiber, subspace_dimension(fiber, SubspaceQuery.ALTERNATING)
+    )
+    assert builds == [("para-hermitian", 2)]
+    # the shared arrays are read-only, so no system can change another's rows
+    assert not any(a.flags.writeable for a in fiber.base_rows)
+    # a fiber made anew, as in the next job, builds its own
+    ModelFiber.standard(PARA_HERMITIAN, 2).base_rows
+    assert len(builds) == 2
 
 
 def test_wrong_numeric_rank_trips_the_dimension_oracle(monkeypatch):

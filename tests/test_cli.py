@@ -15,7 +15,12 @@ import pytest
 
 import aegeom
 from aegeom import algebra
-from aegeom.algebra import ModelFiber, alternating_definitions_coincide
+from aegeom.algebra import (
+    ModelFiber,
+    SubspaceQuery,
+    alternating_definitions_coincide,
+    subspace_dimension,
+)
 from aegeom.classify import classify
 from aegeom.catalog import catalog
 from aegeom.cli import (
@@ -270,7 +275,9 @@ def test_algebra_table_fails_when_the_alternating_renderings_split(
     split = {("hermitian", 3), ("para-hermitian", 3)}
     for kind in KINDS:
         for n in (1, 2, 3):
-            coincide = alternating_definitions_coincide(ModelFiber.standard(kind, n))
+            fiber = ModelFiber.standard(kind, n)
+            dim = subspace_dimension(fiber, SubspaceQuery.ALTERNATING)
+            coincide = alternating_definitions_coincide(fiber, dim)
             assert coincide == ((kind.label, n) not in split), (kind.label, n)
     code, out, _ = run_capture(capsys, ["algebra-table", *FAST])
     assert code == EXIT_FAIL
@@ -309,6 +316,65 @@ def test_algebra_table_queries_each_subspace_dimension_once_per_job(
         code, _, _ = run_capture(capsys, ["algebra-table", *FAST])
         assert code == EXIT_PASS
         assert len(calls) == len(set(calls)) == 36
+
+
+def test_algebra_table_does_each_piece_of_fiber_work_a_fixed_number_of_times(
+    capsys, monkeypatch
+):
+    # both rank routes for each of the 36 (kind, n, query) cells, one basis
+    # per coincide check, and the base rows once per fiber: 12 fibers for
+    # the table and 12 for the checks
+    names = ("numeric_nullity", "exact_nullity", "null_space", "_base_rows")
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(algebra, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(algebra, name, counted)
+    jobs = []
+    for _ in range(2):
+        calls.update(dict.fromkeys(names, 0))
+        code, _, _ = run_capture(capsys, ["algebra-table", *FAST])
+        assert code == EXIT_PASS
+        jobs.append(dict(calls))
+    assert jobs[0]["numeric_nullity"] == jobs[0]["exact_nullity"] == 36
+    assert jobs[0]["null_space"] == 12
+    assert 12 <= jobs[0]["_base_rows"] <= 24
+    # a second job in the same process repeats every count: nothing is cached
+    assert jobs[1] == jobs[0]
+
+
+def test_the_tracer_sees_every_layer_of_an_algebra_table_job(capsys, monkeypatch):
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        code, _, _ = run_capture(capsys, ["algebra-table", *FAST])
+    finally:
+        tracer.uninstall()
+    assert code == EXIT_PASS
+    assert tracer.absent == []
+    layers = [span[0] for span in tracer.spans]
+    assert {
+        layer: layers.count(layer)
+        for layer in (
+            "algebra.subspace_dimension",
+            "linalg.exact_nullity",
+            "linalg.null_space",
+            "algebra.alternating_definitions_coincide",
+        )
+    } == {
+        "algebra.subspace_dimension": 36,
+        "linalg.exact_nullity": 36,
+        "linalg.null_space": 12,
+        "algebra.alternating_definitions_coincide": 12,
+    }
 
 
 def test_unknown_catalog_name_exits_one(capsys):

@@ -379,6 +379,11 @@ def test_config_with_coordinate_dependent_entries(tmp_path):
         (lambda d: d.update(dim=True), "'dim' must be an integer"),
         (lambda d: d["domain"].update(lo=[-1.0], hi=[1.0]), "domain length 1 but dim 2"),
         (lambda d: d.update(kind={"alpha": 2, "epsilon": 1}), "alpha and epsilon"),
+        (lambda d: d["kind"].update(epsilon=1.9), "kind.epsilon is 1.9"),
+        (lambda d: d["kind"].update(epsilon=1.0), "kind.epsilon is 1.0"),
+        (lambda d: d["kind"].update(alpha=True, epsilon=True), "kind.alpha is true"),
+        (lambda d: d["kind"].update(alpha="-1"), 'kind.alpha is "-1"'),
+        (lambda d: d["kind"].update(epsilon=None), "kind.epsilon is null"),
         (lambda d: d.update(name=""), "name must be a non-empty string"),
         (lambda d: d["metric"][0].pop(), "must be a 2x2 array"),
         (lambda d: d["metric"][0].__setitem__(0, 3.0), "metric[0][0] must be a string"),

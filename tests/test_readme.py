@@ -5,6 +5,7 @@ listed in ``__all__``, or a config example the loader no longer accepts,
 fails here rather than in a reader's session.
 """
 
+import importlib
 import re
 import shlex
 from pathlib import Path
@@ -33,6 +34,19 @@ def test_readme_library_example_runs(capsys):
     out = capsys.readouterr().out
     assert out.startswith("manifold: s6-nearly-kahler\n")
     assert "theorem checks:" in out
+
+
+def test_readme_spelling_of_the_theorem_table_resolves(capsys):
+    # the library example binds ``classify`` to the function, which hides
+    # the module of the same name
+    namespace = {"importlib": importlib}
+    exec(compile(library_example(), str(README), "exec"), namespace)
+    capsys.readouterr()
+    spellings = re.findall(r"`([^`]*THEOREMS)`", README.read_text())
+    assert spellings
+    for spelling in spellings:
+        rows = eval(spelling, namespace)
+        assert rows is importlib.import_module("aegeom.classify").THEOREMS, spelling
 
 
 def test_every_exported_name_resolves():
