@@ -104,7 +104,9 @@ def catalog(name: str) -> ChartedManifold:
     if name.startswith("random-"):
         rest = name[len("random-") :]
         label, sep, seed_text = rest.rpartition("-")
-        if sep and label in _SURFACE_PAIRS and seed_text.isdigit():
+        # isdigit alone admits digits that int() rejects ("²") or reads ("١٢")
+        seeded = sep and seed_text.isascii() and seed_text.isdigit()
+        if seeded and label in _SURFACE_PAIRS:
             return _random(label, int(seed_text))
     raise UnknownCatalogName(
         f"no catalog entry named {name!r}; known entries: "

@@ -32,7 +32,6 @@ from .algebra import (
     ModelFiber,
     SubspaceQuery,
     closed_form_dimension,
-    dimension_table,
     subspace_dimension,
 )
 from .catalog import catalog, standard_names
@@ -241,47 +240,33 @@ def _check_closed_form(
     return value
 
 
-def _suite_from_residuals(
-    residuals: Dict[str, float],
-    kind: StructureKind,
-    dim: Optional[int],
-    tol: float,
-) -> List[CheckResult]:
-    """Every theorem check that applies to the kind, from sweep residuals.
-
-    Given the manifold dimension ``dim``, a row with a ``note`` also reports
-    the dimension of its subspace in the matching model fiber, one fiber
-    for every row; with ``dim=None``, or past ``MAX_HALF_DIM``, no subspace
-    is queried.
-    """
-    fiber = None
-    if dim is not None and dim // 2 <= MAX_HALF_DIM:
-        fiber = ModelFiber.standard(kind, dim // 2)
-    checks = []
-    for row in _theorems_for(kind):
-        check = _theorem_check(row, residuals, tol)
-        if row.note is not None and fiber is not None:
-            n = fiber.n
-            value = _check_closed_form(
-                kind, n, row.note, subspace_dimension(fiber, row.note)
-            )
-            note = f", {row.note.value} subspace dimension {value} (n={n})"
-            check = replace(check, details=check.details + note)
-        checks.append(check)
-    return checks
-
-
 def classify(
     m: ChartedManifold,
     plan: Optional[SamplePlan] = None,
     tol: float = VERDICT_TOL,
 ) -> ClassificationReport:
-    """Residuals, verdicts, and theorem checks for one charted structure."""
+    """Residuals, verdicts, and theorem checks for one charted structure.
+
+    A theorem row with a ``note`` also reports the dimension of its subspace
+    in the model fiber of the manifold's half-dimension, one fiber for every
+    row; past ``MAX_HALF_DIM`` no subspace is queried.
+    """
     if plan is None:
         plan = SamplePlan()
     residuals = sample_residuals(m, plan)
     verdicts = {key: bool(residuals[key] < tol) for key in CONDITIONS}
-    checks = _suite_from_residuals(residuals, m.kind, m.dim, tol)
+    n = m.dim // 2
+    fiber = ModelFiber.standard(m.kind, n) if n <= MAX_HALF_DIM else None
+    checks = []
+    for row in _theorems_for(m.kind):
+        check = _theorem_check(row, residuals, tol)
+        if row.note is not None and fiber is not None:
+            value = _check_closed_form(
+                m.kind, n, row.note, subspace_dimension(fiber, row.note)
+            )
+            note = f", {row.note.value} subspace dimension {value} (n={n})"
+            check = replace(check, details=check.details + note)
+        checks.append(check)
     return ClassificationReport(
         manifold=m.name,
         kind=m.kind,
@@ -294,28 +279,20 @@ def classify(
     )
 
 
-def condition_table(
-    plan: Optional[SamplePlan] = None,
-    tol: float = VERDICT_TOL,
-    dims: Optional[dict] = None,
-) -> Dict[str, object]:
+def condition_table(plan: SamplePlan, tol: float, dims: dict) -> Dict[str, object]:
     """Classes cut out by the two sign conditions, for each kind.
 
     The cells are decided by exact subspace dimensions in the largest
     supported model fiber: a zero-dimensional subspace means the condition
     forces the structure derivative itself to vanish, so the class is
     Kahler type; any other dimension leaves the class of the condition
-    (``SIGN_CONDITIONS``).  ``dims`` is the output of ``dimension_table()``,
-    which is computed when not given; every dimension in it must equal
-    ``closed_form_dimension`` or ``TheoremViolation`` is raised.  Each cell
-    also records, on every catalog entry of that kind, the outcome of the
-    theorem check whose hypothesis is the condition, as sampled evidence
-    beside the algebraic proof.
+    (``SIGN_CONDITIONS``).  ``dims`` is the output of ``dimension_table()``;
+    it must reach ``MAX_HALF_DIM`` for every kind, and every dimension in it
+    must equal ``closed_form_dimension`` or ``TheoremViolation`` is raised.
+    Each cell also records, on every catalog entry of that kind, the status
+    of the theorem check whose hypothesis is the condition, as sampled
+    evidence beside the algebraic proof.
     """
-    if plan is None:
-        plan = SamplePlan()
-    if dims is None:
-        dims = dimension_table()
     if any(MAX_HALF_DIM not in dims.get(kind.label, {}) for kind in KINDS):
         raise ValueError(f"dims must reach n={MAX_HALF_DIM} for every kind")
     for kind in KINDS:
@@ -329,19 +306,21 @@ def condition_table(
         by_kind.setdefault(m.kind.label, []).append(m)
     cells: Dict[str, object] = {}
     for kind in KINDS:
-        entry_check = {row.hypothesis: row.name for row in _theorems_for(kind)}
+        # entry name: the status of each theorem row, keyed by its hypothesis
         statuses = {}
         for m in by_kind.get(kind.label, []):
-            checks = _suite_from_residuals(sample_residuals(m, plan), kind, None, tol)
-            statuses[m.name] = {c.name: c.status for c in checks}
+            residuals = sample_residuals(m, plan)
+            statuses[m.name] = {
+                row.hypothesis: _theorem_check(row, residuals, tol).status
+                for row in _theorems_for(kind)
+            }
         cells[kind.label] = {}
         for key, _, condition, query, nonzero_class in SIGN_CONDITIONS:
             dim = dims[kind.label][n][query.value]
-            check = entry_check[condition]
             cells[kind.label][key] = {
                 "subspace_dimension": dim,
                 "class": "Kahler type" if dim == 0 else nonzero_class,
-                "entry_checks": {name: by[check] for name, by in statuses.items()},
+                "entry_checks": {name: by[condition] for name, by in statuses.items()},
             }
     return {
         "half_dimension": n,

@@ -397,8 +397,10 @@ def load_manifold_config(path) -> ChartedManifold:
     """
     path = Path(path)
     try:
-        raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+        raw = json.loads(path.read_text(encoding="utf-8"))
+    # ValueError covers bad JSON, bytes that are not UTF-8 and integers past
+    # int()'s digit limit; RecursionError covers deep nesting
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be an object")

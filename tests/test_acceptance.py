@@ -14,10 +14,11 @@ from aegeom.algebra import (
     ModelFiber,
     SubspaceQuery,
     build_constraints,
+    dimension_table,
     subspace_dimension,
 )
 from aegeom.catalog import catalog, standard_names
-from aegeom.classify import classify, condition_table
+from aegeom.classify import VERDICT_TOL, classify, condition_table
 from aegeom.cli import EXIT_PASS, run as cli_run
 from aegeom.connection import (
     christoffel,
@@ -254,7 +255,7 @@ def test_criterion_7_theorem_suite_and_table(capsys):
         for check in checks:
             assert check.status in ("passed", "hypothesis not met")
             vacuous_seen = vacuous_seen or check.status == "hypothesis not met"
-    table = condition_table(FULL_PLAN)
+    table = condition_table(FULL_PLAN, VERDICT_TOL, dimension_table())
     cells = table["cells"]
     pattern_ok = True
     for label in ("hermitian", "para-hermitian"):

@@ -5,6 +5,7 @@ import importlib
 import numpy as np
 import pytest
 
+from aegeom import cli
 from aegeom.catalog import catalog, standard_names
 
 # the package re-exports the catalog() function under the submodule's name,
@@ -189,11 +190,29 @@ def test_arbitrary_random_seeds_still_validate():
 
 
 def test_unknown_names_are_rejected_with_catalog_listing():
-    for bad in ("flat-hermitian", "random-norden-x", "random-norden--3", "sphere"):
+    # str.isdigit accepts the last two; int() rejects "²" and reads "١٢" as 12
+    for bad in (
+        "flat-hermitian",
+        "random-norden-x",
+        "random-norden--3",
+        "sphere",
+        "random-hermitian-²",
+        "random-hermitian-١٢",
+    ):
         with pytest.raises(UnknownCatalogName) as exc:
             catalog(bad)
         assert "s6-nearly-kahler" in str(exc.value)
         assert "random-<kind>-<seed>" in str(exc.value)
+
+
+@pytest.mark.parametrize("bad", ["random-hermitian-²", "random-hermitian-١٢"])
+def test_non_ascii_seed_digits_exit_one_from_every_verb(capsys, bad):
+    for verb in ("validate", "classify", "verify", "identities"):
+        assert cli.run([verb, "--manifold", bad, "--points", "2"]) == cli.EXIT_FAIL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: no catalog entry named")
+        assert captured.err.count("\n") == 1
 
 
 def test_degenerate_candidate_is_screened_out():

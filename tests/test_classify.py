@@ -15,6 +15,9 @@ from aegeom.algebra import (
 from aegeom.catalog import catalog, standard_names
 from aegeom.classify import (
     CONDITIONS,
+    SIGN_CONDITIONS,
+    THEOREMS,
+    VERDICT_TOL,
     Theorem,
     _check_closed_form,
     _theorem_check,
@@ -34,6 +37,11 @@ from aegeom.manifold import (
 )
 
 PLAN = SamplePlan(seed=0, n_points=8)
+
+
+def table_for(plan=PLAN):
+    # the class table over a dimension table built now, under any patches
+    return condition_table(plan, VERDICT_TOL, dimension_table())
 
 
 def test_residual_keys_match_the_condition_list():
@@ -146,17 +154,17 @@ def test_wrong_subspace_dimension_is_a_theorem_violation(monkeypatch):
     with pytest.raises(TheoremViolation, match="symmetric"):
         classify(catalog("flat-kahler"), PLAN).theorem_checks
     with pytest.raises(TheoremViolation, match="symmetric.*closed form gives 0"):
-        condition_table(PLAN)
+        table_for()
     # the alternating one is nonzero in six dimensions for alpha*epsilon = -1
     patch(SubspaceQuery.ALTERNATING, 0)
     with pytest.raises(
         TheoremViolation, match="alternating.*hermitian, n=3; the closed form gives 2"
     ):
-        condition_table(PLAN)
+        table_for()
     # and the full one is checked too
     patch(SubspaceQuery.FULL, 7)
     with pytest.raises(TheoremViolation, match="full subspace has dimension 7"):
-        condition_table(PLAN)
+        table_for()
 
 
 def test_sign_pattern_accepts_every_true_dimension():
@@ -195,7 +203,7 @@ def test_wrong_alternating_value_below_the_largest_fiber_is_caught():
     table = dimension_table()
     table[HERMITIAN.label][2][SubspaceQuery.ALTERNATING.value] = 4
     with pytest.raises(TheoremViolation, match="alternating_first_two subspace"):
-        condition_table(PLAN, dims=table)
+        condition_table(PLAN, VERDICT_TOL, table)
 
 
 def test_closed_forms_follow_the_gray_hervella_count():
@@ -212,12 +220,11 @@ def test_closed_forms_follow_the_gray_hervella_count():
 
 def test_condition_table_reads_a_given_dimension_table():
     table = dimension_table()
-    assert condition_table(PLAN, dims=table) == condition_table(PLAN)
     table[NORDEN.label][1][SubspaceQuery.SYMMETRIC.value] = 4
     with pytest.raises(TheoremViolation, match="norden, n=1; the closed form gives 0"):
-        condition_table(PLAN, dims=table)
+        condition_table(PLAN, VERDICT_TOL, table)
     with pytest.raises(ValueError, match="n=3 for every kind"):
-        condition_table(PLAN, dims=dimension_table(max_n=2))
+        condition_table(PLAN, VERDICT_TOL, dimension_table(max_n=2))
 
 
 def test_codazzi_check_carries_the_subspace_note():
@@ -319,7 +326,7 @@ def test_residuals_grow_monotonically_with_prefix_plans():
 
 
 def test_condition_table_shape_and_classes():
-    table = condition_table(PLAN)
+    table = table_for()
     assert table["half_dimension"] == 3
     assert "nabla_x" in table["plus_sign_condition"]
     cells = table["cells"]
@@ -363,19 +370,19 @@ def test_class_follows_the_subspace_dimension(monkeypatch):
         )
 
     patch(SubspaceQuery.ALTERNATING, None)
-    cells = condition_table(PLAN)["cells"]
+    cells = table_for()["cells"]
     for label in ("hermitian", "para-hermitian"):
         assert cells[label]["plus_sign"]["subspace_dimension"] == 0
         assert cells[label]["plus_sign"]["class"] == "Kahler type"
     patch(None, SubspaceQuery.SYMMETRIC)
-    cells = condition_table(PLAN)["cells"]
+    cells = table_for()["cells"]
     for kind in KINDS:
         assert cells[kind.label]["minus_sign"]["subspace_dimension"] == 1
         assert cells[kind.label]["minus_sign"]["class"] == "Kahler-Codazzi type"
 
 
 def test_condition_table_records_entry_checks():
-    table = condition_table(PLAN)
+    table = table_for()
     cells = table["cells"]
     hermitian_plus = cells["hermitian"]["plus_sign"]["entry_checks"]
     assert hermitian_plus["s6-nearly-kahler"] == "passed"
@@ -385,8 +392,28 @@ def test_condition_table_records_entry_checks():
     assert norden_minus["flat-anti-kahler"] == "passed"
 
 
+def test_entry_checks_match_the_classify_status_of_the_condition_row():
+    # a cell's status on an entry is the one classify reports for the theorem
+    # row whose hypothesis is the cell's condition
+    cells = table_for()["cells"]
+    seen = set()
+    for name in standard_names():
+        m = catalog(name)
+        by_row = {c.name: c.status for c in classify(m, PLAN).theorem_checks}
+        for key, _, condition, _, _ in SIGN_CONDITIONS:
+            (row,) = (
+                row
+                for row in THEOREMS
+                if row.hypothesis == condition and m.kind.product in row.products
+            )
+            status = cells[m.kind.label][key]["entry_checks"][name]
+            assert status == by_row[row.name], (name, key)
+            seen.add((name, key))
+    assert len(seen) == 2 * len(standard_names())
+
+
 def test_condition_table_renders_to_text():
-    text = render_condition_table(condition_table(PLAN))
+    text = render_condition_table(table_for())
     assert "plus sign" in text
     assert "nearly Kahler type" in text
     assert "hermitian" in text

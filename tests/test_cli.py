@@ -1,8 +1,10 @@
 """Command line behavior: exit codes, formats, determinism, file output."""
 
 import argparse
+import contextlib
 import importlib
 import importlib.util
+import io
 import json
 import os
 import re
@@ -12,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import aegeom
 from aegeom import algebra
@@ -515,6 +518,50 @@ def test_bad_config_dimensions_and_bounds_exit_one(tmp_path, capsys, name):
         assert out == ""
         assert err.startswith("error:") and message in err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [b"\xff", b"[" * 100000, b'{"dim": ' + b"1" * 5000 + b"}"],
+    ids=["not-utf8", "nested-100000-deep", "5000-digit-integer"],
+)
+def test_unreadable_config_bytes_exit_one(tmp_path, capsys, raw):
+    path = tmp_path / "raw.json"
+    path.write_bytes(raw)
+    for verb in ("validate", "classify", "verify", "identities"):
+        code, out, err = run_capture(capsys, [verb, "--manifold", str(path), *FAST])
+        assert code == EXIT_FAIL, verb
+        assert out == ""
+        assert err.startswith(f"error: {path}: not valid JSON")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
+
+# catalog names with a free tail, and config files of arbitrary bytes
+NAME_TAILS = st.builds(
+    str.__add__,
+    st.sampled_from(
+        [f"random-{kind.label}-" for kind in KINDS] + ["pullback-integrable-"]
+    ),
+    st.text(max_size=6) | st.text("0123456789", max_size=3),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.one_of(NAME_TAILS, st.binary(max_size=40)))
+def test_bad_manifold_input_exits_zero_or_one_with_an_error_line(
+    tmp_path_factory, target
+):
+    if isinstance(target, bytes):
+        path = tmp_path_factory.getbasetemp() / "arbitrary.json"
+        path.write_bytes(target)
+        target = str(path)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(["validate", "--manifold", target, "--points", "2"])
+    assert code in (EXIT_PASS, EXIT_FAIL), err.getvalue()
+    if code == EXIT_FAIL:
+        assert err.getvalue().startswith("error:")
 
 
 def test_help_exits_zero(capsys):
