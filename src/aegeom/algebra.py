@@ -17,7 +17,8 @@ route takes the singular values of the independent blocks of the system's
 sparsity pattern.  The exact route, ``linalg.exact_nullity``, solves the
 system's identification rows as a signed graph and eliminates what is left
 over the integers.  ``closed_form_dimension`` states the dimensions the
-theorems give.
+theorems give, and ``subspace_dimension`` returns a value only once both
+routes agree with it.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import DimensionOracleMismatch, UnsupportedDimension
+from .errors import DimensionOracleMismatch, TheoremViolation, UnsupportedDimension
 from .linalg import (
     NULL_SPACE_TOL,
     Entries,
@@ -245,11 +246,13 @@ def build_constraints(
 
 
 def subspace_dimension(fiber: ModelFiber, query: SubspaceQuery) -> int:
-    """Dimension of the requested subspace, numerically and exactly.
+    """Dimension of the requested subspace, numerically, exactly and in closed form.
 
     The SVD dimension (singular values only) and the exact integer
     dimension of the whole system must agree; a mismatch raises
-    ``DimensionOracleMismatch``.
+    ``DimensionOracleMismatch``.  The agreed value must then equal
+    ``closed_form_dimension`` for the fiber's kind and half-dimension, or
+    ``TheoremViolation`` is raised.
     """
     system = build_constraints(fiber, query)
     numeric_dim = numeric_nullity(system)
@@ -258,6 +261,12 @@ def subspace_dimension(fiber: ModelFiber, query: SubspaceQuery) -> int:
         raise DimensionOracleMismatch(
             f"numeric dimension {numeric_dim} != exact dimension {exact_dim} "
             f"for {fiber.kind.label}, n={fiber.n}, query={query.value}"
+        )
+    expected = closed_form_dimension(fiber.kind, fiber.n, query)
+    if exact_dim != expected:
+        raise TheoremViolation(
+            f"{query.value} subspace has dimension {exact_dim} for "
+            f"{fiber.kind.label}, n={fiber.n}; the closed form gives {expected}"
         )
     return exact_dim
 
@@ -297,16 +306,16 @@ def closed_form_dimension(kind: StructureKind, n: int, query: SubspaceQuery) -> 
     return 2 * n**3 if query is SubspaceQuery.FULL else 0
 
 
-def dimension_table(max_n: int = MAX_HALF_DIM) -> dict:
-    """Subspace dimensions for every kind and half-dimension up to max_n.
+def dimension_table() -> dict:
+    """Subspace dimensions for every kind and half-dimension up to MAX_HALF_DIM.
 
     Keys are kind labels; values map the half-dimension to the dimensions
-    of the full, alternating, and symmetric subspaces, each computed by
-    both the numeric and the exact route.
+    of the full, alternating, and symmetric subspaces, each from
+    ``subspace_dimension``, so every cell has passed its closed form.
     """
     table: dict = {}
     for kind in KINDS:
-        fibers = [ModelFiber.standard(kind, n) for n in range(1, max_n + 1)]
+        fibers = [ModelFiber.standard(kind, n) for n in range(1, MAX_HALF_DIM + 1)]
         table[kind.label] = {
             fiber.n: {q.value: subspace_dimension(fiber, q) for q in SubspaceQuery}
             for fiber in fibers
@@ -325,8 +334,9 @@ def alternating_definitions_coincide(fiber: ModelFiber, alternating_dim: int) ->
     dim U = dim V, gives U = V.
 
     ``alternating_dim`` is dim V, as ``subspace_dimension(fiber,
-    SubspaceQuery.ALTERNATING)`` gives it once both rank routes agree;
-    ``algebra-table`` passes the value its ``dimension_table`` computed.
+    SubspaceQuery.ALTERNATING)`` gives it once both rank routes and the
+    closed form agree; ``algebra-table`` passes the value its
+    ``dimension_table`` computed.
     The basis of U comes from ``null_space``, and one product over the
     antisymmetric system's entries tests that it lies in V.
     """

@@ -103,10 +103,14 @@ def catalog(name: str) -> ChartedManifold:
             return _pullback(label)
     if name.startswith("random-"):
         rest = name[len("random-") :]
-        label, sep, seed_text = rest.rpartition("-")
-        # isdigit alone admits digits that int() rejects ("²") or reads ("١٢")
-        seeded = sep and seed_text.isascii() and seed_text.isdigit()
-        if seeded and label in _SURFACE_PAIRS:
+        label, _, seed_text = rest.rpartition("-")
+        # only the canonical decimal spelling names an entry: int() also
+        # reads "013", "+5", "1_2" and "١٢", and raises past its digit limit
+        try:
+            canonical = str(int(seed_text)) == seed_text
+        except ValueError:
+            canonical = False
+        if canonical and label in _SURFACE_PAIRS:
             return _random(label, int(seed_text))
     raise UnknownCatalogName(
         f"no catalog entry named {name!r}; known entries: "

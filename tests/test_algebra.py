@@ -1,7 +1,9 @@
 """Pointwise constraint subspaces: dimensions, invariance, and basis checks."""
 
+import ast
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,8 +18,14 @@ from aegeom.algebra import (
     dimension_table,
     subspace_dimension,
 )
-from aegeom import algebra, linalg
-from aegeom.errors import DimensionOracleMismatch, UnsupportedDimension
+from aegeom import algebra, cli, linalg
+from aegeom.catalog import catalog, standard_names
+from aegeom.classify import THEOREMS
+from aegeom.errors import (
+    DimensionOracleMismatch,
+    TheoremViolation,
+    UnsupportedDimension,
+)
 from aegeom.linalg import LinearConstraintSystem, exact_nullity, null_space
 from aegeom.manifold import (
     HERMITIAN,
@@ -367,6 +375,112 @@ def test_a_split_that_cuts_a_block_in_two_trips_the_dimension_oracle(monkeypatch
     monkeypatch.setattr(linalg, "_blocks", cutting)
     with pytest.raises(DimensionOracleMismatch, match="numeric dimension 1 "):
         subspace_dimension(fiber, SubspaceQuery.ALTERNATING)
+
+
+def test_routes_that_agree_off_the_closed_form_are_a_theorem_violation(
+    monkeypatch, capsys
+):
+    # both rank routes find one dimension too many, so they agree and only
+    # the closed form catches the value
+    for route in ("numeric_nullity", "exact_nullity"):
+        true_route = getattr(algebra, route)
+        monkeypatch.setattr(algebra, route, lambda system, f=true_route: f(system) + 1)
+    with pytest.raises(
+        TheoremViolation,
+        match="^symmetric_first_two subspace has dimension 1 for norden, n=2; "
+        "the closed form gives 0$",
+    ):
+        subspace_dimension(ModelFiber.standard(NORDEN, 2), SubspaceQuery.SYMMETRIC)
+    assert cli.run(["algebra-table", "--points", "2"]) == cli.EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "internal consistency failure: full subspace has dimension 1 for "
+        "hermitian, n=1; the closed form gives 0\n"
+    )
+
+
+def test_a_route_split_is_reported_before_the_closed_form(monkeypatch):
+    fiber = ModelFiber.standard(HERMITIAN, 3)
+    monkeypatch.setattr(algebra, "closed_form_dimension", lambda kind, n, q: 99)
+    with pytest.raises(TheoremViolation, match="the closed form gives 99"):
+        subspace_dimension(fiber, SubspaceQuery.ALTERNATING)
+    true_nullity = algebra.exact_nullity
+    monkeypatch.setattr(
+        algebra, "exact_nullity", lambda system: true_nullity(system) + 1
+    )
+    with pytest.raises(
+        DimensionOracleMismatch, match="numeric dimension 2 != exact dimension 3"
+    ):
+        subspace_dimension(fiber, SubspaceQuery.ALTERNATING)
+
+
+CELLS = [
+    (kind, n, query)
+    for kind in KINDS
+    for n in range(1, MAX_HALF_DIM + 1)
+    for query in SubspaceQuery
+]
+
+
+@pytest.mark.parametrize(
+    "kind, n, query",
+    CELLS,
+    ids=[f"{kind.label}-{n}-{query.value}" for kind, n, query in CELLS],
+)
+def test_an_off_by_one_closed_form_fails_every_job_that_reads_its_cell(
+    monkeypatch, capsys, kind, n, query
+):
+    true_closed_form = algebra.closed_form_dimension
+    true_value = true_closed_form(kind, n, query)
+
+    def off_by_one(k, m, q):
+        return true_closed_form(k, m, q) + ((k, m, q) == (kind, n, query))
+
+    monkeypatch.setattr(algebra, "closed_form_dimension", off_by_one)
+    # classify notes the subspaces of its kind's theorem rows in the fiber
+    # of the entry's half-dimension
+    notes = {row.note for row in THEOREMS if kind.product in row.products}
+    readers = [
+        m.name
+        for m in map(catalog, standard_names())
+        if query in notes and (m.kind, m.dim) == (kind, 2 * n)
+    ]
+    jobs = [["algebra-table"]] + [["classify", "--manifold", name] for name in readers]
+    for argv in jobs:
+        assert cli.run([*argv, "--points", "2"]) == cli.EXIT_INTERNAL, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"internal consistency failure: {query.value} subspace has dimension "
+            f"{true_value} for {kind.label}, n={n}; the closed form gives "
+            f"{true_value + 1}\n"
+        )
+
+
+def test_only_subspace_dimension_reads_the_closed_form():
+    # each computed dimension meets its closed form in one place; a second
+    # reader would check a value twice or stand the closed form in for one.
+    # A name, an attribute or an import of it counts, so an alias is seen
+    # too; the package's re-export is the one import.
+    readers = []
+    for path in sorted(Path(algebra.__file__).parent.glob("*.py")):
+        stack = [(None, ast.parse(path.read_text(encoding="utf-8")))]
+        while stack:
+            owner, node = stack.pop()
+            if "closed_form_dimension" in (
+                getattr(node, "attr", None),
+                getattr(node, "id", None),
+                node.name if isinstance(node, ast.alias) else None,
+            ):
+                readers.append((path.name, owner))
+            if isinstance(node, ast.FunctionDef):
+                owner = node.name
+            stack.extend((owner, child) for child in ast.iter_child_nodes(node))
+    assert sorted(readers, key=str) == [
+        ("__init__.py", None),
+        ("algebra.py", "subspace_dimension"),
+    ]
 
 
 def test_the_dimension_table_takes_no_svd_wider_than_a_block(monkeypatch):

@@ -183,14 +183,24 @@ def test_random_entries_differ_across_seeds():
     assert np.max(np.abs(j42 - j7)) > 1e-4
 
 
+# a seed past int()'s default limit of 4300 digits
+LONG_SEED = "random-hermitian-" + "9" * 4400
+
+
 def test_arbitrary_random_seeds_still_validate():
     for name in ("random-hermitian-3", "random-para-hermitian-99"):
         report = validate_structure(catalog(name), SamplePlan(n_points=10))
         assert report.valid, (name, report.residuals)
 
 
+def test_canonical_seed_spellings_resolve_under_their_own_name():
+    for name in ("random-hermitian-0", "random-hermitian-" + "7" * 4000):
+        assert catalog(name).name == name
+
+
 def test_unknown_names_are_rejected_with_catalog_listing():
-    # str.isdigit accepts the last two; int() rejects "²" and reads "١٢" as 12
+    # str.isdigit accepts "²" and "١٢"; int() rejects "²", reads "١٢" as 12
+    # and "013" as 13, and rejects LONG_SEED's digits
     for bad in (
         "flat-hermitian",
         "random-norden-x",
@@ -198,6 +208,8 @@ def test_unknown_names_are_rejected_with_catalog_listing():
         "sphere",
         "random-hermitian-²",
         "random-hermitian-١٢",
+        "random-hermitian-013",
+        LONG_SEED,
     ):
         with pytest.raises(UnknownCatalogName) as exc:
             catalog(bad)
@@ -205,7 +217,15 @@ def test_unknown_names_are_rejected_with_catalog_listing():
         assert "random-<kind>-<seed>" in str(exc.value)
 
 
-@pytest.mark.parametrize("bad", ["random-hermitian-²", "random-hermitian-١٢"])
+@pytest.mark.parametrize(
+    "bad",
+    [
+        "random-hermitian-²",
+        "random-hermitian-١٢",
+        "random-hermitian-013",
+        pytest.param(LONG_SEED, id="random-hermitian-4400-digits"),
+    ],
+)
 def test_non_ascii_seed_digits_exit_one_from_every_verb(capsys, bad):
     for verb in ("validate", "classify", "verify", "identities"):
         assert cli.run([verb, "--manifold", bad, "--points", "2"]) == cli.EXIT_FAIL

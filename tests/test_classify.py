@@ -1,16 +1,18 @@
 """Condition residuals, verdicts, theorem checks, and the summary table."""
 
-import importlib
 import json
 
 import numpy as np
 import pytest
 
+from aegeom import algebra
 from aegeom.algebra import (
     MAX_HALF_DIM,
+    ModelFiber,
     SubspaceQuery,
     closed_form_dimension,
     dimension_table,
+    subspace_dimension,
 )
 from aegeom.catalog import catalog, standard_names
 from aegeom.classify import (
@@ -19,7 +21,6 @@ from aegeom.classify import (
     THEOREMS,
     VERDICT_TOL,
     Theorem,
-    _check_closed_form,
     _theorem_check,
     classify,
     condition_table,
@@ -27,6 +28,7 @@ from aegeom.classify import (
     sample_residuals,
 )
 from aegeom.errors import TheoremViolation
+from aegeom.linalg import LinearConstraintSystem
 from aegeom.manifold import (
     HERMITIAN,
     KINDS,
@@ -37,11 +39,28 @@ from aegeom.manifold import (
 )
 
 PLAN = SamplePlan(seed=0, n_points=8)
+BUILD = algebra.build_constraints
 
 
 def table_for(plan=PLAN):
     # the class table over a dimension table built now, under any patches
     return condition_table(plan, VERDICT_TOL, dimension_table())
+
+
+def both_routes_report(monkeypatch, value, wrong):
+    """Both rank routes find ``value`` wherever ``wrong(fiber, query)`` holds.
+
+    The builder hands them a system of that nullity in place of the true
+    one, so they agree and only the closed form can catch the value.
+    """
+
+    def build(fiber, query):
+        if wrong(fiber, query):
+            # value free unknowns and one pinned to zero
+            return LinearConstraintSystem.from_rows(value + 1, [[(value, 1.0)]])
+        return BUILD(fiber, query)
+
+    monkeypatch.setattr(algebra, "build_constraints", build)
 
 
 def test_residual_keys_match_the_condition_list():
@@ -134,20 +153,9 @@ def test_theorem_suite_runs_clean_on_every_entry():
 
 
 def test_wrong_subspace_dimension_is_a_theorem_violation(monkeypatch):
-    # the package re-exports the function classify under the module's name
-    classify_module = importlib.import_module("aegeom.classify")
-    algebra_module = importlib.import_module("aegeom.algebra")
-
     def patch(wrong_query, value):
-        # the subspace notes query through classify, the table through
-        # algebra; every other query keeps its closed form
-        def query(fiber, q):
-            if q is wrong_query:
-                return value
-            return closed_form_dimension(fiber.kind, fiber.n, q)
-
-        for module in (classify_module, algebra_module):
-            monkeypatch.setattr(module, "subspace_dimension", query)
+        # every other query keeps its true system
+        both_routes_report(monkeypatch, value, lambda fiber, q: q is wrong_query)
 
     # the symmetric subspace must be zero for every kind
     patch(SubspaceQuery.SYMMETRIC, 1)
@@ -176,13 +184,11 @@ def test_sign_pattern_accepts_every_true_dimension():
             for query in SubspaceQuery:
                 value = table[kind.label][n][query.value]
                 assert value == closed_form_dimension(kind, n, query)
-                assert _check_closed_form(kind, n, query, value) == value
     for n in (1, 2):
         assert table[HERMITIAN.label][n][SubspaceQuery.ALTERNATING.value] == 0
-        assert _check_closed_form(HERMITIAN, n, SubspaceQuery.ALTERNATING, 0) == 0
 
 
-def test_sign_pattern_rejects_each_wrong_cell():
+def test_sign_pattern_rejects_each_wrong_cell(monkeypatch):
     for kind, n, query, value, expected in (
         (HERMITIAN, 1, SubspaceQuery.SYMMETRIC, 1, 0),
         (NORDEN, 2, SubspaceQuery.ALTERNATING, 3, 0),
@@ -190,20 +196,23 @@ def test_sign_pattern_rejects_each_wrong_cell():
         (NORDEN, 2, SubspaceQuery.FULL, 8, 16),
         (HERMITIAN, 3, SubspaceQuery.FULL, 54, 36),
     ):
+        both_routes_report(monkeypatch, value, lambda fiber, q: q is query)
         with pytest.raises(
             TheoremViolation, match=f"n={n}; the closed form gives {expected}$"
         ):
-            _check_closed_form(kind, n, query, value)
+            subspace_dimension(ModelFiber.standard(kind, n), query)
 
 
-def test_wrong_alternating_value_below_the_largest_fiber_is_caught():
+def test_wrong_alternating_value_below_the_largest_fiber_is_caught(monkeypatch):
     # alpha*epsilon = -1 below n = MAX_HALF_DIM used to pass any value
+    alternating = SubspaceQuery.ALTERNATING
+    both_routes_report(
+        monkeypatch, 4, lambda fiber, q: q is alternating and fiber.n == 2
+    )
     with pytest.raises(TheoremViolation, match="hermitian, n=2"):
-        _check_closed_form(HERMITIAN, 2, SubspaceQuery.ALTERNATING, 4)
-    table = dimension_table()
-    table[HERMITIAN.label][2][SubspaceQuery.ALTERNATING.value] = 4
+        subspace_dimension(ModelFiber.standard(HERMITIAN, 2), alternating)
     with pytest.raises(TheoremViolation, match="alternating_first_two subspace"):
-        condition_table(PLAN, VERDICT_TOL, table)
+        table_for()
 
 
 def test_closed_forms_follow_the_gray_hervella_count():
@@ -216,15 +225,6 @@ def test_closed_forms_follow_the_gray_hervella_count():
         assert closed_form_dimension(kind, 4, SubspaceQuery.SYMMETRIC) == 0
     assert closed_form_dimension(HERMITIAN, 4, SubspaceQuery.FULL) == 96
     assert closed_form_dimension(PRODUCT_RIEMANNIAN, 4, SubspaceQuery.FULL) == 128
-
-
-def test_condition_table_reads_a_given_dimension_table():
-    table = dimension_table()
-    table[NORDEN.label][1][SubspaceQuery.SYMMETRIC.value] = 4
-    with pytest.raises(TheoremViolation, match="norden, n=1; the closed form gives 0"):
-        condition_table(PLAN, VERDICT_TOL, table)
-    with pytest.raises(ValueError, match="n=3 for every kind"):
-        condition_table(PLAN, VERDICT_TOL, dimension_table(max_n=2))
 
 
 def test_codazzi_check_carries_the_subspace_note():
@@ -348,33 +348,20 @@ def test_condition_table_shape_and_classes():
 
 
 def test_class_follows_the_subspace_dimension(monkeypatch):
-    # the package re-exports the function classify under the module's name
-    classify_module = importlib.import_module("aegeom.classify")
-    algebra_module = importlib.import_module("aegeom.algebra")
-
-    def patch(zero_query, nonzero_query):
-        # the table's dimensions come from algebra, the closed forms it is
-        # checked against from classify; both agree on the patched values
+    def patch(query, value):
+        # both rank routes and the closed form agree on the patched value
         def closed_form(kind, n, q):
-            if q is zero_query:
-                return 0
-            if q is nonzero_query:
-                return 1
-            return closed_form_dimension(kind, n, q)
+            return value if q is query else closed_form_dimension(kind, n, q)
 
-        monkeypatch.setattr(classify_module, "closed_form_dimension", closed_form)
-        monkeypatch.setattr(
-            algebra_module,
-            "subspace_dimension",
-            lambda fiber, q: closed_form(fiber.kind, fiber.n, q),
-        )
+        monkeypatch.setattr(algebra, "closed_form_dimension", closed_form)
+        both_routes_report(monkeypatch, value, lambda fiber, q: q is query)
 
-    patch(SubspaceQuery.ALTERNATING, None)
+    patch(SubspaceQuery.ALTERNATING, 0)
     cells = table_for()["cells"]
     for label in ("hermitian", "para-hermitian"):
         assert cells[label]["plus_sign"]["subspace_dimension"] == 0
         assert cells[label]["plus_sign"]["class"] == "Kahler type"
-    patch(None, SubspaceQuery.SYMMETRIC)
+    patch(SubspaceQuery.SYMMETRIC, 1)
     cells = table_for()["cells"]
     for kind in KINDS:
         assert cells[kind.label]["minus_sign"]["subspace_dimension"] == 1
