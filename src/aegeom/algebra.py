@@ -40,7 +40,7 @@ from .linalg import (
     null_space,
     numeric_nullity,
 )
-from .manifold import KINDS, StructureKind
+from .manifold import KINDS, StructureKind, axiom_residuals, standard_pair
 
 MAX_HALF_DIM = 3
 
@@ -55,12 +55,12 @@ class SubspaceQuery(enum.Enum):
 
 @dataclass(frozen=True)
 class ModelFiber:
-    """Exact integer model of one tangent space with its standard pair.
+    """Exact integer model of one tangent space with a compatible pair.
 
-    ``j0`` squares to alpha times the identity and ``inner`` transforms
-    with the factor epsilon under it; both facts are verified in integer
-    arithmetic on construction.  ``base_rows`` is built on first use and
-    kept with the fiber, so every system of one fiber shares it.
+    On construction the pair must meet every structure axiom exactly, as
+    ``manifold.axiom_residuals`` states them, and the inner form must be
+    nondegenerate.  ``base_rows`` is built on first use and kept with the
+    fiber, so every system of one fiber shares it.
     """
 
     n: int
@@ -82,18 +82,11 @@ class ModelFiber:
         d = 2 * self.n
         if j0.shape != (d, d) or inner.shape != (d, d):
             raise ValueError(f"fiber matrices must be {d}x{d}")
-        alpha, epsilon = self.kind.alpha, self.kind.epsilon
-        if not np.array_equal(j0 @ j0, alpha * np.eye(d, dtype=int)):
-            raise ValueError("j0 squared is not alpha times the identity")
-        if not np.array_equal(inner, inner.T):
-            raise ValueError("inner form is not symmetric")
-        if not np.array_equal(j0.T @ inner @ j0, epsilon * inner):
-            raise ValueError("inner form is not epsilon-compatible with j0")
+        for key, residual in axiom_residuals(self.kind, inner[None], j0[None]).items():
+            if residual.any():
+                raise ValueError(f"{self.kind.label} fiber pair fails {key}")
         if round(float(np.linalg.det(inner.astype(float)))) == 0:
             raise ValueError("inner form is degenerate")
-        if self.kind.alpha == 1 and self.kind.epsilon == 1:
-            if int(np.trace(j0)) != 0:
-                raise ValueError("product-Riemannian fiber needs trace j0 = 0")
 
     @property
     def dim(self) -> int:
@@ -109,29 +102,12 @@ class ModelFiber:
 
     @staticmethod
     def standard(kind: StructureKind, n: int) -> "ModelFiber":
-        """Block model: rotation blocks for alpha = -1, split for alpha = +1."""
+        """The fiber of ``manifold.standard_pair(kind, n)``."""
         if not 1 <= n <= MAX_HALF_DIM:
             raise UnsupportedDimension(
                 f"half-dimension {n} outside 1..{MAX_HALF_DIM}"
             )
-        d = 2 * n
-        if kind.alpha == -1:
-            j0 = np.zeros((d, d), dtype=int)
-            for b in range(n):
-                j0[2 * b, 2 * b + 1] = -1
-                j0[2 * b + 1, 2 * b] = 1
-            if kind.epsilon == 1:
-                inner = np.eye(d, dtype=int)
-            else:
-                inner = np.diag([1, -1] * n)
-        else:
-            j0 = np.diag([1] * n + [-1] * n)
-            if kind.epsilon == 1:
-                inner = np.eye(d, dtype=int)
-            else:
-                inner = np.zeros((d, d), dtype=int)
-                inner[:n, n:] = np.eye(n, dtype=int)
-                inner[n:, :n] = np.eye(n, dtype=int)
+        inner, j0 = standard_pair(kind, n)
         return ModelFiber(n=n, kind=kind, j0=j0, inner=inner)
 
     def conjugated(self, s: np.ndarray) -> "ModelFiber":

@@ -16,10 +16,11 @@ Each entry has one field function returning the pair (metric, structure):
 a curved entry builds J once and its metric from that J, and the sphere
 builds its chart once for both.  The fields are written as the matrix
 formulas they stand for, with ``matrix``, ``@``, ``.T`` and ``inv`` from
-``aegeom.dual``.  The same function evaluates on float coordinates, on
-arrays of coordinates (one entry per point) and on ``Dual`` coordinates; it
-returns plain arrays, stacks of arrays or matrix ``Dual`` values
-accordingly.  The flat entries return one read-only constant pair.
+``aegeom.dual``.  The same function takes either one point of float
+coordinates, returning plain arrays, or ``Dual`` coordinates carrying a
+stack of points, returning matrix ``Dual`` values.  It does not take a
+plain stack of coordinate arrays: ``.T`` on a plain stack of matrices also
+moves the point axis.  The flat entries return one read-only constant pair.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .algebra import ModelFiber
 from .dual import inv, matrix
 from .errors import DegenerateConstruction, UnknownCatalogName
 from .manifold import (
@@ -40,6 +40,7 @@ from .manifold import (
     Box,
     ChartedManifold,
     StructureKind,
+    standard_pair,
 )
 from .octonion import cross_matrix
 
@@ -54,9 +55,8 @@ _FLAT_KINDS = {
 
 
 def _standard_pair(kind: StructureKind, n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """(metric, structure) of ``ModelFiber.standard(kind, n)``, read-only floats."""
-    fiber = ModelFiber.standard(kind, n)
-    pair = (fiber.inner.astype(float), fiber.j0.astype(float))
+    """(metric, structure) of ``standard_pair(kind, n)``, read-only floats."""
+    pair = tuple(data.astype(float) for data in standard_pair(kind, n))
     for data in pair:
         data.setflags(write=False)
     return pair
@@ -302,6 +302,10 @@ def _random_candidate_ok(coeffs, j0, h, eps, grid) -> bool:
 
     The grid points are evaluated at once, as a stack of matrices.  A is
     tested before it is inverted, since ``inv`` raises on a singular matrix.
+    The metric is written out with ``np.swapaxes`` rather than read from the
+    entry's fields, whose ``.T`` would move the point axis of this stack;
+    sending the grid through the fields on duals instead costs about twice
+    as long.
     """
     x = np.asarray(grid, dtype=float).T
     if (np.abs(np.linalg.det(_poly_matrix(coeffs, x))) < 0.25).any():

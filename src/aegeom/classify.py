@@ -36,10 +36,9 @@ from .manifold import (
     ChartedManifold,
     SamplePlan,
     StructureKind,
-    report_json,
+    inf_norm,
     worst_over_sample,
 )
-from .tensors import inf_norm
 
 VERDICT_TOL = 1e-8
 IMPLICATION_SLACK = 10.0
@@ -138,9 +137,6 @@ class ClassificationReport:
             "theorem_checks": [c.to_dict() for c in self.theorem_checks],
         }
 
-    def to_json(self) -> str:
-        return report_json(self.to_dict())
-
     def render_text(self) -> str:
         lines = [
             f"manifold: {self.manifold}",
@@ -163,11 +159,9 @@ class ClassificationReport:
 
 
 def sample_residuals(
-    m: ChartedManifold, plan: Optional[SamplePlan] = None
+    m: ChartedManifold, plan: SamplePlan = SamplePlan()
 ) -> Dict[str, float]:
     """Worst pointwise residual of each condition over the plan's sample."""
-    if plan is None:
-        plan = SamplePlan()
     return worst_over_sample(plan.points(m.domain), lambda block: _conditions(m, block))
 
 
@@ -220,7 +214,7 @@ def _theorem_check(
 
 def classify(
     m: ChartedManifold,
-    plan: Optional[SamplePlan] = None,
+    plan: SamplePlan = SamplePlan(),
     tol: float = VERDICT_TOL,
 ) -> ClassificationReport:
     """Residuals, verdicts, and theorem checks for one charted structure.
@@ -229,8 +223,6 @@ def classify(
     in the model fiber of the manifold's half-dimension, one fiber for every
     row; past ``MAX_HALF_DIM`` no subspace is queried.
     """
-    if plan is None:
-        plan = SamplePlan()
     residuals = sample_residuals(m, plan)
     verdicts = {key: bool(residuals[key] < tol) for key in CONDITIONS}
     n = m.dim // 2

@@ -7,10 +7,10 @@ loop over those tables, and ``run`` writes a verb's output once, as
 JSON config file when a file of that name exists.
 
 Exit codes: 0 when every requested check passes, 1 when a mathematical
-verdict fails, the input is bad or the output file cannot be written, 2 for
-command line usage errors, and 3 when an internal cross-check breaks
-(formula routes disagreeing, a proved implication failing, or the two
-dimension oracles splitting).
+verdict fails, the input is bad, the sample cannot be allocated or the
+output file cannot be written, 2 for command line usage errors, and 3 when
+an internal cross-check breaks (formula routes disagreeing, a proved
+implication failing, or the two dimension oracles splitting).
 """
 
 from __future__ import annotations
@@ -273,7 +273,8 @@ def run(argv: Optional[List[str]] = None) -> int:
     except InternalConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except GeometryError as exc:
+    # MemoryError: a sample or probe count too large to allocate
+    except (GeometryError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
     rendered = report_json(payload) if args.format == "json" else text()

@@ -48,10 +48,10 @@ from .manifold import (
     _as_tuple,
     axiom_residuals,
     eval_with_derivatives,
+    inf_norm,
     metric_abs_det,
     worst_over_sample,
 )
-from .tensors import inf_norm
 
 PARALLEL_TOL = 1e-8
 TORSION_AGREEMENT_TOL = 1e-9

@@ -5,7 +5,9 @@ satisfies J^2 = alpha * Id and the metric satisfies g(JX, JY) = epsilon *
 g(X, Y).  The four kinds are almost Hermitian (-1, +1), almost product
 Riemannian (+1, +1, with trace J = 0 required), almost Norden (-1, -1), and
 almost para-Hermitian (+1, -1).  The last two force a split-signature
-metric.
+metric.  ``standard_pair`` gives the flat integer pair of each kind, and
+``axiom_residuals`` states the axioms for every caller: the sample sweeps
+here and in ``aegeom.connection``, and the exact fibers of ``aegeom.algebra``.
 
 A manifold has one field function of the chart coordinates that returns
 the pair (metric, structure), since the catalog builds each metric from its
@@ -38,7 +40,6 @@ from .errors import (
     SlotMismatch,
 )
 from .expressions import parse_expression
-from .tensors import inf_norm
 
 VALIDATION_TOL = 1e-8
 # |det g| at or below the floor is too close to singular for a solve
@@ -91,6 +92,30 @@ PRODUCT_RIEMANNIAN = StructureKind(1, 1)
 NORDEN = StructureKind(-1, -1)
 PARA_HERMITIAN = StructureKind(1, -1)
 KINDS = (HERMITIAN, PRODUCT_RIEMANNIAN, NORDEN, PARA_HERMITIAN)
+
+
+def standard_pair(kind: StructureKind, n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Integer (inner form, j0) of the flat model of the kind in dimension 2n.
+
+    j0 is n rotation blocks for alpha = -1 and diag(Id_n, -Id_n) for
+    alpha = +1.  The inner form is the identity for epsilon = +1; for
+    epsilon = -1 it is diag(1, -1, ...) with rotation blocks and the
+    off-diagonal identity blocks with the split j0.
+    """
+    d = 2 * n
+    if kind.alpha == -1:
+        j0 = np.zeros((d, d), dtype=int)
+        for b in range(0, d, 2):
+            j0[b, b + 1], j0[b + 1, b] = -1, 1
+    else:
+        j0 = np.diag([1] * n + [-1] * n)
+    if kind.epsilon == 1:
+        inner = np.eye(d, dtype=int)
+    elif kind.alpha == -1:
+        inner = np.diag([1, -1] * n)
+    else:
+        inner = np.eye(d, k=n, dtype=int) + np.eye(d, k=-n, dtype=int)
+    return inner, j0
 
 
 @dataclass(frozen=True)
@@ -257,9 +282,6 @@ class ValidationReport:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    def to_json(self) -> str:
-        return report_json(self.to_dict())
-
     def render_text(self) -> str:
         lines = [
             f"manifold: {self.manifold}",
@@ -302,7 +324,7 @@ def axiom_residuals(kind: StructureKind, g, j) -> Dict[str, np.ndarray]:
     g - g^T, ``metric_isometry`` for g(J., J.) - epsilon*g, ``pairing_swap``
     for g(J., .) - alpha*epsilon*g(., J.), and for the product-Riemannian
     kind ``structure_trace``.  A structure is valid where every residual is
-    below ``VALIDATION_TOL``.
+    below ``VALIDATION_TOL``.  On integer stacks every residual is exact.
     """
     gj = g @ j
     residuals = {
@@ -314,6 +336,12 @@ def axiom_residuals(kind: StructureKind, g, j) -> Dict[str, np.ndarray]:
     if kind == PRODUCT_RIEMANNIAN:
         residuals["structure_trace"] = np.trace(j, axis1=1, axis2=2)
     return residuals
+
+
+def inf_norm(arr) -> float:
+    """Largest absolute component (over every point of a stack); 0 if empty."""
+    arr = np.asarray(arr)
+    return float(np.max(np.abs(arr))) if arr.size else 0.0
 
 
 def metric_abs_det(m: ChartedManifold, points, g) -> np.ndarray:
@@ -398,6 +426,8 @@ def load_manifold_config(path) -> ChartedManifold:
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot be read ({exc.strerror or exc})") from exc
     # ValueError covers bad JSON, bytes that are not UTF-8 and integers past
     # int()'s digit limit; RecursionError covers deep nesting
     except (ValueError, RecursionError) as exc:

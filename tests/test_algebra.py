@@ -33,6 +33,8 @@ from aegeom.manifold import (
     NORDEN,
     PARA_HERMITIAN,
     PRODUCT_RIEMANNIAN,
+    axiom_residuals,
+    standard_pair,
 )
 
 
@@ -60,21 +62,34 @@ def test_fiber_rejects_out_of_range_sizes():
 def test_fiber_validates_its_matrices():
     j0 = np.array([[0, -1], [1, 0]])
     eye = np.eye(2, dtype=int)
-    with pytest.raises(ValueError):
+    squared = "^hermitian fiber pair fails structure_squared$"
+    with pytest.raises(ValueError, match=squared):
         ModelFiber(n=1, kind=HERMITIAN, j0=eye, inner=eye)  # squares to +Id
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="fails metric_symmetry"):
         ModelFiber(n=1, kind=HERMITIAN, j0=j0, inner=np.array([[0, 1], [2, 0]]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="fails metric_isometry"):
         ModelFiber(n=1, kind=HERMITIAN, j0=j0, inner=np.diag([1, -1]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="inner form is degenerate"):
         ModelFiber(n=1, kind=HERMITIAN, j0=j0, inner=np.zeros((2, 2), dtype=int))
-    with pytest.raises(ValueError):
+    trace = "^product-riemannian fiber pair fails structure_trace$"
+    with pytest.raises(ValueError, match=trace):
         ModelFiber(
             n=1,
             kind=PRODUCT_RIEMANNIAN,
             j0=np.eye(2, dtype=int),
             inner=np.eye(2, dtype=int),
         )  # nonzero trace
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=lambda kind: kind.label)
+def test_standard_pair_is_the_standard_fiber_and_meets_the_axioms_exactly(kind):
+    for n in range(1, MAX_HALF_DIM + 1):
+        inner, j0 = standard_pair(kind, n)
+        fiber = ModelFiber.standard(kind, n)
+        assert np.array_equal(inner, fiber.inner) and np.array_equal(j0, fiber.j0)
+        assert inner.dtype.kind == j0.dtype.kind == "i"
+        for key, residual in axiom_residuals(kind, inner[None], j0[None]).items():
+            assert not residual.any(), (n, key)
 
 
 def test_fiber_rejects_non_integer_matrices():

@@ -1,6 +1,8 @@
 """Catalog entries: constructions, validation, and ambient cross-checks."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,12 +20,23 @@ from aegeom.manifold import (
     SamplePlan,
     evaluate_fields,
     eval_with_derivatives,
+    inf_norm,
     validate_structure,
 )
 from aegeom.octonion import cross_matrix
-from aegeom.tensors import inf_norm
 
 PLAN = SamplePlan(seed=0, n_points=20)
+
+
+def test_catalog_imports_nothing_from_algebra():
+    source = Path(catalog_mod.__file__).read_text(encoding="utf-8")
+    imported = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            imported.append(node.module)
+        elif isinstance(node, ast.Import):
+            imported.extend(alias.name for alias in node.names)
+    assert imported and not [m for m in imported if m and "algebra" in m]
 
 
 def test_standard_names_are_thirteen_and_resolvable():

@@ -537,6 +537,42 @@ def test_unreadable_config_bytes_exit_one(tmp_path, capsys, raw):
         assert "Traceback" not in err
 
 
+def test_unreadable_config_file_exits_one_naming_the_path(
+    tmp_path, capsys, monkeypatch
+):
+    path = tmp_path / "locked.json"
+    path.write_text("{}")
+
+    def refuse(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "read_text", refuse)
+    for verb in ("validate", "classify", "verify", "identities"):
+        code, out, err = run_capture(capsys, [verb, "--manifold", str(path), *FAST])
+        assert code == EXIT_FAIL, verb
+        assert out == ""
+        assert err == f"error: {path}: cannot be read (Permission denied)\n"
+
+
+# numpy refuses these sizes before it allocates anything: 10**15 points of
+# even two coordinates take 14.2 PiB
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [verb, "--manifold", "flat-kahler", "--points", str(10**15)]
+        for verb in ("validate", "classify", "verify", "identities")
+    ]
+    + [["identities", "--manifold", "flat-kahler", "--vectors", str(10**15)]],
+    ids=["validate", "classify", "verify", "identities", "identities-vectors"],
+)
+def test_unallocatable_sample_exits_one_with_an_error_line(capsys, argv):
+    code, out, err = run_capture(capsys, argv)
+    assert code == EXIT_FAIL
+    assert out == ""
+    assert err.startswith("error: Unable to allocate")
+    assert err.count("\n") == 1
+
+
 # catalog names with a free tail, and config files of arbitrary bytes
 NAME_TAILS = st.builds(
     str.__add__,

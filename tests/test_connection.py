@@ -36,8 +36,8 @@ from aegeom.manifold import (
     StructureKind,
     eval_with_derivatives,
     evaluate_fields,
+    inf_norm,
 )
-from aegeom.tensors import inf_norm
 
 SMALL = SamplePlan(seed=0, n_points=6)
 

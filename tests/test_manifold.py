@@ -29,10 +29,11 @@ from aegeom.manifold import (
     StructureKind,
     eval_with_derivatives,
     evaluate_fields,
+    inf_norm,
     load_manifold_config,
+    report_json,
     validate_structure,
 )
-from aegeom.tensors import inf_norm
 
 # the package exports the function ``catalog`` under the module's name
 catalog_module = importlib.import_module("aegeom.catalog")
@@ -300,7 +301,7 @@ def test_validate_raises_on_degenerate_metric():
 def test_validation_report_json_round_trip():
     m = flat2(HERMITIAN)
     report = validate_structure(m, SamplePlan(n_points=5))
-    assert json.loads(report.to_json()) == report.to_dict()
+    assert json.loads(report_json(report.to_dict())) == report.to_dict()
     text = report.render_text()
     assert "flat2" in text and "valid" in text
 

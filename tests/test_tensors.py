@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from aegeom.tensors import inf_norm
+from aegeom.manifold import inf_norm
 
 
 def test_inf_norm_is_the_largest_absolute_component():
