@@ -14,6 +14,7 @@ from .algebra import (
     build_constraints,
     closed_form_dimension,
     dimension_table,
+    standard_fibers,
     subspace_dimension,
 )
 from .catalog import catalog, standard_names
@@ -115,6 +116,7 @@ __all__ = [
     "load_manifold_config",
     "null_space",
     "sample_residuals",
+    "standard_fibers",
     "standard_names",
     "subspace_dimension",
     "validate_structure",

@@ -4,11 +4,11 @@ At a single tangent space, the covariant derivative of the structure tensor
 paired with the metric produces 3-tensors phi(x, y, z) obeying two linear
 symmetries: swapping the last two arguments costs the factor alpha*epsilon,
 and moving the structure tensor between the last two arguments costs
--alpha*epsilon.  This module builds those constraints over an exact integer
-model fiber and measures the dimensions of the resulting subspaces, plus
-two refinements: the alternating part (vanishing on equal first arguments,
-the pointwise model of the "nearly" condition) and the part symmetric in
-the first two arguments (the pointwise model of the Codazzi condition).
+-alpha*epsilon.  ``TERMS`` writes them and the nearly and Codazzi conditions
+once.  This module builds their rows over an exact integer model fiber and
+measures the dimensions of the full subspace and of two refinements: the
+alternating part (the pointwise model of nearly) and the part symmetric in
+the first two arguments (the pointwise model of Codazzi).
 
 Dimensions come from two routes that share no step, and any disagreement
 raises, because the constraint coefficients are integers and both routes
@@ -27,7 +27,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -44,13 +44,28 @@ from .manifold import KINDS, StructureKind, axiom_residuals, standard_pair
 
 MAX_HALF_DIM = 3
 
+# Each condition on phi(x, y, z) = g((nabla_x J) y, z) as terms (c, p, o, j):
+# row (x, y, z) sums c * (alpha*epsilon)**p * phi(v[o[0]], v[o[1]], v[o[2]])
+# for v = (x, y, z), with J on argument j (None: no J).  Every phi meets BASE.
+TERMS = {
+    "pairing_symmetry": ((1, 0, (0, 1, 2), None), (-1, 1, (0, 2, 1), None)),
+    "pairing_j_shift": ((1, 0, (0, 1, 2), 1), (1, 1, (0, 1, 2), 2)),
+    "nearly": ((1, 0, (0, 1, 2), None), (1, 0, (1, 0, 2), None)),
+    "codazzi": ((1, 0, (0, 1, 2), None), (-1, 0, (1, 0, 2), None)),
+}
+BASE = ("pairing_symmetry", "pairing_j_shift")
+
 
 class SubspaceQuery(enum.Enum):
-    """Which extra constraint to add on top of the two base symmetries."""
+    """Which condition of ``TERMS`` to add on top of the two base symmetries."""
 
     FULL = "full"
     ALTERNATING = "alternating_first_two"
     SYMMETRIC = "symmetric_first_two"
+
+    @property
+    def condition(self) -> Optional[str]:
+        return dict(ALTERNATING="nearly", SYMMETRIC="codazzi").get(self.name)
 
 
 @dataclass(frozen=True)
@@ -95,7 +110,7 @@ class ModelFiber:
     @functools.cached_property
     def base_rows(self) -> Entries:
         """Entry arrays of the two base symmetries' rows, read-only."""
-        rows = _base_rows(self)
+        rows = _concat(*(condition_rows(self, name) for name in BASE))
         for a in rows:
             a.setflags(write=False)
         return rows
@@ -149,55 +164,47 @@ def _integer_matrix(values, what: str) -> np.ndarray:
     return matrix.astype(int)
 
 
-def _pairs(
-    first: np.ndarray, second: np.ndarray, coeffs: Tuple[float, float]
-) -> Entries:
-    """Rows of two terms: slots ``first`` and ``second``, row by row in C order."""
-    count = first.size
-    cols = np.stack([first.ravel(), second.ravel()], axis=1).ravel()
-    return np.full(count, 2), cols, np.tile(np.array(coeffs, dtype=float), count)
+def condition_rows(fiber: ModelFiber, name: str) -> Entries:
+    """Entry arrays of condition ``name``, rows (x, y, z) in C order.
 
-
-def _slots(d: int) -> np.ndarray:
-    """``_slots(d)[i, j, k]`` is the unknown phi(e_i, e_j, e_k)."""
-    return np.arange(d**3).reshape(d, d, d)
-
-
-def _base_rows(fiber: ModelFiber) -> Entries:
-    d = fiber.dim
-    ae = fiber.kind.product
-    slot = _slots(d)
-    swap = _pairs(slot, slot.transpose(0, 2, 1), (1.0, -ae))
-    # row (i, j, k), term (m, t): phi(e_i, J e_j, e_k) through slot (i, m, k)
-    # when t = 0, and ae * phi(e_i, e_j, J e_k) through slot (i, j, m) when
-    # t = 1; the terms run over m first, then t, and zero terms are absent
+    J on e_t gives an entry at each e_m with the factor j0[m, t], a term with
+    no J one at m = 0; a row runs over m, then its terms, and skips zeros.
+    """
+    d, ae, terms = fiber.dim, fiber.kind.product, TERMS[name]
     a = np.arange(d)
-    i, j, k, m = a[:, None, None, None], a[:, None, None], a[:, None], a
-    cols = np.empty((d, d, d, d, 2), dtype=np.intp)
-    cols[..., 0] = (i * d + m) * d + k
-    cols[..., 1] = (i * d + j) * d + m
-    coeffs = np.empty((d, d, d, d, 2))
-    coeffs[..., 0] = fiber.j0[m, j]
-    coeffs[..., 1] = ae * fiber.j0[m, k]
+    xyz = (a[:, None, None, None], a[:, None, None], a[:, None])
+    m = a if any(j is not None for *_, j in terms) else a[:1]
+    cols = np.empty((d, d, d, m.size, len(terms)), dtype=np.intp)
+    coeffs = np.empty(cols.shape)
+    for t, (coeff, power, order, j) in enumerate(terms):
+        args = [xyz[o] for o in order]
+        factor = m == 0 if j is None else fiber.j0[m, args[j]]
+        coeffs[..., t] = coeff * ae**power * factor
+        if j is not None:
+            args[j] = m
+        cols[..., t] = (args[0] * d + args[1]) * d + args[2]
     present = coeffs != 0
-    lengths = present.reshape(d**3, -1).sum(axis=1)
-    return _concat(swap, (lengths, cols[present], coeffs[present]))
+    return present.reshape(d**3, -1).sum(axis=1), cols[present], coeffs[present]
 
 
-def _first_two_rows(d: int, sign: float) -> Entries:
-    slot = _slots(d)
-    return _pairs(slot, slot.transpose(1, 0, 2), (1.0, sign))
+def sampled_condition(nj: np.ndarray, product: int, name: str) -> np.ndarray:
+    """Condition ``name`` at each nj[p, x, b, y] = (nabla_x J)^b_y, with z raised."""
+    parts = []
+    for c, p, (o0, o1, o2), j in TERMS[name]:
+        if j is not None or o2 != 2:
+            raise ValueError(f"{name} needs g or J on the sampled stack")
+        parts.append(c * product**p * nj.transpose(0, 1 + 2 * o0, 2, 1 + 2 * o1))
+    return sum(parts[1:], parts[0])
 
 
 def _polarized_rows(d: int) -> Entries:
-    """Vanishing on equal first arguments: diagonal rows, symmetric pairs."""
-    slot = _slots(d)
+    """Vanishing on equal first arguments, apart from ``TERMS``: diagonals, pairs."""
+    slot = np.arange(d**3).reshape(d, d, d)
     diagonal = slot[np.arange(d), np.arange(d)].ravel()
     i, j = np.triu_indices(d, 1)
-    ones = np.ones(diagonal.size, dtype=np.intp)
-    return _concat(
-        (ones, diagonal, ones.astype(float)), _pairs(slot[i, j], slot[j, i], (1.0, 1.0))
-    )
+    pairs = np.stack([slot[i, j].ravel(), slot[j, i].ravel()], axis=1).ravel()
+    lengths = np.repeat([1, 2], [diagonal.size, pairs.size // 2])
+    return lengths, np.concatenate([diagonal, pairs]), np.ones(lengths.sum())
 
 
 def _concat(*parts: Entries) -> Entries:
@@ -212,13 +219,8 @@ def build_constraints(
     fiber: ModelFiber, query: SubspaceQuery
 ) -> LinearConstraintSystem:
     """Sparse homogeneous constraints for the requested subspace."""
-    d = fiber.dim
-    parts = [fiber.base_rows]
-    if query is SubspaceQuery.ALTERNATING:
-        parts.append(_first_two_rows(d, 1.0))
-    elif query is SubspaceQuery.SYMMETRIC:
-        parts.append(_first_two_rows(d, -1.0))
-    return _system(d, *parts)
+    extra = () if query.condition is None else (condition_rows(fiber, query.condition),)
+    return _system(fiber.dim, fiber.base_rows, *extra)
 
 
 def subspace_dimension(fiber: ModelFiber, query: SubspaceQuery) -> int:
@@ -282,19 +284,22 @@ def closed_form_dimension(kind: StructureKind, n: int, query: SubspaceQuery) -> 
     return 2 * n**3 if query is SubspaceQuery.FULL else 0
 
 
-def dimension_table() -> dict:
-    """Subspace dimensions for every kind and half-dimension up to MAX_HALF_DIM.
+def standard_fibers() -> List[ModelFiber]:
+    """The standard fibers, kind by kind, for n = 1..MAX_HALF_DIM."""
+    return [ModelFiber.standard(k, n + 1) for k in KINDS for n in range(MAX_HALF_DIM)]
+
+
+def dimension_table(fibers: List[ModelFiber]) -> dict:
+    """Subspace dimensions of each fiber, such as ``standard_fibers()`` gives.
 
     Keys are kind labels; values map the half-dimension to the dimensions
     of the full, alternating, and symmetric subspaces, each from
     ``subspace_dimension``, so every cell has passed its closed form.
     """
     table: dict = {}
-    for kind in KINDS:
-        fibers = [ModelFiber.standard(kind, n) for n in range(1, MAX_HALF_DIM + 1)]
-        table[kind.label] = {
-            fiber.n: {q.value: subspace_dimension(fiber, q) for q in SubspaceQuery}
-            for fiber in fibers
+    for fiber in fibers:
+        table.setdefault(fiber.kind.label, {})[fiber.n] = {
+            q.value: subspace_dimension(fiber, q) for q in SubspaceQuery
         }
     return table
 
@@ -309,12 +314,10 @@ def alternating_definitions_coincide(fiber: ModelFiber, alternating_dim: int) ->
     enough: the polarized null space U inside the antisymmetric one V, with
     dim U = dim V, gives U = V.
 
-    ``alternating_dim`` is dim V, as ``subspace_dimension(fiber,
-    SubspaceQuery.ALTERNATING)`` gives it once both rank routes and the
-    closed form agree; ``algebra-table`` passes the value its
-    ``dimension_table`` computed.
-    The basis of U comes from ``null_space``, and one product over the
-    antisymmetric system's entries tests that it lies in V.
+    ``alternating_dim`` is dim V as ``subspace_dimension`` gives it, once
+    both rank routes and the closed form agree.  The basis of U comes from
+    ``null_space``, and one product over the antisymmetric system's entries
+    tests that it lies in V.
     """
     d = fiber.dim
     dim, basis = null_space(_system(d, fiber.base_rows, _polarized_rows(d)))

@@ -27,7 +27,13 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, replace
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .algebra import MAX_HALF_DIM, ModelFiber, SubspaceQuery, subspace_dimension
+from .algebra import (
+    MAX_HALF_DIM,
+    ModelFiber,
+    SubspaceQuery,
+    sampled_condition,
+    subspace_dimension,
+)
 from .catalog import catalog, standard_names
 from .connection import derived_tensors
 from .errors import TheoremViolation
@@ -88,13 +94,13 @@ THEOREMS = (
             note=SubspaceQuery.SYMMETRIC),
 )
 
-# (cell key, condition, its residual key, its subspace, the class when that
-# subspace is not zero).  A zero subspace means the condition forces Kahler
-# type.
+# (cell key, condition, its subspace, the class when that subspace is not
+# zero).  A zero subspace means the condition forces Kahler type; the
+# subspace's ``condition`` is the residual key.
 SIGN_CONDITIONS = (
-    ("plus_sign", "(nabla_x J) y + (nabla_y J) x = 0", "nearly",
+    ("plus_sign", "(nabla_x J) y + (nabla_y J) x = 0",
      SubspaceQuery.ALTERNATING, "nearly Kahler type"),
-    ("minus_sign", "(nabla_x J) y - (nabla_y J) x = 0", "codazzi",
+    ("minus_sign", "(nabla_x J) y - (nabla_y J) x = 0",
      SubspaceQuery.SYMMETRIC, "Kahler-Codazzi type"),
 )
 
@@ -167,15 +173,14 @@ def sample_residuals(
 
 def _conditions(m: ChartedManifold, points) -> Dict[str, float]:
     arrs = derived_tensors(m, points)
-    nj = arrs["nabla_j"]
-    t = arrs["torsion"]
+    nj, t, ae = arrs["nabla_j"], arrs["torsion"], m.kind.product
     # lowered[n, j, k, a] = sum_i t[n, i, j, k] g[n, a, i]
     lowered = t.transpose(0, 2, 3, 1) @ arrs["g"].swapaxes(1, 2)[:, None]
     return {
         "kahler_type": inf_norm(nj),
         "integrable": inf_norm(arrs["nijenhuis"]),
-        "nearly": inf_norm(nj + nj.transpose(0, 3, 2, 1)),
-        "codazzi": inf_norm(nj - nj.transpose(0, 3, 2, 1)),
+        "nearly": inf_norm(sampled_condition(nj, ae, "nearly")),
+        "codazzi": inf_norm(sampled_condition(nj, ae, "codazzi")),
         "canonical_torsion": inf_norm(t),
         "torsion_shift": inf_norm(arrs["torsion_shift"]),
         "torsion_pairing_skew": inf_norm(lowered + lowered.swapaxes(2, 3)),
@@ -254,34 +259,30 @@ def condition_table(plan: SamplePlan, tol: float, dims: dict) -> Dict[str, objec
     supported model fiber: a zero-dimensional subspace means the condition
     forces the structure derivative itself to vanish, so the class is
     Kahler type; any other dimension leaves the class of the condition
-    (``SIGN_CONDITIONS``).  ``dims`` is the output of ``dimension_table()``,
+    (``SIGN_CONDITIONS``).  ``dims`` is the output of ``dimension_table``,
     whose every cell ``subspace_dimension`` has checked against the closed
     form.  Each cell also records, on every catalog entry of that kind, the
     status of the theorem check whose hypothesis is the condition, as
     sampled evidence beside the algebraic proof.
     """
     n = MAX_HALF_DIM
-    by_kind: Dict[str, List[ChartedManifold]] = {}
+    statuses: Dict[str, Dict[str, Dict[str, str]]] = {k.label: {} for k in KINDS}
     for name in standard_names():
         m = catalog(name)
-        by_kind.setdefault(m.kind.label, []).append(m)
+        residuals = sample_residuals(m, plan)
+        statuses[m.kind.label][m.name] = {
+            row.hypothesis: _theorem_check(row, residuals, tol).status
+            for row in _theorems_for(m.kind)
+        }
     cells: Dict[str, object] = {}
-    for kind in KINDS:
-        # entry name: the status of each theorem row, keyed by its hypothesis
-        statuses = {}
-        for m in by_kind.get(kind.label, []):
-            residuals = sample_residuals(m, plan)
-            statuses[m.name] = {
-                row.hypothesis: _theorem_check(row, residuals, tol).status
-                for row in _theorems_for(kind)
-            }
-        cells[kind.label] = {}
-        for key, _, condition, query, nonzero_class in SIGN_CONDITIONS:
-            dim = dims[kind.label][n][query.value]
-            cells[kind.label][key] = {
+    for label, by_entry in statuses.items():
+        cells[label] = {}
+        for key, _, query, nonzero_class in SIGN_CONDITIONS:
+            dim = dims[label][n][query.value]
+            cells[label][key] = {
                 "subspace_dimension": dim,
                 "class": "Kahler type" if dim == 0 else nonzero_class,
-                "entry_checks": {name: by[condition] for name, by in statuses.items()},
+                "entry_checks": {e: by[query.condition] for e, by in by_entry.items()},
             }
     return {
         "half_dimension": n,

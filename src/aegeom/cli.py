@@ -22,17 +22,16 @@ import sys
 from typing import Dict, List, Optional
 
 from .algebra import (
-    ModelFiber,
     SubspaceQuery,
     alternating_definitions_coincide,
     dimension_table,
+    standard_fibers,
 )
 from .catalog import catalog, standard_names
 from .classify import VERDICT_TOL, classify, condition_table, render_condition_table
 from .connection import identity_residuals, vector_triples
 from .errors import GeometryError, InternalConsistencyError
 from .manifold import (
-    KINDS,
     ChartedManifold,
     SamplePlan,
     load_manifold_config,
@@ -134,18 +133,15 @@ def _cmd_verify(args, plan):
 
 
 def _cmd_algebra_table(args, plan):
-    dims = dimension_table()
-    # each check reads the alternating dimension on which both rank routes
-    # agreed in the table above, instead of taking its singular values again
-    alternating = SubspaceQuery.ALTERNATING.value
+    fibers = standard_fibers()
+    dims = dimension_table(fibers)
+    # each check reads, on the same fiber, the alternating dimension on which
+    # both rank routes agreed in the table above
     coincide: Dict[str, Dict[str, bool]] = {}
-    for kind in KINDS:
-        coincide[kind.label] = {
-            str(n): alternating_definitions_coincide(
-                ModelFiber.standard(kind, n), queries[alternating]
-            )
-            for n, queries in dims[kind.label].items()
-        }
+    for fiber in fibers:
+        dim = dims[fiber.kind.label][fiber.n][SubspaceQuery.ALTERNATING.value]
+        per_n = coincide.setdefault(fiber.kind.label, {})
+        per_n[str(fiber.n)] = alternating_definitions_coincide(fiber, dim)
     table = condition_table(plan, args.tol, dims)
     payload = {
         "dimensions": {

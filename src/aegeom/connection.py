@@ -36,6 +36,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from .algebra import sampled_condition
 from .errors import (
     FormulaMismatch,
     InvalidStructure,
@@ -307,7 +308,7 @@ def _identity_tensors(frame: _Frame) -> Dict[str, np.ndarray]:
     dtwin = dj.swapaxes(2, 3) @ gl + jt[:, None] @ dg
     cov_twin = _covariant_metric(dtwin, gamma, twin)
     twin_defect = cov_twin - cov_twin.transpose(0, 2, 1, 3)
-    codazzi_j = nj - nj.transpose(0, 3, 2, 1)
+    codazzi_j = sampled_condition(nj, ae, "codazzi")
     tensors["twin_codazzi_match"] = twin_defect - codazzi_j.swapaxes(2, 3) @ gl
 
     nabla_g = _covariant_metric(dg, gamma, g)
@@ -317,8 +318,6 @@ def _identity_tensors(frame: _Frame) -> Dict[str, np.ndarray]:
     if ae == -1:
         tensors["fundamental_form_antisymmetry"] = twin + twin.transpose(0, 2, 1)
         nearly_form = cov_twin + cov_twin.transpose(0, 2, 1, 3)
-        nearly_j = nj + nj.transpose(0, 3, 2, 1)
-        tensors["fundamental_form_nearly_match"] = (
-            nearly_form - nearly_j.swapaxes(2, 3) @ gl
-        )
+        paired_nearly = sampled_condition(nj, ae, "nearly").swapaxes(2, 3) @ gl
+        tensors["fundamental_form_nearly_match"] = nearly_form - paired_nearly
     return tensors

@@ -102,10 +102,9 @@ class Expr:
 
 
 def _var_index(name: str, n_vars: int, line: int, column: int) -> int:
-    if name.startswith("x") and name[1:].isdigit():
-        k = int(name[1:])
-        if 1 <= k <= n_vars:
-            return k - 1
+    digits = name[1:].lstrip("0") if name.startswith("x") else ""
+    if digits.isdigit() and len(digits) <= len(str(n_vars)) and int(digits) <= n_vars:
+        return int(digits) - 1
     raise ExpressionError(
         f"unknown variable {name!r} (expected x1 .. x{n_vars})", line, column
     )
@@ -152,7 +151,10 @@ def parse_expression(text: str, n_vars: int) -> Expr:
                     raise ExpressionError(
                         "exponent must be an integer literal", line, column
                     )
-                program.append(("^", sign * int(lexeme)))
+                try:
+                    program.append(("^", sign * int(lexeme)))
+                except ValueError:  # int() refuses more than 4300 digits
+                    raise ExpressionError("exponent has too many digits", line, column)
                 kind, lexeme, line, column = next(tokens)
             if kind != ")" or not depth:
                 break

@@ -15,6 +15,7 @@ from aegeom.algebra import (
     SubspaceQuery,
     build_constraints,
     dimension_table,
+    standard_fibers,
     subspace_dimension,
 )
 from aegeom.catalog import catalog, standard_names
@@ -255,7 +256,8 @@ def test_criterion_7_theorem_suite_and_table(capsys):
         for check in checks:
             assert check.status in ("passed", "hypothesis not met")
             vacuous_seen = vacuous_seen or check.status == "hypothesis not met"
-    table = condition_table(FULL_PLAN, VERDICT_TOL, dimension_table())
+    dims = dimension_table(standard_fibers())
+    table = condition_table(FULL_PLAN, VERDICT_TOL, dims)
     cells = table["cells"]
     pattern_ok = True
     for label in ("hermitian", "para-hermitian"):

@@ -16,11 +16,12 @@ from aegeom.algebra import (
     build_constraints,
     closed_form_dimension,
     dimension_table,
+    standard_fibers,
     subspace_dimension,
 )
 from aegeom import algebra, cli, linalg
 from aegeom.catalog import catalog, standard_names
-from aegeom.classify import THEOREMS
+from aegeom.classify import THEOREMS, sample_residuals
 from aegeom.errors import (
     DimensionOracleMismatch,
     TheoremViolation,
@@ -33,6 +34,7 @@ from aegeom.manifold import (
     NORDEN,
     PARA_HERMITIAN,
     PRODUCT_RIEMANNIAN,
+    SamplePlan,
     axiom_residuals,
     standard_pair,
 )
@@ -176,7 +178,7 @@ def test_symmetric_subspace_is_always_zero():
 
 
 def test_dimension_table_layout_matches_individual_queries():
-    table = dimension_table()
+    table = dimension_table(standard_fibers())
     assert set(table) == {k.label for k in KINDS}
     for kind in KINDS:
         for n in range(1, MAX_HALF_DIM + 1):
@@ -310,25 +312,33 @@ def test_the_coincide_product_reads_the_antisymmetry_rows(monkeypatch):
 
 def test_a_fiber_builds_its_base_rows_once(monkeypatch):
     builds = []
-    true_base_rows = algebra._base_rows
+    true_rows = algebra.condition_rows
 
-    def counted(fiber):
-        builds.append((fiber.kind.label, fiber.n))
-        return true_base_rows(fiber)
+    def counted(fiber, name):
+        builds.append((fiber.kind.label, fiber.n, name))
+        return true_rows(fiber, name)
 
-    monkeypatch.setattr(algebra, "_base_rows", counted)
+    monkeypatch.setattr(algebra, "condition_rows", counted)
     fiber = ModelFiber.standard(PARA_HERMITIAN, 2)
     for query in SubspaceQuery:
         subspace_dimension(fiber, query)
     alternating_definitions_coincide(
         fiber, subspace_dimension(fiber, SubspaceQuery.ALTERNATING)
     )
-    assert builds == [("para-hermitian", 2)]
+    base = [b for b in builds if b[2] in algebra.BASE]
+    assert base == [("para-hermitian", 2, name) for name in algebra.BASE]
+    # each query's own condition is built for its system, once per system
+    assert [b[2] for b in builds if b not in base] == [
+        "nearly",
+        "codazzi",
+        "nearly",
+        "nearly",
+    ]
     # the shared arrays are read-only, so no system can change another's rows
     assert not any(a.flags.writeable for a in fiber.base_rows)
     # a fiber made anew, as in the next job, builds its own
     ModelFiber.standard(PARA_HERMITIAN, 2).base_rows
-    assert len(builds) == 2
+    assert len([b for b in builds if b[2] in algebra.BASE]) == 2 * len(algebra.BASE)
 
 
 def test_wrong_numeric_rank_trips_the_dimension_oracle(monkeypatch):
@@ -498,6 +508,94 @@ def test_only_subspace_dimension_reads_the_closed_form():
     ]
 
 
+def test_the_sampled_reader_and_the_row_builder_read_one_table():
+    # nabla_j of each of the d^3 unit tensors phi = e_c, raised through the
+    # fiber's inner form: the reader's output, lowered again, is column c of
+    # the dense matrix of the rows the builder makes for the same condition
+    s = np.array([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, -1], [0, 0, 0, 1]])
+    fibers = standard_fibers() + [ModelFiber.standard(NORDEN, 2).conjugated(s)]
+    for fiber in fibers:
+        d, g = fiber.dim, fiber.inner.astype(float)
+        phi = np.eye(d**3).reshape(d**3, d, d, d)
+        nj = (phi @ np.linalg.inv(g)).transpose(0, 1, 3, 2)
+        for name in ("nearly", "codazzi"):
+            read = algebra.sampled_condition(nj, fiber.kind.product, name)
+            lowered = (read.transpose(0, 1, 3, 2) @ g).reshape(d**3, d**3)
+            rows = algebra.condition_rows(fiber, name)
+            dense = LinearConstraintSystem.from_entries(d**3, *rows).to_dense()
+            assert dense.any()
+            np.testing.assert_allclose(lowered, dense.T, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", algebra.BASE)
+def test_the_sampled_reader_refuses_terms_that_need_g_or_j(name):
+    # the base symmetries move the pairing argument or take J, so the raised
+    # stack alone cannot evaluate them
+    with pytest.raises(ValueError, match=name):
+        algebra.sampled_condition(np.zeros((1, 2, 2, 2)), 1, name)
+
+
+def test_a_sign_flipped_in_the_nearly_row_moves_both_readers(monkeypatch):
+    # the sampled residual and the fiber rows read the one nearly row, so a
+    # flipped sign shows on both sides: the classify residual becomes the
+    # Codazzi one, and the alternating dimension leaves its closed form
+    m = catalog("s6-nearly-kahler")
+    fiber = ModelFiber.standard(HERMITIAN, 3)
+    before = sample_residuals(m, SamplePlan(seed=0, n_points=4))
+    assert subspace_dimension(fiber, SubspaceQuery.ALTERNATING) == 2
+    first, (coeff, *rest) = algebra.TERMS["nearly"]
+    monkeypatch.setitem(algebra.TERMS, "nearly", (first, (-coeff, *rest)))
+    after = sample_residuals(m, SamplePlan(seed=0, n_points=4))
+    assert before["nearly"] < 1e-12 < before["codazzi"] == after["nearly"]
+    assert exact_nullity(build_constraints(fiber, SubspaceQuery.ALTERNATING)) == 0
+    with pytest.raises(TheoremViolation, match="alternating_first_two"):
+        subspace_dimension(fiber, SubspaceQuery.ALTERNATING)
+
+
+def test_every_theorem_note_is_the_subspace_of_its_hypothesis():
+    notes = [row for row in THEOREMS if row.note is not None]
+    assert len(notes) == 2
+    for row in notes:
+        assert row.note.condition == row.hypothesis, row.name
+    assert SubspaceQuery.FULL.condition is None
+    for query in SubspaceQuery:
+        assert query.condition is None or query.condition in algebra.TERMS
+
+
+def test_the_conditions_are_written_in_the_table_alone():
+    # no module swaps the first and third slots of nabla J by hand (the
+    # Christoffel solve's swap of dg is another formula); the hand-written
+    # row builders are gone; and the polarized rendering, the coincide
+    # check's independent route, reads nothing from the table
+    table_names = {"TERMS", "BASE", "condition_rows", "sampled_condition"}
+    table_names |= {"base_rows", "build_constraints", "_concat", "_system"}
+    swaps, defined, polarized_reads = [], set(), set()
+    for path in sorted(Path(algebra.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef):
+                defined.add(node.name)
+                if node.name == "_polarized_rows":
+                    polarized_reads |= {
+                        getattr(inner, "id", None) or getattr(inner, "attr", None)
+                        for inner in ast.walk(node)
+                    }
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", "") == (
+                "transpose"
+            ):
+                receiver = node.func.value
+                name = getattr(receiver, "id", None) or getattr(receiver, "attr", None)
+                if isinstance(receiver, ast.Subscript):
+                    name = getattr(receiver.slice, "value", None)
+                axes = tuple(getattr(a, "value", None) for a in node.args)
+                swaps.append((path.name, name, axes))
+    assert ("connection.py", "dg", (0, 3, 2, 1)) in swaps
+    by_hand = [s for s in swaps if s[1] in ("nj", "nabla_j") and s[2] == (0, 3, 2, 1)]
+    assert by_hand == []
+    assert defined.isdisjoint({"_base_rows", "_first_two_rows", "_pairs", "_slots"})
+    assert "_polarized_rows" in defined
+    assert polarized_reads.isdisjoint(table_names)
+
+
 def test_the_dimension_table_takes_no_svd_wider_than_a_block(monkeypatch):
     # the widest block of any standard system up to n=3 has 24 unknowns;
     # a dense SVD of a whole n=3 system would have 216
@@ -509,7 +607,7 @@ def test_the_dimension_table_takes_no_svd_wider_than_a_block(monkeypatch):
         return true_svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", recording)
-    dimension_table()
+    dimension_table(standard_fibers())
     assert shapes
     assert max(shape[-1] for shape in shapes) == 24
 
@@ -554,7 +652,7 @@ def test_constraint_builders_match_the_nested_loops():
                 1.0: build_constraints(fiber, SubspaceQuery.ALTERNATING),
                 -1.0: build_constraints(fiber, SubspaceQuery.SYMMETRIC),
                 "polarized": algebra._system(
-                    d, algebra._base_rows(fiber), algebra._polarized_rows(d)
+                    d, fiber.base_rows, algebra._polarized_rows(d)
                 ),
             }
             for extra, system in built.items():
@@ -745,7 +843,7 @@ def record_eliminations(monkeypatch):
 def test_every_standard_query_eliminates_its_whole_system(monkeypatch):
     # each of the table's 36 systems is eliminated once, and whole
     eliminated = record_eliminations(monkeypatch)
-    dimension_table()
+    dimension_table(standard_fibers())
     assert sorted(eliminated) == sorted([8, 64, 216] * 12)
     # a lone query eliminates its own system and no other
     for kind in KINDS:

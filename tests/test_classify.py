@@ -12,6 +12,7 @@ from aegeom.algebra import (
     SubspaceQuery,
     closed_form_dimension,
     dimension_table,
+    standard_fibers,
     subspace_dimension,
 )
 from aegeom.catalog import catalog, standard_names
@@ -45,7 +46,7 @@ BUILD = algebra.build_constraints
 
 def table_for(plan=PLAN):
     # the class table over a dimension table built now, under any patches
-    return condition_table(plan, VERDICT_TOL, dimension_table())
+    return condition_table(plan, VERDICT_TOL, dimension_table(standard_fibers()))
 
 
 def both_routes_report(monkeypatch, value, wrong):
@@ -179,7 +180,7 @@ def test_wrong_subspace_dimension_is_a_theorem_violation(monkeypatch):
 def test_sign_pattern_accepts_every_true_dimension():
     # every computed cell equals the closed form, the full subspace and the
     # alternating one below the largest fiber included
-    table = dimension_table()
+    table = dimension_table(standard_fibers())
     for kind in KINDS:
         for n in range(1, MAX_HALF_DIM + 1):
             for query in SubspaceQuery:
@@ -382,17 +383,17 @@ def test_condition_table_records_entry_checks():
 
 def test_entry_checks_match_the_classify_status_of_the_condition_row():
     # a cell's status on an entry is the one classify reports for the theorem
-    # row whose hypothesis is the cell's condition
+    # row whose hypothesis is the condition of the cell's subspace
     cells = table_for()["cells"]
     seen = set()
     for name in standard_names():
         m = catalog(name)
         by_row = {c.name: c.status for c in classify(m, PLAN).theorem_checks}
-        for key, _, condition, _, _ in SIGN_CONDITIONS:
+        for key, _, query, _ in SIGN_CONDITIONS:
             (row,) = (
                 row
                 for row in THEOREMS
-                if row.hypothesis == condition and m.kind.product in row.products
+                if row.hypothesis == query.condition and m.kind.product in row.products
             )
             status = cells[m.kind.label][key]["entry_checks"][name]
             assert status == by_row[row.name], (name, key)

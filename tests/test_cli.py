@@ -325,27 +325,34 @@ def test_algebra_table_does_each_piece_of_fiber_work_a_fixed_number_of_times(
     capsys, monkeypatch
 ):
     # both rank routes for each of the 36 (kind, n, query) cells, one basis
-    # per coincide check, and the base rows once per fiber: 12 fibers for
-    # the table and 12 for the checks
-    names = ("numeric_nullity", "exact_nullity", "null_space", "_base_rows")
-    calls = dict.fromkeys(names, 0)
+    # per coincide check, and the base rows once for each of the 12 fibers,
+    # which the table and the checks share; the row builder is counted by
+    # the condition it builds
+    names = ("numeric_nullity", "exact_nullity", "null_space", "condition_rows")
+    calls: dict = {}
     for name in names:
         original = getattr(algebra, name)
 
         def counted(*args, _name=name, _original=original):
-            calls[_name] += 1
+            key = (_name, args[1]) if _name == "condition_rows" else _name
+            calls[key] = calls.get(key, 0) + 1
             return _original(*args)
 
         monkeypatch.setattr(algebra, name, counted)
     jobs = []
     for _ in range(2):
-        calls.update(dict.fromkeys(names, 0))
+        calls.clear()
         code, _, _ = run_capture(capsys, ["algebra-table", *FAST])
         assert code == EXIT_PASS
         jobs.append(dict(calls))
     assert jobs[0]["numeric_nullity"] == jobs[0]["exact_nullity"] == 36
     assert jobs[0]["null_space"] == 12
-    assert 12 <= jobs[0]["_base_rows"] <= 24
+    for name in algebra.BASE:
+        assert jobs[0]["condition_rows", name] == 12
+    # each query's rows once per system: the table's, and the coincide
+    # check's antisymmetric system
+    assert jobs[0]["condition_rows", "nearly"] == 24
+    assert jobs[0]["condition_rows", "codazzi"] == 12
     # a second job in the same process repeats every count: nothing is cached
     assert jobs[1] == jobs[0]
 

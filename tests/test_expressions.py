@@ -121,7 +121,16 @@ def test_non_ascii_character_is_rejected_with_position(text, column):
 def test_non_ascii_config_cell_exits_one_naming_the_cell(
     tmp_path, capsys, verb, cell, column
 ):
-    path = tmp_path / "superscript.json"
+    err = metric_cell_error(tmp_path / "superscript.json", capsys, verb, cell)
+    assert f"line 1, column {column}: metric[0][0] of superscript.json" in err
+    assert "unexpected character" in err
+
+
+def metric_cell_error(path, capsys, verb, cell):
+    """Stderr of ``verb`` on a hermitian config whose metric[0][0] is ``cell``.
+
+    The verb must exit 1 with nothing on stdout and no traceback.
+    """
     config = {
         "kind": {"alpha": -1, "epsilon": 1},
         "dim": 2,
@@ -135,8 +144,37 @@ def test_non_ascii_config_cell_exits_one_naming_the_cell(
     assert code == EXIT_FAIL
     assert captured.out == ""
     assert "Traceback" not in captured.err
-    assert f"line 1, column {column}: metric[0][0] of superscript.json" in captured.err
-    assert "unexpected character" in captured.err
+    return captured.err
+
+
+def test_numbers_past_the_digit_limit_are_parse_errors():
+    # int() reads at most 4300 digits; a variable index or an exponent past
+    # that is an error at its position, not a ValueError
+    with pytest.raises(ExpressionError, match="unknown variable") as exc:
+        parse_expression("1 +\n x" + "1" * 5000, 2)
+    assert (exc.value.line, exc.value.column) == (2, 2)
+    with pytest.raises(ExpressionError, match="exponent has too many digits") as exc:
+        parse_expression("x1^-" + "1" * 5000, 2)
+    assert (exc.value.line, exc.value.column) == (1, 5)
+    # leading zeros still name a variable, as before
+    assert parse_expression("x" + "0" * 5000 + "2", 2).evaluate([3.0, 5.0]) == 5.0
+
+
+@pytest.mark.parametrize("verb", ["validate", "classify", "verify", "identities"])
+@pytest.mark.parametrize(
+    "cell, column, message",
+    [
+        ("1 + 0*x" + "1" * 5000, 7, "unknown variable"),
+        ("x1^" + "1" * 5000, 4, "exponent has too many digits"),
+    ],
+    ids=["variable-index", "exponent"],
+)
+def test_a_number_past_the_digit_limit_exits_one_naming_the_cell(
+    tmp_path, capsys, verb, cell, column, message
+):
+    err = metric_cell_error(tmp_path / "digits.json", capsys, verb, cell)
+    assert f"line 1, column {column}: metric[0][0] of digits.json" in err
+    assert message in err
 
 
 def long_and_deep():

@@ -11,11 +11,11 @@ from aegeom.algebra import (
     MAX_HALF_DIM,
     ModelFiber,
     SubspaceQuery,
-    _base_rows,
     _polarized_rows,
     _system,
     build_constraints,
     dimension_table,
+    standard_fibers,
 )
 from aegeom.errors import DegenerateSystem, SlotMismatch
 from aegeom import linalg
@@ -260,7 +260,7 @@ def test_exact_nullity_matches_the_fraction_oracle_on_the_model_fibers():
             fiber = ModelFiber.standard(kind, n)
             systems = [build_constraints(fiber, query) for query in SubspaceQuery]
             systems.append(
-                _system(fiber.dim, _base_rows(fiber), _polarized_rows(fiber.dim))
+                _system(fiber.dim, fiber.base_rows, _polarized_rows(fiber.dim))
             )
             for sys in systems:
                 assert exact_nullity(sys) == fraction_nullity(sys), (kind.label, n)
@@ -354,7 +354,7 @@ def test_the_dimension_table_needs_no_general_elimination(monkeypatch):
 
     monkeypatch.setattr(linalg, "_eliminate", unreached)
     monkeypatch.setattr(linalg, "_integer_row", unreached)
-    table = dimension_table()
+    table = dimension_table(standard_fibers())
     assert table["hermitian"][3]["alternating_first_two"] == 2
 
 

@@ -430,3 +430,7 @@ def test_config_expression_error_names_cell_and_position(tmp_path):
     assert p.name in exc.value.message
     assert exc.value.line == 2
     assert exc.value.column == 2
+
+
+def test_inf_norm_is_the_largest_absolute_component():
+    assert inf_norm(np.array([[1.0, -4.0], [2.0, 0.5]])) == 4.0
