@@ -15,12 +15,11 @@ matrix field and polarize a seeded positive-definite form.
 Each entry has one field function returning the pair (metric, structure):
 a curved entry builds J once and its metric from that J, and the sphere
 builds its chart once for both.  The fields are written as the matrix
-formulas they stand for, with ``matrix``, ``@``, ``.T`` and ``inv`` from
-``aegeom.dual``.  The same function takes either one point of float
-coordinates, returning plain arrays, or ``Dual`` coordinates carrying a
-stack of points, returning matrix ``Dual`` values.  It does not take a
-plain stack of coordinate arrays: ``.T`` on a plain stack of matrices also
-moves the point axis.  The flat entries return one read-only constant pair.
+formulas they stand for, with ``matrix``, ``@``, ``.mT`` and ``inv`` from
+``aegeom.dual``.  The same function takes one point of float coordinates or
+a plain stack of coordinate arrays, returning plain arrays, or ``Dual``
+coordinates carrying a stack of points, returning matrix ``Dual`` values.
+The flat entries return one read-only constant pair.
 """
 
 from __future__ import annotations
@@ -173,7 +172,7 @@ def _s6_fields(u: Sequence):
     # product with p, then pull back through the chart.  The chart is
     # conformal with factor 1/den^2, so (D^T D)^{-1} = den^2 * Id and the
     # pullback is den^2 * D^T w.
-    return d.T @ d, d.T @ cross_matrix([den2 * x for x in p]) @ d
+    return d.mT @ d, d.mT @ cross_matrix([den2 * x for x in p]) @ d
 
 
 def _six_sphere() -> ChartedManifold:
@@ -223,7 +222,7 @@ def _pullback(label: str) -> ChartedManifold:
     def fields(coords, _j0=j0, _g0=g0, _eps=eps):
         dphi = _phi_jacobian(coords)
         j = inv(dphi) @ _j0 @ dphi
-        return 0.5 * (_g0 + _eps * (j.T @ _g0 @ j)), j
+        return 0.5 * (_g0 + _eps * (j.mT @ _g0 @ j)), j
 
     return ChartedManifold(
         name=f"pullback-integrable-{label}",
@@ -255,11 +254,6 @@ def _poly_matrix(coeffs: np.ndarray, x):
     return np.eye(2) + 0.1 * matrix([[poly(c) for c in row] for row in coeffs])
 
 
-def _random_structure(coeffs, j0, x):
-    a = _poly_matrix(coeffs, x)
-    return a @ j0 @ inv(a)
-
-
 def _random(label: str, seed: int) -> ChartedManifold:
     kind = StructureKind.from_name(label)
     j0 = _SURFACE_PAIRS[label][1]
@@ -267,26 +261,30 @@ def _random(label: str, seed: int) -> ChartedManifold:
     box = Box((-0.6, -0.6), (0.6, 0.6))
     rng = np.random.default_rng([seed, KINDS.index(kind) + 1, 29])
     b = rng.uniform(-1.0, 1.0, (2, 2))
-    h = b.T @ b + np.eye(2)
+    h = b.mT @ b + np.eye(2)
 
+    # a draw is kept when A and g stay away from singular on a 5x5 grid,
+    # sent through the fields as a plain stack; A is tested first, since
+    # the fields invert it and ``inv`` raises on a singular matrix
     grid_axis = np.linspace(-0.6, 0.6, 5)
-    grid = [(float(gx), float(gy)) for gx in grid_axis for gy in grid_axis]
-
-    coeffs = None
+    grid = [np.repeat(grid_axis, 5), np.tile(grid_axis, 5)]
     for _ in range(RANDOM_RETRIES):
-        candidate = rng.uniform(-1.0, 1.0, (2, 2, 6))
-        if _random_candidate_ok(candidate, j0, h, eps, grid):
-            coeffs = candidate
+        coeffs = rng.uniform(-1.0, 1.0, (2, 2, 6))
+
+        def fields(coords, _c=coeffs, _j0=j0, _h=h, _eps=eps):
+            a = _poly_matrix(_c, coords)
+            j = a @ _j0 @ inv(a)
+            return _h + _eps * (j.mT @ _h @ j), j
+
+        if (np.abs(np.linalg.det(_poly_matrix(coeffs, grid))) < 0.25).any():
+            continue
+        if not (np.abs(np.linalg.det(fields(grid)[0])) < 1e-4).any():
             break
-    if coeffs is None:
+    else:
         raise DegenerateConstruction(
             f"random-{label}-{seed}: no non-degenerate draw in "
             f"{RANDOM_RETRIES} attempts"
         )
-
-    def fields(coords, _c=coeffs, _j0=j0, _h=h, _eps=eps):
-        j = _random_structure(_c, _j0, coords)
-        return _h + _eps * (j.T @ _h @ j), j
 
     return ChartedManifold(
         name=f"random-{label}-{seed}",
@@ -295,21 +293,3 @@ def _random(label: str, seed: int) -> ChartedManifold:
         domain=box,
         fields=fields,
     )
-
-
-def _random_candidate_ok(coeffs, j0, h, eps, grid) -> bool:
-    """Whether A and g stay away from singular at every grid point.
-
-    The grid points are evaluated at once, as a stack of matrices.  A is
-    tested before it is inverted, since ``inv`` raises on a singular matrix.
-    The metric is written out with ``np.swapaxes`` rather than read from the
-    entry's fields, whose ``.T`` would move the point axis of this stack;
-    sending the grid through the fields on duals instead costs about twice
-    as long.
-    """
-    x = np.asarray(grid, dtype=float).T
-    if (np.abs(np.linalg.det(_poly_matrix(coeffs, x))) < 0.25).any():
-        return False
-    j = _random_structure(coeffs, j0, x)
-    g = h + eps * (np.swapaxes(j, -1, -2) @ h @ j)
-    return not (np.abs(np.linalg.det(g)) < 1e-4).any()

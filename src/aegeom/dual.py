@@ -6,9 +6,11 @@ gradient exactly (up to rounding), so derivatives of polynomial and rational
 chart data carry no truncation error.  Finite differences are used only as an
 independent oracle in the test suite.  A dual may carry a whole batch of
 points, and its value may end in two matrix axes: arithmetic is elementwise,
-and ``@``, ``.T`` and ``inv`` act on the matrix of each point, so each point
+and ``@``, ``.mT`` and ``inv`` act on the matrix of each point, so each point
 gets exactly the numbers it would get on its own.  ``matrix`` stacks nested
-entries into such a matrix.
+entries into such a matrix.  On plain input ``inv`` and ``matrix`` give
+plain arrays and ``.mT`` is numpy's own, so a function written with them
+takes one float point or a plain stack of points as well as duals.
 """
 
 from __future__ import annotations
@@ -37,10 +39,6 @@ class Dual:
     def __init__(self, value, grad) -> None:
         self.value = value if isinstance(value, np.ndarray) else np.float64(value)
         self.grad = np.asarray(grad, dtype=float)
-
-    @staticmethod
-    def constant(value, width: int) -> "Dual":
-        return Dual(value, np.zeros(width))
 
     @staticmethod
     def seed(points) -> list["Dual"]:
@@ -103,9 +101,10 @@ class Dual:
 
     def __rtruediv__(self, other):
         if isinstance(other, Number):
-            c = float(other)
-            v = c / self.value
-            return Dual(v, (-v / self.value)[..., None] * self.grad)
+            v = float(other) / self.value
+            # the quotient rule's grouping, -(v dx)/x: (-v/x) dx would
+            # underflow to 0 where v/x leaves the float range but v dx/x not
+            return Dual(v, -(v[..., None] * self.grad) / self.value[..., None])
         return NotImplemented
 
     def __neg__(self):
@@ -117,17 +116,7 @@ class Dual:
     def __pow__(self, exponent):
         if not isinstance(exponent, (int, np.integer)):
             return NotImplemented
-        n = int(exponent)
-        if n < 0:
-            return 1.0 / (self ** (-n))
-        result = Dual.constant(1.0, self.grad.shape[-1])
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, int(exponent))
 
     def __matmul__(self, other):
         if isinstance(other, Dual):
@@ -145,8 +134,8 @@ class Dual:
         return NotImplemented
 
     @property
-    def T(self) -> "Dual":
-        """The transpose of each point's matrix."""
+    def mT(self) -> "Dual":
+        """The transpose of each point's matrix, as ``ndarray.mT``."""
         return Dual(np.swapaxes(self.value, -1, -2), np.swapaxes(self.grad, -2, -3))
 
 
@@ -160,6 +149,32 @@ def _left(a: np.ndarray, db: np.ndarray) -> np.ndarray:
 def _right(da: np.ndarray, b: np.ndarray) -> np.ndarray:
     """da @ b for a gradient da: the derivative axis becomes a row axis."""
     return np.swapaxes(np.swapaxes(da, -1, -2) @ b[..., None, :, :], -1, -2)
+
+
+def power(x, n: int):
+    """``x`` to the integer power ``n`` by the same products on floats and duals.
+
+    Binary exponentiation on ``*`` from the lowest set bit of ``n`` up, with
+    no squaring past the highest, and ``(1.0 / x)^-n`` for a negative ``n``,
+    so a power past the float range reads inf or 0, and where it reads 0
+    its gradient does too, not the NaN of ``1.0 / inf``.  ``x^0`` is one at
+    every point of x, with zero gradient.
+    """
+    if n < 0:
+        return power(1.0 / x, -n)
+    if n == 0:
+        if isinstance(x, Dual):
+            return Dual(np.ones_like(x.value), np.zeros_like(x.grad))
+        return np.ones_like(x, dtype=float)[()]
+    while not n & 1:
+        x = x * x
+        n >>= 1
+    result = x
+    while n := n >> 1:
+        x = x * x
+        if n & 1:
+            result = result * x
+    return result
 
 
 def inv(a):

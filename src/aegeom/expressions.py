@@ -9,11 +9,12 @@ One regular expression splits the text into tokens and one
 operator-precedence loop turns them into a postfix program, which
 ``Expr.evaluate`` runs on a stack.  Nothing recurses, so length and nesting
 have no limit.  Errors carry the line and column where they occurred.
-Compiled expressions evaluate on plain or numpy floats or on ``Dual``
-scalars alike, each binary operation computing its left operand first.
-Literals are numpy floats, so a constant subexpression that divides by zero
-or overflows gives inf or nan, as the dual path does, and the finiteness
-check then names the cell.
+Compiled expressions evaluate on floats, plain stacks or ``Dual`` values
+alike, each binary operation computing its left operand first, and ``^`` is
+``aegeom.dual.power``, so floats and duals agree bit for bit.  Literals are
+numpy floats, so a constant subexpression that divides by zero or overflows
+gives inf or nan, as the dual path does, and the finiteness check then
+names the cell.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from .dual import power
 from .errors import ExpressionError
 
 # ``other`` takes any character the alternatives before it do not, so the
@@ -94,7 +96,7 @@ class Expr:
             elif op == "neg":
                 stack[-1] = -stack[-1]
             elif op == "^":
-                stack[-1] = stack[-1] ** arg
+                stack[-1] = power(stack[-1], arg)
             else:
                 right = stack.pop()
                 stack[-1] = _BINARY[op](stack[-1], right)

@@ -248,29 +248,61 @@ def test_non_ascii_seed_digits_exit_one_from_every_verb(capsys, bad):
         assert captured.err.count("\n") == 1
 
 
-def test_degenerate_candidate_is_screened_out():
-    # a constant candidate with entry [0][0] = -10 makes the conjugating
-    # matrix singular at every grid point
-    coeffs = np.zeros((2, 2, 6))
-    coeffs[0][0][0] = -10.0
-    j0 = [[0.0, -1.0], [1.0, 0.0]]
-    h = np.eye(2)
-    grid = [(0.0, 0.0)]
-    assert not catalog_mod._random_candidate_ok(coeffs, j0, h, -1, grid)
-    # an untilted candidate passes once the seed metric is generic enough
-    # to survive the difference polarization
-    ok = np.zeros((2, 2, 6))
-    generic_h = np.array([[2.0, 0.5], [0.5, 1.0]])
-    assert catalog_mod._random_candidate_ok(ok, j0, generic_h, -1, grid)
+class Draws:
+    """Stands in for the random entries' generator: hands out fixed draws."""
+
+    def __init__(self, draws):
+        self.draws = list(draws)
+
+    def uniform(self, low, high, shape):
+        draw = self.draws.pop(0)
+        assert draw.shape == shape
+        return draw
+
+
+# a constant candidate with entry [0][0] = -10 makes the conjugating matrix
+# A = Id + 0.1 * P singular at every point
+SINGULAR = np.zeros((2, 2, 6))
+SINGULAR[0][0][0] = -10.0
+
+
+def test_degenerate_candidate_is_screened_out(monkeypatch):
+    # the seed metric h = b^T b + Id is generic enough that the untilted
+    # candidate, A = Id, survives the difference polarization
+    b = np.array([[1.0, 0.5], [0.0, 0.0]])
+    draws = Draws([b, SINGULAR, np.zeros((2, 2, 6))])
+    monkeypatch.setattr(catalog_mod.np.random, "default_rng", lambda seed: draws)
+    m = catalog("random-norden-1")
+    assert draws.draws == []
+    g, j = evaluate_fields(m, (0.3, -0.2))
+    j0 = np.array([[0.0, -1.0], [1.0, 0.0]])
+    h = b.T @ b + np.eye(2)
+    assert np.array_equal(j, j0)
+    assert np.array_equal(g, h - j0.T @ h @ j0)
 
 
 def test_retry_exhaustion_raises_degenerate_construction(monkeypatch):
-    monkeypatch.setattr(
-        catalog_mod, "_random_candidate_ok", lambda *args: False
-    )
+    draws = Draws([np.zeros((2, 2))] + [SINGULAR] * catalog_mod.RANDOM_RETRIES)
+    monkeypatch.setattr(catalog_mod.np.random, "default_rng", lambda seed: draws)
     with pytest.raises(DegenerateConstruction) as exc:
         catalog("random-norden-1")
     assert "no non-degenerate draw" in str(exc.value)
+    assert draws.draws == []
+
+
+@pytest.mark.parametrize("name", standard_names())
+def test_fields_take_plain_stacks_of_any_length(name):
+    # the float reference, one point at a time, is what a plain stack of
+    # N points must give at each of them, bit for bit
+    m = catalog(name)
+    points = SamplePlan(seed=5, n_points=3).points(m.domain)
+    for count in (1, 2, 3):
+        stack = points[:count]
+        pair = m.fields(list(stack.T))
+        for field, values in enumerate(pair):
+            values = np.broadcast_to(values, (count, m.dim, m.dim))
+            for point, value in zip(stack, values):
+                assert np.array_equal(value, evaluate_fields(m, point)[field])
 
 
 def test_catalog_entry_kind_objects_are_the_module_constants():

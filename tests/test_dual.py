@@ -4,11 +4,16 @@ Matrix duals are also checked against entrywise scalar-dual arithmetic: the
 nested-loop product and Gauss-Jordan inverse below are the reference.
 """
 
+import ast
+from fractions import Fraction
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from aegeom.dual import Dual, inv, matrix
+from aegeom import dual
+from aegeom.dual import Dual, inv, matrix, power
 
 
 def central_difference(f, point, i, h=1e-6):
@@ -21,7 +26,7 @@ def central_difference(f, point, i, h=1e-6):
 
 
 def test_constant_has_zero_gradient():
-    c = Dual.constant(3.5, 4)
+    c = Dual(3.5, np.zeros(4))
     assert c.value == 3.5
     assert np.all(c.grad == 0.0)
 
@@ -64,6 +69,41 @@ def test_integer_powers_including_negative():
     inv = x**-2
     assert inv.value == pytest.approx(0.25, rel=1e-12)
     assert inv.grad[0] == pytest.approx(-2.0 / 8.0, rel=1e-12)
+
+
+def test_zero_power_is_one_at_every_point():
+    x, _ = Dual.seed([[2.0, 1.0], [np.inf, 1.0]])
+    for one in (x**0, power(x, 0)):
+        assert np.array_equal(one.value, [1.0, 1.0])
+        assert np.array_equal(one.grad, np.zeros((2, 2)))
+    assert power(np.array([np.nan, 3.0]), 0).tolist() == [1.0, 1.0]
+    assert type(power(np.float64(np.nan), 0)) is np.float64
+
+
+@pytest.mark.parametrize("n", [-7, -2, -1, 1, 2, 3, 8, 13])
+def test_power_is_within_its_rounding_of_the_exact_power(n):
+    # Fraction powers are exact; each product rounds once, and a negative
+    # n rounds the reciprocal once more, the error growing at most |n|-fold
+    points = np.array([0.5, 1.0 + 2.0**-40, -3.0, 0.7])
+    (x,) = Dual.seed(points[:, None])
+    out = power(x, n)
+    assert np.array_equal(power(points, n), out.value)
+    eps = Fraction(np.finfo(float).eps)
+    for p, value, (grad,) in zip(points, out.value, out.grad):
+        exact, slope = Fraction(p) ** n, n * Fraction(p) ** (n - 1)
+        assert abs(Fraction(value) - exact) <= (abs(n) + 1) * eps * abs(exact)
+        assert abs(Fraction(grad) - slope) <= 2 * (abs(n) + 1) * eps * abs(slope)
+
+
+def test_reciprocal_gradient_stays_in_the_float_range():
+    # d(c/x) = -(c/x) dx / x: at the first point (c/x) / x alone underflows
+    # to 0, at the second dx / x alone overflows, and neither gradient
+    # leaves the float range
+    (x,) = Dual.seed([0.01])
+    out = 1.0 / (x / 3.2542719950173873e-273)
+    assert out.grad[0] == pytest.approx(-3.2542719950173873e-269, rel=1e-12, abs=0)
+    (x,) = Dual.seed([2.2250738585e-313])
+    assert (0.0 / x).grad[0] == 0.0
 
 
 def test_fractional_power_rejected():
@@ -109,7 +149,7 @@ def matrix_field(v):
     a = matrix([[1.0 + 0.1 * x * y, 0.2 * x], [0.3 * y * y, 1.0 - 0.1 * x]])
     b = matrix([[x, 1.0, y], [x * y, -y, 2.0]])
     c = J0 @ inv(a) @ b - K
-    return (K - c).T @ (np.eye(2) + a) @ J0
+    return (K - c).mT @ (np.eye(2) + a) @ J0
 
 
 def mat_mul(a, b):
@@ -242,3 +282,19 @@ def test_batched_duals_match_single_points_exactly():
             single = fn(Dual.seed(point))
             assert np.array_equal(batch.value[n], single.value)
             assert np.array_equal(batch.grad[n], single.grad)
+
+
+def test_field_modules_spell_one_transpose_and_one_power():
+    # ``.T`` on a plain stack of matrices also moves the point axis, and
+    # ``**`` on floats rounds otherwise than ``power`` does on duals
+    found = []
+    for name in ("catalog.py", "octonion.py", "expressions.py"):
+        path = Path(dual.__file__).with_name(name)
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr == "T":
+                found.append((name, node.lineno, ".T"))
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(
+                node.op, ast.Pow
+            ):
+                found.append((name, node.lineno, "**"))
+    assert found == []

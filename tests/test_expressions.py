@@ -1,21 +1,20 @@
 """Component expression parser: grammar, errors with positions, dual evaluation."""
 
 import json
+import operator
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from aegeom.cli import EXIT_FAIL, run
-from aegeom.dual import Dual
+from aegeom.cli import EXIT_FAIL, EXIT_PASS, run
+from aegeom.dual import Dual, power
 from aegeom.errors import ExpressionError
 from aegeom.expressions import parse_expression
 from aegeom.manifold import (
-    HERMITIAN,
-    Box,
-    ChartedManifold,
     eval_with_derivatives,
     evaluate_fields,
+    load_manifold_config,
 )
 
 
@@ -126,11 +125,8 @@ def test_non_ascii_config_cell_exits_one_naming_the_cell(
     assert "unexpected character" in err
 
 
-def metric_cell_error(path, capsys, verb, cell):
-    """Stderr of ``verb`` on a hermitian config whose metric[0][0] is ``cell``.
-
-    The verb must exit 1 with nothing on stdout and no traceback.
-    """
+def metric_cell_config(path, cell):
+    """Write a hermitian config whose metric[0][0] is ``cell``; return the path."""
     config = {
         "kind": {"alpha": -1, "epsilon": 1},
         "dim": 2,
@@ -139,7 +135,15 @@ def metric_cell_error(path, capsys, verb, cell):
         "structure": [["0", "-1"], ["1", "0"]],
     }
     path.write_text(json.dumps(config))
-    code = run([verb, "--manifold", str(path)])
+    return path
+
+
+def metric_cell_error(path, capsys, verb, cell):
+    """Stderr of ``verb`` on a hermitian config whose metric[0][0] is ``cell``.
+
+    The verb must exit 1 with nothing on stdout and no traceback.
+    """
+    code = run([verb, "--manifold", str(metric_cell_config(path, cell))])
     captured = capsys.readouterr()
     assert code == EXIT_FAIL
     assert captured.out == ""
@@ -175,6 +179,35 @@ def test_a_number_past_the_digit_limit_exits_one_naming_the_cell(
     err = metric_cell_error(tmp_path / "digits.json", capsys, verb, cell)
     assert f"line 1, column {column}: metric[0][0] of digits.json" in err
     assert message in err
+
+
+ZERO_TIMES_HUGE = "1 + 0*x1^" + "9" * 4000
+# x1 + 3 lies in [2, 4], so its power of -10^400 underflows to 0
+MINUS_HUGE = "1 + (x1 + 3)^-1" + "0" * 400
+
+
+@pytest.mark.parametrize(
+    "cell, value",
+    [(ZERO_TIMES_HUGE, 1.0), ("x1^" + "9" * 400, 0.0), (MINUS_HUGE, 1.0)],
+    ids=["4000-nines", "400-nines", "minus-10^400"],
+)
+def test_a_huge_exponent_reads_the_same_on_both_evaluators(tmp_path, cell, value):
+    # the powers underflow to 0 on floats and duals alike, and so do their
+    # derivatives, never NaN from 0 * inf
+    m = load_manifold_config(metric_cell_config(tmp_path / "huge.json", cell))
+    g, dg, _, _ = eval_with_derivatives(m, (0.5, 0.5))
+    assert evaluate_fields(m, (0.5, 0.5))[0][0, 0] == value
+    assert g[0, 0, 0] == value
+    assert np.array_equal(dg[0, :, 0, 0], [0.0, 0.0])
+
+
+@pytest.mark.parametrize(
+    "cell", [ZERO_TIMES_HUGE, MINUS_HUGE], ids=["4000-nines", "minus-10^400"]
+)
+def test_a_huge_exponent_validates(tmp_path, capsys, cell):
+    path = metric_cell_config(tmp_path / "huge.json", cell)
+    assert run(["validate", "--manifold", str(path)]) == EXIT_PASS
+    assert "valid" in capsys.readouterr().out
 
 
 def long_and_deep():
@@ -263,43 +296,188 @@ leaves = st.one_of(
 )
 
 
-def expression_trees(binary):
-    """Random expressions whose binary operations are written by ``binary``."""
-    return st.recursive(
-        leaves,
-        lambda sub: st.one_of(
-            st.tuples(sub, st.sampled_from("+-*"), sub).map(
-                lambda t: binary.format(*t)
-            ),
-            st.tuples(sub, st.integers(0, 6)).map(lambda t: f"({t[0]})^{t[1]}"),
+# random expressions without parentheses around their binary operations,
+# so precedence and association decide the reading
+bare_trees = st.recursive(
+    leaves,
+    lambda sub: st.one_of(
+        st.tuples(sub, st.sampled_from("+-*"), sub).map(
+            lambda t: "{} {} {}".format(*t)
         ),
-        max_leaves=8,
+        st.tuples(sub, st.integers(0, 6)).map(lambda t: f"({t[0]})^{t[1]}"),
+    ),
+    max_leaves=8,
+)
+
+
+# the generator of the three-way property: the leaves above, all four
+# operations, and exponents from -2 to 5, zero and far past the float range
+HUGE_EXPONENTS = (2**64 + 1, int("9" * 400), -(10**400))
+programs = st.recursive(
+    leaves,
+    lambda sub: st.one_of(
+        st.tuples(sub, st.sampled_from("+-*/"), sub).map(
+            lambda t: "({} {} {})".format(*t)
+        ),
+        st.tuples(
+            sub, st.one_of(st.integers(-2, 5), st.sampled_from((0,) + HUGE_EXPONENTS))
+        ).map(lambda t: f"({t[0]})^{t[1]}"),
+    ),
+    max_leaves=8,
+)
+STEP = 1e-6
+BINARY = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+}
+
+
+class Rounded:
+    """A float and its gradient, with first-order bounds on their rounding.
+
+    Running error analysis of the products and sums the dual path takes:
+    each operation adds its operands' error bounds, weighted by its partial
+    derivatives, and one rounding of each number it forms.  The bounds are
+    in units of the float epsilon.
+    """
+
+    def __init__(self, v, g, ev=0.0, eg=0.0):
+        self.v, self.g, self.ev, self.eg = v, g, ev, eg
+
+    def __add__(self, o):
+        v, g = self.v + o.v, self.g + o.g
+        return Rounded(v, g, self.ev + o.ev + abs(v), self.eg + o.eg + abs(g))
+
+    def __neg__(self):
+        return Rounded(-self.v, -self.g, self.ev, self.eg)
+
+    def __sub__(self, o):
+        return self + -o
+
+    def __mul__(self, o):
+        left, right = self.v * o.g, o.v * self.g
+        v, g = self.v * o.v, left + right
+        ev = abs(self.v) * o.ev + abs(o.v) * self.ev + abs(v)
+        eg = (
+            abs(self.v) * o.eg + abs(o.g) * self.ev + abs(o.v) * self.eg
+            + abs(self.g) * o.ev + abs(left) + abs(right) + abs(g)
+        )
+        return Rounded(v, g, ev, eg)
+
+    def __truediv__(self, o):
+        q = self.v / o.v
+        t = q * o.g
+        g = (self.g - t) / o.v
+        ev = (self.ev + abs(q) * o.ev) / abs(o.v) + abs(q)
+        eg = (
+            self.eg + abs(q) * o.eg + abs(o.g) * ev + abs(g) * o.ev
+            + abs(t) + abs(self.g - t)
+        ) / abs(o.v) + abs(g)
+        return Rounded(q, g, ev, eg)
+
+    def __rtruediv__(self, c):
+        return Rounded(c, 0.0) / self
+
+
+def subexpressions(expr, num, var):
+    """Every subexpression's value, in program order, as ``Expr.evaluate``.
+
+    ``num`` makes a number of each literal and ``var`` of each coordinate
+    index: floats for the float path, ``Rounded`` for bounds on the
+    rounding of the dual path.
+    """
+    stack, values = [], []
+    for op, arg in expr.program:
+        if op == "num":
+            stack.append(num(arg))
+        elif op == "var":
+            stack.append(var(arg))
+        elif op == "neg":
+            stack[-1] = -stack[-1]
+        elif op == "^":
+            stack[-1] = power(stack[-1], arg) if arg else num(1.0)
+        else:
+            right = stack.pop()
+            stack[-1] = BINARY[op](stack[-1], right)
+        values.append(stack[-1])
+    return values
+
+
+def float_subexpressions(expr, point):
+    return np.array(subexpressions(expr, lambda c: c, lambda i: point[i]))
+
+
+def gradient_rounding(expr, point):
+    """A bound on the rounding of the dual gradient at ``point``, in epsilons."""
+    eye = np.eye(len(point))
+    whole = subexpressions(
+        expr, lambda c: Rounded(c, 0.0), lambda i: Rounded(point[i], eye[i])
+    )[-1]
+    return np.broadcast_to(whole.eg, (len(point),))
+
+
+def neighbours(expr, point, i, h):
+    shift = np.eye(len(point))[i] * h
+    return (
+        float_subexpressions(expr, point + shift),
+        float_subexpressions(expr, point - shift),
     )
 
 
-trees = expression_trees("({} {} {})")
-# without the parentheses, precedence and association decide the reading
-bare_trees = expression_trees("{} {} {}")
+@settings(deadline=None)
+@given(programs, st.lists(st.floats(-0.95, 0.95), min_size=8, max_size=8))
+def test_float_and_dual_evaluation_agree(text, coords):
+    """Float values, dual values and dual gradients, on two points at once.
 
-
-@settings(max_examples=150, deadline=None)
-@given(trees, st.lists(st.floats(-0.95, 0.95), min_size=4, max_size=4))
-def test_float_and_dual_evaluation_agree(text, point):
+    The values must be equal, inf and NaN included.  Where the value and
+    every subexpression's value are finite, the gradient must match central
+    differences, to within the two's rounding, wherever those can be
+    trusted: every subexpression is smooth across the step, its quotient
+    finite, moved by less than 1e-5 of itself by a step 0.7 times as long,
+    and its second difference below 1e-3 of its first.  That leaves out the
+    points within reach of a pole, where a subexpression's derivative can
+    leave the float range (1/x1 at x1 = 1e-200 has derivative -1e400)
+    although the whole has a finite one.  Where the bound on the dual
+    path's rounding itself leaves the float range, as a power of 10^400
+    multiplies the rounding of its base by that, the gradient must be
+    finite.
+    """
     expr = parse_expression(text, 4)
-    assume(magnitude(expr, [1.0] * 4) < 1e100)
-    eye = np.eye(4).tolist()
-    m = ChartedManifold(
-        name="tree",
-        kind=HERMITIAN,
-        dim=4,
-        domain=Box((-1.0,) * 4, (1.0,) * 4),
-        fields=lambda c: ([[expr.evaluate(c)] + eye[0][1:]] + eye[1:], eye),
-    )
-    on_floats = evaluate_fields(m, point)[0][0, 0]
-    on_duals = eval_with_derivatives(m, point)[0][0, 0, 0]
-    # Python ** calls pow while Dual squares repeatedly, so the two may
-    # round differently, but only at the level of the magnitude
-    assert abs(on_floats - on_duals) <= 1e-12 * magnitude(expr, point)
+    points = np.reshape(coords, (2, 4))
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    with np.errstate(all="ignore"):
+        out = expr.evaluate(Dual.seed(points))
+        if not isinstance(out, Dual):  # a program without a variable
+            out = Dual(np.broadcast_to(out, (2,)), np.zeros((2, 4)))
+        for n, point in enumerate(points):
+            value = expr.evaluate(list(point))
+            assert np.array_equal(value, out.value[n], equal_nan=True)
+            mid = float_subexpressions(expr, point)
+            if not np.isfinite(mid).all():
+                continue
+            rounding = gradient_rounding(expr, point)
+            for i, grad in enumerate(out.grad[n]):
+                hi, lo = neighbours(expr, point, i, STEP)
+                near_hi, near_lo = neighbours(expr, point, i, 0.7 * STEP)
+                slope = (hi - lo) / (2 * STEP)
+                # the rounding floor of a difference: a few ulps of the
+                # larger neighbour, or of the smallest normal float
+                noise = 16 * (eps * np.maximum(abs(hi), abs(lo)) + tiny)
+                shorter = (near_hi - near_lo) / (1.4 * STEP)
+                smooth = (
+                    np.isfinite(slope)
+                    & np.isclose(slope, shorter, rtol=1e-5, atol=0)
+                    & (abs(hi - 2 * mid + lo) <= 1e-3 * abs(hi - lo) + noise)
+                )
+                if not smooth.all():
+                    continue
+                if np.isfinite(rounding[i]):
+                    floor = noise[-1] / STEP + 2 * eps * rounding[i]
+                    assert np.isclose(grad, slope[-1], rtol=1e-4, atol=floor)
+                else:  # a bound past the float range bounds nothing
+                    assert np.isfinite(grad)
 
 
 @settings(max_examples=300, deadline=None)
