@@ -125,29 +125,6 @@ class ModelFiber:
         inner, j0 = standard_pair(kind, n)
         return ModelFiber(n=n, kind=kind, j0=j0, inner=inner)
 
-    def conjugated(self, s: np.ndarray) -> "ModelFiber":
-        """Fiber seen through the integer basis change x -> s x.
-
-        ``s`` must be unimodular so that the transported matrices stay
-        integral.
-        """
-        s = _integer_matrix(s, "basis change")
-        d = self.dim
-        if s.shape != (d, d):
-            raise ValueError(f"basis change must be {d}x{d}")
-        det = round(float(np.linalg.det(s.astype(float))))
-        if det not in (-1, 1):
-            raise ValueError("basis change must be unimodular")
-        s_inv = np.rint(np.linalg.inv(s.astype(float))).astype(int)
-        if not np.array_equal(s @ s_inv, np.eye(d, dtype=int)):
-            raise ValueError("failed to invert basis change exactly")
-        return ModelFiber(
-            n=self.n,
-            kind=self.kind,
-            j0=s @ self.j0 @ s_inv,
-            inner=s_inv.T @ self.inner @ s_inv,
-        )
-
 
 def _integer_matrix(values, what: str) -> np.ndarray:
     """``values`` as an int array; an entry that is not an integer raises.

@@ -20,8 +20,8 @@ axioms, so every checked pass first checks the axioms and raises
 ``InvalidStructure`` where they fail; past that, any disagreement can only
 come from an implementation bug.  Either names the manifold and the first
 failing sample point.  ``derived_tensors`` is the checked pass,
-``identity_residuals`` checks the axioms only, and ``christoffel``, which
-needs no structure, checks nothing.
+``identity_residuals`` checks the axioms only, and ``christoffel`` none,
+though it too evaluates and checks both fields.
 
 Contractions are stacked matrix products of each point's matrices, so a
 point gets the numbers it would get on its own.  (nabla J) J, J (nabla J)
@@ -32,7 +32,7 @@ a product, so each cross-check still compares two routes.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -147,7 +147,9 @@ def _require(frame: _Frame, checks: List[_Check]) -> None:
 def christoffel(m: ChartedManifold, points) -> np.ndarray:
     """Coefficients gamma[n, k, i, j] of the metric (torsion-free) connection.
 
-    Checks nothing about the structure: the metric connection needs only g.
+    Checks no structure axiom, but evaluates both fields first, so it raises
+    ``PointOutsideDomain``, ``NonFiniteField`` (for the metric or the
+    structure) and ``NearSingularMetric``.
     """
     return _Frame(m, points).gamma
 
@@ -223,7 +225,7 @@ def derived_tensors(m: ChartedManifold, points) -> Dict[str, np.ndarray]:
 def identity_residuals(
     m: ChartedManifold,
     points,
-    triples: Optional[np.ndarray] = None,
+    triples: np.ndarray,
 ) -> Dict[str, float]:
     """Residuals of the built-in identity suite, worst over the points.
 
@@ -246,9 +248,9 @@ def identity_residuals(
     * for split-sign kinds also ``fundamental_form_antisymmetry`` and
       ``fundamental_form_nearly_match`` for the form g(J., .).
 
-    When ``triples`` is given, each residual tensor is additionally
-    contracted with every sampled (X, Y, Z) and the maxima are reported
-    under the same keys with suffix ``_on_vectors``.
+    Each residual tensor is also contracted with every probe triple
+    (X, Y, Z) of ``triples`` (see ``vector_triples``), and those maxima are
+    reported under the same keys with suffix ``_on_vectors``.
     """
     return worst_over_sample(points, lambda block: _identities(m, block, triples))
 
@@ -270,17 +272,16 @@ def vector_triples(seed: int, n_triples: int, dim: int) -> np.ndarray:
 def _identities(m: ChartedManifold, points, triples) -> Dict[str, float]:
     tensors = _identity_tensors(_Frame(m, points))
     out = {key: inf_norm(arr) for key, arr in tensors.items()}
-    if triples is not None:
-        # all triples at once: rows x (x) y and x (x) y (x) z, one per triple
-        x, y, z = triples[:, 0], triples[:, 1], triples[:, 2]
-        yz = y[:, :, None] * z[:, None, :]
-        probes = {
-            3: (x[:, :, None] * y[:, None, :]).reshape(len(triples), -1),
-            4: (x[:, :, None, None] * yz[:, None]).reshape(len(triples), -1),
-        }
-        for key, arr in tensors.items():
-            on_vectors = arr.reshape(len(arr), -1) @ probes[arr.ndim].T
-            out[key + "_on_vectors"] = inf_norm(on_vectors)
+    # all triples at once: rows x (x) y and x (x) y (x) z, one per triple
+    x, y, z = triples[:, 0], triples[:, 1], triples[:, 2]
+    yz = y[:, :, None] * z[:, None, :]
+    probes = {
+        3: (x[:, :, None] * y[:, None, :]).reshape(len(triples), -1),
+        4: (x[:, :, None, None] * yz[:, None]).reshape(len(triples), -1),
+    }
+    for key, arr in tensors.items():
+        on_vectors = arr.reshape(len(arr), -1) @ probes[arr.ndim].T
+        out[key + "_on_vectors"] = inf_norm(on_vectors)
     return out
 
 

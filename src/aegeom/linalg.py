@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -41,25 +41,13 @@ class LinearConstraintSystem:
 
     ``entries`` holds the row index, column and coefficient of every stored
     entry as read-only arrays, rows ascending; ``n_rows`` counts the rows,
-    since a row may have no entries.  Build a system with ``from_entries``
-    (or ``from_rows``), which validates the arrays.
+    since a row may have no entries.  ``from_entries``, which validates the
+    arrays, is the one constructor.
     """
 
     n_unknowns: int
     n_rows: int
     entries: Entries
-
-    @staticmethod
-    def from_rows(
-        n_unknowns: int, rows: Iterable[Sequence[Tuple[int, float]]]
-    ) -> "LinearConstraintSystem":
-        rows = [list(row) for row in rows]
-        return LinearConstraintSystem.from_entries(
-            n_unknowns,
-            [len(row) for row in rows],
-            [idx for row in rows for idx, _ in row],
-            [coeff for row in rows for _, coeff in row],
-        )
 
     @staticmethod
     def from_entries(

@@ -38,6 +38,7 @@ from aegeom.manifold import (
     axiom_residuals,
     standard_pair,
 )
+from support import conjugated, system_from_rows
 
 
 def test_standard_fibers_exist_for_all_kinds_and_sizes():
@@ -108,15 +109,6 @@ def test_fiber_rejects_non_integer_matrices():
     )
     assert fiber.j0.dtype.kind == "i"
     assert np.array_equal(fiber.j0, ModelFiber.standard(HERMITIAN, 1).j0)
-
-
-def test_conjugation_rejects_a_non_integer_basis_change():
-    # a cast to int would truncate this shear to the identity
-    fiber = ModelFiber.standard(HERMITIAN, 1)
-    with pytest.raises(ValueError, match="basis change has an entry"):
-        fiber.conjugated([[1, 0.5], [0, 1]])
-    with pytest.raises(ValueError, match="basis change has an entry"):
-        fiber.conjugated([[1, np.nan], [0, 1]])
 
 
 def test_smallest_full_system_shape():
@@ -194,7 +186,7 @@ def test_dimensions_are_basis_independent():
     for kind in KINDS:
         fiber = ModelFiber.standard(kind, 1)
         for s in (shear, flip, shear @ flip):
-            moved = fiber.conjugated(s)
+            moved = conjugated(fiber, s)
             for query in SubspaceQuery:
                 assert subspace_dimension(moved, query) == subspace_dimension(
                     fiber, query
@@ -213,19 +205,9 @@ def test_dimensions_are_basis_independent_in_dimension_four():
         e = np.eye(4, dtype=int)
         e[i, j] = int(rng.integers(-2, 3))
         s = s @ e
-    moved = fiber.conjugated(s)
+    moved = conjugated(fiber, s)
     for query in SubspaceQuery:
         assert subspace_dimension(moved, query) == subspace_dimension(fiber, query)
-
-
-def test_conjugation_rejects_non_unimodular_matrices():
-    fiber = ModelFiber.standard(HERMITIAN, 1)
-    with pytest.raises(ValueError):
-        fiber.conjugated(np.diag([2, 1]))
-    with pytest.raises(ValueError):
-        fiber.conjugated(np.zeros((2, 2), dtype=int))
-    with pytest.raises(ValueError):
-        fiber.conjugated(np.eye(4, dtype=int))
 
 
 def satisfies_defining_identities(fiber, phi, rng, n_triples=20, tol=1e-9):
@@ -513,7 +495,7 @@ def test_the_sampled_reader_and_the_row_builder_read_one_table():
     # fiber's inner form: the reader's output, lowered again, is column c of
     # the dense matrix of the rows the builder makes for the same condition
     s = np.array([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, -1], [0, 0, 0, 1]])
-    fibers = standard_fibers() + [ModelFiber.standard(NORDEN, 2).conjugated(s)]
+    fibers = standard_fibers() + [conjugated(ModelFiber.standard(NORDEN, 2), s)]
     for fiber in fibers:
         d, g = fiber.dim, fiber.inner.astype(float)
         phi = np.eye(d**3).reshape(d**3, d, d, d)
@@ -637,14 +619,14 @@ def loop_rows(fiber, extra):
         ]
     elif extra is not None:
         rows += [[(index(i, j, k), 1.0), (index(j, i, k), extra)] for i, j, k in cube]
-    return LinearConstraintSystem.from_rows(d**3, rows)
+    return system_from_rows(d**3, rows)
 
 
 def test_constraint_builders_match_the_nested_loops():
     s = np.array([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, -1], [0, 0, 0, 1]])
     for kind in KINDS:
         fibers = [ModelFiber.standard(kind, n) for n in (1, 2, 3)]
-        fibers.append(ModelFiber.standard(kind, 2).conjugated(s))
+        fibers.append(conjugated(ModelFiber.standard(kind, 2), s))
         for fiber in fibers:
             d = fiber.dim
             built = {
@@ -860,7 +842,7 @@ def test_a_conjugated_fiber_is_eliminated_whole(monkeypatch):
     eliminated = record_eliminations(monkeypatch)
     for kind in (HERMITIAN, PRODUCT_RIEMANNIAN):
         eliminated.clear()
-        fiber = ModelFiber.standard(kind, 3).conjugated(s)
+        fiber = conjugated(ModelFiber.standard(kind, 3), s)
         dim = subspace_dimension(fiber, SubspaceQuery.FULL)
         assert dim == closed_form_dimension(kind, 3, SubspaceQuery.FULL)
         assert eliminated == [216]
@@ -874,7 +856,7 @@ def with_row_zero_edited(system, edit):
     """
     rows = [list(row) for row in system.rows]
     edit(rows)
-    return LinearConstraintSystem.from_rows(system.n_unknowns, rows)
+    return system_from_rows(system.n_unknowns, rows)
 
 
 def change_coefficient(rows):

@@ -29,7 +29,6 @@ from aegeom.classify import (
     sample_residuals,
 )
 from aegeom.errors import TheoremViolation
-from aegeom.linalg import LinearConstraintSystem
 from aegeom.manifold import (
     HERMITIAN,
     KINDS,
@@ -39,6 +38,7 @@ from aegeom.manifold import (
     SamplePlan,
     report_json,
 )
+from support import system_from_rows
 
 PLAN = SamplePlan(seed=0, n_points=8)
 BUILD = algebra.build_constraints
@@ -59,7 +59,7 @@ def both_routes_report(monkeypatch, value, wrong):
     def build(fiber, query):
         if wrong(fiber, query):
             # value free unknowns and one pinned to zero
-            return LinearConstraintSystem.from_rows(value + 1, [[(value, 1.0)]])
+            return system_from_rows(value + 1, [[(value, 1.0)]])
         return BUILD(fiber, query)
 
     monkeypatch.setattr(algebra, "build_constraints", build)

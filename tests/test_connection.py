@@ -7,6 +7,7 @@ inverse-metric formula, sharing no code with the dual-number route.
 
 import ast
 import dataclasses
+import json
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,10 @@ from aegeom.connection import (
 from aegeom.errors import (
     FormulaMismatch,
     InvalidStructure,
+    NearSingularMetric,
     NijenhuisFormulaMismatch,
+    NonFiniteField,
+    PointOutsideDomain,
     TorsionFormulaMismatch,
 )
 from aegeom.manifold import (
@@ -37,6 +41,7 @@ from aegeom.manifold import (
     eval_with_derivatives,
     evaluate_fields,
     inf_norm,
+    load_manifold_config,
 )
 
 SMALL = SamplePlan(seed=0, n_points=6)
@@ -75,7 +80,8 @@ def codazzi_parts(m, point):
     """
     nj = derived_tensors(m, point)["nabla_j"]
     r_j = inf_norm(nj - np.einsum("njik->nkij", nj))
-    return r_j, identity_residuals(m, point)["codazzi_nabla_g"]
+    triples = vector_triples(0, 1, m.dim)
+    return r_j, identity_residuals(m, point, triples)["codazzi_nabla_g"]
 
 
 def polar_like():
@@ -381,12 +387,6 @@ def test_identity_suite_on_every_catalog_entry():
             assert has_form == (m.kind.product == -1), name
 
 
-def test_identity_suite_without_vectors_has_no_vector_keys():
-    m = catalog("flat-kahler")
-    res = identity_residuals(m, (0.1, 0.1))
-    assert all(not k.endswith("_on_vectors") for k in res)
-
-
 def crooked():
     # declared structure squares to diag(1, 4), not -Id, at every point
     return ChartedManifold(
@@ -422,7 +422,56 @@ def test_unchecked_passes_accept_a_structure_that_fails_its_axioms():
     m = crooked()
     assert inf_norm(christoffel(m, (0.3, 0.4))) > 0.0
     with pytest.raises(InvalidStructure, match=r"^crooked: structure_squared axiom"):
-        identity_residuals(m, (0.3, 0.4))
+        identity_residuals(m, (0.3, 0.4), vector_triples(0, 1, 2))
+
+
+def field_config(tmp_path, metric_00="1", structure_01="-1"):
+    path = tmp_path / "fields.json"
+    path.write_text(
+        json.dumps(
+            {
+                "name": "badj",
+                "kind": {"alpha": -1, "epsilon": 1},
+                "dim": 2,
+                "domain": {"lo": [-1.0, -1.0], "hi": [1.0, 1.0]},
+                "metric": [[metric_00, "0"], ["0", "1"]],
+                "structure": [["0", structure_01], ["1", "0"]],
+            }
+        )
+    )
+    return load_manifold_config(path)
+
+
+@pytest.mark.parametrize(
+    "fields, point, error, message",
+    [
+        ({}, (1.5, 0.2), PointOutsideDomain, r"point \(1\.5, 0\.2\) not inside badj"),
+        (
+            {"structure_01": "-1 + 1/(x1-x1)"},
+            (0.1, 0.2),
+            NonFiniteField,
+            r"^structure\[0\]\[1\] of badj has a non-finite value or derivative "
+            r"at point \(0\.1, 0\.2\)",
+        ),
+        (
+            {"metric_00": "1 + 1/(x1-x1)"},
+            (0.1, 0.2),
+            NonFiniteField,
+            r"^metric\[0\]\[0\] of badj .* at point \(0\.1, 0\.2\)",
+        ),
+        (
+            {"metric_00": "x1"},
+            (0.0, 0.2),
+            NearSingularMetric,
+            r"^\|det g\| = 0\.000e\+00 at point \(0\.0, 0\.2\) of badj",
+        ),
+    ],
+)
+def test_christoffel_checks_both_fields(tmp_path, fields, point, error, message):
+    # no structure axiom is checked, but both fields are evaluated first
+    m = field_config(tmp_path, **fields)
+    with pytest.raises(error, match=message):
+        christoffel(m, point)
 
 
 def test_cross_check_failures_name_the_manifold(monkeypatch):
@@ -580,6 +629,27 @@ def test_each_shared_product_leaves_its_cross_check_live(monkeypatch):
         with pytest.raises(NijenhuisFormulaMismatch, match="Nijenhuis routes disagree"):
             derived_tensors(m, points)
     derived_tensors(m, points)
+
+
+def test_the_library_keeps_no_surface_that_only_tests_call():
+    # building a system from row lists and conjugating a fiber are test
+    # fixtures (support.py), and the identity suite always probes
+    defined, signatures = set(), []
+    for path in sorted(Path(connection.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef):
+                defined.add(node.name)
+                if node.name == "identity_residuals":
+                    signatures.append(node.args)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                defined.add(node.id)
+    assert defined.isdisjoint({"from_rows", "conjugated"})
+    (args,) = signatures
+    positional = [a.arg for a in args.posonlyargs + args.args]
+    with_default = positional[len(positional) - len(args.defaults) :]
+    assert "triples" in positional and "triples" not in with_default
+    with pytest.raises(TypeError):
+        identity_residuals(catalog("flat-kahler"), (0.1, 0.1))
 
 
 def test_no_multi_operand_einsum_in_the_contraction_layer():

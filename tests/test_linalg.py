@@ -27,6 +27,7 @@ from aegeom.linalg import (
     numeric_nullity,
 )
 from aegeom.manifold import KINDS
+from support import system_from_rows
 
 
 def elimination_rank(a, tol=1e-9):
@@ -105,7 +106,7 @@ def system_from_dense(a):
     rows = []
     for row in np.atleast_2d(a):
         rows.append([(j, v) for j, v in enumerate(row) if v != 0.0])
-    return LinearConstraintSystem.from_rows(np.atleast_2d(a).shape[1], rows)
+    return system_from_rows(np.atleast_2d(a).shape[1], rows)
 
 
 def test_identity_system_has_trivial_null_space():
@@ -125,7 +126,7 @@ def test_zero_rows_leave_everything_free():
 
 
 def test_empty_row_list_means_full_null_space():
-    sysn = LinearConstraintSystem.from_rows(3, [])
+    sysn = system_from_rows(3, [])
     dim, basis = null_space(sysn)
     assert dim == 3 and len(basis) == 3
 
@@ -174,7 +175,7 @@ def test_dimension_survives_row_permutation_and_scaling():
 
 def test_repeated_index_entries_accumulate():
     # same column twice in one row: coefficients add up
-    sys = LinearConstraintSystem.from_rows(2, [[(0, 1.0), (0, 1.0), (1, -2.0)]])
+    sys = system_from_rows(2, [[(0, 1.0), (0, 1.0), (1, -2.0)]])
     assert np.allclose(sys.to_dense(), [[2.0, -2.0]])
     dim, basis = null_space(sys)
     assert dim == 1
@@ -193,9 +194,9 @@ def test_exact_nullity_matches_svd_on_random_integer_systems():
 
 def test_system_rejects_out_of_range_columns():
     with pytest.raises(SlotMismatch):
-        LinearConstraintSystem.from_rows(2, [[(2, 1.0)]])
+        LinearConstraintSystem.from_entries(2, [1], [2], [1.0])
     with pytest.raises(SlotMismatch):
-        LinearConstraintSystem.from_rows(2, [[(-1, 1.0)]])
+        LinearConstraintSystem.from_entries(2, [1], [-1], [1.0])
 
 
 def test_zero_unknowns_is_degenerate():
@@ -212,13 +213,13 @@ def test_numeric_nullity_counts_like_null_space():
     systems = [
         system_from_dense(np.eye(3)),
         system_from_dense(np.zeros((2, 4))),
-        LinearConstraintSystem.from_rows(3, []),
+        system_from_rows(3, []),
         system_from_dense(np.vstack([core, rng.standard_normal((2, 3)) @ core])),
     ]
     for sys in systems:
         assert numeric_nullity(sys) == null_space(sys)[0]
     with pytest.raises(DegenerateSystem):
-        numeric_nullity(LinearConstraintSystem.from_rows(0, []))
+        numeric_nullity(system_from_rows(0, []))
 
 
 def test_exact_nullity_matches_the_fraction_oracle_on_random_systems():
@@ -249,9 +250,9 @@ def test_exact_nullity_matches_the_fraction_oracle_on_repeated_columns():
         [(0, 0.1), (0, 0.2), (1, -0.3), (3, 1e-3)],
     ]
     for k in range(len(rows) + 1):
-        sys = LinearConstraintSystem.from_rows(4, rows[:k])
+        sys = system_from_rows(4, rows[:k])
         assert exact_nullity(sys) == fraction_nullity(sys), k
-    assert exact_nullity(LinearConstraintSystem.from_rows(4, rows[:2])) == 3
+    assert exact_nullity(system_from_rows(4, rows[:2])) == 3
 
 
 def test_exact_nullity_matches_the_fraction_oracle_on_the_model_fibers():
@@ -311,7 +312,7 @@ def signed_graph_systems(draw):
             cols = draw(st.lists(unknown, min_size=3, max_size=4))
             values = st.sampled_from([1.0, -2.0, 3.0, 0.5, 0.1, -1 / 3])
             rows.append([(c, draw(values)) for c in cols])
-    return LinearConstraintSystem.from_rows(n, draw(st.permutations(rows)))
+    return system_from_rows(n, draw(st.permutations(rows)))
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
@@ -342,7 +343,7 @@ def test_signed_graph_stages_on_small_systems():
         (general, 1),
     ]
     for rows, nullity in cases:
-        system = LinearConstraintSystem.from_rows(3, rows)
+        system = system_from_rows(3, rows)
         assert exact_nullity(system) == fraction_nullity(system) == nullity, rows
 
 
@@ -420,7 +421,7 @@ def split_systems(draw):
                 small_rows.append(row_at[r0 + i])
         r0 += block.shape[0]
         c0 += block.shape[1]
-    system = LinearConstraintSystem.from_rows(n_cols, rows)
+    system = system_from_rows(n_cols, rows)
     return system, small_rows, n_cols
 
 
@@ -437,7 +438,7 @@ def test_block_split_numeric_route_matches_the_dense_svd_and_the_exact_route(dra
     # rows count as absent; the exact route sees them, so it is given the
     # system without them
     kept = [row for r, row in enumerate(system.rows) if r not in small_rows]
-    assert exact_nullity(LinearConstraintSystem.from_rows(n, kept)) == expected
+    assert exact_nullity(system_from_rows(n, kept)) == expected
     if basis:
         b = np.stack(basis)
         assert b.shape == (dim, n)
@@ -453,7 +454,7 @@ def test_blocks_follow_the_pattern_not_the_coefficients():
         [(0, 1.0)],
         [(5, 1.0), (5, -1.0)],  # cancels, a block on its own
     ]
-    blocks = linalg._blocks(LinearConstraintSystem.from_rows(7, rows))
+    blocks = linalg._blocks(system_from_rows(7, rows))
     assert [(r.tolist(), c.tolist()) for r, c in blocks] == [
         ([0, 3], [0, 3]),
         ([2], [1, 4]),
@@ -467,7 +468,7 @@ def test_a_chain_of_rows_is_one_block():
     # a path 0 - 1 - ... - 9 whose rows come in scrambled order
     order = [4, 0, 8, 2, 6, 1, 7, 3, 5]
     rows = [[(k + 1, 1.0), (k, -1.0)] for k in order]
-    system = LinearConstraintSystem.from_rows(10, rows)
+    system = system_from_rows(10, rows)
     ((block_rows, block_cols),) = linalg._blocks(system)
     assert block_rows.tolist() == list(range(9))
     assert block_cols.tolist() == list(range(10))
@@ -499,7 +500,7 @@ def test_no_rank_route_reads_the_rows_view(monkeypatch):
 
 def test_trailing_empty_rows_keep_their_count():
     rows = [[(0, 1.0), (1, -1.0)], [], [(2, 1.0), (2, -1.0)], [], []]
-    by_rows = LinearConstraintSystem.from_rows(4, rows)
+    by_rows = system_from_rows(4, rows)
     by_entries = LinearConstraintSystem.from_entries(
         4, [2, 0, 2, 0, 0], [0, 1, 2, 2], [1.0, -1.0, 1.0, -1.0]
     )
@@ -517,6 +518,6 @@ def test_trailing_empty_rows_keep_their_count():
         assert blocks == [([0], [0, 1]), ([2], [2]), ([], [3])]
         assert exact_nullity(system) == numeric_nullity(system) == 3
         assert null_space(system)[0] == 3
-    only_empty = LinearConstraintSystem.from_rows(2, [[], []])
+    only_empty = system_from_rows(2, [[], []])
     assert only_empty.n_rows == 2 and only_empty.to_dense().shape == (2, 2)
     assert exact_nullity(only_empty) == numeric_nullity(only_empty) == 2
