@@ -12,13 +12,11 @@ the first two arguments (the pointwise model of Codazzi).
 
 Dimensions come from two routes that share no step, and any disagreement
 raises, because the constraint coefficients are integers and both routes
-must agree exactly.  Both read the whole system at every n.  The numeric
-route takes the singular values of the independent blocks of the system's
-sparsity pattern.  The exact route, ``linalg.exact_nullity``, solves the
-system's identification rows as a signed graph and eliminates what is left
-over the integers.  ``closed_form_dimension`` states the dimensions the
-theorems give, and ``subspace_dimension`` returns a value only once both
-routes agree with it.
+must agree exactly.  ``subspace_dimensions`` gives each route the whole
+systems of all its cells in one pass (``linalg.numeric_nullities``, over
+the blocks of the sparsity pattern, and ``linalg.exact_nullities``), and
+returns once both routes agree with ``closed_form_dimension``, which
+states the dimensions the theorems give.
 """
 
 from __future__ import annotations
@@ -27,19 +25,16 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import DimensionOracleMismatch, TheoremViolation, UnsupportedDimension
-from .linalg import (
-    NULL_SPACE_TOL,
-    Entries,
-    LinearConstraintSystem,
-    exact_nullity,
-    null_space,
-    numeric_nullity,
-)
+from .linalg import Entries, LinearConstraintSystem, exact_nullities, numeric_nullities
+
+# unused here, but perfbench/tracing.py wraps both names in this module, and
+# tests/test_trace_names.py requires every name it wraps to resolve
+from .linalg import exact_nullity, null_space  # noqa: F401
 from .manifold import KINDS, StructureKind, axiom_residuals, standard_pair
 
 MAX_HALF_DIM = 3
@@ -200,30 +195,36 @@ def build_constraints(
     return _system(fiber.dim, fiber.base_rows, *extra)
 
 
-def subspace_dimension(fiber: ModelFiber, query: SubspaceQuery) -> int:
-    """Dimension of the requested subspace, numerically, exactly and in closed form.
+def subspace_dimensions(cells: Sequence[Tuple[ModelFiber, SubspaceQuery]]) -> List[int]:
+    """Each (fiber, query) subspace's dimension: numeric, exact, closed form.
 
-    The SVD dimension (singular values only) and the exact integer
-    dimension of the whole system must agree; a mismatch raises
-    ``DimensionOracleMismatch``.  The agreed value must then equal
-    ``closed_form_dimension`` for the fiber's kind and half-dimension, or
-    ``TheoremViolation`` is raised.
+    Each rank route runs once over the systems of all cells.  Then, cell by
+    cell in order, the SVD dimension (singular values only) and the exact
+    integer dimension must agree (else ``DimensionOracleMismatch``), and the
+    agreed value must equal ``closed_form_dimension`` for the fiber's kind
+    and half-dimension (else ``TheoremViolation``).
     """
-    system = build_constraints(fiber, query)
-    numeric_dim = numeric_nullity(system)
-    exact_dim = exact_nullity(system)
-    if numeric_dim != exact_dim:
-        raise DimensionOracleMismatch(
-            f"numeric dimension {numeric_dim} != exact dimension {exact_dim} "
-            f"for {fiber.kind.label}, n={fiber.n}, query={query.value}"
-        )
-    expected = closed_form_dimension(fiber.kind, fiber.n, query)
-    if exact_dim != expected:
-        raise TheoremViolation(
-            f"{query.value} subspace has dimension {exact_dim} for "
-            f"{fiber.kind.label}, n={fiber.n}; the closed form gives {expected}"
-        )
-    return exact_dim
+    systems = [build_constraints(fiber, query) for fiber, query in cells]
+    numeric = numeric_nullities(systems)
+    exact = exact_nullities(systems)
+    for (fiber, query), numeric_dim, exact_dim in zip(cells, numeric, exact):
+        if numeric_dim != exact_dim:
+            raise DimensionOracleMismatch(
+                f"numeric dimension {numeric_dim} != exact dimension {exact_dim} "
+                f"for {fiber.kind.label}, n={fiber.n}, query={query.value}"
+            )
+        expected = closed_form_dimension(fiber.kind, fiber.n, query)
+        if exact_dim != expected:
+            raise TheoremViolation(
+                f"{query.value} subspace has dimension {exact_dim} for "
+                f"{fiber.kind.label}, n={fiber.n}; the closed form gives {expected}"
+            )
+    return exact
+
+
+def subspace_dimension(fiber: ModelFiber, query: SubspaceQuery) -> int:
+    """``subspace_dimensions`` of one cell."""
+    return subspace_dimensions([(fiber, query)])[0]
 
 
 def closed_form_dimension(kind: StructureKind, n: int, query: SubspaceQuery) -> int:
@@ -270,13 +271,15 @@ def dimension_table(fibers: List[ModelFiber]) -> dict:
     """Subspace dimensions of each fiber, such as ``standard_fibers()`` gives.
 
     Keys are kind labels; values map the half-dimension to the dimensions
-    of the full, alternating, and symmetric subspaces, each from
-    ``subspace_dimension``, so every cell has passed its closed form.
+    of the full, alternating, and symmetric subspaces.  All cells come
+    from one ``subspace_dimensions`` call, so every cell has passed its
+    closed form.
     """
+    dims = iter(subspace_dimensions([(f, q) for f in fibers for q in SubspaceQuery]))
     table: dict = {}
     for fiber in fibers:
         table.setdefault(fiber.kind.label, {})[fiber.n] = {
-            q.value: subspace_dimension(fiber, q) for q in SubspaceQuery
+            q.value: next(dims) for q in SubspaceQuery
         }
     return table
 
@@ -287,23 +290,13 @@ def alternating_definitions_coincide(fiber: ModelFiber, alternating_dim: int) ->
     The condition "phi vanishes when the first two arguments coincide" can
     be written by polarization (diagonal rows plus symmetric off-diagonal
     pairs) or directly as antisymmetry in the first two slots.  Both
-    constraint sets must cut out the same subspace.  One containment is
-    enough: the polarized null space U inside the antisymmetric one V, with
-    dim U = dim V, gives U = V.
-
-    ``alternating_dim`` is dim V as ``subspace_dimension`` gives it, once
-    both rank routes and the closed form agree.  The basis of U comes from
-    ``null_space``, and one product over the antisymmetric system's entries
-    tests that it lies in V.
+    constraint sets must cut out the same subspace: for the polarized null
+    space U and the antisymmetric one V, dim U = dim (U cut by V) = dim V
+    gives U = V.  ``alternating_dim`` is dim V, on which both rank routes
+    and the closed form agreed; ``exact_nullities`` gives the other two.
     """
     d = fiber.dim
-    dim, basis = null_space(_system(d, fiber.base_rows, _polarized_rows(d)))
-    if dim != alternating_dim:
-        return False
-    antisymmetric = build_constraints(fiber, SubspaceQuery.ALTERNATING)
-    row_of, cols, coeffs = antisymmetric.entries
-    vectors = np.array(basis).reshape(dim, antisymmetric.n_unknowns)
-    units = vectors / np.max(np.abs(vectors), axis=1, keepdims=True)
-    residual = np.zeros((antisymmetric.n_rows, dim))
-    np.add.at(residual, row_of, coeffs[:, None] * units[:, cols].T)
-    return float(np.abs(residual).max(initial=0.0)) < NULL_SPACE_TOL
+    polarized = (fiber.base_rows, _polarized_rows(d))
+    joined = polarized + (condition_rows(fiber, "nearly"),)
+    dims = exact_nullities([_system(d, *polarized), _system(d, *joined)])
+    return dims == [alternating_dim, alternating_dim]

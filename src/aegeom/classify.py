@@ -260,7 +260,7 @@ def condition_table(plan: SamplePlan, tol: float, dims: dict) -> Dict[str, objec
     forces the structure derivative itself to vanish, so the class is
     Kahler type; any other dimension leaves the class of the condition
     (``SIGN_CONDITIONS``).  ``dims`` is the output of ``dimension_table``,
-    whose every cell ``subspace_dimension`` has checked against the closed
+    whose every cell ``subspace_dimensions`` has checked against the closed
     form.  Each cell also records, on every catalog entry of that kind, the
     status of the theorem check whose hypothesis is the condition, as
     sampled evidence beside the algebraic proof.

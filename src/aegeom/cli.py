@@ -16,8 +16,10 @@ implication failing, or the two dimension oracles splitting).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
+import shutil
 import sys
 from typing import Dict, List, Optional
 
@@ -234,16 +236,21 @@ VERBS: Dict[str, tuple] = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # argparse's own width, read from the terminal once for every formatter
+    formatter = functools.partial(
+        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2
+    )
     parser = argparse.ArgumentParser(
         prog="aegeom",
         description=(
             "numerical checks for metric manifolds whose structure tensor "
             "squares to plus or minus the identity"
         ),
+        formatter_class=formatter,
     )
     commands = parser.add_subparsers(dest="command", required=True)
     for verb, (help_text, _, options) in VERBS.items():
-        sub = commands.add_parser(verb, help=help_text)
+        sub = commands.add_parser(verb, help=help_text, formatter_class=formatter)
         sub.set_defaults(usage_error=sub.error)
         for name, keywords in OPTIONS.items():
             if name in options:

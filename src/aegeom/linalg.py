@@ -2,28 +2,24 @@
 
 A system is stored once, as flat entry arrays: the row index, column and
 coefficient of every entry, rows in order, plus the row count (a row may
-have no entries).  Both routes read those arrays.
-
-Two routes give a system's null space dimension, and they share no step.
-The numeric route splits the system into the independent blocks of its
-sparsity pattern (``_blocks``), takes the singular values of every block
-(blocks of equal shape in one stacked SVD), and counts those above
-``_cutoff``, ``NULL_SPACE_TOL`` times the largest singular value of the
-whole system; the blocks of a block-diagonal matrix have exactly its
-singular values, so the split changes the cost and not the count.  The
-exact route, ``exact_nullity``, never rounds: it merges each row's
-repeated columns exactly, solves the rows of one entry and the rows
-``x_u = +-x_v`` as a signed graph in numpy (its own label propagation over
-the doubled graph, not ``_blocks``), and eliminates any other row forward,
-fraction-free over the integers, on one unknown per free component of
-that graph.  ``algebra`` gives both routes the whole system at every n.
+have no entries).  Two routes read those arrays, share no step, and take a
+batch of systems in one pass over them stacked block-diagonally
+(``_stacked``).  The numeric route, ``numeric_nullities``, splits the stack
+into the independent blocks of its sparsity pattern (``_blocks``), takes
+the singular values of all blocks of one shape in one stacked SVD, and
+counts those above ``NULL_SPACE_TOL`` times the largest singular value of
+their own system; no matrix of a whole system is made.  The exact route,
+``exact_nullities``, never rounds: it merges each row's repeated columns,
+solves the rows of one entry and the rows ``x_u = +-x_v`` as a signed
+graph in numpy (not ``_blocks``), and eliminates any other row forward,
+fraction-free over the integers, on one unknown per free component.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -83,13 +79,6 @@ class LinearConstraintSystem:
         pairs = list(zip(cols.tolist(), coeffs.tolist()))
         return tuple(tuple(pairs[a:b]) for a, b in _row_bounds(self))
 
-    def to_dense(self) -> np.ndarray:
-        """Dense coefficient matrix; repeated columns in a row add up."""
-        row_of, cols, coeffs = self.entries
-        dense = np.zeros((self.n_rows, self.n_unknowns))
-        np.add.at(dense, (row_of, cols), coeffs)
-        return dense
-
 
 def _row_bounds(system: LinearConstraintSystem) -> List[Tuple[int, int]]:
     """Start and end of every row within the entry arrays."""
@@ -124,53 +113,65 @@ def _blocks(system: LinearConstraintSystem) -> List[Block]:
     roots = np.flatnonzero(label == np.arange(n))
     row_label = np.full(n_rows, n)
     row_label[row_of] = label[cols]
-    col_order = np.argsort(label, kind="stable")
-    row_order = np.argsort(row_label, kind="stable")
-    bounds = []
-    for order, labels in ((row_order, row_label), (col_order, label)):
-        ordered = labels[order]
-        bounds += [
-            np.searchsorted(ordered, roots).tolist(),
-            np.searchsorted(ordered, roots, side="right").tolist(),
-        ]
-    return [
-        (row_order[r0:r1], col_order[c0:c1]) for r0, r1, c0, c1 in zip(*bounds)
-    ]
+    split = []
+    for labels in (row_label, label):
+        order = np.argsort(labels, kind="stable")
+        cuts = [labels[order].searchsorted(roots, s) for s in ("left", "right")]
+        split.append([order[a:b] for a, b in zip(*(c.tolist() for c in cuts))])
+    return list(zip(*split))
 
 
-def _require_unknowns(system: LinearConstraintSystem) -> None:
-    """Every rank route refuses a system with no unknowns."""
-    if system.n_unknowns == 0:
+def _stacked(systems: Sequence[LinearConstraintSystem]):
+    """``systems`` as one block-diagonal system, and each unknown's system.
+
+    A lone system passes through as it is; one with no unknowns raises.
+    """
+    if any(s.n_unknowns == 0 for s in systems):
         raise DegenerateSystem("system has no unknowns")
+    widths = [s.n_unknowns for s in systems]
+    owner = np.repeat(np.arange(len(systems)), widths)
+    if len(systems) == 1:
+        return systems[0], owner
+    sizes = [s.entries[0].size for s in systems]
+    row_of, cols, coeffs = map(np.concatenate, zip(*(s.entries for s in systems)))
+    for a, counts in ((row_of, [s.n_rows for s in systems]), (cols, widths)):
+        a += np.repeat(np.cumsum([0] + counts[:-1]), sizes)
+    n_rows = sum(s.n_rows for s in systems)
+    return LinearConstraintSystem(sum(widths), n_rows, (row_of, cols, coeffs)), owner
 
 
-def _block_spectra(
-    system: LinearConstraintSystem, compute_uv: bool
-) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+def _block_spectra(system: LinearConstraintSystem, compute_uv: bool) -> list:
     """Singular values of every block, one stacked SVD per block shape.
 
     Each item is (columns (k, c), singular values (k, min(r, c)), right
     singular vectors (k, c, c) or None) for the k blocks of shape (r, c).
-    A wide block takes the full V, so every block gets all c of its right
-    singular vectors; a block with no rows has none of its singular values
-    and the identity for V.  A system with no unknowns raises.
+    The blocks are read from one matrix of every row by the widest block,
+    where each entry adds in at its column's place in its block.  A wide
+    block takes the full V, so every block gets all c of its right singular
+    vectors; a block with no rows has none of its singular values and the
+    identity for V.
     """
-    _require_unknowns(system)
-    dense = system.to_dense()
+    blocks = _blocks(system)
+    row_of, cols, coeffs = system.entries
+    width = np.array([block_cols.size for _, block_cols in blocks])
+    laid = np.concatenate([block_cols for _, block_cols in blocks])
+    place = np.empty(system.n_unknowns, dtype=np.intp)
+    place[laid] = np.arange(laid.size) - np.repeat(np.cumsum(width) - width, width)
+    narrow = np.zeros((system.n_rows, width.max()))
+    np.add.at(narrow, (row_of, place[cols]), coeffs)
     by_shape: Dict[Tuple[int, int], List[Block]] = {}
-    for rows, cols in _blocks(system):
-        by_shape.setdefault((rows.size, cols.size), []).append((rows, cols))
+    for block in blocks:
+        by_shape.setdefault((block[0].size, block[1].size), []).append(block)
     spectra = []
-    for (r, c), blocks in by_shape.items():
-        cols = np.array([b[1] for b in blocks], dtype=np.intp)
+    for (r, c), group in by_shape.items():
+        cols = np.array([b[1] for b in group], dtype=np.intp)
         vt = None
         if r == 0:
-            sigma = np.zeros((len(blocks), 0))
+            sigma = np.zeros((len(group), 0))
             if compute_uv:
-                vt = np.broadcast_to(np.eye(c), (len(blocks), c, c))
+                vt = np.broadcast_to(np.eye(c), (len(group), c, c))
         else:
-            rows = np.array([b[0] for b in blocks], dtype=np.intp)
-            stack = dense[rows[:, :, None], cols[:, None, :]]
+            stack = narrow[np.array([b[0] for b in group], dtype=np.intp), :c]
             if compute_uv:
                 _, sigma, vt = np.linalg.svd(stack, full_matrices=r < c)
             else:
@@ -179,22 +180,29 @@ def _block_spectra(
     return spectra
 
 
-def _cutoff(spectra) -> float:
-    """``NULL_SPACE_TOL`` times the system's largest singular value, or 0."""
-    largest = max((float(s.max()) for _, s, _ in spectra if s.size), default=0.0)
-    return NULL_SPACE_TOL * largest
+def _cutoffs(spectra, owner: np.ndarray, count: int):
+    """Singular values laid end to end, each one's system, and the cutoffs.
+
+    A system's cutoff is ``NULL_SPACE_TOL`` times its largest singular value.
+    """
+    values = np.concatenate([s.ravel() for _, s, _ in spectra])
+    who = np.concatenate([np.repeat(owner[c[:, 0]], s.shape[1]) for c, s, _ in spectra])
+    largest = np.zeros(count)
+    np.maximum.at(largest, who, values)
+    return values, who, NULL_SPACE_TOL * largest
 
 
 def null_space(system: LinearConstraintSystem) -> Tuple[int, List[np.ndarray]]:
     """Dimension and orthonormal basis of the null space of the system.
 
-    Singular values at or below ``_cutoff`` count as zero.  Each block of
+    Singular values at or below ``_cutoffs`` count as zero.  Each block of
     the sparsity pattern (``_blocks``) contributes the right singular
     vectors past its own rank, embedded into vectors of full length; the
     blocks have disjoint columns, so the basis is orthonormal.
     """
+    system, owner = _stacked([system])
     spectra = _block_spectra(system, compute_uv=True)
-    cut = _cutoff(spectra)
+    (cut,) = _cutoffs(spectra, owner, 1)[2]
     basis: List[np.ndarray] = []
     for cols, sigma, vt in spectra:
         k, c = cols.shape
@@ -208,15 +216,26 @@ def null_space(system: LinearConstraintSystem) -> Tuple[int, List[np.ndarray]]:
     return len(basis), basis
 
 
+def numeric_nullities(systems: Sequence[LinearConstraintSystem]) -> List[int]:
+    """Null space dimension of each system: one stacked ``_block_spectra``."""
+    if not systems:
+        return []
+    stacked, owner = _stacked(systems)
+    spectra = _block_spectra(stacked, compute_uv=False)
+    values, who, cut = _cutoffs(spectra, owner, len(systems))
+    rank = np.bincount(who[values > cut[who]], minlength=len(systems))
+    return [s.n_unknowns - int(r) for s, r in zip(systems, rank)]
+
+
 def numeric_nullity(system: LinearConstraintSystem) -> int:
-    """Null space dimension by the ``null_space`` cutoff, without a basis."""
-    spectra = _block_spectra(system, compute_uv=False)
-    cut = _cutoff(spectra)
-    return system.n_unknowns - sum(int((s > cut).sum()) for _, s, _ in spectra)
+    """``numeric_nullities`` of one system."""
+    return numeric_nullities([system])[0]
 
 
-def exact_nullity(system: LinearConstraintSystem) -> int:
-    """Null space dimension by exact elimination, in three stages.
+def exact_nullities(systems: Sequence[LinearConstraintSystem]) -> List[int]:
+    """Null space dimension of each system by exact elimination, in three stages.
+
+    The stages run once, over the systems stacked (``_stacked``).
 
     1. ``_merged_rows`` merges each row's repeated columns exactly.
     2. Of the rows it merged in numpy, those of one entry (``x_u = 0``)
@@ -231,11 +250,14 @@ def exact_nullity(system: LinearConstraintSystem) -> int:
        clears it (every row divided by the gcd of its entries); a row left
        nonzero becomes the pivot of its smallest column.
 
-    The nullity is the number of free components minus the number of
-    pivots, the rank of the stage-3 rows, and no step rounds.  Every row of a standard fiber's
-    system has at most two entries, all +-1, so stage 3 gets no row there.
+    A system's nullity is the number of its free components minus the
+    number of its pivots, the rank of its stage-3 rows, and no step
+    rounds.  Every row of a standard fiber's system has at most two
+    entries, all +-1, so stage 3 gets no row there.
     """
-    _require_unknowns(system)
+    if not systems:
+        return []
+    system, owner = _stacked(systems)
     row, col, value, general = _merged_rows(system)
     count = np.bincount(row, minlength=system.n_rows)
     first = np.cumsum(count) - count
@@ -249,6 +271,7 @@ def exact_nullity(system: LinearConstraintSystem) -> int:
         col[edge + 1],
         (value[edge] > 0) == (value[edge + 1] > 0),
     )
+    nullity = np.bincount(owner[free], minlength=len(systems))
     # stage 3 takes the rows of three or more entries, or of two unequal ones
     rest = count > 2
     rest[row[pair[~equal]]] = True
@@ -256,6 +279,7 @@ def exact_nullity(system: LinearConstraintSystem) -> int:
     for r, c, v in zip(*(a[rest].tolist() for a in (row, col, value))):
         general.setdefault(r, []).append((c, v))
     root, sign, free = root.tolist(), sign.tolist(), free.tolist()
+    # no row links two systems, so each pivot's column is its own system's
     pivots: Dict[int, Dict[int, int]] = {}
     for entries in general.values():
         on_roots: Dict[int, int] = {}
@@ -268,7 +292,14 @@ def exact_nullity(system: LinearConstraintSystem) -> int:
             new = _eliminate(new, pivots[min(new)], min(new))
         if new:
             pivots[min(new)] = new
-    return sum(free) - len(pivots)
+    for c in pivots:
+        nullity[owner[c]] -= 1
+    return nullity.tolist()
+
+
+def exact_nullity(system: LinearConstraintSystem) -> int:
+    """``exact_nullities`` of one system."""
+    return exact_nullities([system])[0]
 
 
 def _merged_rows(

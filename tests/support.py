@@ -3,13 +3,15 @@
 ``system_from_rows`` writes a constraint system as lists of (column,
 coefficient) pairs, and ``conjugated`` moves a model fiber through an
 integer basis change; both end in the library's own validating
-constructors.
+constructors.  ``dense`` writes a system out as a matrix, and
+``dense_nullity`` is the rank reference the library's routes are held to:
+one SVD of the whole matrix.
 """
 
 import numpy as np
 
 from aegeom.algebra import ModelFiber
-from aegeom.linalg import LinearConstraintSystem
+from aegeom.linalg import NULL_SPACE_TOL, LinearConstraintSystem
 
 
 def system_from_rows(n_unknowns, rows):
@@ -38,3 +40,17 @@ def conjugated(fiber, s):
         j0=s @ fiber.j0 @ s_inv,
         inner=s_inv.T @ fiber.inner @ s_inv,
     )
+
+
+def dense(system):
+    """Dense coefficient matrix of ``system``; repeated columns in a row add up."""
+    row_of, cols, coeffs = system.entries
+    matrix = np.zeros((system.n_rows, system.n_unknowns))
+    np.add.at(matrix, (row_of, cols), coeffs)
+    return matrix
+
+
+def dense_nullity(matrix, tol=NULL_SPACE_TOL):
+    """Nullity by one SVD of the whole matrix, with the library's relative cutoff."""
+    sigma = np.linalg.svd(matrix, compute_uv=False) if matrix.size else np.zeros(0)
+    return matrix.shape[1] - int(np.sum(sigma > tol * sigma.max(initial=0.0)))

@@ -18,6 +18,7 @@ from aegeom.algebra import (
     dimension_table,
     standard_fibers,
     subspace_dimension,
+    subspace_dimensions,
 )
 from aegeom import algebra, cli, linalg
 from aegeom.catalog import catalog, standard_names
@@ -38,7 +39,7 @@ from aegeom.manifold import (
     axiom_residuals,
     standard_pair,
 )
-from support import conjugated, system_from_rows
+from support import conjugated, dense, system_from_rows
 
 
 def test_standard_fibers_exist_for_all_kinds_and_sizes():
@@ -259,36 +260,67 @@ def test_both_renderings_of_the_alternating_condition_agree():
             assert alternating_definitions_coincide(fiber, dim), (kind.label, n)
 
 
-def test_the_coincide_check_reads_the_basis_and_the_dimension(monkeypatch):
+def test_the_coincide_check_reads_the_dimension_and_both_nullities(monkeypatch):
     # the alternating subspace of this fiber has dimension 2, so a wrong
-    # basis of the right size and a wrong count can each be told apart
+    # count either way, and either nullity off by one (for the union, one
+    # short: U not inside V), can each be told apart
     fiber = ModelFiber.standard(HERMITIAN, 3)
     dim = subspace_dimension(fiber, SubspaceQuery.ALTERNATING)
     assert dim == 2
     assert alternating_definitions_coincide(fiber, dim)
     for wrong in (dim - 1, dim + 1):
         assert not alternating_definitions_coincide(fiber, wrong), wrong
-    true_null_space = algebra.null_space
+    true_nullities = algebra.exact_nullities
+    seen = []
+    for which, by in itertools.product((0, 1), (-1, 1)):
 
-    def unit_vectors(system):
-        # phi(e_0, e_0, e_0) and phi(e_0, e_0, e_1): not antisymmetric
-        dim, _ = true_null_space(system)
-        return dim, list(np.eye(system.n_unknowns)[:dim])
+        def off_by_one(systems):
+            seen.append([s.n_rows for s in systems])
+            dims = true_nullities(systems)
+            dims[which] += by
+            return dims
 
-    monkeypatch.setattr(algebra, "null_space", unit_vectors)
+        monkeypatch.setattr(algebra, "exact_nullities", off_by_one)
+        assert not alternating_definitions_coincide(fiber, dim), (which, by)
+    # one exact pass per check, over the polarized system and its union with
+    # the antisymmetry rows: the 432 base rows, the 6*6 diagonal and 15*6
+    # pair rows, and the 216 swap rows
+    assert seen == [[432 + 126, 432 + 126 + 216]] * 4
+
+
+def test_a_sign_flipped_polarized_pair_row_fails_the_coincide_check(monkeypatch):
+    # phi(e_0, e_2, e_4) takes one index from each J-pair, where the
+    # realified (3,0)-forms do not vanish; its pair row turned into
+    # phi(e_0, e_2, e_4) - phi(e_2, e_0, e_4) = 0 cuts them down
+    fiber = ModelFiber.standard(HERMITIAN, 3)
+    dim = subspace_dimension(fiber, SubspaceQuery.ALTERNATING)
+    polarized = algebra._polarized_rows
+
+    def one_row_flipped(d):
+        lengths, cols, coeffs = polarized(d)
+        ends = np.cumsum(lengths)
+        (row,) = np.flatnonzero((lengths == 2) & (cols[ends - lengths] == 16))
+        coeffs = coeffs.copy()
+        coeffs[ends[row] - 1] = -1.0
+        return lengths, cols, coeffs
+
+    monkeypatch.setattr(algebra, "_polarized_rows", one_row_flipped)
     assert not alternating_definitions_coincide(fiber, dim)
 
 
-def test_the_coincide_product_reads_the_antisymmetry_rows(monkeypatch):
-    # vectors of the full subspace satisfy the base rows, so only the rows
-    # of antisymmetry in the first two slots can reject them
+def test_the_coincide_union_reads_the_antisymmetry_rows(monkeypatch):
+    # with the Codazzi rows in place of the antisymmetry rows, the union
+    # cuts the polarized subspace to zero: only those rows tell U from V
     fiber = ModelFiber.standard(HERMITIAN, 3)
     dim = subspace_dimension(fiber, SubspaceQuery.ALTERNATING)
-    _, full = null_space(build_constraints(fiber, SubspaceQuery.FULL))
-    wrong = full[:dim]
-    antisymmetric = build_constraints(fiber, SubspaceQuery.ALTERNATING)
-    assert np.abs(antisymmetric.to_dense() @ np.array(wrong).T).max() > 1e-3
-    monkeypatch.setattr(algebra, "null_space", lambda system: (dim, wrong))
+    true_rows = algebra.condition_rows
+    codazzi = true_rows(fiber, "codazzi")
+    assert not np.array_equal(codazzi[2], true_rows(fiber, "nearly")[2])
+    monkeypatch.setattr(
+        algebra,
+        "condition_rows",
+        lambda f, name: codazzi if name == "nearly" else true_rows(f, name),
+    )
     assert not alternating_definitions_coincide(fiber, dim)
 
 
@@ -323,14 +355,34 @@ def test_a_fiber_builds_its_base_rows_once(monkeypatch):
     assert len([b for b in builds if b[2] in algebra.BASE]) == 2 * len(algebra.BASE)
 
 
+def shifted(monkeypatch, route, by=1):
+    """Patch ``algebra``'s batch ``route`` to read every nullity ``by`` too high."""
+    true_route = getattr(algebra, route)
+    monkeypatch.setattr(
+        algebra, route, lambda systems: [d + by for d in true_route(systems)]
+    )
+
+
 def test_wrong_numeric_rank_trips_the_dimension_oracle(monkeypatch):
     fiber = ModelFiber.standard(PARA_HERMITIAN, 2)
     subspace_dimension(fiber, SubspaceQuery.ALTERNATING)
-    true_cutoff = linalg._cutoff
+    shifted(monkeypatch, "numeric_nullities", by=-1)
+    with pytest.raises(
+        DimensionOracleMismatch, match="numeric dimension -1 != exact dimension 0"
+    ):
+        subspace_dimension(fiber, SubspaceQuery.ALTERNATING)
+
+
+def test_a_cutoff_above_every_singular_value_trips_the_dimension_oracle(monkeypatch):
     # the largest singular values no longer count toward the rank
-    monkeypatch.setattr(
-        linalg, "_cutoff", lambda spectra: true_cutoff(spectra) / linalg.NULL_SPACE_TOL
-    )
+    fiber = ModelFiber.standard(PARA_HERMITIAN, 2)
+    true_cutoffs = linalg._cutoffs
+
+    def raised(spectra, owner, count):
+        values, who, cut = true_cutoffs(spectra, owner, count)
+        return values, who, cut / linalg.NULL_SPACE_TOL
+
+    monkeypatch.setattr(linalg, "_cutoffs", raised)
     with pytest.raises(DimensionOracleMismatch):
         subspace_dimension(fiber, SubspaceQuery.ALTERNATING)
 
@@ -338,10 +390,7 @@ def test_wrong_numeric_rank_trips_the_dimension_oracle(monkeypatch):
 def test_wrong_exact_rank_trips_the_dimension_oracle(monkeypatch):
     fiber = ModelFiber.standard(HERMITIAN, 3)
     subspace_dimension(fiber, SubspaceQuery.ALTERNATING)
-    true_nullity = algebra.exact_nullity
-    monkeypatch.setattr(
-        algebra, "exact_nullity", lambda system: true_nullity(system) + 1
-    )
+    shifted(monkeypatch, "exact_nullities")
     with pytest.raises(DimensionOracleMismatch, match="exact dimension 3"):
         subspace_dimension(fiber, SubspaceQuery.ALTERNATING)
 
@@ -366,8 +415,9 @@ def test_a_split_that_drops_a_row_trips_the_dimension_oracle(monkeypatch):
 
 
 def test_a_split_that_cuts_a_block_in_two_trips_the_dimension_oracle(monkeypatch):
-    # halving the largest block's unknowns turns every row that crosses the
-    # cut into a one-term row on each side, which kills a null vector
+    # halving the largest block's unknowns gives both halves the same rows
+    # and overlapping column places, so in each half's matrix the entries
+    # of both halves add up
     fiber = ModelFiber.standard(HERMITIAN, 3)
     true_blocks = linalg._blocks
 
@@ -380,7 +430,7 @@ def test_a_split_that_cuts_a_block_in_two_trips_the_dimension_oracle(monkeypatch
         return blocks
 
     monkeypatch.setattr(linalg, "_blocks", cutting)
-    with pytest.raises(DimensionOracleMismatch, match="numeric dimension 1 "):
+    with pytest.raises(DimensionOracleMismatch, match=" != exact dimension 2 "):
         subspace_dimension(fiber, SubspaceQuery.ALTERNATING)
 
 
@@ -389,9 +439,8 @@ def test_routes_that_agree_off_the_closed_form_are_a_theorem_violation(
 ):
     # both rank routes find one dimension too many, so they agree and only
     # the closed form catches the value
-    for route in ("numeric_nullity", "exact_nullity"):
-        true_route = getattr(algebra, route)
-        monkeypatch.setattr(algebra, route, lambda system, f=true_route: f(system) + 1)
+    for route in ("numeric_nullities", "exact_nullities"):
+        shifted(monkeypatch, route)
     with pytest.raises(
         TheoremViolation,
         match="^symmetric_first_two subspace has dimension 1 for norden, n=2; "
@@ -412,14 +461,33 @@ def test_a_route_split_is_reported_before_the_closed_form(monkeypatch):
     monkeypatch.setattr(algebra, "closed_form_dimension", lambda kind, n, q: 99)
     with pytest.raises(TheoremViolation, match="the closed form gives 99"):
         subspace_dimension(fiber, SubspaceQuery.ALTERNATING)
-    true_nullity = algebra.exact_nullity
-    monkeypatch.setattr(
-        algebra, "exact_nullity", lambda system: true_nullity(system) + 1
-    )
+    shifted(monkeypatch, "exact_nullities")
     with pytest.raises(
         DimensionOracleMismatch, match="numeric dimension 2 != exact dimension 3"
     ):
         subspace_dimension(fiber, SubspaceQuery.ALTERNATING)
+    # in a batch the first failing cell in the order given is reported,
+    # whichever check it fails: here n=1 is off its closed form and n=2
+    # has a route split
+    monkeypatch.undo()
+    cells = [(ModelFiber.standard(NORDEN, n), SubspaceQuery.FULL) for n in (1, 2)]
+    true_form, true_nullities = algebra.closed_form_dimension, algebra.exact_nullities
+    monkeypatch.setattr(
+        algebra,
+        "closed_form_dimension",
+        lambda kind, n, q: 99 if n == 1 else true_form(kind, n, q),
+    )
+    monkeypatch.setattr(
+        algebra,
+        "exact_nullities",
+        lambda systems: [
+            d + (s.n_unknowns == 64) for s, d in zip(systems, true_nullities(systems))
+        ],
+    )
+    with pytest.raises(TheoremViolation, match="n=1; the closed form gives 99"):
+        subspace_dimensions(cells)
+    with pytest.raises(DimensionOracleMismatch, match="for norden, n=2, "):
+        subspace_dimensions(cells[::-1])
 
 
 CELLS = [
@@ -465,7 +533,7 @@ def test_an_off_by_one_closed_form_fails_every_job_that_reads_its_cell(
         )
 
 
-def test_only_subspace_dimension_reads_the_closed_form():
+def test_only_subspace_dimensions_reads_the_closed_form():
     # each computed dimension meets its closed form in one place; a second
     # reader would check a value twice or stand the closed form in for one.
     # A name, an attribute or an import of it counts, so an alias is seen
@@ -486,7 +554,7 @@ def test_only_subspace_dimension_reads_the_closed_form():
             stack.extend((owner, child) for child in ast.iter_child_nodes(node))
     assert sorted(readers, key=str) == [
         ("__init__.py", None),
-        ("algebra.py", "subspace_dimension"),
+        ("algebra.py", "subspace_dimensions"),
     ]
 
 
@@ -504,9 +572,9 @@ def test_the_sampled_reader_and_the_row_builder_read_one_table():
             read = algebra.sampled_condition(nj, fiber.kind.product, name)
             lowered = (read.transpose(0, 1, 3, 2) @ g).reshape(d**3, d**3)
             rows = algebra.condition_rows(fiber, name)
-            dense = LinearConstraintSystem.from_entries(d**3, *rows).to_dense()
-            assert dense.any()
-            np.testing.assert_allclose(lowered, dense.T, atol=1e-12)
+            matrix = dense(LinearConstraintSystem.from_entries(d**3, *rows))
+            assert matrix.any()
+            np.testing.assert_allclose(lowered, matrix.T, atol=1e-12)
 
 
 @pytest.mark.parametrize("name", algebra.BASE)
@@ -810,30 +878,32 @@ def test_the_split_terms_follow_the_table_and_the_closed_form():
 
 
 def record_eliminations(monkeypatch):
-    """Unknown counts of the systems that algebra eliminates exactly."""
-    sizes = []
-    true_nullity = algebra.exact_nullity
+    """Unknown counts of the systems in each exact pass that algebra makes."""
+    passes = []
+    true_nullities = algebra.exact_nullities
 
-    def recording(system):
-        sizes.append(system.n_unknowns)
-        return true_nullity(system)
+    def recording(systems):
+        passes.append([system.n_unknowns for system in systems])
+        return true_nullities(systems)
 
-    monkeypatch.setattr(algebra, "exact_nullity", recording)
-    return sizes
+    monkeypatch.setattr(algebra, "exact_nullities", recording)
+    return passes
 
 
 def test_every_standard_query_eliminates_its_whole_system(monkeypatch):
-    # each of the table's 36 systems is eliminated once, and whole
+    # the table's 36 systems are eliminated whole, in one pass, in table order
     eliminated = record_eliminations(monkeypatch)
     dimension_table(standard_fibers())
-    assert sorted(eliminated) == sorted([8, 64, 216] * 12)
+    assert eliminated == [
+        [(2 * n) ** 3 for _ in KINDS for n in (1, 2, 3) for _ in SubspaceQuery]
+    ]
     # a lone query eliminates its own system and no other
     for kind in KINDS:
         for query in SubspaceQuery:
             for n in range(1, MAX_HALF_DIM + 1):
                 eliminated.clear()
                 subspace_dimension(ModelFiber.standard(kind, n), query)
-                assert eliminated == [(2 * n) ** 3], (kind.label, query, n)
+                assert eliminated == [[(2 * n) ** 3]], (kind.label, query, n)
 
 
 def test_a_conjugated_fiber_is_eliminated_whole(monkeypatch):
@@ -845,7 +915,7 @@ def test_a_conjugated_fiber_is_eliminated_whole(monkeypatch):
         fiber = conjugated(ModelFiber.standard(kind, 3), s)
         dim = subspace_dimension(fiber, SubspaceQuery.FULL)
         assert dim == closed_form_dimension(kind, 3, SubspaceQuery.FULL)
-        assert eliminated == [216]
+        assert eliminated == [[216]]
 
 
 def with_row_zero_edited(system, edit):

@@ -8,6 +8,7 @@ import io
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -31,6 +32,7 @@ from aegeom.cli import (
     EXIT_INTERNAL,
     EXIT_PASS,
     EXIT_USAGE,
+    VERBS,
     build_parser,
     run,
 )
@@ -302,39 +304,50 @@ def test_algebra_table_fails_when_the_alternating_renderings_split(
 def test_algebra_table_queries_each_subspace_dimension_once_per_job(
     capsys, monkeypatch
 ):
-    # every module binding through which a subspace dimension is queried
-    modules = [importlib.import_module(f"aegeom.{m}") for m in ("algebra", "classify")]
+    # every module binding through which a subspace dimension is queried:
+    # the table's batch, and the lone query that classify notes make
     calls = []
-    for module in modules:
-        query = module.subspace_dimension
+    batch = algebra.subspace_dimensions
 
-        def counted(fiber, q, *args, _query=query, **kwargs):
-            calls.append((fiber.kind.label, fiber.n, q.value))
-            return _query(fiber, q, *args, **kwargs)
+    def counted_batch(cells):
+        calls.append([(f.kind.label, f.n, q.value) for f, q in cells])
+        return batch(cells)
 
-        monkeypatch.setattr(module, "subspace_dimension", counted)
+    monkeypatch.setattr(algebra, "subspace_dimensions", counted_batch)
+    classify_module = importlib.import_module("aegeom.classify")
+    lone = classify_module.subspace_dimension
+
+    def counted_lone(fiber, q):
+        calls.append([(fiber.kind.label, fiber.n, q.value)])
+        return lone(fiber, q)
+
+    monkeypatch.setattr(classify_module, "subspace_dimension", counted_lone)
     # a second job in the same process recomputes: nothing is cached
     for _ in range(2):
         calls.clear()
         code, _, _ = run_capture(capsys, ["algebra-table", *FAST])
         assert code == EXIT_PASS
-        assert len(calls) == len(set(calls)) == 36
+        assert len(calls) == 1
+        assert len(calls[0]) == len(set(calls[0])) == 36
 
 
 def test_algebra_table_does_each_piece_of_fiber_work_a_fixed_number_of_times(
     capsys, monkeypatch
 ):
-    # both rank routes for each of the 36 (kind, n, query) cells, one basis
-    # per coincide check, and the base rows once for each of the 12 fibers,
-    # which the table and the checks share; the row builder is counted by
-    # the condition it builds
-    names = ("numeric_nullity", "exact_nullity", "null_space", "condition_rows")
+    # one pass of each rank route over the table's 36 (kind, n, query)
+    # cells, one exact pass per coincide check, and the base rows once for
+    # each of the 12 fibers, which the table and the checks share; the row
+    # builder is counted by the condition it builds
+    names = ("numeric_nullities", "exact_nullities", "condition_rows")
     calls: dict = {}
     for name in names:
         original = getattr(algebra, name)
 
         def counted(*args, _name=name, _original=original):
-            key = (_name, args[1]) if _name == "condition_rows" else _name
+            if _name == "condition_rows":
+                key = (_name, args[1])
+            else:
+                key = (_name, len(args[0]))
             calls[key] = calls.get(key, 0) + 1
             return _original(*args)
 
@@ -345,46 +358,50 @@ def test_algebra_table_does_each_piece_of_fiber_work_a_fixed_number_of_times(
         code, _, _ = run_capture(capsys, ["algebra-table", *FAST])
         assert code == EXIT_PASS
         jobs.append(dict(calls))
-    assert jobs[0]["numeric_nullity"] == jobs[0]["exact_nullity"] == 36
-    assert jobs[0]["null_space"] == 12
+    assert jobs[0]["numeric_nullities", 36] == jobs[0]["exact_nullities", 36] == 1
+    # each check: the polarized system and its union with the antisymmetry rows
+    assert jobs[0]["exact_nullities", 2] == 12
     for name in algebra.BASE:
         assert jobs[0]["condition_rows", name] == 12
     # each query's rows once per system: the table's, and the coincide
-    # check's antisymmetric system
+    # check's union
     assert jobs[0]["condition_rows", "nearly"] == 24
     assert jobs[0]["condition_rows", "codazzi"] == 12
+    # and the counts above are every call made
+    assert len(jobs[0]) == 7
     # a second job in the same process repeats every count: nothing is cached
     assert jobs[1] == jobs[0]
 
 
 def test_the_tracer_sees_every_layer_of_an_algebra_table_job(capsys, monkeypatch):
+    # the tracer wraps lone calls; the table's batched rank passes run
+    # inside no wrapped name, so its subspace_dimension, exact_nullity
+    # and null_space layers read zero on this job, and a classify note,
+    # a lone query, is still seen
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, tracing)
     spec.loader.exec_module(tracing)
-    tracer = tracing.Tracer()
-    tracer.install()
-    try:
-        code, _, _ = run_capture(capsys, ["algebra-table", *FAST])
-    finally:
-        tracer.uninstall()
-    assert code == EXIT_PASS
-    assert tracer.absent == []
-    layers = [span[0] for span in tracer.spans]
-    assert {
-        layer: layers.count(layer)
-        for layer in (
-            "algebra.subspace_dimension",
-            "linalg.exact_nullity",
-            "linalg.null_space",
-            "algebra.alternating_definitions_coincide",
-        )
-    } == {
-        "algebra.subspace_dimension": 36,
-        "linalg.exact_nullity": 36,
-        "linalg.null_space": 12,
-        "algebra.alternating_definitions_coincide": 12,
-    }
+    layers = (
+        "algebra.subspace_dimension",
+        "linalg.exact_nullity",
+        "linalg.null_space",
+        "algebra.alternating_definitions_coincide",
+        "catalog.catalog",
+    )
+    counts = []
+    for argv in (["algebra-table"], ["classify", "--manifold", "s6-nearly-kahler"]):
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            code, _, _ = run_capture(capsys, [*argv, *FAST])
+        finally:
+            tracer.uninstall()
+        assert code == EXIT_PASS
+        assert tracer.absent == []
+        seen = [span[0] for span in tracer.spans]
+        counts.append([seen.count(layer) for layer in layers])
+    assert counts == [[0, 0, 0, 12, 13], [1, 0, 0, 0, 1]]
 
 
 def test_unknown_catalog_name_exits_one(capsys):
@@ -610,6 +627,43 @@ def test_bad_manifold_input_exits_zero_or_one_with_an_error_line(
 def test_help_exits_zero(capsys):
     assert run_capture(capsys, ["--help"])[0] == EXIT_PASS
     assert run_capture(capsys, ["classify", "--help"])[0] == EXIT_PASS
+
+
+@pytest.mark.parametrize("columns", ["50", "150"])
+def test_help_and_usage_errors_read_as_argparse_formats_them(
+    capsys, monkeypatch, columns
+):
+    # the parser asks the terminal for its width once; its help and usage
+    # text must equal what argparse's default formatter gives at that width
+    monkeypatch.setenv("COLUMNS", columns)
+    parsers = []
+
+    def default_formatted():
+        parser = build_parser()
+        subparsers = parser._subparsers._group_actions[0].choices.values()
+        for each in (parser, *subparsers):
+            assert each.formatter_class is not argparse.HelpFormatter
+            each.formatter_class = argparse.HelpFormatter
+        parsers.append(parser)
+        return parser
+
+    argvs = [["--help"], *([verb, "--help"] for verb in VERBS), ["classify", "-x"]]
+    ours = [run_capture(capsys, argv) for argv in argvs]
+    monkeypatch.setattr("aegeom.cli.build_parser", default_formatted)
+    assert [run_capture(capsys, argv) for argv in argvs] == ours
+    assert len(parsers) == len(argvs)
+    assert ours[-1][0] == EXIT_USAGE and ours[-1][2].startswith("usage: aegeom classify")
+    # and a build, with its help for every verb, reads the terminal once
+    queries = []
+    true_size = shutil.get_terminal_size
+    monkeypatch.setattr(
+        shutil, "get_terminal_size", lambda *a: queries.append(a) or true_size(*a)
+    )
+    parser = build_parser()
+    parser.format_help()
+    for sub in parser._subparsers._group_actions[0].choices.values():
+        sub.format_help()
+    assert len(queries) == 1
 
 
 def test_internal_error_exits_three(monkeypatch, capsys):

@@ -1,6 +1,8 @@
 """Null spaces against hand-rolled elimination oracles."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,14 +22,15 @@ from aegeom.algebra import (
 from aegeom.errors import DegenerateSystem, SlotMismatch
 from aegeom import linalg
 from aegeom.linalg import (
-    NULL_SPACE_TOL,
     LinearConstraintSystem,
+    exact_nullities,
     exact_nullity,
     null_space,
+    numeric_nullities,
     numeric_nullity,
 )
 from aegeom.manifold import KINDS
-from support import system_from_rows
+from support import dense, dense_nullity, system_from_rows
 
 
 def elimination_rank(a, tol=1e-9):
@@ -176,7 +179,7 @@ def test_dimension_survives_row_permutation_and_scaling():
 def test_repeated_index_entries_accumulate():
     # same column twice in one row: coefficients add up
     sys = system_from_rows(2, [[(0, 1.0), (0, 1.0), (1, -2.0)]])
-    assert np.allclose(sys.to_dense(), [[2.0, -2.0]])
+    assert np.allclose(dense(sys), [[2.0, -2.0]])
     dim, basis = null_space(sys)
     assert dim == 1
     v = basis[0]
@@ -205,6 +208,12 @@ def test_zero_unknowns_is_degenerate():
         null_space(sys)
     with pytest.raises(DegenerateSystem):
         exact_nullity(sys)
+    # one such system spoils its batch on both routes
+    batch = [system_from_rows(2, [[(0, 1.0)]]), sys]
+    for route in (numeric_nullities, exact_nullities):
+        with pytest.raises(DegenerateSystem):
+            route(batch)
+        assert route([]) == []
 
 
 def test_numeric_nullity_counts_like_null_space():
@@ -375,12 +384,6 @@ def test_null_space_basis_is_complete_for_wide_and_tall_systems():
             assert np.max(np.abs(dense @ b.T)) < 1e-9
 
 
-def dense_nullity(dense, tol=NULL_SPACE_TOL):
-    """The numeric route without the split: one SVD of the whole matrix."""
-    sigma = np.linalg.svd(dense, compute_uv=False) if dense.size else np.zeros(0)
-    return dense.shape[1] - int(np.sum(sigma > tol * sigma.max(initial=0.0)))
-
-
 @st.composite
 def split_systems(draw):
     """Integer blocks laid out block-diagonally under shuffled rows and columns.
@@ -429,8 +432,8 @@ def split_systems(draw):
 @given(split_systems())
 def test_block_split_numeric_route_matches_the_dense_svd_and_the_exact_route(drawn):
     system, small_rows, n = drawn
-    dense = system.to_dense()
-    expected = dense_nullity(dense)
+    matrix = dense(system)
+    expected = dense_nullity(matrix)
     assert numeric_nullity(system) == expected
     dim, basis = null_space(system)
     assert dim == len(basis) == expected
@@ -443,7 +446,7 @@ def test_block_split_numeric_route_matches_the_dense_svd_and_the_exact_route(dra
         b = np.stack(basis)
         assert b.shape == (dim, n)
         assert np.allclose(b @ b.T, np.eye(dim), atol=1e-12)
-        assert np.max(np.abs(dense @ b.T)) < 1e-9
+        assert np.max(np.abs(matrix @ b.T)) < 1e-9
 
 
 def test_blocks_follow_the_pattern_not_the_coefficients():
@@ -507,7 +510,7 @@ def test_trailing_empty_rows_keep_their_count():
     for system in (by_rows, by_entries):
         assert system.n_rows == 5
         assert system.rows == tuple(tuple(row) for row in rows)
-        assert system.to_dense().tolist() == [
+        assert dense(system).tolist() == [
             [1.0, -1.0, 0.0, 0.0],
             [0.0] * 4,
             [0.0] * 4,
@@ -519,5 +522,56 @@ def test_trailing_empty_rows_keep_their_count():
         assert exact_nullity(system) == numeric_nullity(system) == 3
         assert null_space(system)[0] == 3
     only_empty = system_from_rows(2, [[], []])
-    assert only_empty.n_rows == 2 and only_empty.to_dense().shape == (2, 2)
+    assert only_empty.n_rows == 2 and dense(only_empty).shape == (2, 2)
     assert exact_nullity(only_empty) == numeric_nullity(only_empty) == 2
+
+
+@st.composite
+def small_integer_systems(draw):
+    """A system of up to 6 rows on 1-6 unknowns, coefficients in -3..3.
+
+    Rows may be empty or hold one column twice, some unknowns are in no
+    row, and the system may have no rows; rows of three or more entries,
+    or of two unequal ones, reach stage 3 of the exact route.  The whole
+    system is scaled by 2**-40, 1 or 2**40, which changes no nullity but
+    moves its singular values far from those of the other systems drawn.
+    """
+    n = draw(st.integers(1, 6))
+    entry = st.tuples(st.integers(0, n - 1), st.integers(-3, 3))
+    rows = draw(st.lists(st.lists(entry, max_size=4), max_size=6))
+    scale = draw(st.sampled_from([2.0**-40, 1.0, 2.0**40]))
+    return system_from_rows(n, [[(c, v * scale) for c, v in row] for row in rows])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(small_integer_systems(), min_size=1, max_size=5))
+def test_a_batch_counts_each_system_as_it_counts_alone(systems):
+    # each system has its own cutoff and its own pivots: a batch reads what
+    # the systems read one at a time, and both read the dense SVD's rank
+    expected = [dense_nullity(dense(s)) for s in systems]
+    # a lone system is not copied into a stack of one
+    assert linalg._stacked(systems[:1])[0] is systems[0]
+    assert numeric_nullities(systems) == [numeric_nullity(s) for s in systems]
+    assert exact_nullities(systems) == [exact_nullity(s) for s in systems]
+    assert numeric_nullities(systems) == exact_nullities(systems) == expected
+
+
+def test_a_small_system_keeps_its_own_cutoff_in_a_batch():
+    # 1e-12 x0 = 0 alone has rank 1; against the cutoff of x0 = 0 in the
+    # same batch it would read rank 0
+    small = system_from_rows(1, [[(0, 1e-12)]])
+    large = system_from_rows(2, [[(0, 1.0), (1, 1.0)]])
+    assert numeric_nullities([small, large]) == [0, 1]
+    assert numeric_nullities([large, small]) == [1, 0]
+
+
+def test_no_module_defines_or_reads_a_dense_system_matrix():
+    # the numeric route gathers its block stacks from the entry arrays;
+    # ``to_dense`` lives in tests/support.py as ``dense``
+    found = []
+    for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = getattr(node, "name", None) or getattr(node, "attr", None)
+            if "to_dense" in (name, getattr(node, "id", None)):
+                found.append(path.name)
+    assert found == []
