@@ -1,10 +1,11 @@
 """Command line front end.
 
 Each verb is one row of ``VERBS``: its help text, its handler, and the
-options it reads, each a row of ``OPTIONS``.  ``build_parser`` and ``run``
-loop over those tables, and ``run`` writes a verb's output once, as
-``report_json`` or as text.  ``--manifold`` names a catalog entry, or a
-JSON config file when a file of that name exists.
+options it reads, each a row of ``OPTIONS``.  ``build_parser`` loops over
+those tables; ``run`` has it build only the subparser of the verb that
+argv starts with, and writes the verb's output once, as ``report_json`` or
+as text.  ``--manifold`` names a catalog entry, or a JSON config file when
+a file of that name exists.
 
 Exit codes: 0 when every requested check passes, 1 when a mathematical
 verdict fails, the input is bad, the sample cannot be allocated or the
@@ -235,7 +236,14 @@ VERBS: Dict[str, tuple] = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(verb: Optional[str] = None) -> argparse.ArgumentParser:
+    """The ``aegeom`` parser, with every verb's subparser or only ``verb``'s.
+
+    A parser that names ``verb`` reads only an argv whose first item is that
+    verb.  Its subparsers' metavar spells every verb, as argparse spells the
+    full set of choices, so its usage line reads as the full parser's.  The
+    full parser sets no metavar: its missing-verb error names ``command``.
+    """
     # argparse's own width, read from the terminal once for every formatter
     formatter = functools.partial(
         argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2
@@ -248,9 +256,12 @@ def build_parser() -> argparse.ArgumentParser:
         ),
         formatter_class=formatter,
     )
-    commands = parser.add_subparsers(dest="command", required=True)
-    for verb, (help_text, _, options) in VERBS.items():
-        sub = commands.add_parser(verb, help=help_text, formatter_class=formatter)
+    metavar = None if verb is None else "{" + ",".join(VERBS) + "}"
+    commands = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for each, (help_text, _, options) in VERBS.items():
+        if verb not in (None, each):
+            continue
+        sub = commands.add_parser(each, help=help_text, formatter_class=formatter)
         sub.set_defaults(usage_error=sub.error)
         for name, keywords in OPTIONS.items():
             if name in options:
@@ -265,7 +276,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv and argv[0] in VERBS else None)
     try:
         args = parser.parse_args(argv)
         _, handler, options = VERBS[args.command]

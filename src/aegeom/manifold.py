@@ -39,7 +39,7 @@ from .errors import (
     PointOutsideDomain,
     SlotMismatch,
 )
-from .expressions import parse_expression
+from .expressions import Expr, parse_expression
 
 VALIDATION_TOL = 1e-8
 # |det g| at or below the floor is too close to singular for a solve
@@ -467,16 +467,19 @@ def load_manifold_config(path) -> ChartedManifold:
     if domain.is_empty():
         raise DomainEmpty(f"{path}: domain has no interior")
 
-    metric_exprs = _compile_matrix(raw, "metric", dim, path)
-    structure_exprs = _compile_matrix(raw, "structure", dim, path)
+    # each distinct cell text is parsed once and evaluated once per call
+    compiled: Dict[str, Expr] = {}
+    metric_rows = _compile_matrix(raw, "metric", dim, path, compiled)
+    structure_rows = _compile_matrix(raw, "structure", dim, path, compiled)
     name = raw.get("name", path.stem)
     if not isinstance(name, str) or not name:
         raise ConfigError(f"{path}: name must be a non-empty string")
 
     def fields(coords):
+        values = {text: e.evaluate(coords) for text, e in compiled.items()}
         return tuple(
-            [[e.evaluate(coords) for e in row] for row in exprs]
-            for exprs in (metric_exprs, structure_exprs)
+            [[values[text] for text in row] for row in rows]
+            for rows in (metric_rows, structure_rows)
         )
 
     return ChartedManifold(
@@ -506,7 +509,8 @@ def _finite_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) < math.inf
 
 
-def _compile_matrix(raw: dict, key: str, dim: int, path):
+def _compile_matrix(raw: dict, key: str, dim: int, path, compiled: Dict[str, Expr]):
+    """The matrix's rows of cell texts; parses each text not yet in ``compiled``."""
     rows = raw.get(key)
     if (
         not isinstance(rows, list)
@@ -514,19 +518,18 @@ def _compile_matrix(raw: dict, key: str, dim: int, path):
         or any(not isinstance(r, list) or len(r) != dim for r in rows)
     ):
         raise ConfigError(f"{path}: {key!r} must be a {dim}x{dim} array of strings")
-    compiled = []
     for i, row in enumerate(rows):
-        out_row = []
         for j, cell in enumerate(row):
             if not isinstance(cell, str):
                 raise ConfigError(f"{path}: {key}[{i}][{j}] must be a string")
+            if cell in compiled:
+                continue
             try:
-                out_row.append(parse_expression(cell, dim))
+                compiled[cell] = parse_expression(cell, dim)
             except ExpressionError as exc:
                 raise ExpressionError(
                     f"{key}[{i}][{j}] of {path.name}: {exc.message}",
                     exc.line,
                     exc.column,
                 ) from exc
-        compiled.append(out_row)
-    return compiled
+    return rows

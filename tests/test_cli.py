@@ -638,8 +638,8 @@ def test_help_and_usage_errors_read_as_argparse_formats_them(
     monkeypatch.setenv("COLUMNS", columns)
     parsers = []
 
-    def default_formatted():
-        parser = build_parser()
+    def default_formatted(verb=None):
+        parser = build_parser(verb)
         subparsers = parser._subparsers._group_actions[0].choices.values()
         for each in (parser, *subparsers):
             assert each.formatter_class is not argparse.HelpFormatter
@@ -664,6 +664,77 @@ def test_help_and_usage_errors_read_as_argparse_formats_them(
     for sub in parser._subparsers._group_actions[0].choices.values():
         sub.format_help()
     assert len(queries) == 1
+
+
+FLAT = ["--manifold", "flat-kahler"]
+# every kind of argv: none, an unknown verb, an option before the verb,
+# help, argparse's own errors, the checks' usage errors, and real jobs
+ARGVS = [
+    [],
+    ["bogus"],
+    ["--format", "json", "classify"],
+    ["--help"],
+    ["-h"],
+    *([verb, "--help"] for verb in VERBS),
+    ["classify"],
+    ["classify", "-x"],
+    ["validate", *FLAT, "--tol", "1e-3"],
+    ["classify", *FLAT, "--points", "0"],
+    ["classify", *FLAT, "--seed", "-1"],
+    ["catalog"],
+    ["algebra-table", "--points", "3"],
+    *(
+        [verb, "--manifold", name, *FAST, "--format", fmt]
+        for verb in ("validate", "classify", "verify", "identities")
+        for name in (
+            "flat-kahler",
+            "s6-nearly-kahler",
+            "random-norden-3",
+            "pullback-integrable-norden",
+        )
+        for fmt in ("text", "json")
+    ),
+]
+
+
+@pytest.mark.parametrize("columns", ["47", "150"])
+def test_a_job_prints_what_the_full_parser_prints(capsys, monkeypatch, columns):
+    monkeypatch.setenv("COLUMNS", columns)
+    ours = [run_capture(capsys, argv) for argv in ARGVS]
+    # argparse names a missing verb by its dest when no metavar is set
+    assert ours[0][2].endswith("the following arguments are required: command\n")
+    full = build_parser
+    monkeypatch.setattr("aegeom.cli.build_parser", lambda verb=None: full())
+    assert [run_capture(capsys, argv) for argv in ARGVS] == ours
+
+
+def test_a_job_builds_only_its_verbs_parser(capsys, monkeypatch):
+    built = []
+    true_init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        true_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    argv = ["identities", *FLAT, *FAST, *PROBES]
+    assert run_capture(capsys, argv)[0] == EXIT_PASS
+    assert built == ["aegeom", "aegeom identities"]
+    built.clear()
+    assert run_capture(capsys, ["--help"])[0] == EXIT_PASS
+    assert len(built) == 1 + len(VERBS)
+
+
+def test_a_verbs_own_parser_formats_as_in_the_full_parser():
+    def subparsers(parser):
+        return parser._subparsers._group_actions[0].choices
+
+    full = subparsers(build_parser())
+    for verb in VERBS:
+        own = subparsers(build_parser(verb))
+        assert list(own) == [verb]
+        assert own[verb].format_help() == full[verb].format_help()
+        assert own[verb].format_usage() == full[verb].format_usage()
 
 
 def test_internal_error_exits_three(monkeypatch, capsys):
@@ -769,7 +840,7 @@ def test_repeated_runs_are_byte_identical(tmp_path, capsys):
     assert first.encode() == second.encode()
 
 
-def test_module_entry_point_runs_in_a_subprocess():
+def test_module_entry_point_runs_in_a_subprocess(capsys):
     # the child finds the package where this process imported it from,
     # installed or not
     env = dict(os.environ)
@@ -785,6 +856,15 @@ def test_module_entry_point_runs_in_a_subprocess():
     )
     assert proc.returncode == 0
     assert "flat-kahler" in proc.stdout
+    # run() reads sys.argv itself when the console entry passes nothing
+    argv = ["classify", *FLAT, "--points", "3", "--format", "json"]
+    child = subprocess.run(
+        [sys.executable, "-m", "aegeom.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert (child.returncode, child.stdout, child.stderr) == run_capture(capsys, argv)
     bad = subprocess.run(
         [sys.executable, "-m", "aegeom.cli"], capture_output=True, text=True, env=env
     )

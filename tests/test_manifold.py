@@ -14,6 +14,7 @@ from aegeom.errors import (
     DomainEmpty,
     ExpressionError,
     NearSingularMetric,
+    NonFiniteField,
     PointOutsideDomain,
     SlotMismatch,
 )
@@ -430,6 +431,56 @@ def test_config_expression_error_names_cell_and_position(tmp_path):
     assert p.name in exc.value.message
     assert exc.value.line == 2
     assert exc.value.column == 2
+
+
+# a Norden metric whose off-diagonal repeats and whose diagonal repeats
+# the structure's entries: 4 distinct texts in 8 cells
+REPEATED_CELLS = {
+    "kind": {"alpha": -1, "epsilon": -1},
+    "dim": 2,
+    "domain": {"lo": [-1.0, -1.0], "hi": [1.0, 1.0]},
+    "metric": [["1", "x1*x2"], ["x1*x2", "-1"]],
+    "structure": [["0", "-1"], ["1", "0"]],
+}
+
+
+def test_config_parses_each_distinct_cell_once_and_both_evaluators_agree(
+    tmp_path, monkeypatch
+):
+    manifold_module = importlib.import_module("aegeom.manifold")
+    parsed = []
+    true_parse = manifold_module.parse_expression
+
+    def counted(text, n_vars):
+        parsed.append(text)
+        return true_parse(text, n_vars)
+
+    monkeypatch.setattr(manifold_module, "parse_expression", counted)
+    m = load_manifold_config(write_config(tmp_path, REPEATED_CELLS))
+    assert parsed == ["1", "x1*x2", "-1", "0"]
+    points = np.array([[0.3, -0.4], [-0.7, 0.2]])
+    g, dg, j, dj = eval_with_derivatives(m, points)
+    for n, point in enumerate(points):
+        g_n, j_n = evaluate_fields(m, point)
+        assert np.array_equal(g[n], g_n) and np.array_equal(j[n], j_n)
+        x1, x2 = point
+        assert np.array_equal(g_n, [[1.0, x1 * x2], [x1 * x2, -1.0]])
+        assert np.array_equal(dg[n, :, 0, 1], [x2, x1])
+        assert np.array_equal(dg[n, :, 1, 0], [x2, x1])
+    assert not dg[:, :, 0, 0].any() and not dj.any()
+    assert validate_structure(m, SamplePlan(n_points=10)).valid
+
+
+def test_a_repeated_bad_cell_is_named_at_its_first_place(tmp_path):
+    data = json.loads(json.dumps(REPEATED_CELLS))
+    data["metric"] = [["1 +", "0"], ["0", "1 +"]]
+    with pytest.raises(ExpressionError) as exc:
+        load_manifold_config(write_config(tmp_path, data))
+    assert exc.value.message.startswith("metric[0][0] of ")
+    data["metric"] = [["1", "x2/(x1-x1)"], ["x2/(x1-x1)", "-1"]]
+    m = load_manifold_config(write_config(tmp_path, data))
+    with pytest.raises(NonFiniteField, match=r"^metric\[0\]\[1\] of "):
+        eval_with_derivatives(m, (0.5, 0.5))
 
 
 def test_inf_norm_is_the_largest_absolute_component():
