@@ -10,19 +10,18 @@ measures the dimensions of the full subspace and of two refinements: the
 alternating part (the pointwise model of nearly) and the part symmetric in
 the first two arguments (the pointwise model of Codazzi).
 
-Dimensions come from two routes that share no step, and any disagreement
-raises, because the constraint coefficients are integers and both routes
-must agree exactly.  ``subspace_dimensions`` gives each route the whole
-systems of all its cells in one pass (``linalg.numeric_nullities``, over
-the blocks of the sparsity pattern, and ``linalg.exact_nullities``), and
-returns once both routes agree with ``closed_form_dimension``, which
-states the dimensions the theorems give.
+Dimensions come from two routes that share no step and, the coefficients
+being integers, must agree exactly.  ``subspace_dimensions`` gives each
+route the systems of all its cells in one pass (``linalg.numeric_nullities``
+and ``linalg.exact_nullities``) and returns once both agree with
+``closed_form_dimension``, the dimensions the theorems give.  A fiber
+builds each condition's rows once, for all its systems, and
+``alternating_definitions_coincide`` checks its fibers in one exact pass.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -69,8 +68,8 @@ class ModelFiber:
 
     On construction the pair must meet every structure axiom exactly, as
     ``manifold.axiom_residuals`` states them, and the inner form must be
-    nondegenerate.  ``base_rows`` is built on first use and kept with the
-    fiber, so every system of one fiber shares it.
+    nondegenerate.  Each condition's rows (``rows``) are built on first use
+    and kept with the fiber, so every system of one fiber shares them.
     """
 
     n: int
@@ -102,13 +101,14 @@ class ModelFiber:
     def dim(self) -> int:
         return 2 * self.n
 
-    @functools.cached_property
-    def base_rows(self) -> Entries:
-        """Entry arrays of the two base symmetries' rows, read-only."""
-        rows = _concat(*(condition_rows(self, name) for name in BASE))
-        for a in rows:
-            a.setflags(write=False)
-        return rows
+    def rows(self, name: str) -> Entries:
+        """``condition_rows(self, name)``, read-only, built once per fiber."""
+        kept = self.__dict__.setdefault("_rows", {})
+        if name not in kept:
+            kept[name] = condition_rows(self, name)
+            for a in kept[name]:
+                a.setflags(write=False)
+        return kept[name]
 
     @staticmethod
     def standard(kind: StructureKind, n: int) -> "ModelFiber":
@@ -191,8 +191,8 @@ def build_constraints(
     fiber: ModelFiber, query: SubspaceQuery
 ) -> LinearConstraintSystem:
     """Sparse homogeneous constraints for the requested subspace."""
-    extra = () if query.condition is None else (condition_rows(fiber, query.condition),)
-    return _system(fiber.dim, fiber.base_rows, *extra)
+    extra = () if query.condition is None else (query.condition,)
+    return _system(fiber.dim, *map(fiber.rows, BASE + extra))
 
 
 def subspace_dimensions(cells: Sequence[Tuple[ModelFiber, SubspaceQuery]]) -> List[int]:
@@ -284,19 +284,24 @@ def dimension_table(fibers: List[ModelFiber]) -> dict:
     return table
 
 
-def alternating_definitions_coincide(fiber: ModelFiber, alternating_dim: int) -> bool:
-    """Check that two renderings of the alternating condition agree.
+def alternating_definitions_coincide(
+    fibers: Sequence[ModelFiber], alternating_dims: Sequence[int]
+) -> List[bool]:
+    """Whether two renderings of the alternating condition agree, per fiber.
 
-    The condition "phi vanishes when the first two arguments coincide" can
-    be written by polarization (diagonal rows plus symmetric off-diagonal
-    pairs) or directly as antisymmetry in the first two slots.  Both
-    constraint sets must cut out the same subspace: for the polarized null
-    space U and the antisymmetric one V, dim U = dim (U cut by V) = dim V
-    gives U = V.  ``alternating_dim`` is dim V, on which both rank routes
-    and the closed form agreed; ``exact_nullities`` gives the other two.
+    "phi vanishes when the first two arguments coincide" is written by
+    polarization (diagonal rows plus symmetric off-diagonal pairs) and as
+    antisymmetry in the first two slots.  For the polarized null space U
+    and the antisymmetric one V, dim U = dim (U cut by V) = dim V gives
+    U = V.  ``alternating_dims[k]`` is dim V for ``fibers[k]``, on which
+    both rank routes and the closed form agreed; one ``exact_nullities``
+    pass gives the other two for every fiber.
     """
-    d = fiber.dim
-    polarized = (fiber.base_rows, _polarized_rows(d))
-    joined = polarized + (condition_rows(fiber, "nearly"),)
-    dims = exact_nullities([_system(d, *polarized), _system(d, *joined)])
-    return dims == [alternating_dim, alternating_dim]
+    polarized = {d: _polarized_rows(d) for d in {f.dim for f in fibers}}
+    systems = []
+    for f in fibers:
+        rows = (*map(f.rows, BASE), polarized[f.dim])
+        systems += [_system(f.dim, *rows), _system(f.dim, *rows, f.rows("nearly"))]
+    dims = exact_nullities(systems)
+    pairs = zip(dims[::2], dims[1::2], alternating_dims, strict=True)
+    return [u == joined == v for u, joined, v in pairs]

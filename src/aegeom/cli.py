@@ -138,13 +138,15 @@ def _cmd_verify(args, plan):
 def _cmd_algebra_table(args, plan):
     fibers = standard_fibers()
     dims = dimension_table(fibers)
-    # each check reads, on the same fiber, the alternating dimension on which
-    # both rank routes agreed in the table above
+    # each fiber's check reads the alternating dimension on which both rank
+    # routes agreed in the table above
+    alternating = SubspaceQuery.ALTERNATING.value
+    checked = alternating_definitions_coincide(
+        fibers, [dims[f.kind.label][f.n][alternating] for f in fibers]
+    )
     coincide: Dict[str, Dict[str, bool]] = {}
-    for fiber in fibers:
-        dim = dims[fiber.kind.label][fiber.n][SubspaceQuery.ALTERNATING.value]
-        per_n = coincide.setdefault(fiber.kind.label, {})
-        per_n[str(fiber.n)] = alternating_definitions_coincide(fiber, dim)
+    for fiber, ok in zip(fibers, checked):
+        coincide.setdefault(fiber.kind.label, {})[str(fiber.n)] = ok
     table = condition_table(plan, args.tol, dims)
     payload = {
         "dimensions": {
@@ -170,7 +172,7 @@ def _cmd_algebra_table(args, plan):
         lines.append(render_condition_table(table).rstrip("\n"))
         return "\n".join(lines) + "\n"
 
-    passed = all(ok for per_n in coincide.values() for ok in per_n.values())
+    passed = all(checked)
     return payload, text, passed
 
 

@@ -243,8 +243,10 @@ def identity_residuals(
       -alpha*epsilon;
     * ``twin_codazzi_match``: the twin form g(J., .) has Codazzi defect
       equal to the paired Codazzi defect of J;
-    * ``nabla_g`` and ``codazzi_nabla_g``: the metric connection leaves g
-      parallel;
+    * ``nabla_g``: the metric connection leaves g parallel.  Its skew part
+      in the first two slots, ``codazzi_nabla_g``, is at most 2 |``nabla_g``|
+      and cannot fail while ``nabla_g`` holds below half the tolerance; it
+      stays as the metric-side Codazzi residual the README names;
     * for split-sign kinds also ``fundamental_form_antisymmetry`` and
       ``fundamental_form_nearly_match`` for the form g(J., .).
 

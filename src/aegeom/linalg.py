@@ -4,15 +4,16 @@ A system is stored once, as flat entry arrays: the row index, column and
 coefficient of every entry, rows in order, plus the row count (a row may
 have no entries).  Two routes read those arrays, share no step, and take a
 batch of systems in one pass over them stacked block-diagonally
-(``_stacked``).  The numeric route, ``numeric_nullities``, splits the stack
-into the independent blocks of its sparsity pattern (``_blocks``), takes
-the singular values of all blocks of one shape in one stacked SVD, and
-counts those above ``NULL_SPACE_TOL`` times the largest singular value of
-their own system; no matrix of a whole system is made.  The exact route,
-``exact_nullities``, never rounds: it merges each row's repeated columns,
-solves the rows of one entry and the rows ``x_u = +-x_v`` as a signed
-graph in numpy (not ``_blocks``), and eliminates any other row forward,
-fraction-free over the integers, on one unknown per free component.
+(``_stacked``).  The numeric route, ``numeric_nullities``, labels each
+row and unknown with its block of the sparsity pattern (``_blocks``),
+takes the singular values of all blocks of one shape in one stacked SVD,
+and counts those above ``NULL_SPACE_TOL`` times the largest singular value
+of their own system; no matrix of a whole system is made.  The exact
+route, ``exact_nullities``, never rounds: it merges each row's repeated
+columns, solves the rows of one entry and the rows ``x_u = +-x_v`` as a
+signed graph in numpy (not ``_blocks``), and eliminates any other row
+forward, fraction-free over the integers, on one unknown per free
+component.  A loop that overruns its proved bound raises (``_rounds``).
 """
 
 from __future__ import annotations
@@ -23,12 +24,11 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DegenerateSystem, SlotMismatch
+from .errors import DegenerateSystem, InternalConsistencyError, SlotMismatch
 
 NULL_SPACE_TOL = 1e-9
 
 Entries = Tuple[np.ndarray, np.ndarray, np.ndarray]
-Block = Tuple[np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,22 +86,28 @@ def _row_bounds(system: LinearConstraintSystem) -> List[Tuple[int, int]]:
     return list(zip([0] + ends[:-1].tolist(), ends.tolist()))
 
 
-def _blocks(system: LinearConstraintSystem) -> List[Block]:
-    """Independent blocks of the sparsity pattern, as (rows, columns) arrays.
+def _rounds(limit: int, what: str):
+    """``range(limit)`` for a loop that breaks within it; one more round raises."""
+    yield from range(limit)
+    raise InternalConsistencyError(f"{what} did not settle in {limit} rounds")
+
+
+def _blocks(system: LinearConstraintSystem) -> Tuple[np.ndarray, np.ndarray]:
+    """Block labels of the sparsity pattern: each row's, then each unknown's.
 
     Two unknowns share a block when a chain of rows links them, whatever
     the coefficients, so a row whose entries cancel still joins its
-    columns.  A row with no entry belongs to no block; an unknown that no
-    row touches is a block of its own with no rows.  Indices ascend inside
-    a block, and blocks come in the order of their smallest unknown.
+    columns.  Blocks are numbered in the order of their smallest unknown;
+    an unknown that no row touches is a block of its own with no rows, and
+    a row with no entry belongs to no block and reads the block count.
     """
     row_of, cols, _ = system.entries
     n_rows, n = system.n_rows, system.n_unknowns
     # every unknown ends labelled by the smallest unknown of its block:
-    # labels only shrink, each row pulls its columns to their least label,
-    # and a pointer jump per round shortens the chains
+    # labels only shrink, and each round pulls every label one row further
+    # (each row pulls its columns to their least label, then a pointer jump)
     label = np.arange(n)
-    while cols.size:
+    for _ in _rounds(n + 1, "block labels"):
         row_min = np.full(n_rows, n)
         np.minimum.at(row_min, row_of, label[cols])
         pulled = label.copy()
@@ -110,15 +116,11 @@ def _blocks(system: LinearConstraintSystem) -> List[Block]:
         if (pulled == label).all():
             break
         label = pulled
-    roots = np.flatnonzero(label == np.arange(n))
-    row_label = np.full(n_rows, n)
-    row_label[row_of] = label[cols]
-    split = []
-    for labels in (row_label, label):
-        order = np.argsort(labels, kind="stable")
-        cuts = [labels[order].searchsorted(roots, s) for s in ("left", "right")]
-        split.append([order[a:b] for a, b in zip(*(c.tolist() for c in cuts))])
-    return list(zip(*split))
+    roots = label == np.arange(n)
+    col_block = (np.cumsum(roots) - 1)[label]
+    row_block = np.full(n_rows, np.count_nonzero(roots))
+    row_block[row_of] = col_block[cols]
+    return row_block, col_block
 
 
 def _stacked(systems: Sequence[LinearConstraintSystem]):
@@ -144,39 +146,35 @@ def _block_spectra(system: LinearConstraintSystem, compute_uv: bool) -> list:
     """Singular values of every block, one stacked SVD per block shape.
 
     Each item is (columns (k, c), singular values (k, min(r, c)), right
-    singular vectors (k, c, c) or None) for the k blocks of shape (r, c).
-    The blocks are read from one matrix of every row by the widest block,
-    where each entry adds in at its column's place in its block.  A wide
-    block takes the full V, so every block gets all c of its right singular
-    vectors; a block with no rows has none of its singular values and the
-    identity for V.
+    singular vectors (k, c, c) or None) for the k blocks of shape (r, c),
+    shapes in the order of their first block.  The blocks are read from
+    one matrix of every row by the widest block, where each entry adds in
+    at its column's place in its block.  A wide block takes the full V, so
+    every block gets all c of its right singular vectors; numpy gives a
+    block with no rows no singular values and the identity for V.
     """
-    blocks = _blocks(system)
+    row_block, col_block = _blocks(system)
     row_of, cols, coeffs = system.entries
-    width = np.array([block_cols.size for _, block_cols in blocks])
-    laid = np.concatenate([block_cols for _, block_cols in blocks])
+    width = np.bincount(col_block)
+    height = np.bincount(row_block, minlength=width.size + 1)[: width.size]
+    # rows and unknowns block by block, each ascending, from their offsets
+    row_order = np.argsort(row_block, kind="stable")
+    col_order = np.argsort(col_block, kind="stable")
+    row_start, col_start = (np.cumsum(k) - k for k in (height, width))
     place = np.empty(system.n_unknowns, dtype=np.intp)
-    place[laid] = np.arange(laid.size) - np.repeat(np.cumsum(width) - width, width)
+    place[col_order] = np.arange(col_order.size) - np.repeat(col_start, width)
     narrow = np.zeros((system.n_rows, width.max()))
     np.add.at(narrow, (row_of, place[cols]), coeffs)
-    by_shape: Dict[Tuple[int, int], List[Block]] = {}
-    for block in blocks:
-        by_shape.setdefault((block[0].size, block[1].size), []).append(block)
+    shape = height * (system.n_unknowns + 1) + width
     spectra = []
-    for (r, c), group in by_shape.items():
-        cols = np.array([b[1] for b in group], dtype=np.intp)
-        vt = None
-        if r == 0:
-            sigma = np.zeros((len(group), 0))
-            if compute_uv:
-                vt = np.broadcast_to(np.eye(c), (len(group), c, c))
-        else:
-            stack = narrow[np.array([b[0] for b in group], dtype=np.intp), :c]
-            if compute_uv:
-                _, sigma, vt = np.linalg.svd(stack, full_matrices=r < c)
-            else:
-                sigma = np.linalg.svd(stack, compute_uv=False)
-        spectra.append((cols, sigma, vt))
+    for first in np.sort(np.unique(shape, return_index=True)[1]).tolist():
+        blocks = np.flatnonzero(shape == shape[first])
+        r, c = int(height[first]), int(width[first])
+        block_cols = col_order[col_start[blocks, None] + np.arange(c)]
+        stack = narrow[row_order[row_start[blocks, None] + np.arange(r)], :c]
+        svd = np.linalg.svd(stack, full_matrices=r < c, compute_uv=compute_uv)
+        sigma, vt = (svd.S, svd.Vh) if compute_uv else (svd, None)
+        spectra.append((block_cols, sigma, vt))
     return spectra
 
 
@@ -225,11 +223,6 @@ def numeric_nullities(systems: Sequence[LinearConstraintSystem]) -> List[int]:
     values, who, cut = _cutoffs(spectra, owner, len(systems))
     rank = np.bincount(who[values > cut[who]], minlength=len(systems))
     return [s.n_unknowns - int(r) for s, r in zip(systems, rank)]
-
-
-def numeric_nullity(system: LinearConstraintSystem) -> int:
-    """``numeric_nullities`` of one system."""
-    return numeric_nullities([system])[0]
 
 
 def exact_nullities(systems: Sequence[LinearConstraintSystem]) -> List[int]:
@@ -287,8 +280,10 @@ def exact_nullities(systems: Sequence[LinearConstraintSystem]) -> List[int]:
             if free[root[c]]:
                 on_roots[root[c]] = on_roots.get(root[c], 0) + sign[c] * v
         new = _primitive({c: v for c, v in on_roots.items() if v})
-        # a pivot holds no column below its own, so each step raises min(new)
-        while new and min(new) in pivots:
+        # no pivot holds a column below its own: each step raises min(new)
+        for _ in _rounds(len(pivots) + 1, "stage-3 elimination"):
+            if not new or min(new) not in pivots:
+                break
             new = _eliminate(new, pivots[min(new)], min(new))
         if new:
             pivots[min(new)] = new
@@ -363,16 +358,19 @@ def _signed_components(
     # every node ends labelled by the smallest node of its component: each
     # round hooks the larger label of every edge onto the smaller one (the
     # labels are roots, so an edge with equal labels changes nothing), then
-    # jumps pointers until every label points at itself
+    # jumps pointers until every label points at itself: a hook leaves one
+    # root fewer and a jump shortens the longest chain, under 2n rounds each
     label = np.arange(2 * n)
-    while True:
+    for _ in _rounds(2 * n + 1, "signed components"):
         la, lb = label[a], label[b]
         if (la == lb).all():
             break
         np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
-        jumped = label[label]
-        while (jumped != label).any():
-            label, jumped = jumped, jumped[jumped]
+        for _ in _rounds(2 * n, "pointer jumps"):
+            jumped = label[label]
+            if (jumped == label).all():
+                break
+            label = jumped
     plus, minus = label[:n], label[n:]
     # +x_r of the smallest unknown r labels its own half of the doubled
     # component; the other half holds only larger unknowns

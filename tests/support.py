@@ -3,15 +3,16 @@
 ``system_from_rows`` writes a constraint system as lists of (column,
 coefficient) pairs, and ``conjugated`` moves a model fiber through an
 integer basis change; both end in the library's own validating
-constructors.  ``dense`` writes a system out as a matrix, and
-``dense_nullity`` is the rank reference the library's routes are held to:
-one SVD of the whole matrix.
+constructors.  ``numeric_nullity`` is the numeric route on one system.
+``dense`` writes a system out as a matrix, and ``dense_nullity`` is the
+rank reference the library's routes are held to: one SVD of the whole
+matrix.
 """
 
 import numpy as np
 
 from aegeom.algebra import ModelFiber
-from aegeom.linalg import NULL_SPACE_TOL, LinearConstraintSystem
+from aegeom.linalg import NULL_SPACE_TOL, LinearConstraintSystem, numeric_nullities
 
 
 def system_from_rows(n_unknowns, rows):
@@ -40,6 +41,11 @@ def conjugated(fiber, s):
         j0=s @ fiber.j0 @ s_inv,
         inner=s_inv.T @ fiber.inner @ s_inv,
     )
+
+
+def numeric_nullity(system):
+    """``numeric_nullities`` of one system."""
+    return numeric_nullities([system])[0]
 
 
 def dense(system):

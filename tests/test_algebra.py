@@ -253,67 +253,86 @@ def test_alternating_basis_is_antisymmetric_in_first_two_slots():
 
 
 def test_both_renderings_of_the_alternating_condition_agree():
-    for kind in KINDS:
-        for n in range(1, MAX_HALF_DIM + 1):
-            fiber = ModelFiber.standard(kind, n)
-            dim = subspace_dimension(fiber, SubspaceQuery.ALTERNATING)
-            assert alternating_definitions_coincide(fiber, dim), (kind.label, n)
+    fibers = standard_fibers()
+    dims = [subspace_dimension(f, SubspaceQuery.ALTERNATING) for f in fibers]
+    assert alternating_definitions_coincide(fibers, dims) == [True] * len(fibers)
+    # one verdict per fiber, so a dimension list of another length raises
+    with pytest.raises(ValueError):
+        alternating_definitions_coincide(fibers, dims[:-1])
 
 
 def test_the_coincide_check_reads_the_dimension_and_both_nullities(monkeypatch):
-    # the alternating subspace of this fiber has dimension 2, so a wrong
-    # count either way, and either nullity off by one (for the union, one
-    # short: U not inside V), can each be told apart
-    fiber = ModelFiber.standard(HERMITIAN, 3)
-    dim = subspace_dimension(fiber, SubspaceQuery.ALTERNATING)
-    assert dim == 2
-    assert alternating_definitions_coincide(fiber, dim)
-    for wrong in (dim - 1, dim + 1):
-        assert not alternating_definitions_coincide(fiber, wrong), wrong
+    # one exact pass takes every fiber's two systems, so each fault below is
+    # placed in one fiber's share of that pass: a wrong agreed dimension
+    # either way, or either nullity off by one (for the union, one short: U
+    # not inside V); every other fiber's verdict stays True
+    fibers = standard_fibers()
+    dims = [subspace_dimension(f, SubspaceQuery.ALTERNATING) for f in fibers]
     true_nullities = algebra.exact_nullities
-    seen = []
-    for which, by in itertools.product((0, 1), (-1, 1)):
+    fault, seen = {}, []
 
-        def off_by_one(systems):
-            seen.append([s.n_rows for s in systems])
-            dims = true_nullities(systems)
-            dims[which] += by
-            return dims
+    def off_by_one(systems):
+        seen.append([s.n_rows for s in systems])
+        out = true_nullities(systems)
+        for index, by in fault.items():
+            out[index] += by
+        return out
 
-        monkeypatch.setattr(algebra, "exact_nullities", off_by_one)
-        assert not alternating_definitions_coincide(fiber, dim), (which, by)
-    # one exact pass per check, over the polarized system and its union with
-    # the antisymmetry rows: the 432 base rows, the 6*6 diagonal and 15*6
-    # pair rows, and the 216 swap rows
-    assert seen == [[432 + 126, 432 + 126 + 216]] * 4
+    monkeypatch.setattr(algebra, "exact_nullities", off_by_one)
+    for k in range(len(fibers)):
+        expected = [i != k for i in range(len(fibers))]
+        for by in (-1, 1):
+            wrong = dims.copy()
+            wrong[k] += by
+            assert alternating_definitions_coincide(fibers, wrong) == expected
+        for which, by in itertools.product((0, 1), (-1, 1)):
+            fault = {2 * k + which: by}
+            assert alternating_definitions_coincide(fibers, dims) == expected
+            fault = {}
+    # one exact pass per call, over each fiber's polarized system and its
+    # union with the antisymmetry rows: the 2 d^3 base rows, the d*d
+    # diagonal and C(d, 2)*d pair rows, and the d^3 swap rows
+    rows = []
+    for f in fibers:
+        polarized = 2 * f.dim**3 + f.dim**2 + math.comb(f.dim, 2) * f.dim
+        rows += [polarized, polarized + f.dim**3]
+    assert rows[-2:] == [432 + 126, 432 + 126 + 216]
+    assert seen == [rows] * (len(fibers) * 6)
 
 
 def test_a_sign_flipped_polarized_pair_row_fails_the_coincide_check(monkeypatch):
-    # phi(e_0, e_2, e_4) takes one index from each J-pair, where the
-    # realified (3,0)-forms do not vanish; its pair row turned into
-    # phi(e_0, e_2, e_4) - phi(e_2, e_0, e_4) = 0 cuts them down
-    fiber = ModelFiber.standard(HERMITIAN, 3)
-    dim = subspace_dimension(fiber, SubspaceQuery.ALTERNATING)
+    # phi(e_0, e_2, e_4) takes one index from each J-pair of the hermitian
+    # n=3 fiber, where the realified (3,0)-forms do not vanish; its pair
+    # row turned into phi(e_0, e_2, e_4) - phi(e_2, e_0, e_4) = 0 cuts them
+    # down.  Slot 16 starts a pair row only at d = 6, and the other n=3
+    # fibers keep their verdict
+    fibers = standard_fibers()
+    dims = [subspace_dimension(f, SubspaceQuery.ALTERNATING) for f in fibers]
     polarized = algebra._polarized_rows
+    flipped = []
 
     def one_row_flipped(d):
         lengths, cols, coeffs = polarized(d)
         ends = np.cumsum(lengths)
-        (row,) = np.flatnonzero((lengths == 2) & (cols[ends - lengths] == 16))
+        row = (lengths == 2) & (cols[ends - lengths] == 16)
+        flipped.append((d, int(row.sum())))
         coeffs = coeffs.copy()
         coeffs[ends[row] - 1] = -1.0
         return lengths, cols, coeffs
 
     monkeypatch.setattr(algebra, "_polarized_rows", one_row_flipped)
-    assert not alternating_definitions_coincide(fiber, dim)
+    verdicts = alternating_definitions_coincide(fibers, dims)
+    assert sorted(flipped) == [(2, 0), (4, 0), (6, 1)]
+    assert verdicts == [(f.kind, f.n) != (HERMITIAN, 3) for f in fibers]
 
 
 def test_the_coincide_union_reads_the_antisymmetry_rows(monkeypatch):
     # with the Codazzi rows in place of the antisymmetry rows, the union
     # cuts the polarized subspace to zero: only those rows tell U from V
-    fiber = ModelFiber.standard(HERMITIAN, 3)
-    dim = subspace_dimension(fiber, SubspaceQuery.ALTERNATING)
+    alternating = SubspaceQuery.ALTERNATING
+    dim = subspace_dimension(ModelFiber.standard(HERMITIAN, 3), alternating)
     true_rows = algebra.condition_rows
+    fiber = ModelFiber.standard(HERMITIAN, 3)
     codazzi = true_rows(fiber, "codazzi")
     assert not np.array_equal(codazzi[2], true_rows(fiber, "nearly")[2])
     monkeypatch.setattr(
@@ -321,10 +340,11 @@ def test_the_coincide_union_reads_the_antisymmetry_rows(monkeypatch):
         "condition_rows",
         lambda f, name: codazzi if name == "nearly" else true_rows(f, name),
     )
-    assert not alternating_definitions_coincide(fiber, dim)
+    # a fiber keeps the rows it built, so the patched rows reach a new one
+    assert alternating_definitions_coincide([fiber], [dim]) == [False]
 
 
-def test_a_fiber_builds_its_base_rows_once(monkeypatch):
+def test_a_fiber_builds_each_conditions_rows_once(monkeypatch):
     builds = []
     true_rows = algebra.condition_rows
 
@@ -337,22 +357,20 @@ def test_a_fiber_builds_its_base_rows_once(monkeypatch):
     for query in SubspaceQuery:
         subspace_dimension(fiber, query)
     alternating_definitions_coincide(
-        fiber, subspace_dimension(fiber, SubspaceQuery.ALTERNATING)
+        [fiber], [subspace_dimension(fiber, SubspaceQuery.ALTERNATING)]
     )
-    base = [b for b in builds if b[2] in algebra.BASE]
-    assert base == [("para-hermitian", 2, name) for name in algebra.BASE]
-    # each query's own condition is built for its system, once per system
-    assert [b[2] for b in builds if b not in base] == [
-        "nearly",
-        "codazzi",
-        "nearly",
-        "nearly",
-    ]
+    # each condition once, in the order first asked for: the coincide
+    # check's union reads the nearly rows the alternating system built
+    names = list(algebra.BASE) + ["nearly", "codazzi"]
+    assert builds == [("para-hermitian", 2, name) for name in names]
     # the shared arrays are read-only, so no system can change another's rows
-    assert not any(a.flags.writeable for a in fiber.base_rows)
+    for name in names:
+        assert not any(a.flags.writeable for a in fiber.rows(name))
+    assert len(builds) == len(names)
     # a fiber made anew, as in the next job, builds its own
-    ModelFiber.standard(PARA_HERMITIAN, 2).base_rows
-    assert len([b for b in builds if b[2] in algebra.BASE]) == 2 * len(algebra.BASE)
+    ModelFiber.standard(PARA_HERMITIAN, 2).rows("nearly")
+    assert builds[-1] == ("para-hermitian", 2, "nearly")
+    assert len(builds) == len(names) + 1
 
 
 def shifted(monkeypatch, route, by=1):
@@ -398,16 +416,17 @@ def test_wrong_exact_rank_trips_the_dimension_oracle(monkeypatch):
 def test_a_split_that_drops_a_row_trips_the_dimension_oracle(monkeypatch):
     # the first block of the product-Riemannian n=3 full system is the
     # unknown phi_000 alone: its swap row cancels, and the structure row
-    # 2 phi_000 = 0 is the only one that pins it, so without that row the
-    # numeric route finds one null vector too many
+    # 2 phi_000 = 0 is the only one that pins it, so with that row labelled
+    # as in no block the numeric route finds one null vector too many
     fiber = ModelFiber.standard(PRODUCT_RIEMANNIAN, 3)
     true_blocks = linalg._blocks
 
     def dropping(system):
-        blocks = true_blocks(system)
-        rows, cols = blocks[0]
-        blocks[0] = (rows[:-1], cols)
-        return blocks
+        row_block, col_block = true_blocks(system)
+        (rows,) = np.nonzero(row_block == 0)
+        row_block = row_block.copy()
+        row_block[rows[-1]] = col_block.max() + 1
+        return row_block, col_block
 
     monkeypatch.setattr(linalg, "_blocks", dropping)
     with pytest.raises(DimensionOracleMismatch, match="numeric dimension 55"):
@@ -415,19 +434,20 @@ def test_a_split_that_drops_a_row_trips_the_dimension_oracle(monkeypatch):
 
 
 def test_a_split_that_cuts_a_block_in_two_trips_the_dimension_oracle(monkeypatch):
-    # halving the largest block's unknowns gives both halves the same rows
-    # and overlapping column places, so in each half's matrix the entries
-    # of both halves add up
+    # the back half of the largest block's unknowns relabelled as a block of
+    # its own, with no rows: its entries still add in at their places in
+    # the block, over the front half's, and its unknowns read as free
     fiber = ModelFiber.standard(HERMITIAN, 3)
     true_blocks = linalg._blocks
 
     def cutting(system):
-        blocks = true_blocks(system)
-        big = max(range(len(blocks)), key=lambda b: blocks[b][1].size)
-        rows, cols = blocks[big]
-        half = cols.size // 2
-        blocks[big : big + 1] = [(rows, cols[:half]), (rows, cols[half:])]
-        return blocks
+        row_block, col_block = true_blocks(system)
+        count = col_block.max() + 1
+        cols = np.flatnonzero(col_block == np.bincount(col_block).argmax())
+        col_block = col_block.copy()
+        col_block[cols[cols.size // 2 :]] = count
+        # a row in no block moves past the new block
+        return np.where(row_block == count, count + 1, row_block), col_block
 
     monkeypatch.setattr(linalg, "_blocks", cutting)
     with pytest.raises(DimensionOracleMismatch, match=" != exact dimension 2 "):
@@ -597,6 +617,9 @@ def test_a_sign_flipped_in_the_nearly_row_moves_both_readers(monkeypatch):
     monkeypatch.setitem(algebra.TERMS, "nearly", (first, (-coeff, *rest)))
     after = sample_residuals(m, SamplePlan(seed=0, n_points=4))
     assert before["nearly"] < 1e-12 < before["codazzi"] == after["nearly"]
+    # a fiber keeps the rows it built: a new one, as in the next job, reads
+    # the flipped sign
+    fiber = ModelFiber.standard(HERMITIAN, 3)
     assert exact_nullity(build_constraints(fiber, SubspaceQuery.ALTERNATING)) == 0
     with pytest.raises(TheoremViolation, match="alternating_first_two"):
         subspace_dimension(fiber, SubspaceQuery.ALTERNATING)
@@ -618,7 +641,7 @@ def test_the_conditions_are_written_in_the_table_alone():
     # row builders are gone; and the polarized rendering, the coincide
     # check's independent route, reads nothing from the table
     table_names = {"TERMS", "BASE", "condition_rows", "sampled_condition"}
-    table_names |= {"base_rows", "build_constraints", "_concat", "_system"}
+    table_names |= {"rows", "build_constraints", "_concat", "_system"}
     swaps, defined, polarized_reads = [], set(), set()
     for path in sorted(Path(algebra.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -702,7 +725,7 @@ def test_constraint_builders_match_the_nested_loops():
                 1.0: build_constraints(fiber, SubspaceQuery.ALTERNATING),
                 -1.0: build_constraints(fiber, SubspaceQuery.SYMMETRIC),
                 "polarized": algebra._system(
-                    d, fiber.base_rows, algebra._polarized_rows(d)
+                    d, *map(fiber.rows, algebra.BASE), algebra._polarized_rows(d)
                 ),
             }
             for extra, system in built.items():

@@ -20,9 +20,9 @@ from hypothesis import given, settings, strategies as st
 import aegeom
 from aegeom import algebra
 from aegeom.algebra import (
-    ModelFiber,
     SubspaceQuery,
     alternating_definitions_coincide,
+    standard_fibers,
     subspace_dimension,
 )
 from aegeom.classify import classify
@@ -278,12 +278,10 @@ def test_algebra_table_fails_when_the_alternating_renderings_split(
 
     monkeypatch.setattr(algebra, "_polarized_rows", symmetric_rendering)
     split = {("hermitian", 3), ("para-hermitian", 3)}
-    for kind in KINDS:
-        for n in (1, 2, 3):
-            fiber = ModelFiber.standard(kind, n)
-            dim = subspace_dimension(fiber, SubspaceQuery.ALTERNATING)
-            coincide = alternating_definitions_coincide(fiber, dim)
-            assert coincide == ((kind.label, n) not in split), (kind.label, n)
+    fibers = standard_fibers()
+    dims = [subspace_dimension(f, SubspaceQuery.ALTERNATING) for f in fibers]
+    coincide = alternating_definitions_coincide(fibers, dims)
+    assert coincide == [(f.kind.label, f.n) not in split for f in fibers]
     code, out, _ = run_capture(capsys, ["algebra-table", *FAST])
     assert code == EXIT_FAIL
     for kind in KINDS:
@@ -335,9 +333,10 @@ def test_algebra_table_does_each_piece_of_fiber_work_a_fixed_number_of_times(
     capsys, monkeypatch
 ):
     # one pass of each rank route over the table's 36 (kind, n, query)
-    # cells, one exact pass per coincide check, and the base rows once for
-    # each of the 12 fibers, which the table and the checks share; the row
-    # builder is counted by the condition it builds
+    # cells, one exact pass over the coincide checks' 24 systems, and each
+    # condition's rows once for each of the 12 fibers, which the table and
+    # the checks share; the row builder is counted by the condition it
+    # builds
     names = ("numeric_nullities", "exact_nullities", "condition_rows")
     calls: dict = {}
     for name in names:
@@ -359,14 +358,11 @@ def test_algebra_table_does_each_piece_of_fiber_work_a_fixed_number_of_times(
         assert code == EXIT_PASS
         jobs.append(dict(calls))
     assert jobs[0]["numeric_nullities", 36] == jobs[0]["exact_nullities", 36] == 1
-    # each check: the polarized system and its union with the antisymmetry rows
-    assert jobs[0]["exact_nullities", 2] == 12
-    for name in algebra.BASE:
+    # each fiber's polarized system and its union with the antisymmetry rows
+    assert jobs[0]["exact_nullities", 24] == 1
+    # the coincide check's union reads the nearly rows of the table's system
+    for name in algebra.TERMS:
         assert jobs[0]["condition_rows", name] == 12
-    # each query's rows once per system: the table's, and the coincide
-    # check's union
-    assert jobs[0]["condition_rows", "nearly"] == 24
-    assert jobs[0]["condition_rows", "codazzi"] == 12
     # and the counts above are every call made
     assert len(jobs[0]) == 7
     # a second job in the same process repeats every count: nothing is cached
@@ -376,8 +372,8 @@ def test_algebra_table_does_each_piece_of_fiber_work_a_fixed_number_of_times(
 def test_the_tracer_sees_every_layer_of_an_algebra_table_job(capsys, monkeypatch):
     # the tracer wraps lone calls; the table's batched rank passes run
     # inside no wrapped name, so its subspace_dimension, exact_nullity
-    # and null_space layers read zero on this job, and a classify note,
-    # a lone query, is still seen
+    # and null_space layers read zero on this job, its one batched coincide
+    # call is one span, and a classify note, a lone query, is still seen
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, tracing)
@@ -401,7 +397,7 @@ def test_the_tracer_sees_every_layer_of_an_algebra_table_job(capsys, monkeypatch
         assert tracer.absent == []
         seen = [span[0] for span in tracer.spans]
         counts.append([seen.count(layer) for layer in layers])
-    assert counts == [[0, 0, 0, 12, 13], [1, 0, 0, 0, 1]]
+    assert counts == [[0, 0, 0, 1, 13], [1, 0, 0, 0, 1]]
 
 
 def test_unknown_catalog_name_exits_one(capsys):

@@ -632,8 +632,9 @@ def test_each_shared_product_leaves_its_cross_check_live(monkeypatch):
 
 
 def test_the_library_keeps_no_surface_that_only_tests_call():
-    # building a system from row lists and conjugating a fiber are test
-    # fixtures (support.py), and the identity suite always probes
+    # building a system from row lists, conjugating a fiber and the numeric
+    # nullity of a lone system are test fixtures (support.py), and the
+    # identity suite always probes
     defined, signatures = set(), []
     for path in sorted(Path(connection.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -643,7 +644,7 @@ def test_the_library_keeps_no_surface_that_only_tests_call():
                     signatures.append(node.args)
             elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
                 defined.add(node.id)
-    assert defined.isdisjoint({"from_rows", "conjugated"})
+    assert defined.isdisjoint({"from_rows", "conjugated", "numeric_nullity"})
     (args,) = signatures
     positional = [a.arg for a in args.posonlyargs + args.args]
     with_default = positional[len(positional) - len(args.defaults) :]

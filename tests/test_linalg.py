@@ -1,6 +1,7 @@
 """Null spaces against hand-rolled elimination oracles."""
 
 import ast
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aegeom.algebra import (
+    BASE,
     MAX_HALF_DIM,
     ModelFiber,
     SubspaceQuery,
@@ -19,7 +21,7 @@ from aegeom.algebra import (
     dimension_table,
     standard_fibers,
 )
-from aegeom.errors import DegenerateSystem, SlotMismatch
+from aegeom.errors import DegenerateSystem, InternalConsistencyError, SlotMismatch
 from aegeom import linalg
 from aegeom.linalg import (
     LinearConstraintSystem,
@@ -27,10 +29,9 @@ from aegeom.linalg import (
     exact_nullity,
     null_space,
     numeric_nullities,
-    numeric_nullity,
 )
 from aegeom.manifold import KINDS
-from support import dense, dense_nullity, system_from_rows
+from support import dense, dense_nullity, numeric_nullity, system_from_rows
 
 
 def elimination_rank(a, tol=1e-9):
@@ -269,9 +270,8 @@ def test_exact_nullity_matches_the_fraction_oracle_on_the_model_fibers():
         for n in range(1, MAX_HALF_DIM + 1):
             fiber = ModelFiber.standard(kind, n)
             systems = [build_constraints(fiber, query) for query in SubspaceQuery]
-            systems.append(
-                _system(fiber.dim, fiber.base_rows, _polarized_rows(fiber.dim))
-            )
+            polarized = _polarized_rows(fiber.dim)
+            systems.append(_system(fiber.dim, *map(fiber.rows, BASE), polarized))
             for sys in systems:
                 assert exact_nullity(sys) == fraction_nullity(sys), (kind.label, n)
 
@@ -449,21 +449,24 @@ def test_block_split_numeric_route_matches_the_dense_svd_and_the_exact_route(dra
         assert np.max(np.abs(matrix @ b.T)) < 1e-9
 
 
+def labels(system):
+    """``linalg._blocks`` of ``system`` as lists: row labels, unknown labels."""
+    return [a.tolist() for a in linalg._blocks(system)]
+
+
 def test_blocks_follow_the_pattern_not_the_coefficients():
     rows = [
         [(3, 1.0), (0, 2.0)],
-        [],
+        [],  # in no block: labelled by the block count
         [(1, 1.0), (4, 1.0), (1, -1.0)],  # cancels in column 1, joins 1 and 4
         [(0, 1.0)],
         [(5, 1.0), (5, -1.0)],  # cancels, a block on its own
     ]
-    blocks = linalg._blocks(system_from_rows(7, rows))
-    assert [(r.tolist(), c.tolist()) for r, c in blocks] == [
-        ([0, 3], [0, 3]),
-        ([2], [1, 4]),
-        ([], [2]),
-        ([4], [5]),
-        ([], [6]),
+    # blocks in the order of their smallest unknown: {0, 3}, {1, 4}, {2}
+    # with no rows, {5} and {6} with no rows
+    assert labels(system_from_rows(7, rows)) == [
+        [0, 5, 1, 0, 3],
+        [0, 1, 2, 0, 1, 3, 4],
     ]
 
 
@@ -472,9 +475,7 @@ def test_a_chain_of_rows_is_one_block():
     order = [4, 0, 8, 2, 6, 1, 7, 3, 5]
     rows = [[(k + 1, 1.0), (k, -1.0)] for k in order]
     system = system_from_rows(10, rows)
-    ((block_rows, block_cols),) = linalg._blocks(system)
-    assert block_rows.tolist() == list(range(9))
-    assert block_cols.tolist() == list(range(10))
+    assert labels(system) == [[0] * 9, [0] * 10]
     assert numeric_nullity(system) == exact_nullity(system) == 1
 
 
@@ -486,7 +487,7 @@ def test_no_rank_route_reads_the_rows_view(monkeypatch):
         for query in SubspaceQuery
     ]
     expected = [
-        (exact_nullity(s), numeric_nullity(s), null_space(s)[0], linalg._blocks(s))
+        (exact_nullity(s), numeric_nullity(s), null_space(s)[0], labels(s))
         for s in systems
     ]
 
@@ -494,11 +495,10 @@ def test_no_rank_route_reads_the_rows_view(monkeypatch):
         raise AssertionError("a rank route read the rows view")
 
     monkeypatch.setattr(LinearConstraintSystem, "rows", property(unread))
-    for system, (exact, numeric, basis_dim, blocks) in zip(systems, expected):
+    for system, (exact, numeric, basis_dim, block_labels) in zip(systems, expected):
         assert exact_nullity(system) == numeric_nullity(system) == exact
         assert null_space(system)[0] == basis_dim == numeric
-        for (rows, cols), (rows0, cols0) in zip(linalg._blocks(system), blocks):
-            assert np.array_equal(rows, rows0) and np.array_equal(cols, cols0)
+        assert labels(system) == block_labels
 
 
 def test_trailing_empty_rows_keep_their_count():
@@ -517,13 +517,93 @@ def test_trailing_empty_rows_keep_their_count():
             [0.0] * 4,
             [0.0] * 4,
         ]
-        blocks = [(r.tolist(), c.tolist()) for r, c in linalg._blocks(system)]
-        assert blocks == [([0], [0, 1]), ([2], [2]), ([], [3])]
+        assert labels(system) == [[0, 3, 1, 3, 3], [0, 0, 1, 2]]
         assert exact_nullity(system) == numeric_nullity(system) == 3
         assert null_space(system)[0] == 3
     only_empty = system_from_rows(2, [[], []])
     assert only_empty.n_rows == 2 and dense(only_empty).shape == (2, 2)
+    assert labels(only_empty) == [[2, 2], [0, 1]]
     assert exact_nullity(only_empty) == numeric_nullity(only_empty) == 2
+
+
+def reference_spectra(system):
+    """Each block's singular values from the dense matrix, keyed by its columns.
+
+    The loop reference for ``_block_spectra``: blocks gathered one at a
+    time from the labels, each taken by its own SVD.
+    """
+    row_block, col_block = linalg._blocks(system)
+    matrix = dense(system)
+    spectra = {}
+    for b in range(col_block.max() + 1):
+        cols = np.flatnonzero(col_block == b)
+        block = matrix[np.ix_(np.flatnonzero(row_block == b), cols)]
+        spectra[tuple(cols.tolist())] = np.linalg.svd(block, compute_uv=False)
+    return spectra
+
+
+def test_label_grouping_gathers_each_block_as_the_loop_reference():
+    # a: a 1 x 2 block, a row with no entry, a row that cancels (a 1 x 1
+    # block of zero) and two unknowns no row touches; b: a 1 x 2 block of
+    # the shape of a's, from another system of the same stack, and an
+    # unknown no row touches
+    a = system_from_rows(5, [[(0, 1.0), (1, 2.0)], [], [(3, 1.0), (3, -1.0)]])
+    b = system_from_rows(3, [[(1, 3.0), (2, -1.0)]])
+    stacked, owner = linalg._stacked([a, b])
+    # every standard system alone, and the n=2 ones stacked: many blocks of
+    # one shape from different systems
+    fibers = standard_fibers()
+    standard = [build_constraints(f, q) for f in fibers for q in SubspaceQuery]
+    n2 = linalg._stacked([s for s in standard if s.n_unknowns == 64])[0]
+    for system in [a, b, stacked, n2] + standard:
+        expected = reference_spectra(system)
+        spectra = linalg._block_spectra(system, compute_uv=False)
+        got = {
+            tuple(cols): sigma
+            for block_cols, values, _ in spectra
+            for cols, sigma in zip(block_cols.tolist(), values)
+        }
+        assert got.keys() == expected.keys()
+        for cols, sigma in expected.items():
+            assert np.array_equal(got[cols], sigma), cols
+    # one stacked SVD per shape: the two 1 x 2 blocks of a and b together
+    shapes = {
+        (sigma.shape[1], cols.shape[1]): owner[cols[:, 0]].tolist()
+        for cols, sigma, _ in linalg._block_spectra(stacked, compute_uv=False)
+    }
+    assert shapes == {(1, 2): [0, 1], (0, 1): [0, 0, 1], (1, 1): [0]}
+    assert numeric_nullities([a, b]) == [dense_nullity(dense(s)) for s in (a, b)]
+    assert numeric_nullities([a, b]) == [4, 2]
+    for system, untouched in ((a, (2, 4)), (b, (0,))):
+        dim, basis = null_space(system)
+        assert dim == dense_nullity(dense(system))
+        basis = np.stack(basis)
+        assert np.allclose(basis @ basis.T, np.eye(dim), atol=1e-12)
+        assert np.max(np.abs(dense(system) @ basis.T)) < 1e-12
+        # an unknown no row touches takes the identity for V: its unit vector
+        for u in untouched:
+            unit = np.eye(system.n_unknowns)[u]
+            assert any(np.array_equal(v, unit) for v in basis), u
+
+
+def test_an_elimination_that_never_clears_its_column_raises(monkeypatch):
+    # ``_eliminate`` with + for -: it adds the pivot row in place of taking
+    # it away, so min(new) never rises; the bounded stage-3 loop raises the
+    # internal error (exit 3) where an unbounded one would not return
+    def plus(row, pivot, col):
+        g = math.gcd(pivot[col], row[col])
+        p, r = pivot[col] // g, row[col] // g
+        out = {c: p * v for c, v in row.items()}
+        for c, v in pivot.items():
+            out[c] = out.get(c, 0) + r * v
+        return linalg._primitive({c: v for c, v in out.items() if v})
+
+    rows = [[(0, 1.0), (1, 1.0), (2, 1.0)], [(0, 1.0), (1, 2.0), (2, 3.0)]]
+    system = system_from_rows(3, rows)
+    assert exact_nullity(system) == 1
+    monkeypatch.setattr(linalg, "_eliminate", plus)
+    with pytest.raises(InternalConsistencyError, match="stage-3 elimination"):
+        exact_nullity(system)
 
 
 @st.composite
