@@ -91,7 +91,9 @@ class ModelFiber:
         d = 2 * self.n
         if j0.shape != (d, d) or inner.shape != (d, d):
             raise ValueError(f"fiber matrices must be {d}x{d}")
-        for key, residual in axiom_residuals(self.kind, inner[None], j0[None]).items():
+        # in Python integers: an int64 product can wrap to a zero residual
+        exact = (a[None].astype(object) for a in (inner, j0))
+        for key, residual in axiom_residuals(self.kind, *exact).items():
             if residual.any():
                 raise ValueError(f"{self.kind.label} fiber pair fails {key}")
         if round(float(np.linalg.det(inner.astype(float)))) == 0:

@@ -9,11 +9,13 @@ row and unknown with its block of the sparsity pattern (``_blocks``),
 takes the singular values of all blocks of one shape in one stacked SVD,
 and counts those above ``NULL_SPACE_TOL`` times the largest singular value
 of their own system; no matrix of a whole system is made.  The exact
-route, ``exact_nullities``, never rounds: it merges each row's repeated
-columns, solves the rows of one entry and the rows ``x_u = +-x_v`` as a
-signed graph in numpy (not ``_blocks``), and eliminates any other row
-forward, fraction-free over the integers, on one unknown per free
-component.  A loop that overruns its proved bound raises (``_rounds``).
+route, ``exact_nullities``, never rounds and raises ``ValueError`` on a
+row that is not integers summing below 2**53 in absolute value: it merges
+each row's repeated columns in numpy, solves the rows of one entry and
+the rows ``x_u = +-x_v`` as a signed graph in numpy (not ``_blocks``),
+and eliminates any other row forward, fraction-free over the integers,
+on one unknown per free component.  A loop that overruns its proved
+bound raises (``_rounds``).
 """
 
 from __future__ import annotations
@@ -75,15 +77,10 @@ class LinearConstraintSystem:
 
         A view for readers outside the package; no rank route reads it.
         """
-        _, cols, coeffs = self.entries
+        row_of, cols, coeffs = self.entries
         pairs = list(zip(cols.tolist(), coeffs.tolist()))
-        return tuple(tuple(pairs[a:b]) for a, b in _row_bounds(self))
-
-
-def _row_bounds(system: LinearConstraintSystem) -> List[Tuple[int, int]]:
-    """Start and end of every row within the entry arrays."""
-    ends = np.cumsum(np.bincount(system.entries[0], minlength=system.n_rows))
-    return list(zip([0] + ends[:-1].tolist(), ends.tolist()))
+        ends = np.cumsum(np.bincount(row_of, minlength=self.n_rows)).tolist()
+        return tuple(tuple(pairs[a:b]) for a, b in zip([0, *ends], ends))
 
 
 def _rounds(limit: int, what: str):
@@ -228,10 +225,12 @@ def numeric_nullities(systems: Sequence[LinearConstraintSystem]) -> List[int]:
 def exact_nullities(systems: Sequence[LinearConstraintSystem]) -> List[int]:
     """Null space dimension of each system by exact elimination, in three stages.
 
-    The stages run once, over the systems stacked (``_stacked``).
+    The stages run once, over the systems stacked (``_stacked``).  Every
+    coefficient must be an integer, and every row's absolute values must
+    sum below 2**53; any other row raises ``ValueError``.
 
     1. ``_merged_rows`` merges each row's repeated columns exactly.
-    2. Of the rows it merged in numpy, those of one entry (``x_u = 0``)
+    2. Of the merged rows, those of one entry (``x_u = 0``)
        or of two entries of equal absolute value (``x_u = x_v`` or
        ``x_u = -x_v``) are the incidence matrix of a signed graph, which
        ``_signed_components`` solves in numpy.  They leave one unknown per
@@ -251,7 +250,7 @@ def exact_nullities(systems: Sequence[LinearConstraintSystem]) -> List[int]:
     if not systems:
         return []
     system, owner = _stacked(systems)
-    row, col, value, general = _merged_rows(system)
+    row, col, value = _merged_rows(system)
     count = np.bincount(row, minlength=system.n_rows)
     first = np.cumsum(count) - count
     pair = first[count == 2]
@@ -269,6 +268,7 @@ def exact_nullities(systems: Sequence[LinearConstraintSystem]) -> List[int]:
     rest = count > 2
     rest[row[pair[~equal]]] = True
     rest = rest[row]
+    general: Dict[int, List[Tuple[int, int]]] = {}
     for r, c, v in zip(*(a[rest].tolist() for a in (row, col, value))):
         general.setdefault(r, []).append((c, v))
     root, sign, free = root.tolist(), sign.tolist(), free.tolist()
@@ -297,43 +297,31 @@ def exact_nullity(system: LinearConstraintSystem) -> int:
     return exact_nullities([system])[0]
 
 
-def _merged_rows(
-    system: LinearConstraintSystem,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Dict[int, List[Tuple[int, int]]]]:
+def _merged_rows(system: LinearConstraintSystem) -> Tuple[np.ndarray, ...]:
     """Stage 1: every row with its repeated columns merged, zeros dropped.
 
-    A row of integer coefficients whose absolute values sum below 2**53 is
-    merged in numpy, in floats: every partial sum is then an integer below
-    2**53, which a float holds exactly.  Every other row is merged by
-    ``_integer_row`` in Python integers, to its primitive multiple, and
-    left for stage 3.
-
-    Returns the row, column and integer value of every merged entry of the
-    numpy rows, ordered by row and then column, and the other rows as
-    {row: [(column, value)]}.
+    Every row is merged in numpy, in floats, so it must hold integers
+    whose absolute values sum below 2**53, or ``ValueError`` is raised:
+    every partial sum is then an integer below 2**53, which a float holds
+    exactly.  Returns the row, column and integer value of every merged
+    entry, ordered by row and then column.
     """
     row_of, cols, coeffs = system.entries
-    n = system.n_unknowns
     # a float sum of nonnegative integers reaches 2**53 exactly when the
     # true sum does, so the guard cannot round its way through
     size = np.bincount(row_of, weights=np.abs(coeffs), minlength=system.n_rows)
-    slow = ~(size < 2.0**53)
-    slow[row_of[coeffs != np.round(coeffs)]] = True
-    wide: Dict[int, List[Tuple[int, int]]] = {}
-    if slow.any():
-        bounds = _row_bounds(system)
-        col_list, coeff_list = cols.tolist(), coeffs.tolist()
-        for r in np.flatnonzero(slow).tolist():
-            start, end = bounds[r]
-            merged = _integer_row(col_list[start:end], coeff_list[start:end])
-            wide[r] = list(merged.items())
-        keep = ~slow[row_of]
-        row_of, cols, coeffs = row_of[keep], cols[keep], coeffs[keep]
-    key, where = np.unique(row_of * n + cols, return_inverse=True)
+    bad = ~(size < 2.0**53)
+    bad[row_of[coeffs != np.round(coeffs)]] = True
+    if bad.any():
+        raise ValueError(
+            f"row {np.flatnonzero(bad)[0]}: the exact route takes integer "
+            "coefficients whose absolute values sum below 2**53"
+        )
+    key, where = np.unique(row_of * system.n_unknowns + cols, return_inverse=True)
     value = np.bincount(where, weights=coeffs, minlength=key.size)
     nonzero = value != 0
-    row, col = np.divmod(key[nonzero], n)
-    return row, col, value[nonzero].astype(np.int64), wide
+    row, col = np.divmod(key[nonzero], system.n_unknowns)
+    return row, col, value[nonzero].astype(np.int64)
 
 
 def _signed_components(
@@ -379,16 +367,6 @@ def _signed_components(
     free = (plus != minus) & (root == np.arange(n))
     free[root[kills]] = False
     return root, sign, free
-
-
-def _integer_row(cols: List[int], coeffs: List[float]) -> Dict[int, int]:
-    """Primitive integer multiple of one sparse row, zeros dropped."""
-    ratios = [coeff.as_integer_ratio() for coeff in coeffs]
-    scale = math.lcm(*(den for _, den in ratios))
-    row: Dict[int, int] = {}
-    for col, (num, den) in zip(cols, ratios):
-        row[col] = row.get(col, 0) + num * (scale // den)
-    return _primitive({c: v for c, v in row.items() if v})
 
 
 def _eliminate(row: Dict[int, int], pivot: Dict[int, int], col: int) -> Dict[int, int]:

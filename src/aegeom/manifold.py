@@ -435,7 +435,7 @@ def load_manifold_config(path) -> ChartedManifold:
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be an object")
 
-    kind_raw = _require(raw, "kind", dict, path)
+    kind_raw = _config_value(raw, "kind", dict, path)
     signs = []
     for key in ("alpha", "epsilon"):
         if key not in kind_raw:
@@ -450,10 +450,10 @@ def load_manifold_config(path) -> ChartedManifold:
         signs.append(value)
     kind = StructureKind(*signs)
 
-    dim = _require(raw, "dim", int, path)
+    dim = _config_value(raw, "dim", int, path)
     if dim < 2 or dim % 2 != 0:
         raise ConfigError(f"{path}: 'dim' must be even and at least 2, got {dim}")
-    domain_raw = _require(raw, "domain", dict, path)
+    domain_raw = _config_value(raw, "domain", dict, path)
     for key in ("lo", "hi"):
         bounds = domain_raw.get(key)
         if not isinstance(bounds, list) or not all(map(_finite_number, bounds)):
@@ -491,7 +491,7 @@ def load_manifold_config(path) -> ChartedManifold:
     )
 
 
-def _require(raw: dict, key: str, expected_type, path):
+def _config_value(raw: dict, key: str, expected_type, path):
     if key not in raw:
         raise ConfigError(f"{path}: {key!r} is missing")
     value = raw[key]

@@ -83,6 +83,17 @@ def test_fiber_validates_its_matrices():
             j0=np.eye(2, dtype=int),
             inner=np.eye(2, dtype=int),
         )  # nonzero trace
+    # J squares to (1 + 2**64) Id, which int64 products wrap to Id: the
+    # pair must fail here, not split the two rank routes (numeric 4, exact 2)
+    wraps = np.array([[1, 2**32], [2**32, -1]])
+    with pytest.raises(ValueError, match="fails structure_squared$"):
+        ModelFiber(n=1, kind=PRODUCT_RIEMANNIAN, j0=wraps, inner=eye)
+    g, j = (a[None].astype(object) for a in (eye, wraps))
+    exact = axiom_residuals(PRODUCT_RIEMANNIAN, g, j)
+    assert [key for key, r in exact.items() if r.any()] == [
+        "structure_squared",
+        "metric_isometry",
+    ]
 
 
 @pytest.mark.parametrize("kind", KINDS, ids=lambda kind: kind.label)

@@ -653,6 +653,18 @@ def test_the_library_keeps_no_surface_that_only_tests_call():
         identity_residuals(catalog("flat-kahler"), (0.1, 0.1))
 
 
+def test_require_names_only_the_check_gate():
+    # ``connection._require`` raises for the first failing axiom or check;
+    # the config-key reader is ``manifold._config_value``
+    owners = [
+        path.name
+        for path in sorted(Path(connection.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef) and node.name == "_require"
+    ]
+    assert owners == ["connection.py"]
+
+
 def test_no_multi_operand_einsum_in_the_contraction_layer():
     # numpy runs a multi-operand einsum in its unoptimised loop; these
     # modules contract with stacked matrix products

@@ -17,6 +17,7 @@ from aegeom.algebra import (
     SubspaceQuery,
     _polarized_rows,
     _system,
+    alternating_definitions_coincide,
     build_constraints,
     dimension_table,
     standard_fibers,
@@ -30,7 +31,9 @@ from aegeom.linalg import (
     null_space,
     numeric_nullities,
 )
-from aegeom.manifold import KINDS
+from aegeom.catalog import catalog, standard_names
+from aegeom.classify import _theorems_for, classify
+from aegeom.manifold import KINDS, SamplePlan
 from support import dense, dense_nullity, numeric_nullity, system_from_rows
 
 
@@ -152,17 +155,17 @@ def test_random_rank_three_system():
 
 
 def test_exact_route_sees_through_rounded_dependence():
-    # float combinations of float rows are only approximately dependent;
-    # the rational route counts true rank while the svd route uses the
-    # tolerance.  They are only meant to agree on exact coefficient rows.
+    # rows of size 2**40 and integer combinations of them, each moved by 1
+    # in one column, are dependent only up to that 1: the svd route counts
+    # it below its relative tolerance, the exact route counts the true rank
     rng = np.random.default_rng(11)
-    core = rng.standard_normal((3, 7))
-    mix = rng.standard_normal((2, 3))
-    dense = np.vstack([core, mix @ core])
-    sys = system_from_dense(dense)
+    core = rng.integers(-4, 5, size=(3, 7)) * 2**40
+    mix = rng.integers(-2, 3, size=(2, 3))
+    moved = mix @ core + np.eye(2, 7, 3, dtype=np.int64)
+    sys = system_from_dense(np.vstack([core, moved]).astype(float))
     dim, _ = null_space(sys)
     assert dim == 4
-    assert exact_nullity(sys) == 2
+    assert exact_nullity(sys) == fraction_nullity(sys) == 2
 
 
 def test_dimension_survives_row_permutation_and_scaling():
@@ -234,8 +237,8 @@ def test_numeric_nullity_counts_like_null_space():
 
 def test_exact_nullity_matches_the_fraction_oracle_on_random_systems():
     rng = np.random.default_rng(31)
-    # integers, then fractions with non-dyadic values such as 0.1 and 1/3
-    values = [0.1, 1 / 3, 2.5, -0.75, 1e-3, 7.0, -2.0]
+    # small integers, then integers of sizes from 1 to 2**30
+    values = [1.0, -3.0, 7.0, 1000.0, -(2.0**20), 2.0**30]
     for trial in range(300):
         shape = (rng.integers(1, 9), rng.integers(1, 9))
         if trial % 2:
@@ -250,14 +253,16 @@ def test_exact_nullity_matches_the_fraction_oracle_on_random_systems():
 
 def test_exact_nullity_matches_the_fraction_oracle_on_repeated_columns():
     rows = [
-        # 0.1 + 0.1 and 0.4 are exactly 0.2 and 4 * 0.1: a multiple of the
-        # next row, so the rank counts only if every row is scaled exactly
-        [(0, 0.1), (0, 0.1), (1, 0.4)],
+        # 1 + 1 and 4 make twice the next row, so the rank counts only if
+        # the repeated column merges before the rows are compared
+        [(0, 1.0), (0, 1.0), (1, 4.0)],
         [(0, 1.0), (1, 2.0)],
-        [(1, 1 / 3), (2, 1.0), (1, 2 / 3), (2, -1.0)],
-        [(2, 2.5), (3, 0.5), (2, -2.5)],
+        [(1, 1.0), (2, 3.0), (1, 2.0), (2, -3.0)],
+        [(2, 5.0), (3, 1.0), (2, -5.0)],
         [(3, 1.0), (3, -1.0)],
-        [(0, 0.1), (0, 0.2), (1, -0.3), (3, 1e-3)],
+        # large entries that cancel exactly, and a row left for stage 3
+        [(1, 2.0**51), (0, 1.0), (1, -(2.0**51))],
+        [(0, 1.0), (0, 2.0), (1, -3.0), (3, 1000.0)],
     ]
     for k in range(len(rows) + 1):
         sys = system_from_rows(4, rows[:k])
@@ -276,8 +281,9 @@ def test_exact_nullity_matches_the_fraction_oracle_on_the_model_fibers():
                 assert exact_nullity(sys) == fraction_nullity(sys), (kind.label, n)
 
 
-# coefficients of the signed-graph pieces: dyadic, non-dyadic, and large
-LINK_SIZES = [1.0, 3.0, 0.5, 0.1, 1 / 3, 2.0**52]
+# coefficients of the signed-graph pieces, up to 2**51 so that a link row
+# c x_u +- c x_v sums below 2**53
+LINK_SIZES = [1.0, 3.0, 2.0, 7.0, 2.0**30, 2.0**51]
 
 
 @st.composite
@@ -287,10 +293,9 @@ def signed_graph_systems(draw):
     Rows come in pieces, shuffled: identification rows c x_u +- c x_v of
     both signs; closed cycles of them, balanced or not; single-entry rows;
     repeated columns that cancel or merge to +-2 or into an identification
-    row; the row 2**53 x_u + x_u - 2**53 x_u, which a float merge rounds
-    to zero; empty rows; and general rows of three or four random entries,
-    left for stage 3.  Coefficients are integers or dyadic or non-dyadic
-    fractions.
+    row; the row 2**51 x_u + x_0 - 2**51 x_0, whose large entries cancel
+    when u = 0; empty rows; and general rows of three or four random
+    entries, left for stage 3.  Every coefficient is an integer.
     """
     n = draw(st.integers(2, 8))
     unknown = st.integers(0, n - 1)
@@ -314,12 +319,12 @@ def signed_graph_systems(draw):
             # a + b is 0 or +-2; the v entries merge to +-2 as well
             rows.append([(u, a), (v, 1.0), (u, b), (v, draw(sign))])
         elif piece == 4:
-            rows.append([(draw(unknown), 2.0**53), (0, 1.0), (0, -(2.0**53))])
+            rows.append([(draw(unknown), 2.0**51), (0, 1.0), (0, -(2.0**51))])
         elif piece == 5:
             rows.append([])
         else:
             cols = draw(st.lists(unknown, min_size=3, max_size=4))
-            values = st.sampled_from([1.0, -2.0, 3.0, 0.5, 0.1, -1 / 3])
+            values = st.sampled_from([1.0, -2.0, 3.0, 5.0, -7.0, 2.0**30])
             rows.append([(c, draw(values)) for c in cols])
     return system_from_rows(n, draw(st.permutations(rows)))
 
@@ -337,7 +342,7 @@ def test_signed_graph_stages_on_small_systems():
     unbalanced = balanced[:2] + [[(2, 1.0), (0, 1.0)]]
     # x0 = -x1, then x1 = 0 kills the component
     killed = [[(0, 2.0), (1, 2.0)], [(1, 3.0)]]
-    # a float merge of 2**53 + 1 - 2**53 gives 0 and misses the kill
+    # a float merge of 2**53 + 1 - 2**53 gives 0 and would miss the kill
     rounding = [[(0, 2.0**53), (0, 1.0), (0, -(2.0**53))]]
     # repeated columns: a cancelling row, and 2 x0 - 2 x1 after merging
     repeated = [[(0, 1.0), (0, -1.0)], [(0, 1.0), (1, -1.0), (0, 1.0), (1, -1.0)]]
@@ -347,25 +352,53 @@ def test_signed_graph_stages_on_small_systems():
         (balanced, 1),
         (unbalanced, 0),
         (killed, 1),
-        (rounding, 2),
         (repeated, 2),
         (general, 1),
     ]
     for rows, nullity in cases:
         system = system_from_rows(3, rows)
         assert exact_nullity(system) == fraction_nullity(system) == nullity, rows
+    with pytest.raises(ValueError, match="below 2\\*\\*53"):
+        exact_nullity(system_from_rows(3, rounding))
+
+
+def test_the_exact_route_takes_integer_rows_summing_below_2_53():
+    # the two rows force x0 = x1 = 0, but 2**53 + 1 is stored as the float
+    # 2**53, which makes them equal and would read nullity 1; a coefficient
+    # of 0.5 is not an integer
+    for rows in (
+        [[(0, 2**53 + 1), (1, 1)], [(0, 2**53), (1, 1)]],
+        [[(0, 1.0)], [(1, 0.5)]],
+    ):
+        system = system_from_rows(2, rows)
+        with pytest.raises(ValueError, match="exact route takes integer"):
+            exact_nullity(system)
+        with pytest.raises(ValueError, match="exact route takes integer"):
+            exact_nullities([system_from_rows(2, [[(0, 1.0)]]), system])
+    # just below the bound the merge is exact
+    edge = system_from_rows(2, [[(0, 2.0**52), (1, 2.0**52 - 1)]])
+    assert exact_nullity(edge) == fraction_nullity(edge) == 1
 
 
 def test_the_dimension_table_needs_no_general_elimination(monkeypatch):
-    # every row of a standard fiber's system merges in numpy and is a
-    # signed-graph row, so the table never reaches the Python integer code
+    # every row of a standard fiber's system is a signed-graph row, so
+    # neither the table, its coincide check nor a classify note reaches
+    # stage 3
     def unreached(*args):
         raise AssertionError("a standard fiber reached integer elimination")
 
     monkeypatch.setattr(linalg, "_eliminate", unreached)
-    monkeypatch.setattr(linalg, "_integer_row", unreached)
-    table = dimension_table(standard_fibers())
+    monkeypatch.setattr(linalg, "_primitive", unreached)
+    fibers = standard_fibers()
+    table = dimension_table(fibers)
     assert table["hermitian"][3]["alternating_first_two"] == 2
+    alternating = [table[f.kind.label][f.n]["alternating_first_two"] for f in fibers]
+    assert all(alternating_definitions_coincide(fibers, alternating))
+    for name in standard_names():
+        m = catalog(name)
+        report = classify(m, SamplePlan(n_points=2))
+        for row, check in zip(_theorems_for(m.kind), report.theorem_checks):
+            assert ("subspace dimension" in check.details) == bool(row.note), name
 
 
 def test_null_space_basis_is_complete_for_wide_and_tall_systems():
@@ -613,13 +646,13 @@ def small_integer_systems(draw):
     Rows may be empty or hold one column twice, some unknowns are in no
     row, and the system may have no rows; rows of three or more entries,
     or of two unequal ones, reach stage 3 of the exact route.  The whole
-    system is scaled by 2**-40, 1 or 2**40, which changes no nullity but
+    system is scaled by 1, 2**20 or 2**40, which changes no nullity but
     moves its singular values far from those of the other systems drawn.
     """
     n = draw(st.integers(1, 6))
     entry = st.tuples(st.integers(0, n - 1), st.integers(-3, 3))
     rows = draw(st.lists(st.lists(entry, max_size=4), max_size=6))
-    scale = draw(st.sampled_from([2.0**-40, 1.0, 2.0**40]))
+    scale = draw(st.sampled_from([1.0, 2.0**20, 2.0**40]))
     return system_from_rows(n, [[(c, v * scale) for c, v in row] for row in rows])
 
 
@@ -633,6 +666,7 @@ def test_a_batch_counts_each_system_as_it_counts_alone(systems):
     assert linalg._stacked(systems[:1])[0] is systems[0]
     assert numeric_nullities(systems) == [numeric_nullity(s) for s in systems]
     assert exact_nullities(systems) == [exact_nullity(s) for s in systems]
+    assert exact_nullities(systems) == [fraction_nullity(s) for s in systems]
     assert numeric_nullities(systems) == exact_nullities(systems) == expected
 
 
@@ -645,13 +679,33 @@ def test_a_small_system_keeps_its_own_cutoff_in_a_batch():
     assert numeric_nullities([large, small]) == [1, 0]
 
 
+def package_nodes():
+    """(file name, node) for every syntax node of every module of the package."""
+    for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            yield path.name, node
+
+
 def test_no_module_defines_or_reads_a_dense_system_matrix():
     # the numeric route gathers its block stacks from the entry arrays;
     # ``to_dense`` lives in tests/support.py as ``dense``
     found = []
-    for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            name = getattr(node, "name", None) or getattr(node, "attr", None)
-            if "to_dense" in (name, getattr(node, "id", None)):
-                found.append(path.name)
+    for name, node in package_nodes():
+        ident = getattr(node, "name", None) or getattr(node, "attr", None)
+        if "to_dense" in (ident, getattr(node, "id", None)):
+            found.append(name)
+    assert found == []
+
+
+def test_no_module_merges_rows_in_rationals():
+    # the exact route takes integer rows and merges them in numpy alone; a
+    # second merge path through float ratios or ``Fraction`` stays out
+    found = []
+    for name, node in package_nodes():
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        else:
+            modules = [getattr(node, "module", None)]
+        if "fractions" in modules or getattr(node, "attr", None) == "as_integer_ratio":
+            found.append((name, node.lineno))
     assert found == []
