@@ -29,7 +29,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DimensionOracleMismatch, TheoremViolation, UnsupportedDimension
-from .linalg import Entries, LinearConstraintSystem, exact_nullities, numeric_nullities
+from .linalg import LinearConstraintSystem, exact_nullities, numeric_nullities
 
 # unused here, but perfbench/tracing.py wraps both names in this module, and
 # tests/test_trace_names.py requires every name it wraps to resolve
@@ -37,6 +37,9 @@ from .linalg import exact_nullity, null_space  # noqa: F401
 from .manifold import KINDS, StructureKind, axiom_residuals, standard_pair
 
 MAX_HALF_DIM = 3
+
+# (row lengths, columns, coefficients), as ``from_entries`` reads rows
+Rows = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 # Each condition on phi(x, y, z) = g((nabla_x J) y, z) as terms (c, p, o, j):
 # row (x, y, z) sums c * (alpha*epsilon)**p * phi(v[o[0]], v[o[1]], v[o[2]])
@@ -103,7 +106,7 @@ class ModelFiber:
     def dim(self) -> int:
         return 2 * self.n
 
-    def rows(self, name: str) -> Entries:
+    def rows(self, name: str) -> Rows:
         """``condition_rows(self, name)``, read-only, built once per fiber."""
         kept = self.__dict__.setdefault("_rows", {})
         if name not in kept:
@@ -124,22 +127,22 @@ class ModelFiber:
 
 
 def _integer_matrix(values, what: str) -> np.ndarray:
-    """``values`` as an int array; an entry that is not an integer raises.
+    """``values`` as an int64 array; an entry that is not an int64 raises.
 
-    A plain cast would truncate 1.9 to 1 and pass a different matrix on.
+    A plain cast would truncate 1.9 to 1 or wrap 1e20 to -2**63, and pass a
+    different matrix on.
     """
     matrix = np.array(values)
-    if matrix.dtype.kind not in "biu" and not (
-        matrix.dtype.kind == "f"
-        and np.isfinite(matrix).all()
-        and (matrix == np.rint(matrix)).all()
-    ):
-        raise ValueError(f"{what} has an entry that is not an integer")
-    return matrix.astype(int)
+    if matrix.dtype.kind in "biuf":
+        with np.errstate(invalid="ignore"):
+            cast = matrix.astype(np.int64)
+        if (cast == matrix).all():
+            return cast
+    raise ValueError(f"{what} has an entry that is not an integer")
 
 
-def condition_rows(fiber: ModelFiber, name: str) -> Entries:
-    """Entry arrays of condition ``name``, rows (x, y, z) in C order.
+def condition_rows(fiber: ModelFiber, name: str) -> Rows:
+    """Rows of condition ``name``, (x, y, z) in C order.
 
     J on e_t gives an entry at each e_m with the factor j0[m, t], a term with
     no J one at m = 0; a row runs over m, then its terms, and skips zeros.
@@ -171,7 +174,7 @@ def sampled_condition(nj: np.ndarray, product: int, name: str) -> np.ndarray:
     return sum(parts[1:], parts[0])
 
 
-def _polarized_rows(d: int) -> Entries:
+def _polarized_rows(d: int) -> Rows:
     """Vanishing on equal first arguments, apart from ``TERMS``: diagonals, pairs."""
     slot = np.arange(d**3).reshape(d, d, d)
     diagonal = slot[np.arange(d), np.arange(d)].ravel()
@@ -181,12 +184,9 @@ def _polarized_rows(d: int) -> Entries:
     return lengths, np.concatenate([diagonal, pairs]), np.ones(lengths.sum())
 
 
-def _concat(*parts: Entries) -> Entries:
-    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
-
-
-def _system(d: int, *parts: Entries) -> LinearConstraintSystem:
-    return LinearConstraintSystem.from_entries(d**3, *_concat(*parts))
+def _system(d: int, *parts: Rows) -> LinearConstraintSystem:
+    joined = (np.concatenate(arrays) for arrays in zip(*parts))
+    return LinearConstraintSystem.from_entries(d**3, *joined)
 
 
 def build_constraints(

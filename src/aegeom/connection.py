@@ -16,12 +16,12 @@ The canonical connection adds the correction ((-alpha)/2) (nabla_i J) J to
 the metric connection; it makes both the metric and the structure parallel,
 which is verified at runtime together with the equality of the alternative
 torsion and Nijenhuis formulas.  These identities assume the structure
-axioms, so every checked pass first checks the axioms and raises
-``InvalidStructure`` where they fail; past that, any disagreement can only
-come from an implementation bug.  Either names the manifold and the first
-failing sample point.  ``derived_tensors`` is the checked pass,
-``identity_residuals`` checks the axioms only, and ``christoffel`` none,
-though it too evaluates and checks both fields.
+axioms, so a checked pass checks the axioms on its whole stack before any
+cross-check and raises ``InvalidStructure`` where one fails; past that, a
+disagreement can only come from an implementation bug.  The first failing
+check names the manifold and its own first failing sample point.
+``derived_tensors`` is the checked pass, ``identity_residuals`` checks the
+axioms only, and ``christoffel`` none, though it too checks both fields.
 
 Contractions are stacked matrix products of each point's matrices, so a
 point gets the numbers it would get on its own.  (nabla J) J, J (nabla J)
@@ -76,9 +76,6 @@ class _Frame:
         self.gamma = 0.5 * np.linalg.solve(self.g, flat).reshape(rhs.shape)
         self.nabla_j = _covariant_structure(self.dj, self.gamma, self.j)
 
-    def point(self, n: int) -> Tuple[float, ...]:
-        return _as_tuple(self.points[n])
-
 
 def _covariant_structure(dj, gamma, j):
     """nabla[n, k, i, j] for any connection coefficients gamma."""
@@ -114,11 +111,11 @@ _Check = Tuple[type, float, str, Tuple[np.ndarray, ...]]
 
 
 def _require(frame: _Frame, checks: List[_Check]) -> None:
-    """Raise for the first sample point that fails an axiom or a check.
+    """Raise for the first failing check: each structure axiom, then ``checks``.
 
-    At that point the first failing structure axiom is reported, or else
-    the first failing check in list order, as if every check had run point
-    by point in sample order.
+    Each check runs over the whole stack in list order, so a failing axiom
+    is reported before any cross-check.  Only a failing check is located
+    point by point, at its own first failing sample point.
     """
     axioms = axiom_residuals(frame.kind, frame.g, frame.j)
     message = "{} axiom fails by {{0:.3e}} at {{point}}"
@@ -126,22 +123,15 @@ def _require(frame: _Frame, checks: List[_Check]) -> None:
         (InvalidStructure, VALIDATION_TOL, message.format(key), (r,))
         for key, r in axioms.items()
     ] + checks
-    # locating the point is needed only when something fails
-    if all(inf_norm(r) < tol for _, tol, _, stacks in checks for r in stacks):
-        return
-    per_point = [
-        np.stack([np.abs(r).reshape(len(r), -1).max(axis=1) for r in stacks])
-        for _, _, _, stacks in checks
-    ]
-    failing = np.stack(
-        [(p >= tol).any(axis=0) for p, (_, tol, _, _) in zip(per_point, checks)],
-        axis=1,
-    )
-    if failing.any():
-        n, c = np.argwhere(failing)[0]
-        error, _, message, _ = checks[c]
-        detail = message.format(*per_point[c][:, n], point=frame.point(n))
-        raise error(f"{frame.name}: {detail}")
+    for error, tol, message, stacks in checks:
+        if all(inf_norm(r) < tol for r in stacks):
+            continue
+        worst = np.stack([np.abs(r).reshape(len(r), -1).max(axis=1) for r in stacks])
+        failing = (worst >= tol).any(axis=0)
+        if failing.any():
+            n = int(np.argmax(failing))
+            point = _as_tuple(frame.points[n])
+            raise error(f"{frame.name}: {message.format(*worst[:, n], point=point)}")
 
 
 def christoffel(m: ChartedManifold, points) -> np.ndarray:

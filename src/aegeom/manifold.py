@@ -310,8 +310,8 @@ def sample_blocks(points) -> List[np.ndarray]:
 def worst_over_sample(points, block_residuals) -> Dict[str, float]:
     """Worst of each residual over a point stack, taken block by block.
 
-    Blocks run in sample order, so a failing check still names the first
-    failing sample point.
+    Blocks run in sample order, so a sweep raises what its first failing
+    block raises.
     """
     blocks = [block_residuals(block) for block in sample_blocks(points)]
     return {key: max(block[key] for block in blocks) for key in blocks[0]}

@@ -88,6 +88,9 @@ def test_fiber_validates_its_matrices():
     wraps = np.array([[1, 2**32], [2**32, -1]])
     with pytest.raises(ValueError, match="fails structure_squared$"):
         ModelFiber(n=1, kind=PRODUCT_RIEMANNIAN, j0=wraps, inner=eye)
+    # an integer-valued float past the int64 range would cast to -2**63 Id
+    with pytest.raises(ValueError, match="has an entry that is not an integer"):
+        ModelFiber(n=1, kind=HERMITIAN, j0=j0, inner=[[1e20, 0.0], [0.0, 1e20]])
     g, j = (a[None].astype(object) for a in (eye, wraps))
     exact = axiom_residuals(PRODUCT_RIEMANNIAN, g, j)
     assert [key for key, r in exact.items() if r.any()] == [
@@ -652,7 +655,7 @@ def test_the_conditions_are_written_in_the_table_alone():
     # row builders are gone; and the polarized rendering, the coincide
     # check's independent route, reads nothing from the table
     table_names = {"TERMS", "BASE", "condition_rows", "sampled_condition"}
-    table_names |= {"rows", "build_constraints", "_concat", "_system"}
+    table_names |= {"rows", "build_constraints", "_system"}
     swaps, defined, polarized_reads = [], set(), set()
     for path in sorted(Path(algebra.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -856,9 +859,8 @@ def split_terms(kind, systems, counts, maps=pair_maps):
             cols = maps_km[:, cols].ravel()
             images.append((np.tile(lengths, copies), cols, np.tile(coeffs, copies)))
         rest = select(systems[m - 1], ~inside[m - 1])
-        if not np.array_equal(
-            row_multiset(*rest), row_multiset(*algebra._concat(*images))
-        ):
+        joined = (np.concatenate(arrays) for arrays in zip(*images))
+        if not np.array_equal(row_multiset(*rest), row_multiset(*joined)):
             return None
     terms = []
     for m, count in enumerate(counts, start=1):

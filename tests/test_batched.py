@@ -29,6 +29,7 @@ from aegeom.manifold import (
     SamplePlan,
     eval_with_derivatives,
     load_manifold_config,
+    validate_structure,
 )
 
 PLAN = SamplePlan(seed=3, n_points=7)
@@ -146,20 +147,40 @@ def slightly_crooked():
     )
 
 
+def first_failing_point(m, points, key):
+    for point in points:
+        report = validate_structure(m, one_point(point))
+        if key in report.failures:
+            return point, report.residuals[key]
+    raise AssertionError(f"{key} fails at no point")
+
+
 @pytest.mark.parametrize("block", [manifold.SWEEP_BLOCK, 2])
 def test_sweep_reports_the_first_failing_point_in_sample_order(monkeypatch, block):
+    # the checks run one at a time over a whole block, axioms first, each
+    # at its own first failing point; blocks run in sample order, and a
+    # sweep raises what its first failing block raises
     monkeypatch.setattr(manifold, "SWEEP_BLOCK", block)
     m = slightly_crooked()
-    plan = SamplePlan(n_points=10)
-    expected = None
-    for index, point in enumerate(plan.points(m.domain)):
-        try:
-            derived_tensors(m, point)
-        except GeometryError as exc:
-            expected = (index, type(exc), str(exc))
-            break
-    assert expected is not None and expected[0] > 0
-    assert expected[1] is InvalidStructure
-    with pytest.raises(InvalidStructure) as caught:
-        sample_residuals(m, plan)
-    assert str(caught.value) == expected[2]
+    for seed in range(12):
+        plan = SamplePlan(seed=seed, n_points=50)
+        points = plan.points(m.domain)
+        with pytest.raises(GeometryError) as caught:
+            sample_residuals(m, plan)
+        if block >= len(points):
+            key = validate_structure(m, plan).failures[0]
+            point, residual = first_failing_point(m, points, key)
+            assert type(caught.value) is InvalidStructure, seed
+            assert str(caught.value) == (
+                f"{m.name}: {key} axiom fails by {residual:.3e} "
+                f"at {tuple(float(x) for x in point)}"
+            )
+            continue
+        for start in range(0, len(points), block):
+            try:
+                derived_tensors(m, points[start : start + block])
+            except GeometryError as exc:
+                expected = exc
+                break
+        assert type(caught.value) is type(expected), seed
+        assert str(caught.value) == str(expected), seed

@@ -164,6 +164,38 @@ def test_structure_failing_its_axioms_exits_one(tmp_path, capsys, name):
     assert f"failed checks: {axiom}" in out and "verdict: invalid" in out
 
 
+def test_a_structure_failing_an_axiom_at_some_sample_points_exits_one(
+    tmp_path, capsys
+):
+    # J squares to (-1 + 1e-7 x1^8) Id: the axioms fail only where |x1| is
+    # near 1, and elsewhere a cross-check can break first; the axioms run
+    # over the whole sample before any cross-check, so every verb exits 1
+    path = tmp_path / "slightly-crooked.json"
+    path.write_text(
+        json.dumps(
+            {
+                "kind": {"alpha": -1, "epsilon": 1},
+                "dim": 2,
+                "domain": {"lo": [-1.0, -1.0], "hi": [1.0, 1.0]},
+                "metric": [["1", "0"], ["0", "1"]],
+                "structure": [["0", "-1 + 0.0000001*x1^8"], ["1", "0"]],
+            }
+        )
+    )
+    for seed in range(12):
+        args = ["--manifold", str(path), "--seed", str(seed)]
+        code, out, _ = run_capture(capsys, ["validate", *args])
+        assert code == EXIT_FAIL and "verdict: invalid" in out, seed
+        assert "failed checks: structure_squared" in out, seed
+        errors = set()
+        for verb in ("classify", "verify", "identities"):
+            code, out, err = run_capture(capsys, [verb, *args])
+            assert (code, out) == (EXIT_FAIL, ""), (seed, verb)
+            errors.add(err)
+        (err,) = errors
+        assert err.startswith("error: slightly-crooked: structure_squared axiom"), seed
+
+
 def test_classify_reports_verdicts(capsys):
     code, out, _ = run_capture(
         capsys, ["classify", "--manifold", "s6-nearly-kahler", *FAST]

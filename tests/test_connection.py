@@ -665,6 +665,29 @@ def test_require_names_only_the_check_gate():
     assert owners == ["connection.py"]
 
 
+def test_axiom_and_cross_check_errors_are_raised_only_by_the_check_gate():
+    # these errors reach users only as entries of ``_require``'s list, so a
+    # new check cannot jump the order: every axiom, then each cross-check
+    gated = {
+        "InvalidStructure",
+        "FormulaMismatch",
+        "TorsionFormulaMismatch",
+        "NijenhuisFormulaMismatch",
+    }
+    named = [
+        (path.name, node.lineno)
+        for path in sorted(Path(connection.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Raise)
+        and node.exc is not None
+        and gated.intersection(
+            getattr(part, "id", getattr(part, "attr", None))
+            for part in ast.walk(node.exc)
+        )
+    ]
+    assert named == []
+
+
 def test_no_multi_operand_einsum_in_the_contraction_layer():
     # numpy runs a multi-operand einsum in its unoptimised loop; these
     # modules contract with stacked matrix products
