@@ -41,6 +41,7 @@ from .errors import (
     FormulaMismatch,
     InvalidStructure,
     NijenhuisFormulaMismatch,
+    NonFiniteField,
     TorsionFormulaMismatch,
 )
 from .manifold import (
@@ -114,8 +115,11 @@ def _require(frame: _Frame, checks: List[_Check]) -> None:
     """Raise for the first failing check: each structure axiom, then ``checks``.
 
     Each check runs over the whole stack in list order, so a failing axiom
-    is reported before any cross-check.  Only a failing check is located
-    point by point, at its own first failing sample point.
+    is reported before any cross-check.  A residual fails unless it is
+    finite and below the check's tolerance.  Only a failing check is located
+    point by point, at its own first failing sample point; a cross-check
+    with a residual that is not finite raises ``NonFiniteField`` at its
+    first such point instead, since an overflow is no disagreement.
     """
     axioms = axiom_residuals(frame.kind, frame.g, frame.j)
     message = "{} axiom fails by {{0:.3e}} at {{point}}"
@@ -127,11 +131,13 @@ def _require(frame: _Frame, checks: List[_Check]) -> None:
         if all(inf_norm(r) < tol for r in stacks):
             continue
         worst = np.stack([np.abs(r).reshape(len(r), -1).max(axis=1) for r in stacks])
-        failing = (worst >= tol).any(axis=0)
-        if failing.any():
-            n = int(np.argmax(failing))
-            point = _as_tuple(frame.points[n])
-            raise error(f"{frame.name}: {message.format(*worst[:, n], point=point)}")
+        failing = ~(worst < tol).all(axis=0)
+        finite = np.isfinite(worst).all(axis=0)
+        if error is not InvalidStructure and not finite.all():
+            error, failing = NonFiniteField, ~finite
+        n = int(np.argmax(failing))
+        point = _as_tuple(frame.points[n])
+        raise error(f"{frame.name}: {message.format(*worst[:, n], point=point)}")
 
 
 def christoffel(m: ChartedManifold, points) -> np.ndarray:
@@ -220,7 +226,9 @@ def identity_residuals(
     """Residuals of the built-in identity suite, worst over the points.
 
     The identities assume the structure axioms, which are checked first as
-    in ``derived_tensors``; the runtime cross-checks are not run.
+    in ``derived_tensors``; the runtime cross-checks are not run.  A
+    residual that is not finite raises ``NonFiniteField`` at its first such
+    point.
 
     Component-norm keys:
 
@@ -262,8 +270,9 @@ def vector_triples(seed: int, n_triples: int, dim: int) -> np.ndarray:
 
 
 def _identities(m: ChartedManifold, points, triples) -> Dict[str, float]:
-    tensors = _identity_tensors(_Frame(m, points))
-    out = {key: inf_norm(arr) for key, arr in tensors.items()}
+    frame = _Frame(m, points)
+    tensors = _identity_tensors(frame)
+    stacks = dict(tensors)
     # all triples at once: rows x (x) y and x (x) y (x) z, one per triple
     x, y, z = triples[:, 0], triples[:, 1], triples[:, 2]
     yz = y[:, :, None] * z[:, None, :]
@@ -272,8 +281,16 @@ def _identities(m: ChartedManifold, points, triples) -> Dict[str, float]:
         4: (x[:, :, None, None] * yz[:, None]).reshape(len(triples), -1),
     }
     for key, arr in tensors.items():
-        on_vectors = arr.reshape(len(arr), -1) @ probes[arr.ndim].T
-        out[key + "_on_vectors"] = inf_norm(on_vectors)
+        stacks[key + "_on_vectors"] = arr.reshape(len(arr), -1) @ probes[arr.ndim].T
+    out = {key: inf_norm(arr) for key, arr in stacks.items()}
+    message = "identity {} residual {{0:.3e}} at {{point}}"
+    overflow = [
+        (NonFiniteField, np.inf, message.format(key), (stacks[key],))
+        for key, value in out.items()
+        if value == np.inf
+    ]
+    if overflow:
+        _require(frame, overflow)
     return out
 
 

@@ -230,12 +230,12 @@ def exact_nullities(systems: Sequence[LinearConstraintSystem]) -> List[int]:
     sum below 2**53; any other row raises ``ValueError``.
 
     1. ``_merged_rows`` merges each row's repeated columns exactly.
-    2. Of the merged rows, those of one entry (``x_u = 0``)
-       or of two entries of equal absolute value (``x_u = x_v`` or
-       ``x_u = -x_v``) are the incidence matrix of a signed graph, which
-       ``_signed_components`` solves in numpy.  They leave one unknown per
-       free component: one that is balanced (Zaslavsky, "Signed graphs",
-       1982) and that no ``x_u = 0`` row touches.
+    2. Of the merged rows, those of one entry (``x_u = 0``, the loop
+       ``x_u = -x_u``) or of two entries of equal absolute value
+       (``x_u = x_v`` or ``x_u = -x_v``) are the edges of a signed graph,
+       which ``_signed_components`` solves in numpy.  They leave one
+       unknown per free component, one that is balanced (Zaslavsky,
+       "Signed graphs", 1982).
     3. Every other row is written on the free components' roots, with
        their signs, and reduced forward, fraction-free over the integers:
        while its smallest column has a pivot row, ``row <- p*row - r*pivot``
@@ -251,23 +251,20 @@ def exact_nullities(systems: Sequence[LinearConstraintSystem]) -> List[int]:
         return []
     system, owner = _stacked(systems)
     row, col, value = _merged_rows(system)
-    count = np.bincount(row, minlength=system.n_rows)
-    first = np.cumsum(count) - count
-    pair = first[count == 2]
-    equal = np.abs(value[pair]) == np.abs(value[pair + 1])
-    edge = pair[equal]
+    # each nonempty row by its first and last entry: one entry, or two of
+    # equal absolute value, make an edge from the first column to the last,
+    # and stage 3 takes every other row
+    first = np.flatnonzero(np.diff(row, prepend=-1))
+    last = np.flatnonzero(np.diff(row, append=-1))
+    edge = (last - first < 2) & (np.abs(value[first]) == np.abs(value[last]))
     root, sign, free = _signed_components(
         system.n_unknowns,
-        col[first[count == 1]],
-        col[edge],
-        col[edge + 1],
-        (value[edge] > 0) == (value[edge + 1] > 0),
+        col[first[edge]],
+        col[last[edge]],
+        (value[first[edge]] > 0) == (value[last[edge]] > 0),
     )
     nullity = np.bincount(owner[free], minlength=len(systems))
-    # stage 3 takes the rows of three or more entries, or of two unequal ones
-    rest = count > 2
-    rest[row[pair[~equal]]] = True
-    rest = rest[row]
+    rest = np.repeat(~edge, last - first + 1)
     general: Dict[int, List[Tuple[int, int]]] = {}
     for r, c, v in zip(*(a[rest].tolist() for a in (row, col, value))):
         general.setdefault(r, []).append((c, v))
@@ -325,17 +322,16 @@ def _merged_rows(system: LinearConstraintSystem) -> Tuple[np.ndarray, ...]:
 
 
 def _signed_components(
-    n: int, kills: np.ndarray, u: np.ndarray, v: np.ndarray, same: np.ndarray
+    n: int, u: np.ndarray, v: np.ndarray, same: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Stage 2: the components of a signed graph on n unknowns.
 
     Edge k says ``x_u = -x_v`` where ``same[k]`` and ``x_u = x_v``
-    elsewhere, and ``x_u = 0`` for every u in ``kills``.  In the doubled
-    graph, node u stands for +x_u and node n + u for -x_u, and edge k
-    joins +x_u to the node of the value it equals (+x_v, or -x_v where
-    ``same[k]``) and -x_u to the other.  A component is balanced when +x_u
-    and -x_u lie apart, and free when it is balanced and has no unknown in
-    ``kills``.
+    elsewhere; a loop u = v with ``same`` says ``x_u = -x_u``, so
+    ``x_u = 0``.  In the doubled graph, node u stands for +x_u and node
+    n + u for -x_u, and edge k joins +x_u to the node of the value it
+    equals (+x_v, or -x_v where ``same[k]``) and -x_u to the other.  A
+    component is free exactly when it is balanced: +x_u and -x_u lie apart.
 
     Returns, per unknown, the root of its component (its smallest
     unknown), its sign relative to the root, and, at each root, whether
@@ -365,7 +361,6 @@ def _signed_components(
     root = np.minimum(plus, minus)
     sign = np.where(plus == root, 1, -1)
     free = (plus != minus) & (root == np.arange(n))
-    free[root[kills]] = False
     return root, sign, free
 
 

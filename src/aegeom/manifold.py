@@ -313,7 +313,9 @@ def worst_over_sample(points, block_residuals) -> Dict[str, float]:
     Blocks run in sample order, so a sweep raises what its first failing
     block raises.
     """
-    blocks = [block_residuals(block) for block in sample_blocks(points)]
+    # a value that overflows fails the block's checks, so numpy need not warn
+    with np.errstate(all="ignore"):
+        blocks = [block_residuals(block) for block in sample_blocks(points)]
     return {key: max(block[key] for block in blocks) for key in blocks[0]}
 
 
@@ -339,9 +341,14 @@ def axiom_residuals(kind: StructureKind, g, j) -> Dict[str, np.ndarray]:
 
 
 def inf_norm(arr) -> float:
-    """Largest absolute component (over every point of a stack); 0 if empty."""
+    """Largest absolute component (over every point of a stack); 0 if empty.
+
+    A NaN component reads as inf, so a stack that is not finite fails every
+    tolerance and wins every max over blocks or keys.
+    """
     arr = np.asarray(arr)
-    return float(np.max(np.abs(arr))) if arr.size else 0.0
+    worst = float(np.max(np.abs(arr))) if arr.size else 0.0
+    return worst if worst == worst else math.inf
 
 
 def metric_abs_det(m: ChartedManifold, points, g) -> np.ndarray:
@@ -373,9 +380,10 @@ def validate_structure(m: ChartedManifold, plan: SamplePlan) -> ValidationReport
     min_abs_det = np.inf
     for block in sample_blocks(plan.points(m.domain)):
         g, _, j, _ = eval_with_derivatives(m, block)
-        min_abs_det = min(min_abs_det, metric_abs_det(m, block, g).min())
-        for key, stack in axiom_residuals(m.kind, g, j).items():
-            residuals[key] = max(residuals.get(key, 0.0), inf_norm(stack))
+        with np.errstate(all="ignore"):
+            min_abs_det = min(min_abs_det, metric_abs_det(m, block, g).min())
+            for key, stack in axiom_residuals(m.kind, g, j).items():
+                residuals[key] = max(residuals.get(key, 0.0), inf_norm(stack))
     failures = [key for key, value in residuals.items() if value >= VALIDATION_TOL]
     return ValidationReport(
         manifold=m.name,

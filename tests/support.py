@@ -6,13 +6,16 @@ integer basis change; both end in the library's own validating
 constructors.  ``numeric_nullity`` is the numeric route on one system.
 ``dense`` writes a system out as a matrix, and ``dense_nullity`` is the
 rank reference the library's routes are held to: one SVD of the whole
-matrix.
+matrix.  ``fd_christoffel`` is the Christoffel oracle, which shares no code
+with the dual-number route, and ``polar_like`` a curved chart it is checked
+on.
 """
 
 import numpy as np
 
 from aegeom.algebra import ModelFiber
 from aegeom.linalg import NULL_SPACE_TOL, LinearConstraintSystem, numeric_nullities
+from aegeom.manifold import HERMITIAN, Box, ChartedManifold, evaluate_fields
 
 
 def system_from_rows(n_unknowns, rows):
@@ -60,3 +63,35 @@ def dense_nullity(matrix, tol=NULL_SPACE_TOL):
     """Nullity by one SVD of the whole matrix, with the library's relative cutoff."""
     sigma = np.linalg.svd(matrix, compute_uv=False) if matrix.size else np.zeros(0)
     return matrix.shape[1] - int(np.sum(sigma > tol * sigma.max(initial=0.0)))
+
+
+def fd_christoffel(m, point, h=1e-6):
+    """Koszul formula with centered finite differences of the metric."""
+    d = m.dim
+    g, _ = evaluate_fields(m, point)
+    dg = np.empty((d, d, d))
+    for k in range(d):
+        hi = list(point)
+        hi[k] += h
+        lo = list(point)
+        lo[k] -= h
+        g_hi, _ = evaluate_fields(m, hi)
+        g_lo, _ = evaluate_fields(m, lo)
+        dg[k] = (g_hi - g_lo) / (2 * h)
+    ginv = np.linalg.inv(g)
+    rhs = np.einsum("ilj->lij", dg) + np.einsum("jil->lij", dg) - dg
+    return 0.5 * np.einsum("kl,lij->kij", ginv, rhs)
+
+
+def polar_like():
+    """g = diag(1, x1^2) with the rotation J, on a box with x1 around 2."""
+    return ChartedManifold(
+        name="polar",
+        kind=HERMITIAN,
+        dim=2,
+        domain=Box((1.0, -1.0), (3.0, 1.0)),
+        fields=lambda c: (
+            [[1.0, 0.0 * c[0]], [0.0 * c[0], c[0] * c[0]]],
+            [[0.0, -1.0], [1.0, 0.0]],
+        ),
+    )

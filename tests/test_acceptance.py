@@ -40,6 +40,7 @@ from aegeom.manifold import (
     evaluate_fields,
     validate_structure,
 )
+from support import fd_christoffel
 
 FULL_PLAN = SamplePlan(seed=0, n_points=50)
 
@@ -48,23 +49,6 @@ def announce(capsys, ok, label):
     with capsys.disabled():
         print(f"{'PASS' if ok else 'FAIL'}  {label}", flush=True)
     assert ok, label
-
-
-def fd_christoffel(m, point, h=1e-6):
-    d = m.dim
-    g, _ = evaluate_fields(m, point)
-    dg = np.empty((d, d, d))
-    for k in range(d):
-        hi = list(point)
-        hi[k] += h
-        lo = list(point)
-        lo[k] -= h
-        g_hi, _ = evaluate_fields(m, hi)
-        g_lo, _ = evaluate_fields(m, lo)
-        dg[k] = (g_hi - g_lo) / (2 * h)
-    ginv = np.linalg.inv(g)
-    rhs = np.einsum("ilj->lij", dg) + np.einsum("jil->lij", dg) - dg
-    return 0.5 * np.einsum("kl,lij->kij", ginv, rhs)
 
 
 def test_criterion_1_catalog_validates(capsys):

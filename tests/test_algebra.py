@@ -61,6 +61,9 @@ def test_fiber_rejects_out_of_range_sizes():
         ModelFiber.standard(HERMITIAN, 0)
     with pytest.raises(UnsupportedDimension):
         ModelFiber.standard(HERMITIAN, MAX_HALF_DIM + 1)
+    eye = np.eye(2, dtype=int)
+    with pytest.raises(UnsupportedDimension):
+        ModelFiber(n=0, kind=HERMITIAN, j0=eye, inner=eye)
 
 
 def test_fiber_validates_its_matrices():
@@ -75,6 +78,8 @@ def test_fiber_validates_its_matrices():
         ModelFiber(n=1, kind=HERMITIAN, j0=j0, inner=np.diag([1, -1]))
     with pytest.raises(ValueError, match="inner form is degenerate"):
         ModelFiber(n=1, kind=HERMITIAN, j0=j0, inner=np.zeros((2, 2), dtype=int))
+    with pytest.raises(ValueError, match="fiber matrices must be 2x2"):
+        ModelFiber(n=1, kind=HERMITIAN, j0=np.eye(4, dtype=int), inner=eye)
     trace = "^product-riemannian fiber pair fails structure_trace$"
     with pytest.raises(ValueError, match=trace):
         ModelFiber(

@@ -43,33 +43,9 @@ from aegeom.manifold import (
     inf_norm,
     load_manifold_config,
 )
+from support import fd_christoffel, polar_like
 
 SMALL = SamplePlan(seed=0, n_points=6)
-
-
-def fd_christoffel(m, point, h=1e-6):
-    """Koszul formula with centered finite differences of the metric."""
-    d = m.dim
-    g, _ = evaluate_fields(m, point)
-    dg = np.empty((d, d, d))
-    for k in range(d):
-        hi = list(point)
-        hi[k] += h
-        lo = list(point)
-        lo[k] -= h
-        g_hi, _ = evaluate_fields(m, hi)
-        g_lo, _ = evaluate_fields(m, lo)
-        dg[k] = (g_hi - g_lo) / (2 * h)
-    ginv = np.linalg.inv(g)
-    gamma = np.empty((d, d, d))
-    for k in range(d):
-        for i in range(d):
-            for j in range(d):
-                acc = 0.0
-                for l in range(d):
-                    acc += ginv[k, l] * (dg[i, l, j] + dg[j, i, l] - dg[l, i, j])
-                gamma[k, i, j] = 0.5 * acc
-    return gamma
 
 
 def codazzi_parts(m, point):
@@ -82,19 +58,6 @@ def codazzi_parts(m, point):
     r_j = inf_norm(nj - np.einsum("njik->nkij", nj))
     triples = vector_triples(0, 1, m.dim)
     return r_j, identity_residuals(m, point, triples)["codazzi_nabla_g"]
-
-
-def polar_like():
-    return ChartedManifold(
-        name="polar",
-        kind=HERMITIAN,
-        dim=2,
-        domain=Box((1.0, -1.0), (3.0, 1.0)),
-        fields=lambda c: (
-            [[1.0, 0.0 * c[0]], [0.0 * c[0], c[0] * c[0]]],
-            [[0.0, -1.0], [1.0, 0.0]],
-        ),
-    )
 
 
 def test_flat_connection_vanishes_exactly():

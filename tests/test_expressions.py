@@ -69,6 +69,13 @@ def test_malformed_exponent_is_rejected_with_position(text, column):
     assert exc.value.column == column
 
 
+@pytest.mark.parametrize("text, column", [("1.2.3", 1), ("x1 + .", 6)])
+def test_malformed_number_is_rejected_with_position(text, column):
+    with pytest.raises(ExpressionError, match="malformed number") as exc:
+        parse_expression(text, 1)
+    assert exc.value.column == column
+
+
 def test_scientific_literal_is_not_an_exponent_of_a_power():
     with pytest.raises(ExpressionError, match="integer") as exc:
         parse_expression("x1^1e1", 1)

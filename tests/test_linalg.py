@@ -204,6 +204,8 @@ def test_system_rejects_out_of_range_columns():
         LinearConstraintSystem.from_entries(2, [1], [2], [1.0])
     with pytest.raises(SlotMismatch):
         LinearConstraintSystem.from_entries(2, [1], [-1], [1.0])
+    with pytest.raises(ValueError, match="columns and coefficients disagree"):
+        LinearConstraintSystem.from_entries(3, [2], [0], [1.0])
 
 
 def test_zero_unknowns_is_degenerate():

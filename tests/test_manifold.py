@@ -35,6 +35,7 @@ from aegeom.manifold import (
     report_json,
     validate_structure,
 )
+from support import polar_like
 
 # the package exports the function ``catalog`` under the module's name
 catalog_module = importlib.import_module("aegeom.catalog")
@@ -219,17 +220,6 @@ def test_flat_fields_have_exactly_zero_derivatives():
     assert dg.shape == dj.shape == (1, 2, 2, 2)
 
 
-def polar_like():
-    # g = diag(1, x1^2) on a box with x1 around 2
-    return ChartedManifold(
-        name="polar",
-        kind=HERMITIAN,
-        dim=2,
-        domain=Box((1.0, -1.0), (3.0, 1.0)),
-        fields=lambda c: ([[1.0, 0.0 * c[0]], [0.0 * c[0], c[0] * c[0]]], ROTATION),
-    )
-
-
 def test_metric_derivative_matches_finite_differences():
     m = polar_like()
     point = (2.0, 0.0)
@@ -308,15 +298,17 @@ def test_validation_report_json_round_trip():
 
 
 def test_malformed_field_output_is_flagged():
-    bad = ChartedManifold(
-        name="bad",
-        kind=HERMITIAN,
-        dim=2,
-        domain=Box((-1.0, -1.0), (1.0, 1.0)),
-        fields=lambda c: ([[1.0, 0.0]], ROTATION),  # metric not 2x2
-    )
-    with pytest.raises(SlotMismatch):
-        evaluate_fields(bad, (0.0, 0.0))
+    # a metric with one row, and one whose rows differ in length
+    for metric in ([[1.0, 0.0]], [[1.0, 0.0], [0.0]]):
+        bad = ChartedManifold(
+            name="bad",
+            kind=HERMITIAN,
+            dim=2,
+            domain=Box((-1.0, -1.0), (1.0, 1.0)),
+            fields=lambda c, _g=metric: (_g, ROTATION),
+        )
+        with pytest.raises(SlotMismatch, match="metric must produce a 2x2 matrix"):
+            evaluate_fields(bad, (0.0, 0.0))
 
 
 VALID_CONFIG = {
@@ -390,6 +382,8 @@ def test_config_with_coordinate_dependent_entries(tmp_path):
         (lambda d: d["metric"][0].pop(), "must be a 2x2 array"),
         (lambda d: d["metric"][0].__setitem__(0, 3.0), "metric[0][0] must be a string"),
         (lambda d: d.update(domain={"lo": [-1.0, -1.0]}), "domain.hi must be a list"),
+        (lambda d: d.update(kind=[]), "'kind' must be a dict"),
+        (lambda d: d.update(domain="box"), "'domain' must be a dict"),
     ],
 )
 def test_config_errors_carry_diagnostics(tmp_path, mutate, needle):

@@ -2,14 +2,18 @@
 
 A NaN would otherwise vanish in the max over sample points and report every
 residual as zero, so both evaluators check every value (and the dual path
-every derivative) before anything is reduced.
+every derivative) before anything is reduced.  The same holds for the
+stacks derived from finite fields: a residual that is not finite never
+passes a check, and numpy's warnings about it never reach stderr.
 """
 
 import json
 
+import numpy as np
 import pytest
 
-from aegeom.cli import EXIT_FAIL, run
+from aegeom.cli import EXIT_FAIL, EXIT_PASS, run
+from aegeom.connection import derived_tensors, identity_residuals, vector_triples
 from aegeom.errors import NonFiniteField
 from aegeom.manifold import (
     HERMITIAN,
@@ -86,3 +90,88 @@ def test_callable_that_raises_is_reported_for_its_field():
     for evaluate in (evaluate_fields, eval_with_derivatives):
         with pytest.raises(NonFiniteField, match=r"fields of raising .* \(0\.5, 0\.25\)"):
             evaluate(m, (0.5, 0.25))
+
+
+# J^2 = Id and g(J., J.) = g hold for every f, but with f = 1e-297/(x1 +
+# 1e-300) on a domain 1e-300 wide the derivatives reach about 1e300 and the
+# derived stacks overflow to NaN while every field value stays below 1000
+STEEP_F = "1e-297/(x1 + 1e-300)"
+STEEP_H = "0.5e-297/(x1 + 1e-300)"
+STEEP = {
+    "kind": {"alpha": 1, "epsilon": 1},
+    "dim": 2,
+    "domain": {"lo": [0, 0], "hi": [1e-300, 1]},
+    "structure": [["1", STEEP_F], ["0", "-1"]],
+    "metric": [["1", STEEP_H], [STEEP_H, f"1 + ({STEEP_H})^2"]],
+}
+# finite fields whose axiom residuals overflow: J^2 and J^T g J reach inf
+MIXED = {
+    "kind": {"alpha": 1, "epsilon": 1},
+    "dim": 2,
+    "domain": {"lo": [-1, -1], "hi": [1, 1]},
+    "metric": [["1e150", "0"], ["0", "1e150"]],
+    "structure": [["1e160", "1e160"], ["1e160", "-1e160"]],
+}
+# metric_isometry fails by about 3e144, after cross-check stacks overflow
+BIG = {
+    "kind": {"alpha": -1, "epsilon": 1},
+    "dim": 2,
+    "domain": {"lo": [-0.5, -0.5], "hi": [0.5, 0.5]},
+    "metric": [["1/(1e160*(2+x1))", "0"], ["0", "1e160*(2+x1)"]],
+    "structure": [["0", "-1e160*(2+x1)"], ["1/(1e160*(2+x1))", "0"]],
+}
+
+
+def write_raw(tmp_path, name, raw):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(raw))
+    return path
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize("verb", VERBS)
+def test_derived_stack_that_is_not_finite_exits_1_naming_check_and_point(
+    tmp_path, capsys, verb, seed
+):
+    path = write_raw(tmp_path, "steep", STEEP)
+    code = run([verb, "--manifold", str(path), "--seed", str(seed)])
+    captured = capsys.readouterr()
+    if verb == "validate":
+        assert code == EXIT_PASS
+        assert captured.err == ""
+        return
+    assert code == EXIT_FAIL
+    assert captured.out == ""
+    check = "identity anticommute" if verb == "identities" else "(nabla J) J + J"
+    assert captured.err.startswith(f"error: steep: {check}")
+    assert "residual nan at (" in captured.err
+    # the named point is a sample point, and fails the same way on its own
+    m = load_manifold_config(path)
+    point = captured.err.rsplit(" at ", 1)[1].strip()
+    samples = SamplePlan(seed=seed).points(m.domain)
+    assert point in [str(tuple(map(float, p))) for p in samples]
+    alone = [float(x) for x in point.strip("()").split(", ")]
+    with pytest.raises(NonFiniteField, match="residual nan"), np.errstate(all="ignore"):
+        if verb == "identities":
+            identity_residuals(m, alone, vector_triples(seed, 3, 2))
+        else:
+            derived_tensors(m, alone)
+
+
+def test_validate_lists_an_axiom_whose_residual_is_not_finite(tmp_path, capsys):
+    path = write_raw(tmp_path, "mixed", MIXED)
+    assert run(["validate", "--manifold", str(path), "--format", "json"]) == EXIT_FAIL
+    report = json.loads(capsys.readouterr().out)
+    for key in ("structure_squared", "metric_isometry", "pairing_swap"):
+        assert report["residuals"][key] == float("inf")
+        assert key in report["failures"]
+
+
+@pytest.mark.parametrize("verb", VERBS)
+@pytest.mark.parametrize("name", ["steep", "mixed", "big"])
+def test_overflow_writes_one_error_line_and_no_warning(tmp_path, capsys, verb, name):
+    path = write_raw(tmp_path, name, {"steep": STEEP, "mixed": MIXED, "big": BIG}[name])
+    run([verb, "--manifold", str(path)])
+    err = capsys.readouterr().err
+    assert "Warning" not in err
+    assert len(err.splitlines()) <= 1
